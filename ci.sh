@@ -82,4 +82,16 @@ jq -e '.engine_partitioned.scaling | length >= 3' target/BENCH_engine.quick.json
 jq -e '.engine_topology.route_hops >= 2 and .engine_topology.per_hop_ns > 0' target/BENCH_engine.quick.json > /dev/null
 jq -e '.fleet_slo.clients >= 1000 and .fleet_slo.breaches >= 1 and .fleet_slo.identical_across_workers == true' target/BENCH_engine.quick.json > /dev/null
 
+echo "==> perfbench (its own workspace: unit tests + one short run per workload)"
+# perfbench builds against the crates by path from a separate
+# workspace, so nothing above compiles it; a fabric API change that
+# breaks the benchmark must fail here.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in stream_p2p torus_cut rack_churn; do
+    echo "--> perfbench: ${workload}"
+    cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "${workload}" --seed 1 --seconds 1 --trace 0 | tail -n 1 \
+        | jq -e '.correct and .failed == 0' > /dev/null
+done
+
 echo "ci: all gates passed"

@@ -22,7 +22,7 @@ use std::fmt;
 
 use llc::error::LlcError;
 use llc::frame::{Entry, Frame};
-use llc::LlcConfig;
+use llc::{LlcConfig, RxAction};
 use netsim::channel::{Channel, ChannelBuilder};
 use netsim::fault::FaultSpec;
 use netsim::switch::{CircuitSwitch, PortId, SwitchError};
@@ -52,6 +52,7 @@ use crate::fabric::stage::{
     C1MasterDram, FabricComponent, FabricMsg, LlcPair, M1Capture, RmmuTranslate, RouterStage,
     StageKind, SwitchStage, WindowSpec, WireChannel,
 };
+use crate::fabric::tags::TagWindow;
 use crate::fabric::trace::{
     FlitTrace, FlitTracer, HopContext, HopKind, LatencyBreakdown, SpanIds, WireDir, WireLatency,
 };
@@ -212,6 +213,10 @@ pub enum FabricError {
     UnknownPath(PathId),
     /// The path still has loads in flight.
     PathBusy(PathId),
+    /// A closed-loop stream on a healthy path retired no load within its
+    /// window (the window was shorter than a round trip, or the stream
+    /// issued nothing), so it has no rate to report.
+    NoCompletions(PathId),
     /// The path lost its last link to an injected failure; loads can no
     /// longer be issued on it. Detach it and re-attach elsewhere.
     PathFaulted {
@@ -222,7 +227,7 @@ pub enum FabricError {
     },
     /// A connection violated the port typing rules.
     Wiring(WiringError),
-    /// The path specification is malformed.
+    /// The path specification or a run parameter is malformed.
     Config(String),
     /// The topology layer refused the operation (unknown node, no
     /// surviving route).
@@ -248,6 +253,9 @@ impl fmt::Display for FabricError {
             FabricError::NoSwitch => write!(f, "topology has no circuit switch"),
             FabricError::UnknownPath(p) => write!(f, "unknown {p}"),
             FabricError::PathBusy(p) => write!(f, "{p} still has loads in flight"),
+            FabricError::NoCompletions(p) => {
+                write!(f, "{p} retired no load in its closed-loop window")
+            }
             FabricError::PathFaulted { path, kind } => {
                 write!(f, "{path} is poisoned: {kind}")
             }
@@ -340,13 +348,6 @@ enum Ev {
     Complete { tag: u64 },
     /// Seal whatever is staged on a direction (adaptive batching).
     Flush { link: usize, dir: Dir },
-    /// A window of same-link data frames lands as one event (wire-burst
-    /// batching, see [`Fabric::set_wire_batching`]).
-    ArriveBurst {
-        link: usize,
-        dir: Dir,
-        frames: Vec<(Frame<FabricMsg>, bool)>,
-    },
     /// A deferred load issue lands (cross-partition injection, see
     /// [`Fabric::schedule_read`]).
     Inject { path: u32 },
@@ -687,7 +688,8 @@ pub struct Fabric {
     paths: BTreeMap<u32, PathState>,
     next_path: u32,
     queue: EventQueue<Ev>,
-    inflight: BTreeMap<u64, (SimTime, u32, usize)>,
+    /// `(issued, path, link)` of every load in flight, by tag.
+    inflight: TagWindow<(SimTime, u32, usize)>,
     next_tag: u64,
     connections: Vec<Connection>,
     telemetry: Registry,
@@ -703,9 +705,14 @@ pub struct Fabric {
     faulted: BTreeMap<u64, FaultKind>,
     /// Completions absorbed because their load had already faulted.
     late_completions: u64,
-    /// Hot-path opt-in: same-link data frames pumped back-to-back move
-    /// as one [`Ev::ArriveBurst`] at the burst's last arrival instant.
-    wire_batching: bool,
+    /// Links a coincident offer burst touched; kept across steps.
+    touched: Vec<usize>,
+    /// A coincident data-arrival burst on its way into an Rx ingress;
+    /// kept across steps.
+    arrivals: Vec<(Frame<FabricMsg>, bool)>,
+    /// What the Rx delivered and wants replied for one arrival burst;
+    /// kept across steps.
+    rx_action: RxAction<FabricMsg>,
     /// Deferred issues ([`Fabric::schedule_read`]) that landed on a
     /// poisoned path and were refused rather than faulting the run.
     injects_refused: u64,
@@ -770,7 +777,7 @@ impl Fabric {
             paths: BTreeMap::new(),
             next_path: 0,
             queue: EventQueue::with_engine(engine),
-            inflight: BTreeMap::new(),
+            inflight: TagWindow::default(),
             next_tag: 0,
             connections,
             telemetry,
@@ -780,7 +787,9 @@ impl Fabric {
             faults: Vec::new(),
             faulted: BTreeMap::new(),
             late_completions: 0,
-            wire_batching: false,
+            touched: Vec::new(),
+            arrivals: Vec::new(),
+            rx_action: RxAction::default(),
             injects_refused: 0,
             topo: None,
             interior: BTreeMap::new(),
@@ -1218,7 +1227,7 @@ impl Fabric {
         if !self.paths.contains_key(&path.0) {
             return Err(FabricError::UnknownPath(path));
         }
-        if self.inflight.values().any(|(_, p, _)| *p == path.0) {
+        if self.inflight.iter().any(|(_, &(_, p, _))| p == path.0) {
             return Err(FabricError::PathBusy(path));
         }
         let state = self
@@ -1365,17 +1374,6 @@ impl Fabric {
 
     fn pump(&mut self, link: usize, dir: Dir) -> Result<(), FabricError> {
         let now = self.queue.now();
-        // Batched bursts bypass the per-frame Arrive path, so a link
-        // with a forwarding chain always pumps frame-by-frame: every
-        // frame must individually enter the chain's credit machinery.
-        let chained = self
-            .links
-            .get(link)
-            .and_then(Option::as_ref)
-            .is_some_and(|s| s.chain.is_some());
-        if self.wire_batching && !chained {
-            return self.pump_batched(link, dir, now);
-        }
         loop {
             let frame = {
                 let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
@@ -1392,71 +1390,6 @@ impl Fabric {
             };
             self.transmit(link, dir, frame, now);
         }
-    }
-
-    /// The wire-batching pump: every data frame this pump pass puts on
-    /// the wire joins one burst that lands as a single
-    /// [`Ev::ArriveBurst`] at the last frame's arrival instant, so a
-    /// window of same-link flits moves as one event instead of one event
-    /// per frame. Control frames keep the per-frame path (they carry
-    /// flow control and ride the reverse physical channel).
-    fn pump_batched(
-        &mut self,
-        link: usize,
-        dir: Dir,
-        now: SimTime,
-    ) -> Result<(), FabricError> {
-        let mut burst: Vec<(Frame<FabricMsg>, bool)> = Vec::new();
-        let mut burst_at = now;
-        loop {
-            let frame = {
-                let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
-                    break;
-                };
-                let tx = match dir {
-                    Dir::ToMemory => &mut slot.up.tx,
-                    Dir::ToCompute => &mut slot.down.tx,
-                };
-                match tx.next_transmittable()? {
-                    Some(f) => f,
-                    None => break,
-                }
-            };
-            if matches!(frame, Frame::Control(_)) {
-                self.transmit(link, dir, frame, now);
-                continue;
-            }
-            self.stamp_wire_tx(dir, &frame, now);
-            let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
-                break;
-            };
-            let physical = match dir {
-                Dir::ToMemory => &mut slot.fwd.chan,
-                Dir::ToCompute => &mut slot.rev.chan,
-            };
-            match physical.transmit(now, frame.wire_bytes()) {
-                Delivery::Delivered { at } => {
-                    burst_at = burst_at.max(at.max(now));
-                    burst.push((frame, true));
-                }
-                Delivery::Corrupted { at } => {
-                    burst_at = burst_at.max(at.max(now));
-                    burst.push((frame, false));
-                }
-                Delivery::Dropped => self.arm_watchdog(link),
-            }
-        }
-        if !burst.is_empty() {
-            self.queue.schedule(
-                burst_at,
-                Ev::ArriveBurst {
-                    link,
-                    dir,
-                    frames: burst,
-                },
-            );
-        }
-        Ok(())
     }
 
     /// Checkpoints every traced transaction riding a data frame at its
@@ -1817,7 +1750,7 @@ impl Fabric {
 
     /// Retires one completed load.
     fn retire(&mut self, tag: u64, done: &mut Vec<Completion>) -> Result<(), FabricError> {
-        let Some((issued, path, _link)) = self.inflight.remove(&tag) else {
+        let Some((issued, path, _link)) = self.inflight.remove(tag) else {
             if self.faulted.contains_key(&tag) {
                 // The completion raced its own fault resolution: the
                 // response was already past the failed component when
@@ -1896,13 +1829,20 @@ impl Fabric {
     /// Surfaces LLC protocol violations and misrouted messages — all
     /// simulator bugs, never load-dependent.
     pub fn step(&mut self) -> Result<Option<Vec<Completion>>, FabricError> {
-        let Some((_, ev)) = self.queue.pop() else {
-            return Ok(None);
-        };
         let mut done = Vec::new();
+        Ok(self.step_into(&mut done)?.then_some(done))
+    }
+
+    /// [`Fabric::step`] appending the retired loads to `done` instead of
+    /// returning a fresh vector, so a driver loop can reuse one buffer.
+    /// Returns `false` once the queue is empty.
+    pub(crate) fn step_into(&mut self, done: &mut Vec<Completion>) -> Result<bool, FabricError> {
+        let Some((_, ev)) = self.queue.pop() else {
+            return Ok(false);
+        };
         match ev {
             Ev::Offer { link, msg } => {
-                let mut touched = Vec::with_capacity(4);
+                let mut touched = std::mem::take(&mut self.touched);
                 if self.offer_up(link, msg) {
                     touched.push(link);
                 }
@@ -1914,9 +1854,11 @@ impl Fabric {
                         touched.push(link);
                     }
                 }
-                for link in touched {
+                for &link in &touched {
                     self.offer_or_flush(link, Dir::ToMemory)?;
                 }
+                touched.clear();
+                self.touched = touched;
             }
             Ev::Arrive {
                 link,
@@ -1941,50 +1883,10 @@ impl Fabric {
                         }
                     }
                 }
-                data @ Frame::Data { .. } => {
-                    let now = self.queue.now();
-                    // Batch coincident data arrivals on the same link and
-                    // direction through the Rx's bounded ingress.
-                    let mut burst: Vec<(Frame<FabricMsg>, bool)> = vec![(data, intact)];
-                    while let Some(Ev::Arrive { frame, intact, .. }) =
-                        self.queue.pop_coincident(|e| {
-                            matches!(
-                                e,
-                                Ev::Arrive {
-                                    link: l,
-                                    dir: d,
-                                    frame: Frame::Data { .. },
-                                    ..
-                                } if *l == link && *d == dir
-                            )
-                        })
-                    {
-                        burst.push((frame, intact));
-                    }
-                    let action = match self.links.get_mut(link).and_then(Option::as_mut) {
-                        Some(slot) => {
-                            let rx = match dir {
-                                Dir::ToMemory => &mut slot.up.rx,
-                                Dir::ToCompute => &mut slot.down.rx,
-                            };
-                            rx.enqueue_arrivals(&mut burst)?;
-                            Some(rx.drain_ingress()?)
-                        }
-                        None => None,
-                    };
-                    if let Some(action) = action {
-                        for c in action.replies {
-                            self.transmit(link, dir, Frame::Control(c), now);
-                        }
-                        for msg in action.delivered {
-                            self.dispatch_delivery(link, dir, msg, now)?;
-                        }
-                        self.pump(link, dir)?;
-                    }
-                }
+                data @ Frame::Data { .. } => self.arrive_data(link, dir, data, intact)?,
             },
             Ev::MemoryDone { link, resp } => {
-                let mut touched = Vec::with_capacity(4);
+                let mut touched = std::mem::take(&mut self.touched);
                 if self.offer_down(link, resp) {
                     touched.push(link);
                 }
@@ -1996,9 +1898,11 @@ impl Fabric {
                         touched.push(link);
                     }
                 }
-                for link in touched {
+                for &link in &touched {
                     self.offer_or_flush(link, Dir::ToCompute)?;
                 }
+                touched.clear();
+                self.touched = touched;
             }
             Ev::Flush { link, dir } => {
                 let live = match self.links.get_mut(link).and_then(Option::as_mut) {
@@ -2018,52 +1922,12 @@ impl Fabric {
                 }
             }
             Ev::Complete { tag } => {
-                self.retire(tag, &mut done)?;
+                self.retire(tag, done)?;
                 while let Some(Ev::Complete { tag }) = self
                     .queue
                     .pop_coincident(|e| matches!(e, Ev::Complete { .. }))
                 {
-                    self.retire(tag, &mut done)?;
-                }
-            }
-            Ev::ArriveBurst {
-                link,
-                dir,
-                mut frames,
-            } => {
-                // A pre-batched window of same-link data frames: feed the
-                // whole burst through the Rx ingress in one pass, exactly
-                // like the coincident-arrival batching above.
-                let now = self.queue.now();
-                while let Some(Ev::ArriveBurst { frames: more, .. }) =
-                    self.queue.pop_coincident(|e| {
-                        matches!(
-                            e,
-                            Ev::ArriveBurst { link: l, dir: d, .. } if *l == link && *d == dir
-                        )
-                    })
-                {
-                    frames.extend(more);
-                }
-                let action = match self.links.get_mut(link).and_then(Option::as_mut) {
-                    Some(slot) => {
-                        let rx = match dir {
-                            Dir::ToMemory => &mut slot.up.rx,
-                            Dir::ToCompute => &mut slot.down.rx,
-                        };
-                        rx.enqueue_arrivals(&mut frames)?;
-                        Some(rx.drain_ingress()?)
-                    }
-                    None => None,
-                };
-                if let Some(action) = action {
-                    for c in action.replies {
-                        self.transmit(link, dir, Frame::Control(c), now);
-                    }
-                    for msg in action.delivered {
-                        self.dispatch_delivery(link, dir, msg, now)?;
-                    }
-                    self.pump(link, dir)?;
+                    self.retire(tag, done)?;
                 }
             }
             Ev::Inject { path } => {
@@ -2095,7 +1959,65 @@ impl Fabric {
                 seg,
             } => self.hop_credit(link, gen, chain_dir, seg),
         }
-        Ok(Some(done))
+        Ok(true)
+    }
+
+    /// A data frame lands: batches every coincident data arrival on the
+    /// same link and direction through the Rx's bounded ingress, sends
+    /// the Rx's replies, dispatches what it delivered, and pumps the
+    /// Tx the replies may have unblocked. The burst and the Rx action
+    /// live in buffers the fabric keeps across steps.
+    fn arrive_data(
+        &mut self,
+        link: usize,
+        dir: Dir,
+        frame: Frame<FabricMsg>,
+        intact: bool,
+    ) -> Result<(), FabricError> {
+        let now = self.queue.now();
+        let mut burst = std::mem::take(&mut self.arrivals);
+        burst.push((frame, intact));
+        while let Some(Ev::Arrive { frame, intact, .. }) = self.queue.pop_coincident(|e| {
+            matches!(
+                e,
+                Ev::Arrive {
+                    link: l,
+                    dir: d,
+                    frame: Frame::Data { .. },
+                    ..
+                } if *l == link && *d == dir
+            )
+        }) {
+            burst.push((frame, intact));
+        }
+        let mut action = std::mem::take(&mut self.rx_action);
+        let live = match self.links.get_mut(link).and_then(Option::as_mut) {
+            Some(slot) => {
+                let rx = match dir {
+                    Dir::ToMemory => &mut slot.up.rx,
+                    Dir::ToCompute => &mut slot.down.rx,
+                };
+                rx.enqueue_arrivals(&mut burst)?;
+                rx.drain_ingress(&mut action)?;
+                true
+            }
+            None => false,
+        };
+        // Frames for a detached link are dropped with it.
+        burst.clear();
+        self.arrivals = burst;
+        if live {
+            for c in action.replies.drain(..) {
+                self.transmit(link, dir, Frame::Control(c), now);
+            }
+            for msg in action.delivered.drain(..) {
+                self.dispatch_delivery(link, dir, msg, now)?;
+            }
+            self.pump(link, dir)?;
+        }
+        action.clear();
+        self.rx_action = action;
+        Ok(())
     }
 
     /// Runs the fabric until the event queue is empty.
@@ -2127,9 +2049,7 @@ impl Fabric {
         sink: &mut Vec<Completion>,
     ) -> Result<(), FabricError> {
         while self.queue.peek_time().is_some_and(|t| t < bound) {
-            if let Some(done) = self.step()? {
-                sink.extend(done);
-            }
+            self.step_into(sink)?;
         }
         Ok(())
     }
@@ -2182,15 +2102,6 @@ impl Fabric {
                 .chain(segs)
             })
             .min()
-    }
-
-    /// Opts the hot path in (or out) of wire-burst batching: data frames
-    /// pumped back-to-back on one link move as a single
-    /// [`Ev::ArriveBurst`] at the burst's last arrival instant. Fewer,
-    /// fatter events for throughput workloads, at the cost of per-frame
-    /// arrival granularity — reference trajectories keep it off.
-    pub fn set_wire_batching(&mut self, on: bool) {
-        self.wire_batching = on;
     }
 
     /// Schedules a failure script on the event queue and arms link-down
@@ -2770,15 +2681,14 @@ impl Fabric {
         let dead = [up_id(link), down_id(link), fwd_id(link), rev_id(link)];
         self.connections
             .retain(|c| !dead.contains(&c.from.component) && !dead.contains(&c.to.component));
-        // Resolve this link's stranded loads, in tag order so the fault
-        // log is independent of hash-map iteration order.
-        let mut stranded: Vec<u64> = self
+        // Resolve this link's stranded loads in tag order (the window
+        // iterates in tag order), so the fault log is deterministic.
+        let stranded: Vec<u64> = self
             .inflight
             .iter()
             .filter(|(_, &(_, _, l))| l == link)
-            .map(|(&t, _)| t)
+            .map(|(t, _)| t)
             .collect();
-        stranded.sort_unstable();
         for tag in stranded {
             self.fault_tag(tag, kind);
         }
@@ -2825,7 +2735,7 @@ impl Fabric {
 
     /// Resolves one in-flight load to a typed fault.
     fn fault_tag(&mut self, tag: u64, kind: FaultKind) {
-        let Some((_, path, _)) = self.inflight.remove(&tag) else {
+        let Some((_, path, _)) = self.inflight.remove(tag) else {
             return;
         };
         self.faulted.insert(tag, kind);
@@ -2976,12 +2886,21 @@ impl Fabric {
     ///
     /// # Errors
     ///
-    /// Fails on unknown paths or fabric protocol violations.
+    /// Fails on unknown paths or fabric protocol violations, on a zero
+    /// `duration` ([`FabricError::Config`]), and when a stream retires
+    /// no load within the window: [`FabricError::PathFaulted`] if a
+    /// failure poisoned its path, [`FabricError::NoCompletions`]
+    /// otherwise.
     pub fn run_closed_loop(
         &mut self,
         loads: &[StreamLoad],
         duration: SimTime,
     ) -> Result<Vec<Rate>, FabricError> {
+        if duration.is_zero() {
+            return Err(FabricError::Config(
+                "closed-loop duration must be positive".into(),
+            ));
+        }
         let start_now = self.queue.now();
         let deadline = start_now + duration;
         let mut start_bytes = Vec::with_capacity(loads.len());
@@ -2997,11 +2916,12 @@ impl Fabric {
                 self.issue_read(l.path)?;
             }
         }
-        while let Some(done) = self.step()? {
+        let mut done = Vec::new();
+        while self.step_into(&mut done)? {
             if self.queue.now() >= deadline {
                 break;
             }
-            for c in done {
+            for c in done.drain(..) {
                 if loads.iter().any(|l| l.path == c.path) {
                     self.issue_read(c.path)?;
                 }
@@ -3015,6 +2935,14 @@ impl Fabric {
                 .get(&l.path.0)
                 .ok_or(FabricError::UnknownPath(l.path))?;
             let bytes = state.completed_bytes - start;
+            if bytes == 0 || elapsed.is_zero() {
+                // No rate to report; a failure that poisoned the path
+                // says why.
+                return Err(match state.poisoned {
+                    Some(kind) => FabricError::PathFaulted { path: l.path, kind },
+                    None => FabricError::NoCompletions(l.path),
+                });
+            }
             // Byte counts stay far below 2^53.
             rates.push(Rate::from_bytes_per_sec(
                 bytes as f64 / elapsed.as_secs_f64(),

@@ -21,6 +21,7 @@ pub mod obs;
 pub mod partition;
 pub mod port;
 pub mod stage;
+mod tags;
 pub mod trace;
 
 pub use builder::FabricBuilder;

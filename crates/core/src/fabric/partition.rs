@@ -207,16 +207,16 @@ impl Partition for FabricShard {
         bound: SimTime,
         outbox: &mut Outbox<ShardMsg>,
     ) -> Result<(), FabricError> {
+        let mut done = Vec::new();
         while self
             .fabric
             .next_event_time()
             .is_some_and(|t| t < bound)
         {
-            if let Some(done) = self.fabric.step()? {
-                let now = self.fabric.now();
-                for c in done {
-                    self.absorb_completion(now, &c, outbox);
-                }
+            self.fabric.step_into(&mut done)?;
+            let now = self.fabric.now();
+            for c in done.drain(..) {
+                self.absorb_completion(now, &c, outbox);
             }
         }
         Ok(())
@@ -453,14 +453,6 @@ impl PartitionedFabric {
     pub fn set_telemetry(&mut self, enabled: bool) {
         for s in &mut self.shards {
             s.fabric.set_telemetry(enabled);
-        }
-    }
-
-    /// Opts every shard's hot path into (or out of) wire-burst
-    /// batching.
-    pub fn set_wire_batching(&mut self, on: bool) {
-        for s in &mut self.shards {
-            s.fabric.set_wire_batching(on);
         }
     }
 

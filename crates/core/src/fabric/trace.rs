@@ -22,7 +22,6 @@
 //! table; [`chrome_trace`] renders traces as Chrome `trace_event` JSON
 //! (load into `chrome://tracing` or Perfetto).
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use serde::Value;
@@ -30,6 +29,7 @@ use simkit::time::SimTime;
 
 use crate::fabric::engine::PathId;
 use crate::fabric::port::ComponentId;
+use crate::fabric::tags::TagWindow;
 
 /// Identifier a traced flit carries end to end (the load's tag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -385,22 +385,17 @@ const DEFAULT_TRACE_CAP: usize = 16_384;
 /// The engine-side tracer: checkpoints per in-flight tag, finished
 /// [`FlitTrace`]s after retire.
 ///
-/// Checkpoint records are *pooled*: load tags are monotonic, so the
-/// live set is a dense sliding window (`tag - base` indexes a ring of
-/// recycled [`Pending`] slots). Every hot-path hook — begin, wire
-/// transmit, delivery, memory completion, finish — is an O(1) index
-/// into preallocated storage; the steady state allocates nothing per
-/// flit, where the previous `BTreeMap` paid a tree insert/remove (and
-/// its node allocations) per traced load.
+/// Checkpoint records live in a [`TagWindow`]: load tags are issued in
+/// sequence, so the live set is a dense sliding window of recycled
+/// [`Pending`] slots. Every hot-path hook — begin, wire transmit,
+/// delivery, memory completion, finish — is an O(1) index into
+/// preallocated storage, and the steady state allocates nothing per
+/// flit.
 #[derive(Debug, Default)]
 pub(crate) struct FlitTracer {
     enabled: bool,
-    /// Tag of `window[0]`.
-    base: u64,
-    /// Pooled checkpoint ring; `None` slots are recycled in place.
-    window: VecDeque<Option<Pending>>,
-    /// Live (Some) records in the window.
-    live: usize,
+    /// Checkpoints of the traced loads in flight.
+    live: TagWindow<Pending>,
     finished: Vec<FlitTrace>,
     cap: usize,
     dropped: u64,
@@ -414,54 +409,10 @@ impl FlitTracer {
         }
     }
 
-    /// The live record for `tag`, if any (O(1) window index).
-    fn slot(&self, tag: u64) -> Option<&Pending> {
-        let idx = tag.checked_sub(self.base)?;
-        self.window.get(idx as usize)?.as_ref()
-    }
-
-    /// Mutable variant of [`FlitTracer::slot`].
-    fn slot_mut(&mut self, tag: u64) -> Option<&mut Pending> {
-        let idx = tag.checked_sub(self.base)?;
-        self.window.get_mut(idx as usize)?.as_mut()
-    }
-
-    /// Installs a record for `tag`, growing the window as needed. An
-    /// empty window re-bases to `tag` first so late-enabled tracing
-    /// never pads from tag zero.
-    fn insert(&mut self, tag: u64, p: Pending) {
-        if self.live == 0 {
-            self.window.clear();
-            self.base = tag;
-        }
-        let Some(idx) = tag.checked_sub(self.base) else {
-            return; // Tag behind the window: stale replay, not traceable.
-        };
-        while self.window.len() <= idx as usize {
-            self.window.push_back(None);
-        }
-        if self.window[idx as usize].replace(p).is_none() {
-            self.live += 1;
-        }
-    }
-
-    /// Removes and returns `tag`'s record, advancing the window base
-    /// past any leading recycled slots.
-    fn remove(&mut self, tag: u64) -> Option<Pending> {
-        let idx = tag.checked_sub(self.base)?;
-        let p = self.window.get_mut(idx as usize)?.take()?;
-        self.live -= 1;
-        while matches!(self.window.front(), Some(None)) {
-            self.window.pop_front();
-            self.base += 1;
-        }
-        Some(p)
-    }
-
     /// Current window footprint in slots (tests pin the recycling).
     #[cfg(test)]
     fn window_slots(&self) -> usize {
-        self.window.len()
+        self.live.span()
     }
 
     pub(crate) fn enabled(&self) -> bool {
@@ -474,15 +425,14 @@ impl FlitTracer {
     pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
         if !enabled {
-            self.window.clear();
-            self.live = 0;
+            self.live.clear();
         }
     }
 
     /// Whether any hot-path hook needs to run.
     #[inline]
     pub(crate) fn active(&self) -> bool {
-        self.enabled && self.live > 0
+        self.enabled && !self.live.is_empty()
     }
 
     pub(crate) fn set_capacity(&mut self, cap: usize) {
@@ -513,7 +463,7 @@ impl FlitTracer {
             self.dropped += 1;
             return;
         }
-        self.insert(
+        self.live.insert(
             tag,
             Pending {
                 path,
@@ -532,7 +482,7 @@ impl FlitTracer {
     /// Records a wire transmit of the tag's frame (replays overwrite:
     /// the surviving checkpoint is the transmit that actually delivered).
     pub(crate) fn wire_tx(&mut self, tag: u64, dir: WireDir, now: SimTime) {
-        if let Some(p) = self.slot_mut(tag) {
+        if let Some(p) = self.live.get_mut(tag) {
             match dir {
                 WireDir::Forward => p.fwd_tx = Some(now),
                 WireDir::Reverse => p.rev_tx = Some(now),
@@ -542,7 +492,7 @@ impl FlitTracer {
 
     /// Records in-order delivery of the tag's message out of an LLC Rx.
     pub(crate) fn delivered(&mut self, tag: u64, dir: WireDir, now: SimTime) {
-        if let Some(p) = self.slot_mut(tag) {
+        if let Some(p) = self.live.get_mut(tag) {
             match dir {
                 WireDir::Forward => p.fwd_deliver = Some(now),
                 WireDir::Reverse => p.rev_deliver = Some(now),
@@ -552,7 +502,7 @@ impl FlitTracer {
 
     /// Records when the donor's memory completion re-enters the LLC.
     pub(crate) fn memory_done(&mut self, tag: u64, at: SimTime) {
-        if let Some(p) = self.slot_mut(tag) {
+        if let Some(p) = self.live.get_mut(tag) {
             p.mem_done = Some(at);
         }
     }
@@ -561,11 +511,11 @@ impl FlitTracer {
     /// Discards the live checkpoints of a load resolved as faulted —
     /// a half-traced load can never finalize.
     pub(crate) fn abandon(&mut self, tag: u64) {
-        self.remove(tag);
+        self.live.remove(tag);
     }
 
     pub(crate) fn pending_link(&self, tag: u64) -> Option<usize> {
-        self.slot(tag).map(|p| p.link)
+        self.live.get(tag).map(|p| p.link)
     }
 
     /// Finalizes the tag's trace at retire time: subdivides the
@@ -579,7 +529,7 @@ impl FlitTracer {
         retired: SimTime,
         ctx: &HopContext,
     ) -> Option<usize> {
-        let p = self.remove(tag)?;
+        let p = self.live.remove(tag)?;
         if self.finished.len() >= self.cap {
             self.dropped += 1;
             return None;

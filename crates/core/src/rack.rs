@@ -1626,6 +1626,50 @@ mod tests {
     }
 
     #[test]
+    fn fleet_stream_that_loses_its_route_before_any_completion_errs() {
+        // Cut the lease's only link 50 ns into the window, long before
+        // the first load can come back: the stream retires nothing, the
+        // watchdog declares the link dead and poisons the path. That is
+        // a typed fault, not a zero-rate panic.
+        let mut r = rack();
+        let lease = r
+            .attach(AttachRequest::new("borrower", "donor", 4 * GIB))
+            .unwrap();
+        let path = r.lease_path(lease.id()).unwrap();
+        let fabric = r.fabric_mut("borrower").unwrap();
+        let route = fabric.topology_route(path).unwrap();
+        assert_eq!(route.links.len(), 1, "a single cable is the only route");
+        let link = fabric.topology_link_names()[route.links[0]].clone();
+        let at = fabric.now() + SimTime::from_ns(50);
+        fabric.schedule_chaos(&ChaosPlan::new().link_down_named(at, &link));
+        let got = r.run_fleet_streams(&[(lease.id(), 2, 4)], SimTime::from_us(60), 1);
+        assert!(
+            matches!(
+                got,
+                Err(RackError::Fabric(FabricError::PathFaulted { path: p, .. })) if p == path
+            ),
+            "{got:?}"
+        );
+        // A window too short for any round trip on a healthy path is an
+        // error too, and so is an empty one.
+        let mut r = rack();
+        let lease = r
+            .attach(AttachRequest::new("borrower", "donor", 4 * GIB))
+            .unwrap();
+        let path = r.lease_path(lease.id()).unwrap();
+        let short = r.run_lease_streams(&[(lease.id(), 1, 1)], SimTime::from_ns(100));
+        assert!(
+            matches!(short, Err(RackError::Fabric(FabricError::NoCompletions(p))) if p == path),
+            "{short:?}"
+        );
+        let empty = r.run_lease_streams(&[(lease.id(), 1, 1)], SimTime::ZERO);
+        assert!(
+            matches!(empty, Err(RackError::Fabric(FabricError::Config(_)))),
+            "{empty:?}"
+        );
+    }
+
+    #[test]
     fn attach_with_retry_rides_through_transient_exhaustion() {
         let mut r = rack();
         // Reserve the whole donor so the next attach is transient-busy.
@@ -1657,7 +1701,7 @@ mod tests {
             .attach_with_retry(AttachRequest::new("borrower", "donor", GIB), &policy)
             .unwrap();
         assert_eq!(stats.attempts, 1);
-        assert_eq!(stats.backoff_total, simkit::time::SimTime::ZERO);
+        assert_eq!(stats.backoff_total, SimTime::ZERO);
         assert_eq!(lease.bytes(), GIB);
     }
 

@@ -19,7 +19,7 @@ use simkit::queue::BoundedFifo;
 use crate::credit::CreditCounter;
 use crate::error::LlcError;
 use crate::flit::FlitSized;
-use crate::frame::{assemble, Control, Frame, FrameId};
+use crate::frame::{assemble_into, Control, Entry, Frame, FrameId};
 use crate::replay::ReplayBuffer;
 use crate::LlcConfig;
 
@@ -33,6 +33,9 @@ pub struct LlcTx<T> {
     config: LlcConfig,
     next_id: FrameId,
     staging: Vec<T>,
+    /// Reused framing buffer: [`LlcTx::seal`] gathers one frame's
+    /// entries here before moving them into the frame's payload.
+    entries: Vec<Entry<T>>,
     ready: VecDeque<Frame<T>>,
     retransmit: VecDeque<Frame<T>>,
     credits: CreditCounter,
@@ -61,6 +64,7 @@ impl<T: FlitSized + Clone> LlcTx<T> {
         LlcTx {
             next_id: FrameId(config.initial_frame_id),
             staging: Vec::new(),
+            entries: Vec::new(),
             ready: VecDeque::new(),
             retransmit: VecDeque::new(),
             credits: CreditCounter::new(config.rx_queue_credits()),
@@ -95,26 +99,33 @@ impl<T: FlitSized + Clone> LlcTx<T> {
     }
 
     /// Assembles every staged transaction into frames, padding the final
-    /// partial frame with nops "for immediate transmission".
+    /// partial frame with nops "for immediate transmission". Frames go
+    /// straight onto the ready queue; the staging and framing buffers
+    /// keep their capacity, so a seal allocates only the payloads.
     pub fn seal(&mut self) {
         if self.staging.is_empty() {
             return;
         }
         let piggyback = self.take_credit_returns();
-        let txns = std::mem::take(&mut self.staging);
-        let (frames, next) = assemble(txns, self.config.frame_flits, self.next_id, 0);
-        self.next_id = next;
-        let mut frames = frames;
+        let first = self.ready.len();
+        let ready = &mut self.ready;
+        self.next_id = assemble_into(
+            self.staging.drain(..),
+            self.config.frame_flits,
+            self.next_id,
+            0,
+            &mut self.entries,
+            |f| ready.push_back(f),
+        );
         // Piggy-back accumulated credit returns on the first frame's header.
         if piggyback > 0 {
             if let Some(Frame::Data {
                 piggyback_credits, ..
-            }) = frames.first_mut()
+            }) = self.ready.get_mut(first)
             {
                 *piggyback_credits = piggyback;
             }
         }
-        self.ready.extend(frames);
         #[cfg(feature = "sanitize")]
         self.assert_flit_conservation();
     }
@@ -326,6 +337,15 @@ impl<T> Default for RxAction<T> {
     }
 }
 
+impl<T> RxAction<T> {
+    /// Empties the action for reuse, keeping both buffers' capacity.
+    pub fn clear(&mut self) {
+        self.delivered.clear();
+        self.replies.clear();
+        self.piggyback_credits = 0;
+    }
+}
+
 /// The receive side of one LLC link direction.
 #[derive(Debug)]
 pub struct LlcRx<T> {
@@ -382,40 +402,54 @@ impl<T: FlitSized + Clone> LlcRx<T> {
     /// the receiver — the link layer must route those to the Tx.
     pub fn on_frame(&mut self, frame: Frame<T>, intact: bool) -> Result<RxAction<T>, LlcError> {
         let mut action = RxAction::default();
-        let (id, piggyback) = match &frame {
+        self.accept(&frame, intact, &mut action)?;
+        Ok(action)
+    }
+
+    /// The state machine behind [`LlcRx::on_frame`]: appends the frame's
+    /// deliveries and replies to `out` and adds its piggy-backed credits.
+    /// Delivered transactions are cloned out of the payload, which the
+    /// peer's replay buffer still shares.
+    fn accept(
+        &mut self,
+        frame: &Frame<T>,
+        intact: bool,
+        out: &mut RxAction<T>,
+    ) -> Result<(), LlcError> {
+        let (id, entries, piggyback) = match frame {
             Frame::Data {
                 id,
+                entries,
                 piggyback_credits,
-                ..
-            } => (*id, *piggyback_credits),
+            } => (*id, entries, *piggyback_credits),
             Frame::Control(_) => {
                 // Control frames are routed to the Tx by the link layer;
                 // reaching here is a wiring bug.
                 return Err(LlcError::ControlFrameInDataPath);
             }
         };
-        action.piggyback_credits = piggyback;
+        out.piggyback_credits += piggyback;
         if !intact {
             // Header cannot be trusted; ask for in-order replay.
             self.corrupt += 1;
             self.discards_since_request += 1;
-            self.request_replay(&mut action.replies);
-            return Ok(action);
+            self.request_replay(&mut out.replies);
+            return Ok(());
         }
         if id.seq_lt(self.expected) {
             // Duplicate from an over-eager replay: discard, but re-ack so
             // the transmitter can advance its buffer.
             self.duplicates += 1;
-            action.replies.push(Control::Ack(self.expected.prev()));
-            return Ok(action);
+            out.replies.push(Control::Ack(self.expected.prev()));
+            return Ok(());
         }
         if id.seq_gt(self.expected) {
             // Gap: an earlier frame was lost. The design replays strictly
             // in order, so this frame is discarded and replay requested.
             self.gaps += 1;
             self.discards_since_request += 1;
-            self.request_replay(&mut action.replies);
-            return Ok(action);
+            self.request_replay(&mut out.replies);
+            return Ok(());
         }
         // In-order delivery.
         self.expected = self.expected.next();
@@ -423,13 +457,13 @@ impl<T: FlitSized + Clone> LlcRx<T> {
         self.discards_since_request = 0;
         self.unanswered_requests = 0;
         self.frames_delivered += 1;
-        action.delivered = frame.into_txns();
+        out.delivered.extend(entries.txns().cloned());
         // Cumulative acks coalesce: every Nth frame carries the ack for
         // everything before it.
         if self.frames_delivered % self.ack_every == 0 {
-            action.replies.push(Control::Ack(id));
+            out.replies.push(Control::Ack(id));
         }
-        Ok(action)
+        Ok(())
     }
 
     /// Queues a burst of arrivals (frame + CRC verdict) into the bounded
@@ -454,23 +488,21 @@ impl<T: FlitSized + Clone> LlcRx<T> {
         }
     }
 
-    /// Drains every queued arrival through the state machine, merging
-    /// the per-frame actions into one (deliveries in order, replies in
-    /// order, piggy-backed credits summed).
+    /// Drains every queued arrival through the state machine, appending
+    /// each frame's outcome to the caller-owned `out` (deliveries in
+    /// order, replies in order, piggy-backed credits summed). `out` is
+    /// not cleared first, so a caller can keep one action across bursts
+    /// and [`RxAction::clear`] it between uses.
     ///
     /// # Errors
     ///
     /// Propagates the first [`LlcError`] from frame processing; frames
     /// queued after the failing one stay in the ingress.
-    pub fn drain_ingress(&mut self) -> Result<RxAction<T>, LlcError> {
-        let mut merged = RxAction::default();
+    pub fn drain_ingress(&mut self, out: &mut RxAction<T>) -> Result<(), LlcError> {
         while let Some((frame, intact)) = self.ingress.pop() {
-            let action = self.on_frame(frame, intact)?;
-            merged.delivered.extend(action.delivered);
-            merged.replies.extend(action.replies);
-            merged.piggyback_credits += action.piggyback_credits;
+            self.accept(&frame, intact, out)?;
         }
-        Ok(merged)
+        Ok(())
     }
 
     /// Occupancy statistics of the bounded ingress queue.
@@ -712,7 +744,8 @@ mod tests {
             drain_tx(&mut tx).into_iter().map(|f| (f, true)).collect();
         let queued = rx.enqueue_arrivals(&mut burst).unwrap();
         assert!(burst.is_empty());
-        let act = rx.drain_ingress().unwrap();
+        let mut act = RxAction::default();
+        rx.drain_ingress(&mut act).unwrap();
         assert_eq!(act.delivered, (0..24).map(|i| (i, 2)).collect::<Vec<_>>());
         assert!(rx.ingress_high_water() >= 1);
         assert!(queued >= 1);
@@ -746,7 +779,8 @@ mod tests {
         );
         // The two that fit are still queued and deliverable.
         assert_eq!(burst.len(), 1);
-        let act = rx.drain_ingress().unwrap();
+        let mut act = RxAction::default();
+        rx.drain_ingress(&mut act).unwrap();
         assert_eq!(act.delivered.len(), 2);
     }
 

@@ -97,16 +97,17 @@ pub enum Control {
     CreditReturn(u32),
 }
 
-/// A frame's payload: the entry vector behind an [`Arc`].
+/// A frame's payload: the entry slice behind an [`Arc`].
 ///
 /// Retaining a frame in the replay buffer — and retransmitting it on a
-/// replay request — clones the frame, and before this wrapper every
-/// clone deep-copied the payload entries. Sharing the entries makes
-/// both a refcount bump. The wrapper is transparent in use: it derefs
-/// to `[Entry<T>]` and converts from `Vec<Entry<T>>` at the single
-/// points where payloads are born (assembly and wire decode).
+/// replay request — clones the frame; sharing the entries makes both a
+/// refcount bump instead of a deep copy. The entries live inline in the
+/// `Arc` allocation, so framing costs one allocation per frame. The
+/// wrapper is transparent in use: it derefs to `[Entry<T>]` and is built
+/// from a `Vec<Entry<T>>` or an entry iterator at the points where
+/// payloads are born (assembly and wire decode).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Payload<T>(Arc<Vec<Entry<T>>>);
+pub struct Payload<T>(Arc<[Entry<T>]>);
 
 impl<T> Payload<T> {
     /// Whether two payloads share the same backing allocation — the
@@ -115,13 +116,12 @@ impl<T> Payload<T> {
         Arc::ptr_eq(&self.0, &other.0)
     }
 
-    /// Unwraps into the entry vector, cloning only if the payload is
-    /// still shared (e.g. delivery while the replay buffer retains it).
-    pub fn into_entries(self) -> Vec<Entry<T>>
-    where
-        T: Clone,
-    {
-        Arc::try_unwrap(self.0).unwrap_or_else(|shared| (*shared).clone())
+    /// The transactions carried, in order, skipping nop padding.
+    pub(crate) fn txns(&self) -> impl Iterator<Item = &T> {
+        self.0.iter().filter_map(|e| match e {
+            Entry::Txn(t) => Some(t),
+            Entry::Nop => None,
+        })
     }
 }
 
@@ -135,21 +135,29 @@ impl<T> std::ops::Deref for Payload<T> {
 
 impl<T> From<Vec<Entry<T>>> for Payload<T> {
     fn from(entries: Vec<Entry<T>>) -> Self {
-        Payload(Arc::new(entries))
+        Payload(entries.into())
     }
 }
 
-// The vendored serde has no blanket Arc impls; delegate to the vector
+impl<T> FromIterator<Entry<T>> for Payload<T> {
+    /// Collects straight into the shared allocation; an exact-size
+    /// source such as `Vec::drain` allocates exactly once.
+    fn from_iter<I: IntoIterator<Item = Entry<T>>>(iter: I) -> Self {
+        Payload(iter.into_iter().collect())
+    }
+}
+
+// The vendored serde has no blanket Arc impls; delegate to the slice
 // so wire formats are unchanged by the sharing.
 impl<T: Serialize> Serialize for Payload<T> {
     fn serialize(&self) -> Value {
-        self.0.serialize()
+        (&*self.0).serialize()
     }
 }
 
 impl<T: Deserialize> Deserialize for Payload<T> {
     fn deserialize(v: &Value) -> Result<Self, DeError> {
-        Ok(Payload(Arc::new(Vec::<Entry<T>>::deserialize(v)?)))
+        Ok(Vec::<Entry<T>>::deserialize(v)?.into())
     }
 }
 
@@ -218,23 +226,15 @@ impl<T> Frame<T> {
         }
     }
 
-    /// The transactions carried, dropping nop padding.
-    ///
-    /// Clones transactions only when the payload is still shared with a
-    /// retained replay-buffer copy; a sole owner moves them out.
+    /// The transactions carried, dropping nop padding. The payload is
+    /// shared with any retained replay copy, so the transactions are
+    /// cloned out of it.
     pub fn into_txns(self) -> Vec<T>
     where
         T: Clone,
     {
         match self {
-            Frame::Data { entries, .. } => entries
-                .into_entries()
-                .into_iter()
-                .filter_map(|e| match e {
-                    Entry::Txn(t) => Some(t),
-                    Entry::Nop => None,
-                })
-                .collect(),
+            Frame::Data { entries, .. } => entries.txns().cloned().collect(),
             Frame::Control(_) => Vec::new(),
         }
     }
@@ -267,13 +267,48 @@ pub fn crc32(data: &[u8]) -> u32 {
 pub fn assemble<T: FlitSized>(
     txns: Vec<T>,
     frame_flits: usize,
-    mut next_id: FrameId,
+    next_id: FrameId,
     credits_each: u32,
 ) -> (Vec<Frame<T>>, FrameId) {
-    let payload_flits = frame_flits - 1; // header/CRC flit
     let mut frames = Vec::new();
-    let mut entries: Vec<Entry<T>> = Vec::new();
+    let next = assemble_into(
+        txns,
+        frame_flits,
+        next_id,
+        credits_each,
+        &mut Vec::new(),
+        |f| frames.push(f),
+    );
+    (frames, next)
+}
+
+/// [`assemble`] without the intermediate vectors: entries gather in the
+/// caller's reusable `entries` buffer (left empty, capacity kept), each
+/// sealed frame goes straight to `emit`, and the returned id is the one
+/// after the last frame. Each frame costs one allocation, its payload.
+///
+/// # Panics
+///
+/// Panics if any message is larger than a whole frame payload.
+pub(crate) fn assemble_into<T: FlitSized>(
+    txns: impl IntoIterator<Item = T>,
+    frame_flits: usize,
+    mut next_id: FrameId,
+    credits_each: u32,
+    entries: &mut Vec<Entry<T>>,
+    mut emit: impl FnMut(Frame<T>),
+) -> FrameId {
+    let payload_flits = frame_flits - 1; // header/CRC flit
+    entries.clear();
     let mut used = 0usize;
+    let mut seal = |entries: &mut Vec<Entry<T>>, used: usize, id: FrameId| {
+        entries.extend((used..payload_flits).map(|_| Entry::Nop));
+        emit(Frame::Data {
+            id,
+            entries: entries.drain(..).collect(),
+            piggyback_credits: credits_each,
+        });
+    };
     for t in txns {
         let f = t.flits();
         assert!(
@@ -281,12 +316,7 @@ pub fn assemble<T: FlitSized>(
             "message of {f} flits exceeds frame payload of {payload_flits}"
         );
         if used + f > payload_flits {
-            pad(&mut entries, payload_flits - used);
-            frames.push(Frame::Data {
-                id: next_id,
-                entries: std::mem::take(&mut entries).into(),
-                piggyback_credits: credits_each,
-            });
+            seal(entries, used, next_id);
             next_id = next_id.next();
             used = 0;
         }
@@ -294,21 +324,10 @@ pub fn assemble<T: FlitSized>(
         entries.push(Entry::Txn(t));
     }
     if !entries.is_empty() {
-        pad(&mut entries, payload_flits - used);
-        frames.push(Frame::Data {
-            id: next_id,
-            entries: entries.into(),
-            piggyback_credits: credits_each,
-        });
+        seal(entries, used, next_id);
         next_id = next_id.next();
     }
-    (frames, next_id)
-}
-
-fn pad<T>(entries: &mut Vec<Entry<T>>, nops: usize) {
-    for _ in 0..nops {
-        entries.push(Entry::Nop);
-    }
+    next_id
 }
 
 #[cfg(test)]

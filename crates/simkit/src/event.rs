@@ -17,13 +17,16 @@
 //!   engines pop every schedule in the identical order, so simulations
 //!   are byte-for-byte reproducible on either.
 //!
-//! The calendar stores its records structure-of-arrays: each bucket (and
-//! the drain the current bucket is sorted into) keeps the `(at, seq)`
-//! sort keys in one dense array and parks the event payloads in a slot
-//! arena indexed by the keys. Ordering a bucket therefore sorts 24-byte
+//! The calendar stores its records structure-of-arrays: calendar buckets
+//! and the drain the current bucket is sorted into hold only `(at, seq,
+//! slot)` sort keys, and every calendar payload sits in one queue-wide
+//! slot arena the keys index. Ordering a bucket therefore sorts 24-byte
 //! keys instead of shuffling full event payloads (which on the fabric
 //! hot path carry whole LLC frames); a payload is moved exactly once on
-//! schedule and once on pop.
+//! schedule and once on pop. Freed slots are reused last-in first-out,
+//! so the schedule that typically follows a pop writes the slot that
+//! pop just read while it is still in cache, and the arena never holds
+//! more slots than the peak number of pending events.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -80,88 +83,58 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// One structure-of-arrays event store backing a calendar bucket or the
-/// drain: `(at, seq, slot)` sort keys live in one dense array while the
-/// payloads sit still in a slot arena the keys index. Buckets keep keys
-/// in arrival order; the drain keeps them sorted **descending** by
-/// `(at, seq)` so the next event pops from the back.
+/// A calendar sort key: delivery instant, FIFO sequence number, and the
+/// arena slot that holds the payload.
+type Key = (SimTime, u64, u32);
+
+/// The queue-wide payload arena behind every calendar key. A slot
+/// empties when its key pops and goes on a last-in first-out free list,
+/// so the next schedule reuses the slot read most recently and the
+/// arena only grows when every slot is occupied.
 #[derive(Debug)]
-struct Lane<E> {
-    /// Sort keys; `slot` indexes into [`Lane::slots`].
-    keys: Vec<(SimTime, u64, u32)>,
-    /// Payload arena; a slot empties when its key pops.
+struct Arena<E> {
     slots: Vec<Option<E>>,
+    /// Empty slots, the most recently freed last.
+    free: Vec<u32>,
 }
 
-impl<E> Lane<E> {
+fn slot_index(slot: u32) -> usize {
+    usize::try_from(slot).expect("arena slot index fits usize")
+}
+
+impl<E> Arena<E> {
     fn new() -> Self {
-        Lane {
-            keys: Vec::new(),
+        Arena {
             slots: Vec::new(),
+            free: Vec::new(),
         }
     }
 
-    fn slot_index(&self) -> u32 {
-        u32::try_from(self.slots.len()).expect("bucket slot index fits u32")
-    }
-
-    /// Appends in arrival order (bucket mode).
-    fn push(&mut self, at: SimTime, seq: u64, event: E) {
-        let slot = self.slot_index();
-        self.keys.push((at, seq, slot));
-        self.slots.push(Some(event));
-    }
-
-    /// Merges into the descending key order (drain mode, late schedules).
-    fn insert_sorted(&mut self, at: SimTime, seq: u64, event: E) {
-        let slot = self.slot_index();
-        self.slots.push(Some(event));
-        let key = (at, seq);
-        let pos = self.keys.partition_point(|&(a, s, _)| (a, s) > key);
-        self.keys.insert(pos, (at, seq, slot));
-    }
-
-    fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn last_key(&self) -> Option<(SimTime, u64)> {
-        self.keys.last().map(|&(at, seq, _)| (at, seq))
-    }
-
-    fn peek_event(&self) -> Option<&E> {
-        self.keys.last().map(|&(_, _, slot)| {
-            let slot = usize::try_from(slot).expect("slot index fits usize");
-            self.slots[slot].as_ref().expect("pending slot holds its payload")
-        })
-    }
-
-    /// Pops the backmost key's payload out of the arena. The arena is
-    /// recycled (truncated to zero, allocation kept) once every key has
-    /// popped, so a lane's slots never grow past one bucket lap.
-    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        let (at, seq, slot) = self.keys.pop()?;
-        let slot = usize::try_from(slot).expect("slot index fits usize");
-        let event = self.slots[slot].take().expect("pending slot holds its payload");
-        if self.keys.is_empty() {
-            self.slots.clear();
+    /// Parks `event` in the most recently freed slot (or a new one) and
+    /// returns the slot's index.
+    fn put(&mut self, event: E) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot_index(slot)] = Some(event);
+            return slot;
         }
-        Some((at, seq, event))
+        let slot = u32::try_from(self.slots.len()).expect("arena slot index fits u32");
+        self.slots.push(Some(event));
+        slot
     }
 
-    /// Orders the keys descending by `(at, seq)` without touching the
-    /// payload arena — the structure-of-arrays layout's whole point.
-    fn sort_descending(&mut self) {
-        self.keys
-            .sort_unstable_by(|a, b| (b.0, b.1).cmp(&(a.0, a.1)));
+    fn get(&self, slot: u32) -> &E {
+        self.slots[slot_index(slot)]
+            .as_ref()
+            .expect("pending slot holds its payload")
     }
 
-    fn min_time(&self) -> Option<SimTime> {
-        self.keys.iter().map(|&(at, _, _)| at).min()
+    /// Moves the payload out and frees its slot.
+    fn take(&mut self, slot: u32) -> E {
+        let event = self.slots[slot_index(slot)]
+            .take()
+            .expect("pending slot holds its payload");
+        self.free.push(slot);
+        event
     }
 }
 
@@ -192,15 +165,18 @@ pub struct EventQueue<E> {
     now: SimTime,
     popped: u64,
     pending: usize,
-    /// Far-future events (all events in `HeapOnly` mode).
+    /// Far-future events (all events in `HeapOnly` mode), payload
+    /// inline.
     heap: BinaryHeap<Scheduled<E>>,
+    /// Payloads of every event in `drain` and `buckets`.
+    arena: Arena<E>,
     /// The currently ingested calendar slice, keys sorted **descending**
     /// by `(at, seq)`; the next event pops from the back. Also absorbs
     /// late schedules that land inside the already-ingested window.
-    drain: Lane<E>,
+    drain: Vec<Key>,
     /// Unsorted calendar buckets; bucket `slot % NUM_BUCKETS` holds the
-    /// events of `slot` for slots in `[cursor_slot, cursor_slot + N)`.
-    buckets: Vec<Lane<E>>,
+    /// keys of `slot` for slots in `[cursor_slot, cursor_slot + N)`.
+    buckets: Vec<Vec<Key>>,
     /// One bit per bucket: whether it holds any events.
     occupied: Vec<u64>,
     /// First slot not yet ingested into `drain`.
@@ -240,8 +216,9 @@ impl<E> EventQueue<E> {
             popped: 0,
             pending: 0,
             heap: BinaryHeap::new(),
-            drain: Lane::new(),
-            buckets: (0..n).map(|_| Lane::new()).collect(),
+            arena: Arena::new(),
+            drain: Vec::new(),
+            buckets: (0..n).map(|_| Vec::new()).collect(),
             occupied: vec![0u64; n.div_ceil(64)],
             cursor_slot: 0,
             in_buckets: 0,
@@ -300,11 +277,15 @@ impl<E> EventQueue<E> {
         if slot < self.cursor_slot {
             // Inside the already-ingested window: merge into the sorted
             // drain at its (at, seq) position.
-            self.drain.insert_sorted(at, seq, event);
+            let key = (at, seq);
+            let pos = self.drain.partition_point(|&(a, s, _)| (a, s) > key);
+            let arena_slot = self.arena.put(event);
+            self.drain.insert(pos, (at, seq, arena_slot));
         } else if slot - self.cursor_slot < self.buckets.len() as u64 {
             let idx = usize::try_from(slot % self.buckets.len() as u64)
                 .expect("bucket count fits usize");
-            self.buckets[idx].push(at, seq, event);
+            let arena_slot = self.arena.put(event);
+            self.buckets[idx].push((at, seq, arena_slot));
             self.occupied[idx / 64] |= 1u64 << (idx % 64);
             self.in_buckets += 1;
         } else {
@@ -349,12 +330,37 @@ impl<E> EventQueue<E> {
         } else {
             n - (start - idx) as u64
         };
-        // Swap keeps the bucket's allocations alive for its next lap.
+        // Swap keeps the bucket's allocation alive for its next lap.
         std::mem::swap(&mut self.drain, &mut self.buckets[idx]);
         self.occupied[idx / 64] &= !(1u64 << (idx % 64));
         self.in_buckets -= self.drain.len();
-        self.drain.sort_descending();
+        // Only the keys move; the payloads stay put in the arena.
+        self.drain
+            .sort_unstable_by(|a, b| (b.0, b.1).cmp(&(a.0, a.1)));
         self.cursor_slot = self.cursor_slot + delta + 1;
+    }
+
+    /// Whether the earliest pending event sits in the heap rather than
+    /// the drain, or `None` when the queue is empty. Call after
+    /// [`EventQueue::ensure_drain`].
+    fn front_in_heap(&self) -> Option<bool> {
+        match (self.drain.last(), self.heap.peek()) {
+            (None, None) => None,
+            (None, Some(_)) => Some(true),
+            (Some(_), None) => Some(false),
+            (Some(&(at, seq, _)), Some(h)) => Some((h.at, h.seq) < (at, seq)),
+        }
+    }
+
+    /// Removes the earliest event; the caller has checked it exists.
+    fn take_front(&mut self, from_heap: bool) -> (SimTime, E) {
+        if from_heap {
+            let sch = self.heap.pop().expect("peeked event exists");
+            (sch.at, sch.event)
+        } else {
+            let (at, _, slot) = self.drain.pop().expect("peeked event exists");
+            (at, self.arena.take(slot))
+        }
     }
 
     /// Removes and returns the earliest event, advancing the clock to its
@@ -364,19 +370,8 @@ impl<E> EventQueue<E> {
     /// regresses — the ordering invariant every simulation depends on.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.ensure_drain();
-        let from_heap = match (self.drain.last_key(), self.heap.peek()) {
-            (None, None) => return None,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (Some(d), Some(h)) => (h.at, h.seq) < d,
-        };
-        let (at, event) = if from_heap {
-            let sch = self.heap.pop().expect("peeked event exists");
-            (sch.at, sch.event)
-        } else {
-            let (at, _, event) = self.drain.pop().expect("peeked event exists");
-            (at, event)
-        };
+        let from_heap = self.front_in_heap()?;
+        let (at, event) = self.take_front(from_heap);
         #[cfg(feature = "sanitize")]
         assert!(
             at >= self.now,
@@ -403,42 +398,18 @@ impl<E> EventQueue<E> {
         F: FnOnce(&E) -> bool,
     {
         self.ensure_drain();
-        let from_heap = match (self.drain.last_key(), self.heap.peek()) {
-            (None, None) => return None,
-            (None, Some(h)) => {
-                if h.at != self.now {
-                    return None;
-                }
-                true
-            }
-            (Some((at, _)), None) => {
-                if at != self.now {
-                    return None;
-                }
-                false
-            }
-            (Some(d), Some(h)) => {
-                let heap_first = (h.at, h.seq) < d;
-                let front_at = if heap_first { h.at } else { d.0 };
-                if front_at != self.now {
-                    return None;
-                }
-                heap_first
-            }
-        };
-        let accepted = if from_heap {
-            pred(&self.heap.peek().expect("peeked event exists").event)
+        let from_heap = self.front_in_heap()?;
+        let (front_at, front) = if from_heap {
+            let h = self.heap.peek().expect("peeked event exists");
+            (h.at, &h.event)
         } else {
-            pred(self.drain.peek_event().expect("peeked event exists"))
+            let &(at, _, slot) = self.drain.last().expect("peeked event exists");
+            (at, self.arena.get(slot))
         };
-        if !accepted {
+        if front_at != self.now || !pred(front) {
             return None;
         }
-        let event = if from_heap {
-            self.heap.pop().expect("peeked event exists").event
-        } else {
-            self.drain.pop().expect("peeked event exists").2
-        };
+        let (_, event) = self.take_front(from_heap);
         self.pending -= 1;
         self.popped += 1;
         Some(event)
@@ -446,13 +417,13 @@ impl<E> EventQueue<E> {
 
     /// The delivery time of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let near = if let Some((at, _)) = self.drain.last_key() {
+        let near = if let Some(&(at, _, _)) = self.drain.last() {
             Some(at)
         } else if self.in_buckets > 0 {
             let n = self.buckets.len() as u64;
             let start = usize::try_from(self.cursor_slot % n).expect("bucket count fits usize");
             let idx = self.next_occupied(start);
-            self.buckets[idx].min_time()
+            self.buckets[idx].iter().map(|&(at, _, _)| at).min()
         } else {
             None
         };
@@ -471,6 +442,12 @@ impl<E> EventQueue<E> {
     /// Whether there are no pending events.
     pub fn is_empty(&self) -> bool {
         self.pending == 0
+    }
+
+    /// Slots the payload arena has ever allocated.
+    #[cfg(test)]
+    fn arena_slots(&self) -> usize {
+        self.arena.slots.len()
     }
 
     /// Drains events while `cond(next_event_time)` holds, applying `f`.
@@ -668,10 +645,10 @@ mod tests {
     }
 
     #[test]
-    fn soa_lanes_recycle_across_bucket_laps() {
-        // The slot arena truncates whenever a lane empties; pouring many
-        // laps through the same buckets must keep FIFO order intact as
-        // slots and keys are reused.
+    fn arena_never_outgrows_the_peak_pending_count() {
+        // Freed arena slots are reused, so pouring many laps through the
+        // same buckets keeps FIFO order and never grows the arena past
+        // the most events ever pending at once.
         let mut q = EventQueue::new();
         for lap in 0..100u64 {
             for i in 0..64u64 {
@@ -683,6 +660,34 @@ mod tests {
         }
         assert!(q.is_empty());
         assert_eq!(q.popped(), 6_400);
+        assert_eq!(q.arena_slots(), 64);
+        // Interleaved pops, near reschedules, late merges into the drain
+        // and far timers on the heap: the bound holds after every step.
+        let mut q = EventQueue::new();
+        let mut peak = 0;
+        for step in 0..5_000u64 {
+            let (_, (lap, i)) = q.pop().unwrap_or((q.now(), (0, 0)));
+            for k in 0..(1 + step % 3) {
+                let delay = match (step + k) % 4 {
+                    0 => SimTime::ZERO,
+                    1 => SimTime::from_ps(2_494),
+                    2 => SimTime::from_ns(950),
+                    _ => SimTime::from_us(9),
+                };
+                q.schedule_in(delay, (lap + 1, i + k));
+                peak = peak.max(q.len());
+            }
+            if step % 200 == 199 {
+                while q.len() > 8 {
+                    q.pop();
+                }
+            }
+            assert!(
+                q.arena_slots() <= peak,
+                "step {step}: arena {} > peak pending {peak}",
+                q.arena_slots()
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Property tests: the hybrid calendar/heap event engine pops in
 //! *identical* order to the reference pure-heap engine for arbitrary
 //! schedules — including same-instant bursts, far-future jumps past the
-//! calendar horizon, and schedules interleaved with pops. This is the
-//! invariant that lets the fast path replace the heap without changing
-//! a single simulation trajectory.
+//! calendar horizon, schedules interleaved with pops, and coincident
+//! pops whose predicate accepts or rejects the front event (a rejected
+//! peek must leave the hybrid engine's payload arena untouched, so the
+//! next schedule reuses slots without clobbering a pending event). This
+//! is the invariant that lets the fast path replace the heap without
+//! changing a single simulation trajectory.
 
 use proptest::prelude::*;
 use simkit::event::EventQueue;
@@ -17,6 +20,9 @@ enum Op {
     Schedule { delta_ps: u64, burst: usize },
     /// Pop up to `n` events.
     Pop(usize),
+    /// Up to `n` coincident pops whose predicate accepts even tags and
+    /// rejects odd ones when `even` is set (the reverse otherwise).
+    PopCoincident { n: usize, even: bool },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -28,6 +34,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..5_000u64, 1usize..5)
             .prop_map(|(delta_ps, burst)| Op::Schedule { delta_ps, burst }),
         (1usize..8).prop_map(Op::Pop),
+        // Same-instant bursts feed the coincident pops.
+        (1usize..5).prop_map(|burst| Op::Schedule { delta_ps: 0, burst }),
+        (1usize..6, any::<bool>()).prop_map(|(n, even)| Op::PopCoincident { n, even }),
     ]
 }
 
@@ -58,6 +67,17 @@ proptest! {
                         let a = hybrid.pop();
                         let b = heap.pop();
                         prop_assert_eq!(a, b, "pop order diverged");
+                        if a.is_none() {
+                            break;
+                        }
+                    }
+                }
+                Op::PopCoincident { n, even } => {
+                    let accept = |e: &u64| (e % 2 == 0) == even;
+                    for _ in 0..n {
+                        let a = hybrid.pop_coincident(accept);
+                        let b = heap.pop_coincident(accept);
+                        prop_assert_eq!(a, b, "coincident pop diverged");
                         if a.is_none() {
                             break;
                         }
