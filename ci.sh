@@ -7,6 +7,11 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo check --workspace --all-targets (benches, examples, tests)"
+# `cargo test` skips the harness = false benches, so this is the only
+# step that compiles most of them.
+cargo check --workspace --all-targets
+
 echo "==> cargo test -q (workspace)"
 cargo test --workspace -q
 

@@ -37,7 +37,6 @@ use simkit::rng::DetRng;
 use simkit::sweep::{sweep_with_workers, worker_count};
 use simkit::time::SimTime;
 use thymesisflow_core::config::SystemConfig;
-use thymesisflow_core::datapath::Datapath;
 use routing::topology::Torus2D;
 use thymesisflow_core::fabric::{FabricBuilder, PartitionedFabric, PathSpec, WorkloadSpec};
 use thymesisflow_core::params::DatapathParams;
@@ -145,12 +144,23 @@ fn flit_workload(engine: Engine, total_pops: u64) -> EngineRate {
 
 /// Full datapath on one engine: wall-clock, model bandwidth, events.
 fn datapath_run(engine: Engine, duration_us: u64) -> (f64, f64, u64) {
-    let mut dp = Datapath::with_engine(DatapathParams::prototype(), 2, 256 << 20, engine);
+    let (mut fabric, path) = FabricBuilder::point_to_point_with_engine(
+        DatapathParams::prototype(),
+        2,
+        256 << 20,
+        engine,
+    )
+    .expect("reference topology assembles");
     let start = Instant::now();
-    let gib = dp
-        .measure_stream_bandwidth(16, 32, SimTime::from_us(duration_us))
+    let gib = fabric
+        .measure_stream_bandwidth(path, 16, 32, SimTime::from_us(duration_us))
+        .expect("reference path streams")
         .as_gib_per_sec();
-    (start.elapsed().as_secs_f64(), gib, dp.events_processed())
+    (
+        start.elapsed().as_secs_f64(),
+        gib,
+        fabric.events_processed(),
+    )
 }
 
 /// Times one figure-representative sweep and returns its JSON record.
@@ -234,8 +244,8 @@ fn reproduce() {
     assert_eq!(hy_events, hp_events, "event counts diverged");
 
     // --- fabric parity ------------------------------------------------
-    // The component/port fabric's point-to-point topology must hold the
-    // pre-refactor prototype numbers: ~950 ns flit RTT (+DRAM) and the
+    // The fabric's point-to-point topology must hold the pre-refactor
+    // prototype numbers: ~950 ns flit RTT (+DRAM) and the
     // ~10 GiB/s single-channel stream.
     let (mut fabric, path) =
         FabricBuilder::point_to_point(DatapathParams::prototype(), 1, 256 << 20)
@@ -603,8 +613,12 @@ fn reproduce() {
         "proto_datapath",
         vec![(1usize, 8u32), (2, 16)],
         move |_i, (channels, threads), _rng| {
-            let mut dp = Datapath::new(DatapathParams::prototype(), channels, 256 << 20);
-            dp.measure_stream_bandwidth(threads, 32, SimTime::from_us(proto_us))
+            let (mut fabric, path) =
+                FabricBuilder::point_to_point(DatapathParams::prototype(), channels, 256 << 20)
+                    .expect("reference topology assembles");
+            fabric
+                .measure_stream_bandwidth(path, threads, 32, SimTime::from_us(proto_us))
+                .expect("reference path streams")
                 .as_gib_per_sec()
                 .to_bits()
         },

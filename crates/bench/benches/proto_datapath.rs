@@ -10,9 +10,18 @@ use bench::{banner, compare};
 use criterion::{criterion_group, criterion_main, Criterion};
 use simkit::sweep::sweep;
 use simkit::time::SimTime;
-use thymesisflow_core::datapath::Datapath;
 use thymesisflow_core::fabric::FabricBuilder;
 use thymesisflow_core::params::DatapathParams;
+
+/// One uncontended load's round trip on the reference point-to-point
+/// fabric.
+fn load_latency(params: DatapathParams) -> SimTime {
+    let (mut fabric, path) =
+        FabricBuilder::point_to_point(params, 1, 256 << 20).expect("reference topology assembles");
+    fabric
+        .measure_load_latency(path)
+        .expect("lossless probe completes")
+}
 
 fn reproduce() {
     banner("§V prototype — flit RTT, channel saturation, C1 ceiling");
@@ -23,8 +32,7 @@ fn reproduce() {
         params.flit_rtt().as_ns_f64(),
         "ns",
     );
-    let mut dp = Datapath::new(params.clone(), 1, 256 << 20);
-    let load = dp.measure_load_latency();
+    let load = load_latency(params.clone());
     compare(
         "measured load-to-use (RTT+DRAM)",
         950.0 + params.dram_latency_ns as f64,
@@ -37,8 +45,12 @@ fn reproduce() {
         0x960,
         vec![(1usize, 8u32), (2, 16)],
         |_i, (channels, threads), _rng| {
-            let mut dp = Datapath::new(DatapathParams::prototype(), channels, 256 << 20);
-            dp.measure_stream_bandwidth(threads, 32, SimTime::from_us(200))
+            let (mut fabric, path) =
+                FabricBuilder::point_to_point(DatapathParams::prototype(), channels, 256 << 20)
+                    .expect("reference topology assembles");
+            fabric
+                .measure_stream_bandwidth(path, threads, 32, SimTime::from_us(200))
+                .expect("reference path streams")
                 .as_gib_per_sec()
         },
     );
@@ -58,45 +70,22 @@ fn reproduce() {
         "x",
     );
     assert!((900.0..=1000.0).contains(&params.flit_rtt().as_ns_f64()));
+    assert!(
+        (950.0..=1200.0).contains(&load.as_ns_f64()),
+        "RTT {load} off the ~950 ns prototype envelope"
+    );
+    assert!(
+        (8.5..=11.64).contains(&single),
+        "stream {single} GiB/s off the ~10 GiB/s prototype envelope"
+    );
     assert!(bonded > single * 1.15, "bonding must help");
     assert!(bonded < 17.0, "C1 cap must bite");
-
-    // Fabric parity: the component/port fabric's point-to-point
-    // topology must reproduce the monolith's prototype numbers.
-    let (mut fabric, path) =
-        FabricBuilder::point_to_point(DatapathParams::prototype(), 1, 256 << 20)
-            .expect("reference topology assembles");
-    let fabric_rtt = fabric
-        .measure_load_latency(path)
-        .expect("lossless probe completes")
-        .as_ns_f64();
-    let fabric_gib = fabric
-        .measure_stream_bandwidth(path, 8, 32, SimTime::from_us(200))
-        .expect("reference path streams")
-        .as_gib_per_sec();
-    compare("fabric point-to-point RTT", load.as_ns_f64(), fabric_rtt, "ns");
-    compare("fabric single-channel stream", single, fabric_gib, "GiB/s");
-    assert!(
-        (fabric_rtt - load.as_ns_f64()).abs() < 1.0,
-        "fabric RTT {fabric_rtt} ns drifted from facade {load}"
-    );
-    assert!(
-        (950.0..=1200.0).contains(&fabric_rtt),
-        "fabric RTT {fabric_rtt} ns off the ~950 ns prototype envelope"
-    );
-    assert!(
-        (8.5..=11.64).contains(&fabric_gib),
-        "fabric stream {fabric_gib} GiB/s off the ~10 GiB/s prototype envelope"
-    );
 }
 
 fn criterion_benches(c: &mut Criterion) {
     reproduce();
     c.bench_function("proto/single_load_rtt_sim", |b| {
-        b.iter(|| {
-            let mut dp = Datapath::new(DatapathParams::prototype(), 1, 256 << 20);
-            std::hint::black_box(dp.measure_load_latency())
-        })
+        b.iter(|| std::hint::black_box(load_latency(DatapathParams::prototype())))
     });
 }
 

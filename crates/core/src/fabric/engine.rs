@@ -43,18 +43,19 @@ use simkit::telemetry::{CounterId, GaugeId, Registry, Snapshot, TelemetryError, 
 use simkit::time::SimTime;
 
 use crate::endpoint::EndpointError;
+use crate::fabric::builder::FabricBuilder;
 use crate::fabric::chaos::{
     ChaosEvent, ChaosPlan, FaultKind, LinkRef, LoadFault, RecoveryConfig,
 };
 use crate::fabric::obs::{CongestionReport, Journal, JournalKind, JournalRecord, LinkCongestion};
-use crate::fabric::port::{ComponentId, Connection, PortRef, PortUnit, WiringError};
 use crate::fabric::stage::{
-    C1MasterDram, FabricComponent, FabricMsg, LlcPair, M1Capture, RmmuTranslate, RouterStage,
-    StageKind, SwitchStage, WindowSpec, WireChannel,
+    C1MasterDram, FabricMsg, LlcPair, M1Capture, RmmuTranslate, RouterStage, StageKind,
+    SwitchStage, WindowSpec, WireChannel,
 };
 use crate::fabric::tags::TagWindow;
 use crate::fabric::trace::{
-    FlitTrace, FlitTracer, HopContext, HopKind, LatencyBreakdown, SpanIds, WireDir, WireLatency,
+    ComponentId, FlitTrace, FlitTracer, HopContext, HopKind, LatencyBreakdown, SpanIds, WireDir,
+    WireLatency,
 };
 use crate::params::DatapathParams;
 
@@ -225,8 +226,6 @@ pub enum FabricError {
         /// The failure that killed it.
         kind: FaultKind,
     },
-    /// A connection violated the port typing rules.
-    Wiring(WiringError),
     /// The path specification or a run parameter is malformed.
     Config(String),
     /// The topology layer refused the operation (unknown node, no
@@ -259,7 +258,6 @@ impl fmt::Display for FabricError {
             FabricError::PathFaulted { path, kind } => {
                 write!(f, "{path} is poisoned: {kind}")
             }
-            FabricError::Wiring(e) => write!(f, "wiring: {e}"),
             FabricError::Config(msg) => write!(f, "bad path spec: {msg}"),
             FabricError::Topology(e) => write!(f, "topology: {e}"),
             FabricError::Telemetry(e) => write!(f, "telemetry: {e}"),
@@ -309,12 +307,6 @@ impl From<TelemetryError> for FabricError {
 impl From<M1Error> for FabricError {
     fn from(e: M1Error) -> Self {
         FabricError::M1(e)
-    }
-}
-
-impl From<WiringError> for FabricError {
-    fn from(e: WiringError) -> Self {
-        FabricError::Wiring(e)
     }
 }
 
@@ -691,7 +683,6 @@ pub struct Fabric {
     /// `(issued, path, link)` of every load in flight, by tag.
     inflight: TagWindow<(SimTime, u32, usize)>,
     next_tag: u64,
-    connections: Vec<Connection>,
     telemetry: Registry,
     tele: FabricTele,
     tracer: FlitTracer,
@@ -748,19 +739,6 @@ impl Fabric {
     ) -> Result<Self, FabricError> {
         let capture = M1Capture::new(window);
         let translate = RmmuTranslate::new(window);
-        let mut connections = vec![
-            Connection {
-                from: PortRef::new(CAPTURE_ID, "captured"),
-                to: PortRef::new(TRANSLATE_ID, "captured"),
-                unit: PortUnit::HostTransaction,
-            },
-            Connection {
-                from: PortRef::new(TRANSLATE_ID, "translated"),
-                to: PortRef::new(ROUTER_ID, "translated"),
-                unit: PortUnit::RoutedTransaction,
-            },
-        ];
-        connections.shrink_to_fit();
         // Telemetry starts disabled: instrumentation is observation only
         // and costs one predicted branch per hook until switched on.
         let mut telemetry = Registry::new(false);
@@ -779,7 +757,6 @@ impl Fabric {
             queue: EventQueue::with_engine(engine),
             inflight: TagWindow::default(),
             next_tag: 0,
-            connections,
             telemetry,
             tele,
             tracer: FlitTracer::new(),
@@ -833,19 +810,6 @@ impl Fabric {
     /// one FPGA stack crossing.
     fn edge_latency(&self) -> SimTime {
         self.params.edge_crossing()
-    }
-
-    fn connect(
-        &mut self,
-        from: PortRef,
-        to: PortRef,
-        unit: PortUnit,
-    ) -> Result<(), FabricError> {
-        if self.connections.iter().any(|c| c.to == to) {
-            return Err(FabricError::Wiring(WiringError::PortDriven(to)));
-        }
-        self.connections.push(Connection { from, to, unit });
-        Ok(())
     }
 
     /// Attaches one compute→donor path: finds a free section run in the
@@ -1020,8 +984,8 @@ impl Fabric {
                 ))
             };
             self.links.push(Some(LinkSlot {
-                up: LlcPair::new(llc_config, PortUnit::RoutedTransaction),
-                down: LlcPair::new(llc_config, PortUnit::Response),
+                up: LlcPair::new(llc_config),
+                down: LlcPair::new(llc_config),
                 fwd: WireChannel::new(mk_chan(fwd_seed)),
                 rev: WireChannel::new(mk_chan(rev_seed)),
                 donor: donor_idx,
@@ -1039,7 +1003,6 @@ impl Fabric {
             // Link indices stay far below u32::MAX.
             chan_ids.push(ChannelId(link as u32));
             link_indices.push(link);
-            self.wire_link(link, donor_idx, circuit)?;
         }
 
         // Section-table entries + route.
@@ -1150,72 +1113,6 @@ impl Fabric {
         }
     }
 
-    /// Records the port-level wiring of one link in the connection graph.
-    fn wire_link(
-        &mut self,
-        link: usize,
-        donor: usize,
-        circuit: Option<(PortId, PortId)>,
-    ) -> Result<(), FabricError> {
-        let (up, down, fwd, rev) = (up_id(link), down_id(link), fwd_id(link), rev_id(link));
-        self.connect(
-            PortRef::new(ROUTER_ID, &format!("tx{link}")),
-            PortRef::new(up, "offer"),
-            PortUnit::RoutedTransaction,
-        )?;
-        match circuit {
-            Some((a, b)) => {
-                self.connect(
-                    PortRef::new(up, "wire_out"),
-                    PortRef::new(SWITCH_ID, &format!("p{}_in", a.0)),
-                    PortUnit::Frame,
-                )?;
-                self.connect(
-                    PortRef::new(SWITCH_ID, &format!("p{}_out", b.0)),
-                    PortRef::new(fwd, "in"),
-                    PortUnit::Frame,
-                )?;
-            }
-            None => {
-                self.connect(
-                    PortRef::new(up, "wire_out"),
-                    PortRef::new(fwd, "in"),
-                    PortUnit::Frame,
-                )?;
-            }
-        }
-        self.connect(
-            PortRef::new(fwd, "out"),
-            PortRef::new(up, "wire_in"),
-            PortUnit::Frame,
-        )?;
-        let lane = match self.donors.get_mut(donor).and_then(Option::as_mut) {
-            Some(d) => d.add_lane(),
-            None => 0,
-        };
-        self.connect(
-            PortRef::new(up, "deliver"),
-            PortRef::new(donor_id(donor), &format!("request{lane}")),
-            PortUnit::RoutedTransaction,
-        )?;
-        self.connect(
-            PortRef::new(donor_id(donor), "response"),
-            PortRef::new(down, "offer"),
-            PortUnit::Response,
-        )?;
-        self.connect(
-            PortRef::new(down, "wire_out"),
-            PortRef::new(rev, "in"),
-            PortUnit::Frame,
-        )?;
-        self.connect(
-            PortRef::new(rev, "out"),
-            PortRef::new(down, "wire_in"),
-            PortUnit::Frame,
-        )?;
-        Ok(())
-    }
-
     /// Detaches a path: removes the route, clears its section-table
     /// entries, frees its switch circuits and tombstones its link slots —
     /// surviving paths keep their channel indices and their trajectories.
@@ -1243,7 +1140,6 @@ impl Fabric {
             self.translate.unprogram(s)?;
         }
         let now = self.queue.now();
-        let mut dead = vec![donor_id(state.donor)];
         for &l in &state.links {
             if let Some(slot) = self.links.get_mut(l).and_then(Option::take) {
                 if let (Some((a, _)), Some(sw)) = (slot.circuit, self.switch.as_mut()) {
@@ -1252,13 +1148,10 @@ impl Fabric {
                     }
                 }
             }
-            dead.extend([up_id(l), down_id(l), fwd_id(l), rev_id(l)]);
         }
         self.donors
             .get_mut(state.donor)
             .and_then(Option::take);
-        self.connections
-            .retain(|c| !dead.contains(&c.from.component) && !dead.contains(&c.to.component));
         if self.journal.is_some() {
             let names = self.route_link_names(path.0);
             self.jot(
@@ -2659,10 +2552,9 @@ impl Fabric {
     }
 
     /// Permanently removes a dead link: tombstones the slot, frees any
-    /// surviving circuit end, prunes the wiring graph, resolves the
-    /// link's in-flight loads to typed faults, and re-programs the
-    /// path's route around the loss — or poisons the path if this was
-    /// its last link.
+    /// surviving circuit end, resolves the link's in-flight loads to
+    /// typed faults, and re-programs the path's route around the loss —
+    /// or poisons the path if this was its last link.
     fn fail_link(&mut self, link: usize, kind: FaultKind) -> Result<(), FabricError> {
         let Some(slot) = self.links.get_mut(link).and_then(Option::take) else {
             return Ok(());
@@ -2678,9 +2570,6 @@ impl Fabric {
                 sw.switch.disconnect(a, now)?;
             }
         }
-        let dead = [up_id(link), down_id(link), fwd_id(link), rev_id(link)];
-        self.connections
-            .retain(|c| !dead.contains(&c.from.component) && !dead.contains(&c.to.component));
         // Resolve this link's stranded loads in tag order (the window
         // iterates in tag order), so the fault log is deterministic.
         let stranded: Vec<u64> = self
@@ -2760,15 +2649,12 @@ impl Fabric {
         if self.donors.get_mut(donor).and_then(Option::take).is_none() {
             return Ok(()); // already detached — nothing left to crash
         }
-        let dead = donor_id(donor);
         let at = self.queue.now();
         self.jot(JournalRecord::new(
             at,
             JournalKind::DonorCrash,
             format!("donor {donor} crashed"),
         ));
-        self.connections
-            .retain(|c| c.from.component != dead && c.to.component != dead);
         let doomed: Vec<usize> = self
             .links
             .iter()
@@ -2812,23 +2698,8 @@ impl Fabric {
         };
         match realloc {
             Ok((a, b, ready)) => {
-                // Re-point the wiring graph at the new ports and flap
+                // Re-point the link's slot at the new circuit and flap
                 // the link for the reconfiguration window.
-                let (up, fwd) = (up_id(link), fwd_id(link));
-                self.connections.retain(|c| {
-                    !(c.from.component == up && c.to.component == SWITCH_ID)
-                        && !(c.from.component == SWITCH_ID && c.to.component == fwd)
-                });
-                self.connect(
-                    PortRef::new(up, "wire_out"),
-                    PortRef::new(SWITCH_ID, &format!("p{}_in", a.0)),
-                    PortUnit::Frame,
-                )?;
-                self.connect(
-                    PortRef::new(SWITCH_ID, &format!("p{}_out", b.0)),
-                    PortRef::new(fwd, "in"),
-                    PortUnit::Frame,
-                )?;
                 if let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) {
                     slot.circuit = Some((a, b));
                 }
@@ -2887,10 +2758,11 @@ impl Fabric {
     /// # Errors
     ///
     /// Fails on unknown paths or fabric protocol violations, on a zero
-    /// `duration` ([`FabricError::Config`]), and when a stream retires
-    /// no load within the window: [`FabricError::PathFaulted`] if a
-    /// failure poisoned its path, [`FabricError::NoCompletions`]
-    /// otherwise.
+    /// `duration` or a `threads × window` that overflows `u32`
+    /// ([`FabricError::Config`], before any load is issued), and when a
+    /// stream retires no load within the window:
+    /// [`FabricError::PathFaulted`] if a failure poisoned its path,
+    /// [`FabricError::NoCompletions`] otherwise.
     pub fn run_closed_loop(
         &mut self,
         loads: &[StreamLoad],
@@ -2904,15 +2776,22 @@ impl Fabric {
         let start_now = self.queue.now();
         let deadline = start_now + duration;
         let mut start_bytes = Vec::with_capacity(loads.len());
+        let mut outstanding = Vec::with_capacity(loads.len());
         for l in loads {
             let state = self
                 .paths
                 .get(&l.path.0)
                 .ok_or(FabricError::UnknownPath(l.path))?;
             start_bytes.push(state.completed_bytes);
+            outstanding.push(l.threads.checked_mul(l.window).ok_or_else(|| {
+                FabricError::Config(format!(
+                    "{} threads × {} outstanding loads overflows u32",
+                    l.threads, l.window
+                ))
+            })?);
         }
-        for l in loads {
-            for _ in 0..(l.threads * l.window) {
+        for (l, &n) in loads.iter().zip(&outstanding) {
+            for _ in 0..n {
                 self.issue_read(l.path)?;
             }
         }
@@ -2977,10 +2856,10 @@ impl Fabric {
             .ok_or(FabricError::UnknownPath(path))
     }
 
-    /// The reference point-to-point round trip a lease-sized fabric
-    /// measures — what [`crate::memmodel::MemoryModel`] calibrates its
-    /// remote load latency from instead of trusting the closed-form
-    /// budget.
+    /// The round trip of one section-sized
+    /// [`FabricBuilder::point_to_point`] path — what
+    /// [`crate::memmodel::MemoryModel`] calibrates its remote load
+    /// latency from instead of trusting the closed-form budget.
     ///
     /// # Errors
     ///
@@ -2990,14 +2869,8 @@ impl Fabric {
         params: &DatapathParams,
         channels: usize,
     ) -> Result<SimTime, FabricError> {
-        let bytes = 256u64 << 20;
-        let mut fabric = Fabric::assemble(
-            params.clone(),
-            WindowSpec::reference(bytes),
-            None,
-            Engine::Hybrid,
-        )?;
-        let path = fabric.attach_path(&PathSpec::reference(bytes, channels))?;
+        let (mut fabric, path) =
+            FabricBuilder::point_to_point(params.clone(), channels, 256 << 20)?;
         fabric.measure_load_latency(path)
     }
 
@@ -3010,18 +2883,6 @@ impl Fabric {
         self.paths
             .get(&path.0)
             .map(|s| &s.completions)
-            .ok_or(FabricError::UnknownPath(path))
-    }
-
-    /// Bytes the path has completed so far.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown paths.
-    pub fn completed_bytes(&self, path: PathId) -> Result<u64, FabricError> {
-        self.paths
-            .get(&path.0)
-            .map(|s| s.completed_bytes)
             .ok_or(FabricError::UnknownPath(path))
     }
 
@@ -3170,31 +3031,33 @@ impl Fabric {
         &self.params
     }
 
-    /// The live component inventory.
+    /// The live component inventory, read off the slot tables: the
+    /// shared compute-side stages, four per live link, one per live
+    /// donor and one per interior forwarding node.
     pub fn components(&self) -> Vec<(ComponentId, StageKind)> {
         let mut out = vec![
-            (CAPTURE_ID, self.capture.kind()),
-            (TRANSLATE_ID, self.translate.kind()),
-            (ROUTER_ID, self.route.kind()),
+            (CAPTURE_ID, StageKind::M1Capture),
+            (TRANSLATE_ID, StageKind::RmmuTranslate),
+            (ROUTER_ID, StageKind::Router),
         ];
-        if let Some(sw) = &self.switch {
-            out.push((SWITCH_ID, sw.kind()));
+        if self.switch.is_some() {
+            out.push((SWITCH_ID, StageKind::CircuitSwitch));
         }
         for (i, slot) in self.links.iter().enumerate() {
-            if let Some(s) = slot {
-                out.push((up_id(i), s.up.kind()));
-                out.push((down_id(i), s.down.kind()));
-                out.push((fwd_id(i), s.fwd.kind()));
-                out.push((rev_id(i), s.rev.kind()));
+            if slot.is_some() {
+                out.push((up_id(i), StageKind::LlcPair));
+                out.push((down_id(i), StageKind::LlcPair));
+                out.push((fwd_id(i), StageKind::Channel));
+                out.push((rev_id(i), StageKind::Channel));
             }
         }
         for (d, donor) in self.donors.iter().enumerate() {
-            if let Some(dn) = donor {
-                out.push((donor_id(d), dn.kind()));
+            if donor.is_some() {
+                out.push((donor_id(d), StageKind::C1MasterDram));
             }
         }
-        for (&n, stage) in &self.interior {
-            out.push((interior_id(NodeId(n)), stage.kind()));
+        for &n in self.interior.keys() {
+            out.push((interior_id(NodeId(n)), StageKind::CircuitSwitch));
         }
         out
     }
@@ -3330,11 +3193,6 @@ impl Fabric {
     /// Multi-hop routes rebuilt around interior link failures.
     pub fn route_reroutes(&self) -> u64 {
         self.route_reroutes
-    }
-
-    /// The checked port-level wiring of the live topology.
-    pub fn connections(&self) -> &[Connection] {
-        &self.connections
     }
 
     /// The translation stage (section-table inspection).
@@ -3523,27 +3381,6 @@ impl Fabric {
             "fabric drained without completing the traced probe".into(),
         ))
     }
-
-    /// Internal counters for calibration debugging.
-    #[doc(hidden)]
-    pub fn debug_stats(&self) -> String {
-        let Some(slot) = self.links.first().and_then(Option::as_ref) else {
-            return "no live links".to_string();
-        };
-        format!(
-            "fwd: frames={} bytes={} free_at={}\nrev: frames={} bytes={} free_at={}\nrev tx: sent={} backlog={} starved={}\ninflight={}",
-            slot.fwd.chan.frames_sent(),
-            slot.fwd.chan.bytes_sent(),
-            slot.fwd.chan.free_at(),
-            slot.rev.chan.frames_sent(),
-            slot.rev.chan.bytes_sent(),
-            slot.rev.chan.free_at(),
-            slot.down.tx.frames_sent(),
-            slot.down.tx.backlog(),
-            slot.down.tx.credits().starvation_events(),
-            self.inflight.len(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -3635,11 +3472,41 @@ mod tests {
         assert!(f.path_ids().is_empty());
         // Components are pruned back to the shared compute-side stages.
         assert_eq!(f.components().len(), 3);
-        assert_eq!(f.connections().len(), 2);
     }
 
     #[test]
-    fn wiring_graph_is_unit_typed_and_single_driver() {
+    fn closed_loop_refuses_an_overflowing_outstanding_count() {
+        let mut f = fabric(WindowSpec::reference(256 << 20));
+        let p = f.attach_path(&PathSpec::reference(256 << 20, 1)).unwrap();
+        let us = SimTime::from_us(10);
+        assert!(matches!(
+            f.measure_stream_bandwidth(p, 65_536, 65_536, us),
+            Err(FabricError::Config(_))
+        ));
+        // Refused before any stream issues, including valid ones ahead
+        // of the overflowing one: nothing is left in flight.
+        let loads = [
+            StreamLoad {
+                path: p,
+                threads: 1,
+                window: 1,
+            },
+            StreamLoad {
+                path: p,
+                threads: u32::MAX,
+                window: 2,
+            },
+        ];
+        assert!(matches!(
+            f.run_closed_loop(&loads, us),
+            Err(FabricError::Config(_))
+        ));
+        assert_eq!(f.events_processed(), 0);
+        f.detach_path(p).unwrap();
+    }
+
+    #[test]
+    fn bonded_attach_fills_one_link_slot_per_channel() {
         let mut f = fabric(WindowSpec::rack_default());
         let p = f
             .attach_path(
@@ -3647,12 +3514,13 @@ mod tests {
                     .bonded_channels(2),
             )
             .unwrap();
-        // 2 core connections + 7 per direct link (8 when switched).
-        assert_eq!(f.connections().len(), 2 + 7 * 2);
-        let mut seen = std::collections::BTreeSet::new();
-        for c in f.connections() {
-            assert!(seen.insert(c.to.clone()), "double-driven port {}", c.to);
-        }
+        // 3 shared stages + 2 LLC pairs and 2 channels per link + 1 donor.
+        let kinds: Vec<StageKind> = f.components().into_iter().map(|(_, k)| k).collect();
+        assert_eq!(kinds.len(), 3 + 4 * 2 + 1);
+        let count = |kind| kinds.iter().filter(|&&k| k == kind).count();
+        assert_eq!(count(StageKind::LlcPair), 4);
+        assert_eq!(count(StageKind::Channel), 4);
+        assert_eq!(count(StageKind::C1MasterDram), 1);
         let links: Vec<usize> = f
             .path_link_stats(p)
             .unwrap()
@@ -3934,11 +3802,16 @@ mod tests {
         let sw = f.switch_stage().unwrap().switch();
         assert!(sw.is_port_failed(port));
         assert!(sw.reconfigurations() >= 2, "tear-down plus re-program");
-        // The rewired graph still types and has no double-driven port.
-        let mut seen = std::collections::BTreeSet::new();
-        for c in f.connections() {
-            assert!(seen.insert(c.to.clone()), "double-driven port {}", c.to);
-        }
+        // The link slot moved onto the new circuit: still one circuit,
+        // one live link, one set of link components.
+        assert_eq!(sw.circuit_count(), 1);
+        assert_eq!(f.path_link_stats(p).unwrap().len(), 1);
+        let llc_pairs = f
+            .components()
+            .iter()
+            .filter(|(_, k)| *k == StageKind::LlcPair)
+            .count();
+        assert_eq!(llc_pairs, 2);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The composable flit-level fabric.
 //!
-//! The paper's Fig. 2 pipeline decomposed into typed components with
-//! explicit ports ([`stage`], [`port`]), an engine that executes wired
-//! components over one shared `simkit` event queue ([`engine`]), and a
-//! builder that assembles arbitrary topologies ([`builder`]):
-//! point-to-point (the reference shape, event-for-event equivalent to
-//! the pre-fabric monolithic datapath), one compute × N donors with
-//! per-network-id fan-out, and a circuit-switched rack.
+//! The paper's Fig. 2 pipeline decomposed into its stages ([`stage`]),
+//! an engine that runs them over one shared `simkit` event queue
+//! ([`engine`]), and a builder that assembles arbitrary topologies
+//! ([`builder`]): point-to-point (the reference shape, event-for-event
+//! equivalent to the pre-fabric monolithic datapath), one compute × N
+//! donors with per-network-id fan-out, and a circuit-switched rack.
+//! As in the hardware, wiring is configuration: section-table entries,
+//! router routes and the engine's link-slot and donor tables say where
+//! each event goes.
 //!
 //! Paths are dynamic: [`Fabric::attach_path`] instantiates the
 //! flit-level plumbing for one lease (section-table entries, router
@@ -19,7 +21,6 @@ pub mod chaos;
 pub mod engine;
 pub mod obs;
 pub mod partition;
-pub mod port;
 pub mod stage;
 mod tags;
 pub mod trace;
@@ -33,13 +34,10 @@ pub use obs::{
     SloBreachKind, SloSpec,
 };
 pub use trace::{
-    chrome_trace, chrome_trace_json, BreakdownRow, FlitTrace, HopKind, LatencyBreakdown,
-    SerdesSite, Span, StackSite, TraceId, WireDir,
-};
-pub use port::{
-    ComponentId, Connection, PortDir, PortRef, PortSpec, PortUnit, WiringError,
+    chrome_trace, chrome_trace_json, BreakdownRow, ComponentId, FlitTrace, HopKind,
+    LatencyBreakdown, SerdesSite, Span, StackSite, TraceId, WireDir,
 };
 pub use stage::{
-    C1MasterDram, FabricComponent, LlcPair, M1Capture, RmmuTranslate, RouterStage, StageKind,
-    SwitchStage, WindowSpec, WireChannel,
+    C1MasterDram, LlcPair, M1Capture, RmmuTranslate, RouterStage, StageKind, SwitchStage,
+    WindowSpec, WireChannel,
 };

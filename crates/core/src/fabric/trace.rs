@@ -24,12 +24,22 @@
 
 use std::fmt;
 
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 use simkit::time::SimTime;
 
 use crate::fabric::engine::PathId;
-use crate::fabric::port::ComponentId;
 use crate::fabric::tags::TagWindow;
+
+/// Identifier of a component instance inside one fabric: the stage a
+/// [`Span`]'s time is attributed to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct ComponentId(pub u32);
+
+impl fmt::Display for ComponentId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "c{}", self.0)
+    }
+}
 
 /// Identifier a traced flit carries end to end (the load's tag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

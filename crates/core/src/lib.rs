@@ -10,16 +10,16 @@
 //!   scale-out).
 //! * [`endpoint`] — the compute endpoint (OpenCAPI M1 + RMMU + routing)
 //!   and the memory-stealing endpoint (OpenCAPI C1 + PASID).
-//! * [`fabric`] — the pipeline as typed components with explicit ports,
-//!   wired into arbitrary topologies (point-to-point, 1×N fan-out,
-//!   circuit-switched rack) over one shared event queue, with dynamic
-//!   path attach/detach at flit granularity.
-//! * [`datapath`] — the historical monolithic API, now a thin facade
-//!   over the point-to-point fabric, used to *measure* the prototype
-//!   numbers (≈950 ns flit RTT, channel saturation, the 16 GiB/s C1 cap
-//!   under bonding).
+//! * [`fabric`] — the flit-level pipeline, configured through link-slot,
+//!   donor and route tables over one shared event queue, in arbitrary
+//!   topologies (point-to-point, 1×N fan-out, circuit-switched rack,
+//!   multi-hop meshes), with dynamic path attach/detach at flit
+//!   granularity. Its point-to-point reference shape
+//!   ([`FabricBuilder::point_to_point`]) *measures* the prototype numbers
+//!   (≈950 ns flit RTT, channel saturation, the 16 GiB/s C1 cap under
+//!   bonding).
 //! * [`memmodel`] — the application-level memory model calibrated
-//!   against the datapath, used by the `workloads` crate.
+//!   against the fabric, used by the `workloads` crate.
 //! * [`rack`] / [`attach`] — rack assembly: control plane + node agents
 //!   + hosts, with the full attach/detach lifecycle.
 //! * [`scaling`] — the §VII projections (switching layers vs latency,
@@ -45,7 +45,6 @@
 
 pub mod attach;
 pub mod config;
-pub mod datapath;
 pub mod endpoint;
 pub mod fabric;
 pub mod memmodel;
@@ -55,7 +54,6 @@ pub mod scaling;
 
 pub use attach::{AttachRequest, Lease, LeaseId};
 pub use config::SystemConfig;
-pub use datapath::Datapath;
 pub use fabric::{Fabric, FabricBuilder};
 pub use memmodel::MemoryModel;
 pub use params::DatapathParams;

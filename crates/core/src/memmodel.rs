@@ -1,6 +1,6 @@
 //! The application-level memory model.
 //!
-//! Calibrated against the flit-level [`crate::datapath`], this model
+//! Calibrated against the flit-level [`crate::fabric`], this model
 //! answers the two questions every workload asks:
 //!
 //! 1. *What does one memory access cost?* — a latency drawn from the

@@ -879,10 +879,9 @@ const UNIT_API_CRATES: &[&str] = &["simkit", "llc", "netsim", "routing"];
 /// Datapath crates where panics are forbidden outside tests (TF004).
 const DATAPATH_CRATES: &[&str] = &["llc", "routing", "rmmu", "opencapi", "netsim"];
 
-/// The core crate's fabric module carries the flit-level datapath after
-/// the component/port refactor, so TF003 and TF004 extend to it even
-/// though `core` as a whole (rack orchestration, models) stays out of
-/// scope.
+/// The core crate's fabric module carries the flit-level datapath, so
+/// TF003 and TF004 extend to it even though `core` as a whole (rack
+/// orchestration, models) stays out of scope.
 fn fabric_scoped(crate_name: &str, rel_path: &str) -> bool {
     crate_name == "core" && rel_path.contains("fabric")
 }

@@ -40,12 +40,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The borrower's fabric now carries both paths as typed components.
+    // The borrower's fabric now carries both paths: link slots, donors
+    // and routes for each lease.
     let fabric = rack.fabric("node-a").expect("leases instantiated a fabric");
     println!(
-        "node-a fabric: {} components, {} checked connections, live paths {:?}",
+        "node-a fabric: {} components, {} routed networks, live paths {:?}",
         fabric.components().len(),
-        fabric.connections().len(),
+        fabric.router_stage().router().networks().len(),
         fabric.path_ids(),
     );
 

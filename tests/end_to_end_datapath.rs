@@ -1,9 +1,10 @@
-//! Cross-crate integration: the flit-level datapath against the
-//! analytic calibration, and the endpoint pipeline's legality checks.
+//! Cross-crate integration: the flit-level datapath — the reference
+//! point-to-point fabric — against the analytic calibration and the
+//! paper's §V prototype envelope, and the endpoint pipeline's legality
+//! checks.
 
-use thymesisflow::core::datapath::Datapath;
 use thymesisflow::core::endpoint::{ComputeEndpoint, EndpointError, MemoryStealingEndpoint};
-use thymesisflow::core::fabric::FabricBuilder;
+use thymesisflow::core::fabric::{Fabric, FabricBuilder, PathId, StageKind};
 use thymesisflow::core::params::DatapathParams;
 use thymesisflow::opencapi::pasid::{Pasid, Region};
 use thymesisflow::opencapi::transaction::MemRequest;
@@ -16,26 +17,53 @@ const WINDOW: u64 = 0x1000_0000_0000;
 const DONOR: u64 = 0x7000_0000_0000;
 const SECTION: u64 = 256 << 20;
 
+/// The reference shape: one borrower, one donor, `channels` bonded
+/// channels over one section.
+fn point_to_point(params: DatapathParams, channels: usize) -> (Fabric, PathId) {
+    FabricBuilder::point_to_point(params, channels, SECTION).unwrap()
+}
+
+/// One uncontended cacheline load's round trip (flit RTT plus DRAM).
+fn load_latency(params: DatapathParams) -> SimTime {
+    let (mut fabric, path) = point_to_point(params, 1);
+    fabric.measure_load_latency(path).unwrap()
+}
+
+/// Sustained closed-loop read rate of `threads × window` loads.
+fn stream_gib(channels: usize, threads: u32, window: u32, us: u64) -> f64 {
+    let (mut fabric, path) = point_to_point(DatapathParams::prototype(), channels);
+    fabric
+        .measure_stream_bandwidth(path, threads, window, SimTime::from_us(us))
+        .unwrap()
+        .as_gib_per_sec()
+}
+
 #[test]
 fn measured_rtt_tracks_the_analytic_budget_across_calibrations() {
-    for params in [DatapathParams::prototype(), DatapathParams::asic_integrated()] {
+    // The event-level simulation and the closed-form budget agree
+    // within the adaptive-batching flush windows (2 frames/direction);
+    // the prototype calibration is held tighter.
+    for (params, tolerance_ns) in [
+        (DatapathParams::prototype(), 130),
+        (DatapathParams::asic_integrated(), 150),
+    ] {
         let analytic = params.remote_load_latency();
-        let mut dp = Datapath::new(params, 1, SECTION);
-        let measured = dp.measure_load_latency();
+        let measured = load_latency(params);
         let delta = measured.as_ns() as i64 - analytic.as_ns() as i64;
         assert!(
-            delta.abs() < 150,
+            delta.abs() < tolerance_ns,
             "measured {measured} vs analytic {analytic}"
         );
     }
+    // And the prototype sits near the paper's ~950 ns RTT + ~105 ns DRAM.
+    let measured = load_latency(DatapathParams::prototype());
+    assert!((1000..=1200).contains(&measured.as_ns()), "{measured}");
 }
 
 #[test]
 fn asic_integration_cuts_latency_roughly_in_half() {
-    let mut proto = Datapath::new(DatapathParams::prototype(), 1, SECTION);
-    let mut asic = Datapath::new(DatapathParams::asic_integrated(), 1, SECTION);
-    let p = proto.measure_load_latency();
-    let a = asic.measure_load_latency();
+    let p = load_latency(DatapathParams::prototype());
+    let a = load_latency(DatapathParams::asic_integrated());
     assert!(
         a.as_ns() * 2 < p.as_ns() + 300,
         "asic {a} vs prototype {p}"
@@ -44,16 +72,46 @@ fn asic_integration_cuts_latency_roughly_in_half() {
 
 #[test]
 fn saturation_ordering_single_vs_bonded() {
-    let mut single = Datapath::new(DatapathParams::prototype(), 1, SECTION);
-    let mut bonded = Datapath::new(DatapathParams::prototype(), 2, SECTION);
-    let s = single
-        .measure_stream_bandwidth(8, 32, SimTime::from_us(100))
-        .as_gib_per_sec();
-    let b = bonded
-        .measure_stream_bandwidth(8, 32, SimTime::from_us(100))
-        .as_gib_per_sec();
+    let s = stream_gib(1, 8, 32, 100);
+    let b = stream_gib(2, 8, 32, 100);
     assert!(b > s, "bonded {b} vs single {s}");
     assert!(b < 17.0, "C1 ceiling respected: {b}");
+    // Bonding buys tens of percent, not 2× (paper: ~1.3×).
+    let gain = b / s;
+    assert!(gain > 1.15 && gain < 1.8, "gain {gain} (paper: ~1.3)");
+}
+
+#[test]
+fn streams_saturate_at_the_prototype_rates() {
+    let single = stream_gib(1, 8, 32, 200);
+    assert!(
+        (8.5..=11.64).contains(&single),
+        "single channel {single} GiB/s"
+    );
+    // Two channels offer ~20 GiB/s of payload, but 128 B C1
+    // transactions sink at most ~16 GiB/s (§VI-C).
+    let bonded = stream_gib(2, 16, 32, 200);
+    assert!((13.0..=16.5).contains(&bonded), "bonded {bonded} GiB/s");
+}
+
+#[test]
+fn point_to_point_inventory_is_two_llc_pairs_per_channel() {
+    let (fabric, path) = point_to_point(DatapathParams::prototype(), 2);
+    let kinds = fabric.components();
+    let pairs = kinds
+        .iter()
+        .filter(|(_, k)| *k == StageKind::LlcPair)
+        .count();
+    // Two channels: an up and a down LLC pair each.
+    assert_eq!(pairs, 4);
+    assert!(kinds.iter().all(|(_, k)| *k != StageKind::CircuitSwitch));
+    let links: Vec<usize> = fabric
+        .path_link_stats(path)
+        .unwrap()
+        .iter()
+        .map(|s| s.link)
+        .collect();
+    assert_eq!(links, vec![0, 1]);
 }
 
 #[test]
@@ -105,45 +163,17 @@ fn full_pipeline_enforces_legality_end_to_end() {
 }
 
 #[test]
-fn facade_and_raw_fabric_share_one_trajectory() {
-    // The Datapath facade and a hand-built point-to-point fabric must
-    // be the same simulation: identical event counts and bit-identical
-    // measured rates, for single and bonded channels.
-    for channels in [1usize, 2] {
-        let mut dp = Datapath::new(DatapathParams::prototype(), channels, SECTION);
-        let (mut fabric, path) =
-            FabricBuilder::point_to_point(DatapathParams::prototype(), channels, SECTION)
-                .unwrap();
-        let a = dp.measure_stream_bandwidth(8, 32, SimTime::from_us(100));
-        let b = fabric
-            .measure_stream_bandwidth(path, 8, 32, SimTime::from_us(100))
-            .unwrap();
-        assert_eq!(
-            a.as_gib_per_sec().to_bits(),
-            b.as_gib_per_sec().to_bits(),
-            "{channels}ch rates diverged: {} vs {} GiB/s",
-            a.as_gib_per_sec(),
-            b.as_gib_per_sec()
-        );
-        assert_eq!(
-            dp.events_processed(),
-            fabric.events_processed(),
-            "{channels}ch event trajectories diverged"
-        );
-        let ha = dp.completions();
-        let hb = fabric.completions(path).unwrap();
-        assert_eq!(ha.count(), hb.count());
-        assert_eq!(ha.quantile(0.5), hb.quantile(0.5));
-        assert_eq!(ha.max(), hb.max());
-    }
-}
-
-#[test]
 fn datapath_latency_histogram_is_tight_when_uncontended() {
-    let mut dp = Datapath::new(DatapathParams::prototype(), 1, SECTION);
-    let _ = dp.measure_stream_bandwidth(1, 1, SimTime::from_us(100));
-    let h = dp.completions();
+    let (mut fabric, path) = point_to_point(DatapathParams::prototype(), 1);
+    // One outstanding load at a time: every completion near the
+    // analytic load-to-use.
+    fabric
+        .measure_stream_bandwidth(path, 1, 1, SimTime::from_us(100))
+        .unwrap();
+    let h = fabric.completions(path).unwrap();
     assert!(h.count() > 10);
-    let spread = h.quantile(0.99) as f64 / h.quantile(0.5) as f64;
+    let p99 = h.quantile(0.99);
+    assert!((1000..=1300).contains(&p99), "p99 {p99} ns");
+    let spread = p99 as f64 / h.quantile(0.5) as f64;
     assert!(spread < 1.3, "uncontended spread {spread}");
 }

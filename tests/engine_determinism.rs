@@ -4,7 +4,7 @@
 //! reference heap engine. These are the invariants that make the
 //! performance layer free: speed without a single changed trajectory.
 
-use thymesisflow::core::datapath::Datapath;
+use thymesisflow::core::fabric::FabricBuilder;
 use thymesisflow::core::params::DatapathParams;
 use thymesisflow::simkit::event::Engine;
 use thymesisflow::simkit::rng::DetRng;
@@ -21,8 +21,11 @@ const MASTER_SEED: u64 = 0x7F10_2020;
 /// bit-for-bit, not approximate.
 fn run_point(point: (usize, u32), mut rng: DetRng) -> (Vec<u64>, u64, u64, u64) {
     let (channels, threads) = point;
-    let mut dp = Datapath::new(DatapathParams::prototype(), channels, SECTION);
-    let rate = dp.measure_stream_bandwidth(threads, 8, SimTime::from_us(30));
+    let (mut fabric, path) =
+        FabricBuilder::point_to_point(DatapathParams::prototype(), channels, SECTION).unwrap();
+    let rate = fabric
+        .measure_stream_bandwidth(path, threads, 8, SimTime::from_us(30))
+        .unwrap();
     let mut h = Histogram::new();
     for _ in 0..2_000 {
         h.record(rng.range(1, 1_000_000));
@@ -31,8 +34,8 @@ fn run_point(point: (usize, u32), mut rng: DetRng) -> (Vec<u64>, u64, u64, u64) 
     (
         quantiles,
         rate.as_gib_per_sec().to_bits(),
-        dp.completions().quantile(0.5),
-        dp.events_processed(),
+        fabric.completions(path).unwrap().quantile(0.5),
+        fabric.events_processed(),
     )
 }
 
@@ -70,20 +73,24 @@ fn hybrid_and_heap_engines_trace_identical_simulations() {
     for (channels, threads) in [(1, 4), (2, 8)] {
         let mut results = Vec::new();
         for engine in [Engine::Hybrid, Engine::HeapOnly] {
-            let mut dp = Datapath::with_engine(
+            let (mut fabric, path) = FabricBuilder::point_to_point_with_engine(
                 DatapathParams::prototype(),
                 channels,
                 SECTION,
                 engine,
-            );
-            let rate = dp.measure_stream_bandwidth(threads, 8, SimTime::from_us(40));
+            )
+            .unwrap();
+            let rate = fabric
+                .measure_stream_bandwidth(path, threads, 8, SimTime::from_us(40))
+                .unwrap();
+            let completions = fabric.completions(path).unwrap();
             let quantiles: Vec<u64> = (0..=20)
-                .map(|i| dp.completions().quantile(f64::from(i) / 20.0))
+                .map(|i| completions.quantile(f64::from(i) / 20.0))
                 .collect();
             results.push((
                 rate.as_gib_per_sec().to_bits(),
                 quantiles,
-                dp.events_processed(),
+                fabric.events_processed(),
             ));
         }
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Cross-crate integration: fabric topologies beyond the reference
 //! point-to-point shape — one-compute × N-donor fan-out and the
-//! circuit-switched rack — plus the facade/fabric trajectory-equality
-//! guarantee the refactor rests on.
+//! circuit-switched rack — plus the guarantee that detaching one path
+//! leaves the survivors' trajectories untouched.
 
 use thymesisflow::core::fabric::{FabricBuilder, StreamLoad};
 use thymesisflow::core::params::DatapathParams;
