@@ -366,12 +366,11 @@ impl Rack {
         let params = self.params.clone();
         let compute_node = self.node_ids[&req.compute];
         let donor_node = self.node_ids[&req.memory];
-        let mesh = self.mesh.clone();
         let journal_fabrics = self.fabric_journals;
         let fabric = self.fabrics.entry(req.compute.clone()).or_insert_with(|| {
             let (fabric, _) = FabricBuilder::new(params)
                 .switch(CircuitSwitch::optical(FABRIC_SWITCH_PORTS))
-                .topology(mesh, compute_node)
+                .topology(self.mesh.clone(), compute_node)
                 .build()
                 .expect("an empty fabric always assembles");
             fabric

@@ -1,5 +1,6 @@
 //! The section table: one entry per Linux sparse-memory section.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -121,10 +122,16 @@ pub struct Translated {
 /// A bit range of the device-internal address indexes the table: address
 /// bits `[section_bits ..]` select the section, the low bits are the
 /// offset within it.
+///
+/// Programmed sections are also indexed by network, so the alias check
+/// of [`SectionTable::program`] visits only the sections of the new
+/// entry's flow, not the whole table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SectionTable {
     section_bits: u32,
     entries: Vec<Option<SectionEntry>>,
+    /// Programmed section indices per network, ascending.
+    by_network: BTreeMap<NetworkId, Vec<u64>>,
     translations: u64,
     faults: u64,
 }
@@ -145,6 +152,7 @@ impl SectionTable {
         SectionTable {
             section_bits,
             entries: vec![None; sections as usize],
+            by_network: BTreeMap::new(),
             translations: 0,
             faults: 0,
         }
@@ -191,19 +199,19 @@ impl SectionTable {
             return Err(RmmuError::Occupied(index));
         }
         let size = self.section_size();
-        for (i, other) in self.entries.iter().enumerate() {
-            if let Some(o) = other {
-                if o.network == entry.network {
-                    let overlap = entry.remote_ea_base < o.remote_ea_base + size
-                        && o.remote_ea_base < entry.remote_ea_base + size;
-                    if overlap {
-                        return Err(RmmuError::Aliases {
-                            with_section: i as u64,
-                        });
-                    }
-                }
-            }
+        let aliases = |o: &SectionEntry| {
+            entry.remote_ea_base < o.remote_ea_base + size
+                && o.remote_ea_base < entry.remote_ea_base + size
+        };
+        let flow = self.by_network.entry(entry.network).or_default();
+        if let Some(&i) = flow
+            .iter()
+            .find(|&&i| self.entries[i as usize].as_ref().is_some_and(aliases))
+        {
+            return Err(RmmuError::Aliases { with_section: i });
         }
+        let at = flow.partition_point(|&i| i < index);
+        flow.insert(at, index);
         self.entries[index as usize] = Some(entry);
         Ok(())
     }
@@ -218,7 +226,14 @@ impl SectionTable {
             .entries
             .get_mut(index as usize)
             .ok_or(RmmuError::BadIndex(index))?;
-        slot.take().ok_or(RmmuError::Unmapped(index))
+        let entry = slot.take().ok_or(RmmuError::Unmapped(index))?;
+        if let Some(flow) = self.by_network.get_mut(&entry.network) {
+            flow.retain(|&i| i != index);
+            if flow.is_empty() {
+                self.by_network.remove(&entry.network);
+            }
+        }
+        Ok(entry)
     }
 
     /// Translates a device-internal address to the donor-side effective
@@ -285,14 +300,7 @@ impl SectionTable {
     /// Indices of sections programmed onto `network` (the teardown path:
     /// detaching a flow unprograms exactly these).
     pub fn sections_of(&self, network: NetworkId) -> Vec<u64> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e {
-                Some(entry) if entry.network == network => Some(i as u64),
-                _ => None,
-            })
-            .collect()
+        self.by_network.get(&network).cloned().unwrap_or_default()
     }
 
     /// Indices of programmed sections.

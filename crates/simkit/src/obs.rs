@@ -11,12 +11,14 @@
 //! uninstrumented one — the same determinism contract the registry
 //! itself makes.
 //!
-//! Each accepted snapshot closes a **window**: the ring keeps the
-//! cumulative snapshot plus the delta against the previous window
-//! (counters and timers subtract, gauges keep the newer reading), which
-//! is what rate queries ([`Recorder::rate`]) and windowed histograms
-//! ([`Recorder::window_timer`]) are answered from. The ring is bounded:
-//! once `capacity` windows are held, the oldest falls off.
+//! Each accepted snapshot closes a **window**: the ring keeps only the
+//! delta against the previous window (counters and timers subtract,
+//! gauges keep the newer reading), which is what rate queries
+//! ([`Recorder::rate`]) and windowed histograms
+//! ([`Recorder::window_timer`]) are answered from. The recorder holds
+//! one cumulative snapshot, the latest accepted, to diff the next one
+//! against. The ring is bounded: once `capacity` windows are held, the
+//! oldest falls off.
 //!
 //! # Example
 //!
@@ -56,8 +58,6 @@ pub struct Window {
     pub start: SimTime,
     /// Where the window closed (the accepted snapshot's timestamp).
     pub end: SimTime,
-    /// Cumulative values at `end`.
-    pub cumulative: Snapshot,
     /// Change over this window: counters/timers subtracted against the
     /// previous cumulative snapshot, gauges as read at `end`.
     pub delta: Snapshot,
@@ -85,7 +85,8 @@ pub struct Recorder {
 
 impl Recorder {
     /// A recorder sampling every `period` of simulated time, holding at
-    /// most `capacity` closed windows (at least one is always kept).
+    /// most `capacity` closed windows (at least one is always kept). A
+    /// zero `period` has no cadence: every poll is due.
     pub fn new(period: SimTime, capacity: usize) -> Self {
         Recorder {
             period,
@@ -125,7 +126,6 @@ impl Recorder {
         let window = Window {
             start: self.last_end,
             end: snap.at,
-            cumulative: snap.clone(),
             delta,
         };
         self.last_end = snap.at;
@@ -136,8 +136,9 @@ impl Recorder {
         }
         self.accepted += 1;
         // Re-align the cadence past the accepted timestamp so a late
-        // snapshot doesn't trigger an immediate catch-up burst.
-        while self.next_due <= self.last_end {
+        // snapshot doesn't trigger an immediate catch-up burst. A zero
+        // period leaves `next_due` at zero: every poll stays due.
+        while !self.period.is_zero() && self.next_due <= self.last_end {
             self.next_due = self.next_due + self.period;
         }
     }
@@ -166,7 +167,6 @@ impl Recorder {
     /// freshest data the recorder can have, and [`Recorder::record`]
     /// already refuses snapshots that would rewind it, so there is no
     /// staleness decision left for a caller-supplied clock to make.
-    /// (Earlier revisions took an unused `now` parameter here.)
     pub fn rate(&self, path: &str) -> Option<f64> {
         let w = self.latest()?;
         let span_ns = w.span().as_ns();
@@ -401,6 +401,23 @@ mod tests {
         rec.record(reg.snapshot(SimTime::from_ns(3_500)));
         assert!(!rec.due(SimTime::from_ns(3_900)));
         assert!(rec.due(SimTime::from_us(4)));
+    }
+
+    #[test]
+    fn zero_period_makes_every_poll_due() {
+        let (mut reg, c) = registry();
+        let mut rec = Recorder::new(SimTime::ZERO, 4);
+        assert!(rec.due(SimTime::ZERO));
+        for k in 1..=3u64 {
+            reg.add(c, k);
+            rec.record(reg.snapshot(SimTime::from_ns(k)));
+            assert!(rec.due(SimTime::from_ns(k)));
+        }
+        reg.add(c, 100);
+        rec.record(reg.snapshot(SimTime::from_ns(3))); // stale: ignored
+        assert_eq!(rec.accepted(), 3);
+        let deltas: Vec<u64> = rec.deltas("link.frames").iter().map(|(_, d)| *d).collect();
+        assert_eq!(deltas, vec![1, 2, 3]);
     }
 
     #[test]

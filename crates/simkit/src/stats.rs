@@ -18,6 +18,13 @@ const SUB_BITS: u32 = 5; // log2(SUB_BUCKETS)
 /// Records values with bounded relative error and answers quantile and
 /// CDF queries. Suited to latencies spanning nanoseconds to seconds.
 ///
+/// The bucket space is fixed: 64 exponent rows of 32 linear sub-buckets.
+/// Storage is range-sized: only the rows up to the highest recorded
+/// bucket are held, and a value past the end grows the vector by whole
+/// rows. A latency histogram therefore holds a few hundred buckets, not
+/// all 2,048; one that never records holds none. Copies, merges,
+/// differences and queries walk only the stored range.
+///
 /// # Example
 ///
 /// ```
@@ -47,11 +54,12 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram. It allocates nothing until the first
+    /// recording: bucket storage grows by whole rows of `SUB_BUCKETS`
+    /// up to the highest bucket recorded.
     pub fn new() -> Self {
-        // 64 exponent buckets x SUB_BUCKETS linear sub-buckets.
         Histogram {
-            counts: vec![0; 64 * SUB_BUCKETS],
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             min: u64::MAX,
@@ -77,8 +85,23 @@ impl Histogram {
         }
         // `bucket` ≤ 63 (64 exponent buckets), so the conversion holds.
         let shift = u32::try_from(bucket - 1).unwrap_or(u32::MAX);
-        // Upper edge of the sub-bucket (conservative for quantiles).
-        ((SUB_BUCKETS as u64 + sub + 1) << shift) - 1
+        // Upper edge of the sub-bucket (conservative for quantiles). The
+        // top sub-bucket's edge is 2^64 − 1: its shift wraps to zero.
+        ((SUB_BUCKETS as u64 + sub + 1) << shift).wrapping_sub(1)
+    }
+
+    /// Stored length covering bucket `index`: whole rows, so a stream
+    /// of rising values reallocates once per row at most.
+    fn rows_to(index: usize) -> usize {
+        (index / SUB_BUCKETS + 1) * SUB_BUCKETS
+    }
+
+    /// The slow path of [`Histogram::record_n`]: `index` lies past the
+    /// stored rows.
+    #[cold]
+    fn grow_and_add(&mut self, index: usize, n: u64) {
+        self.counts.resize(Self::rows_to(index), 0);
+        self.counts[index] = n;
     }
 
     /// Records one observation.
@@ -92,7 +115,10 @@ impl Histogram {
             return;
         }
         let idx = Self::index_of(value);
-        self.counts[idx] += n;
+        match self.counts.get_mut(idx) {
+            Some(c) => *c += n,
+            None => self.grow_and_add(idx, n),
+        }
         self.total += n;
         self.sum += value as u128 * n as u128;
         self.min = self.min.min(value);
@@ -178,8 +204,11 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (i, c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
         }
         self.total += other.total;
         self.sum += other.sum;
@@ -197,9 +226,18 @@ impl Histogram {
     /// bucket edges, so they carry the same ~3% relative error as
     /// quantiles rather than being exact.
     pub fn subtract(&self, earlier: &Histogram) -> Histogram {
+        let diff = |i: usize| {
+            let before = earlier.counts.get(i).copied().unwrap_or(0);
+            self.counts[i].saturating_sub(before)
+        };
         let mut out = Histogram::new();
-        for (i, (a, b)) in self.counts.iter().zip(&earlier.counts).enumerate() {
-            let c = a.saturating_sub(*b);
+        out.sum = self.sum.saturating_sub(earlier.sum);
+        let Some(top) = (0..self.counts.len()).rev().find(|&i| diff(i) > 0) else {
+            return out;
+        };
+        out.counts = vec![0; Self::rows_to(top)];
+        for i in 0..=top {
+            let c = diff(i);
             if c == 0 {
                 continue;
             }
@@ -209,7 +247,6 @@ impl Histogram {
             out.min = out.min.min(edge);
             out.max = out.max.max(edge);
         }
-        out.sum = self.sum.saturating_sub(earlier.sum);
         out
     }
 }
@@ -427,6 +464,28 @@ mod tests {
     }
 
     #[test]
+    fn storage_is_range_sized() {
+        let mut h = Histogram::new();
+        assert_eq!(h.counts.capacity(), 0, "nothing allocated until a record");
+        h.record(17);
+        assert_eq!(h.counts.len(), SUB_BUCKETS);
+        let rows_for = |v: u64| Histogram::rows_to(Histogram::index_of(v));
+        h.record(1_000);
+        assert_eq!(h.counts.len(), rows_for(1_000));
+        h.record(5);
+        assert_eq!(h.counts.len(), rows_for(1_000));
+        h.record(u64::MAX);
+        assert_eq!(h.counts.len(), rows_for(u64::MAX));
+        assert!(h.counts.len() <= 64 * SUB_BUCKETS);
+        // A difference holds only the rows up to its own top bucket.
+        let mut later = h.clone();
+        later.record(20);
+        let d = later.subtract(&h);
+        assert_eq!((d.count(), d.counts.len()), (1, SUB_BUCKETS));
+        assert_eq!(later.subtract(&later).counts.capacity(), 0);
+    }
+
+    #[test]
     fn mean_is_exact() {
         let mut h = Histogram::new();
         h.record_n(10, 3);
@@ -441,6 +500,15 @@ mod tests {
         h.record(500_000);
         assert_eq!(h.quantile(0.0), 5);
         assert!(h.quantile(1.0) >= 500_000 - 500_000 / 20);
+    }
+
+    #[test]
+    fn top_bucket_edge_is_u64_max() {
+        let mut h = Histogram::new();
+        h.record(u64::MAX);
+        h.record(1);
+        assert_eq!(h.quantile(1.0), u64::MAX);
+        assert_eq!(h.cdf().last(), Some(&(u64::MAX, 1.0)));
     }
 
     #[test]

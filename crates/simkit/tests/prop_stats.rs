@@ -5,6 +5,39 @@ use simkit::event::EventQueue;
 use simkit::stats::Histogram;
 use simkit::time::SimTime;
 
+/// Checks that `got` answers every query exactly as `want` does: count,
+/// min, max, mean, 11 quantiles and the CDF.
+fn same_answers(got: &Histogram, want: &Histogram) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.count(), want.count());
+    prop_assert_eq!(got.min(), want.min());
+    prop_assert_eq!(got.max(), want.max());
+    prop_assert_eq!(got.mean().to_bits(), want.mean().to_bits());
+    for i in 0..=10 {
+        let q = f64::from(i) / 10.0;
+        prop_assert_eq!(got.quantile(q), want.quantile(q), "q={}", q);
+    }
+    prop_assert_eq!(got.cdf(), want.cdf());
+    Ok(())
+}
+
+/// Values in the first bucket rows, with the row edges 0, 31 and 32.
+fn low() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), Just(31u64), Just(32u64), 0u64..2_048]
+}
+
+/// Values anywhere in the bucket space, with `u64::MAX`.
+fn high() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(u64::MAX), (1u64 << 40)..u64::MAX, any::<u64>()]
+}
+
+fn recorded(values: &[u64]) -> Histogram {
+    let mut h = Histogram::new();
+    for &v in values {
+        h.record(v);
+    }
+    h
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -70,6 +103,68 @@ proptest! {
         for i in 0..=10 {
             prop_assert_eq!(ha.quantile(i as f64 / 10.0), hc.quantile(i as f64 / 10.0));
         }
+    }
+
+    /// Merging histograms whose stored ranges differ widely equals one
+    /// histogram that recorded both streams, whichever side is merged
+    /// into the other (the receiver is the shorter one, or the longer).
+    #[test]
+    fn merge_across_distant_ranges_equals_recording_both(
+        lows in prop::collection::vec(low(), 0..60),
+        highs in prop::collection::vec(high(), 0..60),
+    ) {
+        let both: Vec<u64> = lows.iter().chain(&highs).copied().collect();
+        let want = recorded(&both);
+        let mut up = recorded(&lows);
+        up.merge(&recorded(&highs));
+        same_answers(&up, &want)?;
+        let mut down = recorded(&highs);
+        down.merge(&recorded(&lows));
+        same_answers(&down, &want)?;
+    }
+
+    /// Subtracting an earlier snapshot whose top bucket lies below the
+    /// later one's recovers exactly the recordings in between.
+    #[test]
+    fn subtract_below_later_top_recovers_the_interval(
+        prefix in prop::collection::vec(low(), 0..60),
+        interval in prop::collection::vec(prop_oneof![low(), high()], 0..60),
+    ) {
+        let earlier = recorded(&prefix);
+        let mut later = earlier.clone();
+        for &v in &interval {
+            later.record(v);
+        }
+        let d = later.subtract(&earlier);
+        prop_assert_eq!(d.count(), interval.len() as u64);
+        let want = recorded(&interval);
+        prop_assert_eq!(d.mean().to_bits(), want.mean().to_bits());
+        prop_assert!(d.max() <= later.max());
+    }
+
+    /// Subtracting a histogram whose top bucket lies above the later
+    /// one's saturates the buckets only it holds and never panics: the
+    /// count is what the later one holds alone, the sum saturates.
+    #[test]
+    fn subtract_above_later_top_saturates(
+        shared in prop::collection::vec(low(), 0..60),
+        only_later in prop::collection::vec(low(), 0..60),
+        only_earlier in prop::collection::vec((1u64 << 40)..=u64::MAX, 1..60),
+    ) {
+        let earlier = recorded(&shared.iter().chain(&only_earlier).copied().collect::<Vec<_>>());
+        let later = recorded(&shared.iter().chain(&only_later).copied().collect::<Vec<_>>());
+        let d = later.subtract(&earlier);
+        prop_assert_eq!(d.count(), only_later.len() as u64);
+        // The earlier sum exceeds the later one, so the difference's
+        // sum saturates to zero and so does its mean.
+        prop_assert_eq!(d.mean(), 0.0);
+        let _ = (d.quantile(0.5), d.quantile(1.0), d.cdf(), d.min(), d.max());
+        // The reverse difference holds exactly the earlier-only values.
+        let r = earlier.subtract(&later);
+        prop_assert_eq!(r.count(), only_earlier.len() as u64);
+        let want: u128 = only_earlier.iter().map(|&v| u128::from(v)).sum::<u128>()
+            - only_later.iter().map(|&v| u128::from(v)).sum::<u128>();
+        prop_assert_eq!(r.mean().to_bits(), (want as f64 / r.count() as f64).to_bits());
     }
 
     /// The event queue delivers in non-decreasing time order with FIFO
