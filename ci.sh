@@ -87,22 +87,25 @@ jq -e '.engine_partitioned.scaling | length >= 3' target/BENCH_engine.quick.json
 jq -e '.engine_topology.route_hops >= 2 and .engine_topology.per_hop_ns > 0' target/BENCH_engine.quick.json > /dev/null
 jq -e '.fleet_slo.clients >= 1000 and .fleet_slo.breaches >= 1 and .fleet_slo.identical_across_workers == true' target/BENCH_engine.quick.json > /dev/null
 
-echo "==> perfbench (its own workspace: unit tests + one short run per workload)"
+echo "==> perfbench (its own workspace: unit tests + one short run per workload and seed)"
 # perfbench builds against the crates by path from a separate
 # workspace, so nothing above compiles it; a fabric API change that
-# breaks the benchmark must fail here.
+# breaks the benchmark must fail here. Every workload runs at the
+# default seed 1 and at the held-out seed 9001 (perfbench/NOTES.md).
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-for workload in stream_p2p torus_cut rack_churn; do
-    echo "--> perfbench: ${workload}"
-    gate='.correct and .failed == 0'
-    if [ "${workload}" = rack_churn ]; then
-        # Range-sized histograms and delta-only Recorder windows keep
-        # rack_churn near 11 MiB; dense ones peaked at 74 MiB.
-        gate="${gate} and .metrics.peak_rss_mb.value < 32"
-    fi
-    cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload "${workload}" --seed 1 --seconds 1 --trace 0 | tail -n 1 \
-        | jq -e "${gate}" > /dev/null
+for seed in 1 9001; do
+    for workload in stream_p2p torus_cut rack_churn; do
+        echo "--> perfbench: ${workload} (seed ${seed})"
+        gate='.correct and .failed == 0'
+        if [ "${workload}" = rack_churn ]; then
+            # Range-sized histograms and delta-only Recorder windows keep
+            # rack_churn near 11 MiB; dense ones peaked at 74 MiB.
+            gate="${gate} and .metrics.peak_rss_mb.value < 32"
+        fi
+        cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "${workload}" --seed "${seed}" --seconds 1 --trace 0 | tail -n 1 \
+            | jq -e "${gate}" > /dev/null
+    done
 done
 
 echo "ci: all gates passed"

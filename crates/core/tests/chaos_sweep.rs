@@ -37,16 +37,23 @@ enum Scenario {
     SwitchReroute,
     /// Statistical loss *plus* a flap: replay and recovery compose.
     LossyFlap,
+    /// Every bonded lane of one link dies, 1 ns apart: the link goes
+    /// hard-down and must die exactly like a cut cable.
+    LanesExhausted,
 }
 
-const SCENARIOS: [Scenario; 6] = [
+const SCENARIOS: [Scenario; 7] = [
     Scenario::Flap,
     Scenario::HardDown,
     Scenario::LaneFail,
     Scenario::DonorCrash,
     Scenario::SwitchReroute,
     Scenario::LossyFlap,
+    Scenario::LanesExhausted,
 ];
+
+/// Bonded lanes per prototype channel.
+const LANES: u64 = 4;
 
 const LOADS: usize = 12;
 
@@ -100,6 +107,14 @@ fn plan_for(scenario: Scenario, fabric: &Fabric, path: thymesisflow_core::fabric
         Scenario::SwitchReroute => {
             ChaosPlan::new().at(t0, ChaosEvent::SwitchPortFail { port: PortId(0) })
         }
+        Scenario::LanesExhausted => (0..LANES).fold(ChaosPlan::new(), |plan, i| {
+            plan.at(
+                t0 + SimTime::from_ns(i),
+                ChaosEvent::LaneFail {
+                    link: LinkRef::Slot(0),
+                },
+            )
+        }),
     }
 }
 
@@ -145,7 +160,7 @@ fn run_point(idx: usize, scenario: Scenario, seed: u64) -> String {
                 "point {idx} ({scenario:?}): survivable failures must not fault"
             );
         }
-        Scenario::HardDown | Scenario::DonorCrash => {
+        Scenario::HardDown | Scenario::DonorCrash | Scenario::LanesExhausted => {
             assert!(
                 !faults.is_empty(),
                 "point {idx} ({scenario:?}): a permanent failure must strand loads"
@@ -159,6 +174,14 @@ fn run_point(idx: usize, scenario: Scenario, seed: u64) -> String {
             );
         }
         Scenario::LossyFlap => {} // loss may or may not strand loads
+    }
+    if scenario == Scenario::LanesExhausted {
+        assert!(
+            faults
+                .iter()
+                .all(|f| matches!(f.kind, FaultKind::LinkDead { link: 0 })),
+            "point {idx} ({scenario:?}): losing every lane must fault as a dead link: {faults:?}"
+        );
     }
     let window = fabric
         .recovery_config()
@@ -181,7 +204,9 @@ fn run_point(idx: usize, scenario: Scenario, seed: u64) -> String {
         .timer("fabric.recovery.downtime_ns")
         .map_or(0, |h| h.count());
     match scenario {
-        Scenario::HardDown => assert!(detect >= 1, "death must record a detect span"),
+        Scenario::HardDown | Scenario::LanesExhausted => {
+            assert!(detect >= 1, "death must record a detect span");
+        }
         Scenario::Flap | Scenario::SwitchReroute => {
             assert!(downtime >= 1, "an outage must record a downtime span");
         }

@@ -104,7 +104,8 @@ pub struct HostNode {
 
 impl HostNode {
     /// Boots a host: local DRAM is split across one NUMA node per
-    /// socket (ppc64 numbers them 0 and 8) and onlined.
+    /// socket (ppc64 numbers them 0 and 8), and each socket's share is
+    /// probed and onlined as one run of sections.
     ///
     /// # Panics
     ///
@@ -130,11 +131,9 @@ impl HostNode {
                     kind: RegionKind::LocalDram { node: node_id.0 },
                 })
                 .expect("boot regions cannot overlap");
-            for i in 0..(per_socket / SECTION_BYTES) {
-                let start = base + i * SECTION_BYTES;
-                sparse.probe(start, node_id.0).expect("fresh section");
-                sparse.online(start).expect("probed section");
-            }
+            sparse
+                .probe_online_run(base, per_socket / SECTION_BYTES, node_id.0)
+                .expect("boot DRAM is fresh");
             let cpus: Vec<u32> = spec
                 .topology
                 .threads_of_socket(s)
@@ -218,13 +217,9 @@ impl HostNode {
             len: bytes,
             kind: RegionKind::ThymesisFlow { node: node_id.0 },
         })?;
-        for i in 0..(bytes / SECTION_BYTES) {
-            let start = base + i * SECTION_BYTES;
-            self.sparse
-                .probe(start, node_id.0)
-                .expect("window hole is fresh");
-            self.sparse.online(start).expect("probed section");
-        }
+        self.sparse
+            .probe_online_run(base, bytes / SECTION_BYTES, node_id.0)
+            .expect("window hole is fresh");
         self.numa
             .add_cpuless_node(node_id, bytes / PAGE_BYTES, REMOTE_NODE_DISTANCE)?;
         Ok(node_id)

@@ -46,9 +46,12 @@ pub struct Channel {
 }
 
 impl Channel {
-    /// Aggregate payload rate of the currently-working bonded lanes.
+    /// Aggregate payload rate of the currently-working bonded lanes: the
+    /// rate the serializer drains at. A channel whose last lane failed
+    /// keeps the rate it had on one lane, but it is hard-down and drops
+    /// every frame.
     pub fn payload_rate(&self) -> Rate {
-        Rate::from_bytes_per_sec(self.lane.payload_rate().bytes_per_sec() * self.lanes as f64)
+        self.line.rate()
     }
 
     /// Number of currently-working bonded lanes.
@@ -368,8 +371,11 @@ mod tests {
     #[test]
     fn failing_the_last_lane_takes_the_channel_down() {
         let mut ch = ChannelBuilder::thymesisflow_default().lanes(1).build();
+        let one_lane = ch.payload_rate();
         assert_eq!(ch.fail_lane(), 0);
         assert!(ch.is_down());
+        // The rate stays readable (and unchanged) on a lane-less channel.
+        assert_eq!(ch.payload_rate(), one_lane);
         assert_eq!(ch.transmit(SimTime::ZERO, 64), Delivery::Dropped);
         // Further fail_lane calls are harmless no-ops.
         assert_eq!(ch.fail_lane(), 0);
