@@ -12,6 +12,10 @@ echo "==> cargo check --workspace --all-targets (benches, examples, tests)"
 # step that compiles most of them.
 cargo check --workspace --all-targets
 
+echo "==> cargo doc --workspace --no-deps (rustdoc lints are errors under warnings = deny)"
+# A deleted module leaves crate-doc links that only rustdoc resolves.
+cargo doc --workspace --no-deps
+
 echo "==> cargo test -q (workspace)"
 cargo test --workspace -q
 

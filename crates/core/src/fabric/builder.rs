@@ -3,7 +3,7 @@
 //! [`FabricBuilder`] assembles a [`Fabric`] over one shared event queue
 //! and attaches the requested paths. Since the topology layer landed,
 //! every canned shape is a thin wrapper over a degenerate
-//! [`Topology`](routing::Topology):
+//! [`Topology`]:
 //!
 //! * [`FabricBuilder::point_to_point`] — a 2-node [`routing::Line`];
 //!   the pre-fabric monolith's shape, preserved event-for-event as the
@@ -111,7 +111,9 @@ impl FabricBuilder {
     ///
     /// # Errors
     ///
-    /// Propagates the first failing attach, and fails when
+    /// Refuses a device window that is not a whole number of RMMU
+    /// sections at a 128 B aligned base ([`FabricError::Config`]),
+    /// propagates the first failing attach, and fails when
     /// [`FabricBuilder::path_to`] was used without a declared topology.
     pub fn build(self) -> Result<(Fabric, Vec<PathId>), FabricError> {
         let mut fabric = Fabric::assemble(

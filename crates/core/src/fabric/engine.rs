@@ -27,11 +27,12 @@ use netsim::channel::{Channel, ChannelBuilder};
 use netsim::fault::FaultSpec;
 use netsim::switch::{CircuitSwitch, PortId, SwitchError};
 use netsim::Delivery;
+use opencapi::c1::C1Error;
 use opencapi::m1::M1Error;
 use opencapi::pasid::{Pasid, Region};
 use opencapi::transaction::{MemRequest, MemResponse};
 use rmmu::flow::NetworkId;
-use rmmu::section::{RmmuError, SectionEntry};
+use rmmu::section::{RmmuError, SectionEntry, DEFAULT_SECTION_BITS};
 use rmmu::RoutedRequest;
 use routing::plan::FlowPlan;
 use routing::topology::{Mesh, NodeId, Route as TopoRoute, Topology, TopologyError};
@@ -42,7 +43,6 @@ use simkit::stats::Histogram;
 use simkit::telemetry::{CounterId, GaugeId, Registry, Snapshot, TelemetryError, TimerId};
 use simkit::time::SimTime;
 
-use crate::endpoint::EndpointError;
 use crate::fabric::builder::FabricBuilder;
 use crate::fabric::chaos::{
     ChaosEvent, ChaosPlan, FaultKind, LinkRef, LoadFault, RecoveryConfig,
@@ -196,8 +196,6 @@ pub enum FabricError {
         /// Contiguous sections the attach needed.
         sections: u64,
     },
-    /// An endpoint stage rejected a transaction or registration.
-    Endpoint(EndpointError),
     /// The LLC state machines reported a protocol violation.
     Llc(LlcError),
     /// The circuit switch refused the operation.
@@ -208,6 +206,8 @@ pub enum FabricError {
     Route(RouteError),
     /// The M1 window rejected a transaction.
     M1(M1Error),
+    /// The donor's C1 port refused a registration or a transaction.
+    C1(C1Error),
     /// The topology has no switch to route through.
     NoSwitch,
     /// No such path is attached.
@@ -243,12 +243,12 @@ impl fmt::Display for FabricError {
             FabricError::WindowExhausted { sections } => {
                 write!(f, "no free run of {sections} sections in the device window")
             }
-            FabricError::Endpoint(e) => write!(f, "endpoint: {e}"),
             FabricError::Llc(e) => write!(f, "llc: {e}"),
             FabricError::Switch(e) => write!(f, "switch: {e}"),
             FabricError::Rmmu(e) => write!(f, "rmmu: {e}"),
             FabricError::Route(e) => write!(f, "route: {e}"),
             FabricError::M1(e) => write!(f, "m1: {e}"),
+            FabricError::C1(e) => write!(f, "c1: {e}"),
             FabricError::NoSwitch => write!(f, "topology has no circuit switch"),
             FabricError::UnknownPath(p) => write!(f, "unknown {p}"),
             FabricError::PathBusy(p) => write!(f, "{p} still has loads in flight"),
@@ -267,12 +267,6 @@ impl fmt::Display for FabricError {
 }
 
 impl std::error::Error for FabricError {}
-
-impl From<EndpointError> for FabricError {
-    fn from(e: EndpointError) -> Self {
-        FabricError::Endpoint(e)
-    }
-}
 
 impl From<LlcError> for FabricError {
     fn from(e: LlcError) -> Self {
@@ -307,6 +301,12 @@ impl From<TelemetryError> for FabricError {
 impl From<M1Error> for FabricError {
     fn from(e: M1Error) -> Self {
         FabricError::M1(e)
+    }
+}
+
+impl From<C1Error> for FabricError {
+    fn from(e: C1Error) -> Self {
+        FabricError::C1(e)
     }
 }
 
@@ -737,6 +737,19 @@ impl Fabric {
         switch: Option<SwitchStage>,
         engine: Engine,
     ) -> Result<Self, FabricError> {
+        // M1 capture asserts a non-empty, cacheline-aligned window and
+        // the RMMU maps it in whole sections: refuse anything else here.
+        let section = 1u64 << DEFAULT_SECTION_BITS;
+        if window.bytes == 0
+            || !window.bytes.is_multiple_of(section)
+            || !window.base.is_multiple_of(128)
+        {
+            return Err(FabricError::Config(format!(
+                "device window {:#x}+{:#x} is not a whole number of {section} B sections \
+                 at a 128 B aligned base",
+                window.base, window.bytes
+            )));
+        }
         let capture = M1Capture::new(window);
         let translate = RmmuTranslate::new(window);
         // Telemetry starts disabled: instrumentation is observation only
@@ -1929,24 +1942,6 @@ impl Fabric {
         self.queue.peek_time()
     }
 
-    /// Runs every event strictly before `bound`, appending completions
-    /// to `sink`. Events at or after `bound` stay queued — this is the
-    /// partition window primitive.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Fabric::step`] failures.
-    pub fn step_until(
-        &mut self,
-        bound: SimTime,
-        sink: &mut Vec<Completion>,
-    ) -> Result<(), FabricError> {
-        while self.queue.peek_time().is_some_and(|t| t < bound) {
-            self.step_into(sink)?;
-        }
-        Ok(())
-    }
-
     /// Schedules one cacheline read on `path` to issue at instant `at`
     /// (clamped to now). This is how cross-partition traffic enters a
     /// fabric: the remote sender picks `at` at least one boundary-link
@@ -2027,11 +2022,6 @@ impl Fabric {
     /// resolution order.
     pub fn faults(&self) -> &[LoadFault] {
         &self.faults
-    }
-
-    /// Drains the accumulated [`LoadFault`]s.
-    pub fn take_faults(&mut self) -> Vec<LoadFault> {
-        std::mem::take(&mut self.faults)
     }
 
     /// Completions absorbed because their load had already been
@@ -3312,11 +3302,6 @@ impl Fabric {
     /// Finished flit traces, in retire order.
     pub fn traces(&self) -> &[FlitTrace] {
         self.tracer.traces()
-    }
-
-    /// Drains the finished flit traces.
-    pub fn take_traces(&mut self) -> Vec<FlitTrace> {
-        self.tracer.take()
     }
 
     /// Traces that finished but were discarded at the retention cap.

@@ -15,6 +15,7 @@ use llc::flit::FlitSized;
 use llc::LlcConfig;
 use netsim::channel::Channel;
 use netsim::switch::CircuitSwitch;
+use opencapi::c1::{C1Error, C1Port};
 use opencapi::m1::{DeviceAddress, M1Endpoint, M1Error};
 use opencapi::pasid::{Pasid, Region};
 use opencapi::transaction::{MemRequest, MemResponse};
@@ -23,8 +24,6 @@ use rmmu::section::{RmmuError, SectionEntry, SectionTable, Translated};
 use rmmu::RoutedRequest;
 use routing::{ChannelId, RouteError, Router};
 use simkit::time::SimTime;
-
-use crate::endpoint::{EndpointError, MemoryStealingEndpoint};
 
 /// What kind of pipeline stage a component models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,9 +274,16 @@ impl SwitchStage {
 }
 
 /// C1 master + donor DRAM: the memory-stealing endpoint of one donor.
+///
+/// It is passive: "it does not modify the transactions, and does not
+/// need to receive any network information"; the C1 port masters each
+/// arriving request into the registered region under the donor's
+/// PASID, DRAM answers, and the response takes the channel the request
+/// arrived on.
 #[derive(Debug)]
 pub struct C1MasterDram {
-    endpoint: MemoryStealingEndpoint,
+    c1: C1Port,
+    dram_latency: SimTime,
     pasid: Pasid,
 }
 
@@ -285,7 +291,8 @@ impl C1MasterDram {
     /// A donor stage serving under `pasid` with the given DRAM latency.
     pub fn new(dram_latency: SimTime, pasid: Pasid) -> Self {
         C1MasterDram {
-            endpoint: MemoryStealingEndpoint::new(dram_latency),
+            c1: C1Port::new(),
+            dram_latency,
             pasid,
         }
     }
@@ -294,31 +301,28 @@ impl C1MasterDram {
     ///
     /// # Errors
     ///
-    /// Propagates PASID-table failures.
-    pub fn register(&mut self, region: Region) -> Result<(), EndpointError> {
-        self.endpoint.register(self.pasid, region)
+    /// Refuses a region the PASID table cannot take, as
+    /// [`C1Error::Unauthorized`] at the region base.
+    pub fn register(&mut self, region: Region) -> Result<(), C1Error> {
+        self.c1
+            .register(self.pasid, region)
+            .map_err(|_| C1Error::Unauthorized {
+                addr: region.ea_base,
+            })
     }
 
-    /// Serves one arriving transaction; returns the completion instant.
+    /// Serves one arriving transaction: C1 masters it into the pinned
+    /// region and DRAM answers. Returns the completion instant.
     ///
     /// # Errors
     ///
     /// Rejects transactions outside the registered region.
-    pub fn serve(
-        &mut self,
-        now: SimTime,
-        routed: &RoutedRequest,
-    ) -> Result<SimTime, EndpointError> {
-        self.endpoint.serve(now, routed, self.pasid)
+    pub fn serve(&mut self, now: SimTime, routed: &RoutedRequest) -> Result<SimTime, C1Error> {
+        Ok(self.c1.master(now, &routed.req, self.pasid)? + self.dram_latency)
     }
 
-    /// The PASID this donor serves under.
-    pub fn pasid(&self) -> Pasid {
-        self.pasid
-    }
-
-    /// The underlying endpoint (C1 stats).
-    pub fn endpoint(&self) -> &MemoryStealingEndpoint {
-        &self.endpoint
+    /// The C1 port (mastered and faulted counts).
+    pub fn c1(&self) -> &C1Port {
+        &self.c1
     }
 }

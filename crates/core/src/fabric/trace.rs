@@ -7,7 +7,7 @@
 //! tracing-enabled [`Fabric`](crate::fabric::Fabric) is tagged with a
 //! [`TraceId`] at M1 capture; the engine records a checkpoint at every
 //! event boundary the load crosses (LLC offer, wire transmit, delivery,
-//! memory completion, retire) and [`FlitTracer::finish`] subdivides the
+//! memory completion, retire) and `FlitTracer::finish` subdivides the
 //! fixed-latency intervals between checkpoints analytically into
 //! [`Span`]s — one per [`HopKind`]. Because the spans are constructed as
 //! *contiguous* segments of the `[issued, retired]` interval, their
@@ -634,10 +634,6 @@ impl FlitTracer {
 
     pub(crate) fn traces(&self) -> &[FlitTrace] {
         &self.finished
-    }
-
-    pub(crate) fn take(&mut self) -> Vec<FlitTrace> {
-        std::mem::take(&mut self.finished)
     }
 }
 

@@ -8,9 +8,9 @@
 //! * [`config`] — the five experimental system configurations of §VI-A
 //!   (local, single-disaggregated, bonding-disaggregated, interleaved,
 //!   scale-out).
-//! * [`endpoint`] — the compute endpoint (OpenCAPI M1 + RMMU + routing)
-//!   and the memory-stealing endpoint (OpenCAPI C1 + PASID).
-//! * [`fabric`] — the flit-level pipeline, configured through link-slot,
+//! * [`fabric`] — the flit-level pipeline: the compute endpoint (M1
+//!   capture, RMMU translate, router) and the memory-stealing endpoint
+//!   (C1 master + donor DRAM) as stages, configured through link-slot,
 //!   donor and route tables over one shared event queue, in arbitrary
 //!   topologies (point-to-point, 1×N fan-out, circuit-switched rack,
 //!   multi-hop meshes), with dynamic path attach/detach at flit
@@ -22,8 +22,6 @@
 //!   against the fabric, used by the `workloads` crate.
 //! * [`rack`] / [`attach`] — rack assembly: control plane + node agents
 //!   + hosts, with the full attach/detach lifecycle.
-//! * [`scaling`] — the §VII projections (switching layers vs latency,
-//!   circuit vs packet fabrics, ASIC-integration headroom).
 //!
 //! # Example
 //!
@@ -45,12 +43,10 @@
 
 pub mod attach;
 pub mod config;
-pub mod endpoint;
 pub mod fabric;
 pub mod memmodel;
 pub mod params;
 pub mod rack;
-pub mod scaling;
 
 pub use attach::{AttachRequest, Lease, LeaseId};
 pub use config::SystemConfig;

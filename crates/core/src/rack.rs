@@ -34,9 +34,9 @@ use simkit::time::SimTime;
 use crate::attach::{AttachRequest, Lease, LeaseId};
 use crate::config::SystemConfig;
 use crate::fabric::{
-    ChaosPlan, CongestionReport, Fabric, FabricBuilder, FabricError, FlitTrace, Journal,
-    JournalKind, JournalRecord, LatencyBreakdown, LinkCongestion, PathId, PathSpec, SloBreach,
-    SloSpec, StreamLoad,
+    ChaosPlan, CongestionReport, Fabric, FabricBuilder, FabricError, Journal, JournalKind,
+    JournalRecord, LatencyBreakdown, LinkCongestion, PathId, PathSpec, SloBreach, SloSpec,
+    StreamLoad,
 };
 use crate::memmodel::MemoryModel;
 use crate::params::DatapathParams;
@@ -1007,17 +1007,6 @@ impl Rack {
         let (fabric, path) = self.lease_fabric(id)?;
         fabric.measure_traced_load(path)?;
         Ok(fabric.path_breakdown(path)?)
-    }
-
-    /// Measures one uncontended load over the lease's path with span
-    /// tracing forced on, returning the load's complete flit trace.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown leases or fabric protocol violations.
-    pub fn trace_lease_load(&mut self, id: LeaseId) -> Result<FlitTrace, RackError> {
-        let (fabric, path) = self.lease_fabric(id)?;
-        Ok(fabric.measure_traced_load(path)?)
     }
 
     /// Runs a closed-loop read stream over the lease's flit-level path

@@ -13,11 +13,15 @@
 //!    workload survives an interior link cut mid-run: the route is
 //!    rebuilt around the cut, every in-flight load still resolves
 //!    exactly once, and the detour avoids the downed link.
+//!
+//! It also measures the paper's §VII scaling claim on the fabric: at
+//! most one switching layer keeps the remote load-to-use in budget.
 
-use routing::topology::{Line, Torus2D};
+use netsim::switch::CircuitSwitch;
+use routing::topology::{Clos, Line, Torus2D};
 use simkit::time::SimTime;
 use thymesisflow_core::fabric::{
-    ChaosPlan, FabricBuilder, HopKind, PathSpec, WireDir,
+    ChaosPlan, Fabric, FabricBuilder, HopKind, PathId, PathSpec, WireDir,
 };
 use thymesisflow_core::params::DatapathParams;
 
@@ -169,4 +173,58 @@ fn named_chaos_on_unknown_link_is_refused() {
         err,
         thymesisflow_core::fabric::FabricError::Topology(_)
     ));
+}
+
+/// A warm uncontended load's RTT: the second load on `path`, because a
+/// switched path's first one waits ~25 µs for its circuit.
+fn warm_rtt(mut fabric: Fabric, path: PathId) -> SimTime {
+    fabric.measure_load_latency(path).expect("first load completes");
+    fabric.measure_load_latency(path).expect("warm load completes")
+}
+
+/// Warm RTT over one optical circuit layer (a 1-donor circuit rack).
+fn circuit_rtt(params: DatapathParams) -> SimTime {
+    let (fabric, paths) =
+        FabricBuilder::circuit_rack(params, 1, SHARE, CircuitSwitch::optical(8))
+            .expect("circuit rack");
+    warm_rtt(fabric, paths[0])
+}
+
+const SHARE: u64 = 256 << 20;
+
+#[test]
+fn at_most_one_switching_layer_keeps_the_rtt_in_budget() {
+    // §VII: "only rack-scale disaggregation seems a feasible solution
+    // (i.e. at most one switching layer) to maintain the RTT latency to
+    // appropriate levels". Budget: 12× local DRAM.
+    let budget = DatapathParams::prototype().local_load_latency() * 12;
+    assert_eq!(budget.as_ns(), 1_260);
+
+    let (fabric, path) = FabricBuilder::point_to_point(DatapathParams::prototype(), 1, SHARE)
+        .expect("point-to-point");
+    let direct = warm_rtt(fabric, path);
+    assert_eq!(direct.as_ns(), 1_159);
+
+    // One optical circuit layer: one traversal each way, inside budget.
+    let circuit = circuit_rtt(DatapathParams::prototype());
+    assert_eq!(circuit.as_ns(), 1_219);
+    assert_eq!(circuit - direct, CircuitSwitch::optical(8).traversal_latency() * 2);
+    assert!(circuit <= budget, "one circuit layer {circuit} over {budget}");
+
+    // A 2-tier Clos route (leaf → spine → leaf) blows the budget.
+    let clos = Clos::new(1, 2, 1).expect("2-tier Clos");
+    let (src, dst) = (clos.host(0).unwrap(), clos.host(1).unwrap());
+    let (fabric, paths) = FabricBuilder::from_topology(DatapathParams::prototype(), &clos, src)
+        .path_to(dst, PathSpec::reference(SHARE, 1))
+        .build()
+        .expect("2-tier Clos fabric");
+    let two_tier = warm_rtt(fabric, paths[0]);
+    assert_eq!(two_tier.as_ns(), 2_083);
+    assert!(two_tier > budget, "two switching tiers {two_tier} within {budget}");
+
+    // ASIC integration buys the switching layer back: ASIC plus one
+    // circuit layer beats the direct-attached FPGA prototype.
+    let asic = circuit_rtt(DatapathParams::asic_integrated());
+    assert_eq!(asic.as_ns(), 735);
+    assert!(asic < direct, "asic + circuit {asic} vs prototype {direct}");
 }

@@ -16,8 +16,6 @@
 //!   memory at runtime.
 //! * [`numa`] — NUMA nodes (including the CPU-less nodes that host
 //!   remote memory), allocation policies and the interleave machinery.
-//! * [`perf`] — the perf-events counter model behind the paper's
-//!   §VI-D profiling methodology (task-clock, IPC, back-end stalls).
 //! * [`migration`] — AutoNUMA-style page migration that moves hot pages
 //!   from distant to closer nodes.
 //! * [`node`] — a complete host assembling all of the above.
@@ -42,7 +40,6 @@ pub mod migration;
 pub mod mmu;
 pub mod node;
 pub mod numa;
-pub mod perf;
 pub mod physmap;
 
 pub use cpu::CpuTopology;

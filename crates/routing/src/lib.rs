@@ -28,11 +28,9 @@
 //! # Ok::<(), routing::RouteError>(())
 //! ```
 
-pub mod arbiter;
 pub mod plan;
 pub mod topology;
 
-pub use arbiter::RoundRobin;
 pub use plan::FlowPlan;
 pub use topology::{
     Clos, Line, Mesh, NodeId, NodeKind, Ring, Route, TopoLink, TopoNode, Topology,

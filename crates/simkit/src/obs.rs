@@ -5,7 +5,7 @@
 //!
 //! The recorder is *pull-based and passive*: the simulation loop asks
 //! [`Recorder::due`] whether the cadence has elapsed and, when it has,
-//! hands over a [`Snapshot`](crate::telemetry::Snapshot). Recording
+//! hands over a [`Snapshot`]. Recording
 //! never schedules events, reads wall clocks, or touches simulation
 //! state, so an instrumented run keeps the exact trajectory of an
 //! uninstrumented one — the same determinism contract the registry

@@ -5,7 +5,7 @@
 //! `fabric.llc_tx.credit_stalls`, `fabric.link0.fwd.frames_sent`) and the
 //! harnesses read them back as [`Snapshot`]s — an ordered map that can be
 //! diffed against an earlier snapshot and exported through the vendored
-//! `serde` [`Value`](serde::Value) tree / JSON.
+//! `serde` [`Value`] tree / JSON.
 //!
 //! Design constraints, in order:
 //!

@@ -21,6 +21,7 @@
 //! | TF012 | no order-sensitive float accumulation over unordered collections |
 //! | TF013 | no public fallible `&mut self` APIs returning bare `bool`/`Option<()>` where the crate has a typed error |
 //! | TF014 | no `println!`/`eprintln!` (or `print!`/`eprint!`) in simulation crate library code |
+//! | TF015 | no file-backed `pub mod` in a crate root that nothing outside its own files names (workspace runs only) |
 //!
 //! A finding is suppressed by a `// tflint::allow(TFnnn): reason`
 //! comment on the same line or the line directly above; the reason is
@@ -42,6 +43,10 @@
 //! caught without type inference — and why the index needs no `syn`
 //! (the registry is unavailable; the hand-rolled lexer carries
 //! line:column spans, which is all the rules need).
+//!
+//! TF015 (a dead `pub mod`) needs the whole workspace: only
+//! [`check_workspace`] runs it, and it also lexes `tests/`, `benches/`,
+//! `examples/` and `perfbench/src/` for references.
 //!
 //! Run it as `cargo run -p tflint -- check [--format json]
 //! [--audit-allows]`, or let the per-crate [`gate!`] tests run it under
@@ -70,7 +75,12 @@ pub const RULES: &[(&str, &str)] = &[
     ("TF012", "no order-sensitive float accumulation (sum/product/fold) over unordered hash collections"),
     ("TF013", "no public fallible &mut self API returning bare bool/Option<()> where the crate defines a typed error"),
     ("TF014", "no println!/eprintln!/print!/eprint! in simulation crate library code (examples and benches own the console; observations export through the telemetry registry or the journal)"),
+    ("TF015", "no file-backed `pub mod` in a crate root that nothing outside its own files names, by a path through it or a name the root re-exports from it (workspace runs only)"),
 ];
+
+/// Rules only a whole-workspace run can decide: the per-crate gate
+/// neither runs them nor reports their allows as stale.
+const WORKSPACE_RULES: &[&str] = &["TF015"];
 
 /// Allow-audit rule IDs (reported by `--audit-allows` and the gates).
 pub const AUDIT_RULES: &[(&str, &str)] = &[
@@ -85,7 +95,7 @@ pub const JSON_SCHEMA_VERSION: u64 = 1;
 /// One lint finding, anchored to a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule ID (`TF001`..`TF014`, or `ALW001`/`ALW002` from the audit).
+    /// Rule ID (`TF001`..`TF015`, or `ALW001`/`ALW002` from the audit).
     pub rule: &'static str,
     /// Path of the offending file, as given to the checker.
     pub file: String,
@@ -652,7 +662,12 @@ impl WorkspaceIndex {
 /// One lexed file staged between the index pass and the rule pass.
 struct Unit {
     crate_name: String,
+    /// The crate's name in paths (`thymesisflow_core` for `crates/core`).
+    crate_ident: String,
     rel_path: String,
+    /// Whether the rules run on this file; the others are lexed only for
+    /// the references TF015 counts.
+    lint: bool,
     toks: Vec<Tok>,
     allows: Vec<Allow>,
     test_mask: Vec<bool>,
@@ -664,7 +679,9 @@ impl Unit {
         let test_mask = test_code_mask(&toks);
         Unit {
             crate_name: crate_name.to_string(),
+            crate_ident: crate_name.replace('-', "_"),
             rel_path: rel_path.to_string(),
+            lint: true,
             toks,
             allows,
             test_mask,
@@ -675,7 +692,8 @@ impl Unit {
 /// Pass one: scan each unit's tokens for items and the derived facts.
 fn build_index(units: &[Unit]) -> WorkspaceIndex {
     let mut idx = WorkspaceIndex::default();
-    for unit in units {
+    let units: Vec<&Unit> = units.iter().filter(|u| u.lint).collect();
+    for &unit in &units {
         let entry = idx.crates.entry(unit.crate_name.clone()).or_default();
         entry.hash_types.insert("HashMap".to_string());
         entry.hash_types.insert("HashSet".to_string());
@@ -701,7 +719,7 @@ fn build_index(units: &[Unit]) -> WorkspaceIndex {
             .insert((unit.crate_name.clone(), unit.rel_path.clone()), items);
     }
     // Hash-typed names need the alias set complete first.
-    for unit in units {
+    for &unit in &units {
         let hash_types = idx
             .crates
             .get(&unit.crate_name)
@@ -979,8 +997,26 @@ pub fn check_sources(files: &[(&str, &str, &str)]) -> Vec<Diagnostic> {
         .iter()
         .map(|(c, p, s)| Unit::new(c, p, s))
         .collect();
-    let (diags, _) = run_units(&units);
+    let (diags, _) = run_units(&units, false);
     diags
+}
+
+/// Lints `files` as a workspace run does, TF015 included; `references`
+/// (`tests/`, `benches/`, `examples/` files) are lexed only for the
+/// names TF015 counts. A linted path runs from the crate's `src/`.
+pub fn check_workspace_sources(
+    files: &[(&str, &str, &str)],
+    references: &[(&str, &str, &str)],
+) -> Vec<Diagnostic> {
+    let units: Vec<Unit> = files
+        .iter()
+        .map(|(c, p, s)| Unit::new(c, p, s))
+        .chain(references.iter().map(|(c, p, s)| Unit {
+            lint: false,
+            ..Unit::new(c, p, s)
+        }))
+        .collect();
+    run_units(&units, true).0
 }
 
 /// Audits the allow comments of a set of files: stale allows (naming a
@@ -991,7 +1027,7 @@ pub fn audit_sources(files: &[(&str, &str, &str)]) -> Vec<Diagnostic> {
         .iter()
         .map(|(c, p, s)| Unit::new(c, p, s))
         .collect();
-    let (_, audit) = run_units(&units);
+    let (_, audit) = run_units(&units, false);
     audit
 }
 
@@ -1006,13 +1042,16 @@ pub fn index_sources(files: &[(&str, &str, &str)]) -> WorkspaceIndex {
 }
 
 /// Two-pass driver: index, per-unit rules, allow application, audit.
-/// Returns (rule diagnostics after allows, allow-audit diagnostics).
-fn run_units(units: &[Unit]) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
+/// `workspace` adds the [`WORKSPACE_RULES`]. Returns (rule diagnostics
+/// after allows, allow-audit diagnostics).
+fn run_units(units: &[Unit], workspace: bool) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
     let idx = build_index(units);
+    let cross = if workspace { check_tf015(units) } else { Vec::new() };
     let mut kept = Vec::new();
     let mut audit = Vec::new();
-    for unit in units {
-        let raw = check_unit(unit, &idx);
+    for (ui, unit) in units.iter().enumerate().filter(|(_, u)| u.lint) {
+        let mut raw = check_unit(unit, &idx);
+        raw.extend(cross.iter().filter(|(at, _)| *at == ui).map(|(_, d)| d.clone()));
         // Track, per allow comment and per named rule, whether it
         // suppressed at least one raw finding.
         let mut used = vec![vec![false; 0]; unit.allows.len()];
@@ -1037,7 +1076,8 @@ fn run_units(units: &[Unit]) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
         }
         for (ai, a) in unit.allows.iter().enumerate() {
             for (ri, r) in a.rules.iter().enumerate() {
-                if !used[ai][ri] {
+                let undecided = !workspace && WORKSPACE_RULES.contains(&r.as_str());
+                if !used[ai][ri] && !undecided {
                     audit.push(Diagnostic {
                         rule: "ALW001",
                         file: unit.rel_path.clone(),
@@ -1695,10 +1735,148 @@ fn cast_source_is_unit_like(toks: &[Tok], as_idx: usize) -> bool {
     false
 }
 
+// ------------------------------------------------------------------ TF015
+
+/// Adjacent `a::b` path segments in a token stream. A grouped import
+/// pairs each member with the group's prefix (`c::{m::X, n}` gives
+/// `(c, m)`, `(m, X)` and `(c, n)`).
+fn path_pairs(toks: &[&Tok]) -> BTreeSet<(String, String)> {
+    let mut pairs = BTreeSet::new();
+    // Per open brace, the segment an `a::{` group hangs off.
+    let mut groups: Vec<Option<&str>> = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        let prev = |k: usize| i.checked_sub(k).map(|j| toks[j]);
+        let after_path = match (prev(2), prev(1)) {
+            (Some(a), Some(sep)) if a.kind == Kind::Ident && sep.text == "::" => {
+                Some(a.text.as_str())
+            }
+            _ => None,
+        };
+        if t.kind == Kind::Punct && t.text == "{" {
+            groups.push(after_path);
+        } else if t.kind == Kind::Punct && t.text == "}" {
+            groups.pop();
+        } else if t.kind == Kind::Ident {
+            let in_group = prev(1).is_some_and(|p| p.text == "{" || p.text == ",");
+            let group = groups.last().copied().flatten().filter(|_| in_group);
+            if let Some(a) = after_path.or(group) {
+                pairs.insert((a.to_string(), t.text.clone()));
+            }
+        }
+    }
+    pairs
+}
+
+/// The path of a linted file below its crate's `src/`
+/// (`fabric/engine.rs`; `lib.rs` is the crate root).
+fn src_relative(rel_path: &str) -> &str {
+    match rel_path.strip_prefix("src/") {
+        Some(rest) => rest,
+        None => rel_path.rfind("/src/").map_or(rel_path, |i| &rel_path[i + "/src/".len()..]),
+    }
+}
+
+/// TF015: a crate root's file-backed `pub mod m;` that no file outside
+/// `m`'s own names, by a path through `m` (`c::m::X`, `crate::m`,
+/// `use c::{m::X}`, `m::X` in the root) or by a path to a name the root
+/// re-exports from it (`pub use m::X` makes `c::X` count). The root's
+/// `pub use` lines themselves do not count; `use c as d` renames do.
+/// Findings come with the index of the root unit they sit in.
+fn check_tf015(units: &[Unit]) -> Vec<(usize, Diagnostic)> {
+    // Every name a crate is reached by: its own, plus `use c as d`.
+    let mut reach: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for u in units {
+        reach.entry(&u.crate_ident).or_default().insert(&u.crate_ident);
+    }
+    for w in units.iter().flat_map(|u| u.toks.windows(4)) {
+        if w[0].text == "use" && w[2].text == "as" {
+            if let Some(names) = reach.get_mut(w[1].text.as_str()) {
+                names.insert(&w[3].text);
+            }
+        }
+    }
+    let pairs: Vec<_> = units
+        .iter()
+        .map(|u| path_pairs(&u.toks.iter().collect::<Vec<_>>()))
+        .collect();
+    let mut diags = Vec::new();
+    for (ri, root) in units.iter().enumerate() {
+        if !root.lint || src_relative(&root.rel_path) != "lib.rs" {
+            continue;
+        }
+        // Split the root's `pub use` lines from the rest of it.
+        let toks = &root.toks;
+        let mut reexport = vec![false; toks.len()];
+        for (i, w) in toks.windows(2).enumerate() {
+            if w[0].text == "pub" && w[1].text == "use" {
+                let end = toks[i..].iter().position(|t| t.text == ";");
+                reexport[i..end.map_or(toks.len(), |n| i + n)].fill(true);
+            }
+        }
+        let split = |re: bool| -> Vec<&Tok> {
+            toks.iter().zip(&reexport).filter(|(_, &r)| r == re).map(|(t, _)| t).collect()
+        };
+        let (exports, body) = (path_pairs(&split(true)), path_pairs(&split(false)));
+        let mut depth = 0;
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind == Kind::Punct {
+                depth += i32::from(t.text == "{") - i32::from(t.text == "}");
+            }
+            let [_, kw, name, semi, ..] = &toks[i..] else { break };
+            let decl = [t, kw, semi].map(|t| t.text.as_str()) == ["pub", "mod", ";"];
+            if !decl || depth != 0 || root.test_mask[i] {
+                continue;
+            }
+            let m = name.text.as_str();
+            let names: BTreeSet<&str> = std::iter::once(m)
+                .chain(exports.iter().filter(|(a, _)| a == m).map(|(_, b)| b.as_str()))
+                .collect();
+            let named_by = |ui: usize, u: &Unit| {
+                let rel = src_relative(&u.rel_path);
+                let mut through = reach[root.crate_ident.as_str()].clone();
+                if u.lint && u.crate_ident == root.crate_ident {
+                    if rel == format!("{m}.rs") || rel.starts_with(&format!("{m}/")) {
+                        return false;
+                    }
+                    through.insert("crate");
+                    // `super` is the root from a top-level module file.
+                    if !rel.trim_end_matches("/mod.rs").contains('/') {
+                        through.insert("super");
+                    }
+                }
+                ui != ri
+                    && pairs[ui]
+                        .iter()
+                        .any(|(a, b)| through.contains(a.as_str()) && names.contains(b.as_str()))
+            };
+            let named = body.iter().any(|(a, b)| a == m || names.contains(b.as_str()))
+                || units.iter().enumerate().any(|(ui, u)| named_by(ui, u));
+            if !named {
+                diags.push((ri, Diagnostic {
+                    rule: "TF015",
+                    file: root.rel_path.clone(),
+                    line: kw.line,
+                    col: kw.col,
+                    message: format!(
+                        "`pub mod {m};`: no file outside `{}::{m}`'s own names it (no path \
+                         through it, no use of a name the root re-exports from it); delete \
+                         the module, or move what is still wanted next to its caller",
+                        root.crate_ident
+                    ),
+                }));
+            }
+        }
+    }
+    diags
+}
+
 // ------------------------------------------------------------ file walking
 
-/// Collects (crate, rel_path, source) units for one crate directory.
-fn collect_crate_units(crate_dir: &Path) -> io::Result<Vec<Unit>> {
+/// Collects (crate, rel_path, source) units for one crate directory's
+/// `src/`; with `references`, also its `tests/`, `benches/` and
+/// `examples/`, lexed for TF015 only. Paths reach the crate by its
+/// `[package] name`, with `-` as `_`.
+fn collect_crate_units(crate_dir: &Path, references: bool) -> io::Result<Vec<Unit>> {
     let crate_name = if crate_dir.join("crates").is_dir() {
         "thymesisflow".to_string()
     } else {
@@ -1708,22 +1886,55 @@ fn collect_crate_units(crate_dir: &Path) -> io::Result<Vec<Unit>> {
             .unwrap_or("thymesisflow")
             .to_string()
     };
+    let manifest = std::fs::read_to_string(crate_dir.join("Cargo.toml")).unwrap_or_default();
+    let ident = manifest
+        .split("[package]")
+        .nth(1)
+        .and_then(|pkg| {
+            pkg.lines()
+                .find_map(|l| l.trim().strip_prefix("name")?.trim().strip_prefix('='))
+        })
+        .map_or(crate_name.as_str(), |v| v.trim().trim_matches('"'))
+        .replace('-', "_");
+    let dirs: &[&str] = if references {
+        &["src", "tests", "benches", "examples"]
+    } else {
+        &["src"]
+    };
     let mut units = Vec::new();
-    let src = crate_dir.join("src");
-    if src.is_dir() {
-        walk(&src, &mut |path| {
-            let source = std::fs::read_to_string(path)?;
-            let rel = path.to_string_lossy().into_owned();
-            units.push(Unit::new(&crate_name, &rel, &source));
-            Ok(())
-        })?;
+    for &dir in dirs {
+        collect_dir(&crate_dir.join(dir), &crate_name, &ident, dir == "src", &mut units)?;
     }
     Ok(units)
 }
 
+/// Lexes every `.rs` file under `dir` (if it exists) into `units`.
+fn collect_dir(
+    dir: &Path,
+    crate_name: &str,
+    crate_ident: &str,
+    lint: bool,
+    units: &mut Vec<Unit>,
+) -> io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
+    walk(dir, &mut |path| {
+        let source = std::fs::read_to_string(path)?;
+        units.push(Unit {
+            crate_ident: crate_ident.to_string(),
+            lint,
+            ..Unit::new(crate_name, &path.to_string_lossy(), &source)
+        });
+        Ok(())
+    })
+}
+
 /// Collects units for the whole workspace rooted at `root`: the root
-/// package plus every crate under `crates/`. `vendor/` (offline
-/// dependency stand-ins) and `target/` are never linted.
+/// package plus every crate under `crates/`, each with its `tests/`,
+/// `benches/` and `examples/`, and `perfbench/src/` (only TF015 reads
+/// those). `vendor/` (offline dependency stand-ins) and `target/` are
+/// never read.
 fn collect_workspace_units(root: &Path) -> io::Result<Vec<Unit>> {
     // A mistyped root would otherwise scan nothing and report a clean
     // workspace — a false green for CI.
@@ -1733,7 +1944,9 @@ fn collect_workspace_units(root: &Path) -> io::Result<Vec<Unit>> {
             format!("no src/ or crates/ under {}", root.display()),
         ));
     }
-    let mut units = collect_crate_units(root)?;
+    let mut units = collect_crate_units(root, true)?;
+    let perfbench = root.join("perfbench");
+    collect_dir(&perfbench.join("src"), "perfbench", "perfbench", false, &mut units)?;
     let crates = root.join("crates");
     if crates.is_dir() {
         let mut dirs: Vec<_> = std::fs::read_dir(&crates)?
@@ -1743,44 +1956,38 @@ fn collect_workspace_units(root: &Path) -> io::Result<Vec<Unit>> {
             .collect();
         dirs.sort();
         for dir in dirs {
-            units.extend(collect_crate_units(&dir)?);
+            units.extend(collect_crate_units(&dir, true)?);
         }
     }
     Ok(units)
 }
 
-/// Lints every `.rs` file under `crate_dir/src`. The crate name is taken
-/// from the directory name (the workspace root maps to `thymesisflow`).
-/// `tests/`, `benches/`, and `examples/` are intentionally out of scope.
-/// The cross-file index covers the crate's own files.
-pub fn check_crate(crate_dir: &Path) -> io::Result<Vec<Diagnostic>> {
-    let units = collect_crate_units(crate_dir)?;
-    Ok(run_units(&units).0)
-}
-
-/// Lints one crate *and* audits its allow comments: rule findings plus
-/// ALW001 (stale allow) / ALW002 (reasonless allow). This is what the
-/// per-crate [`gate!`] test runs, so allow hygiene fails `cargo test`
-/// the same way a rule violation does.
+/// Lints every `.rs` file under `crate_dir/src` *and* audits its allow
+/// comments: rule findings plus ALW001 (stale allow) / ALW002
+/// (reasonless allow). The crate name is taken from the directory name
+/// (the workspace root maps to `thymesisflow`), and the cross-file index
+/// covers the crate's own files. This is what the per-crate [`gate!`]
+/// test runs, so allow hygiene fails `cargo test` the same way a rule
+/// violation does.
 pub fn gate_crate(crate_dir: &Path) -> io::Result<Vec<Diagnostic>> {
-    let units = collect_crate_units(crate_dir)?;
-    let (mut diags, audit) = run_units(&units);
+    let units = collect_crate_units(crate_dir, false)?;
+    let (mut diags, audit) = run_units(&units, false);
     diags.extend(audit);
     Ok(diags)
 }
 
 /// Lints the whole workspace rooted at `root` with the full cross-crate
-/// index in scope.
+/// index in scope, TF015 included.
 pub fn check_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     let units = collect_workspace_units(root)?;
-    Ok(run_units(&units).0)
+    Ok(run_units(&units, true).0)
 }
 
 /// Audits every allow comment in the workspace: stale and reasonless
 /// allows as ALW00x diagnostics (empty when hygiene is clean).
 pub fn audit_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     let units = collect_workspace_units(root)?;
-    Ok(run_units(&units).1)
+    Ok(run_units(&units, true).1)
 }
 
 fn walk(dir: &Path, f: &mut dyn FnMut(&Path) -> io::Result<()>) -> io::Result<()> {

@@ -1,10 +1,13 @@
 //! Fixture tests for the workspace-aware determinism rules TF009–TF014,
-//! the allow audit (ALW001/ALW002), the cross-file index, and the JSON
-//! report. Each rule gets a positive (fires, pinned count), an allowed
-//! (suppressed by a reasoned allow), and a negative (must stay silent)
-//! fixture, mirroring the TF001–TF008 suite in `rules.rs`.
+//! the dead-module rule TF015, the allow audit (ALW001/ALW002), the
+//! cross-file index, and the JSON report. Each rule gets a positive
+//! (fires, pinned count), an allowed (suppressed by a reasoned allow),
+//! and a negative (must stay silent) fixture, mirroring the TF001–TF008
+//! suite in `rules.rs`.
 
-use tflint::{audit_sources, check_source, check_sources, index_sources, render};
+use tflint::{
+    audit_sources, check_source, check_sources, check_workspace_sources, index_sources, render,
+};
 
 fn rules_of(diags: &[tflint::Diagnostic]) -> Vec<&'static str> {
     diags.iter().map(|d| d.rule).collect()
@@ -479,6 +482,98 @@ pub fn panic_hook() {
 ";
     let files = [("netsim", "src/switch.rs", src)];
     assert!(check_sources(&files).is_empty());
+    assert!(audit_sources(&files).is_empty());
+}
+
+// ----------------------------------------------------------------- TF015
+
+/// Crate `c` (root `root`, module `m` holding `X`, module `used`) and
+/// crate `d`, which calls `c::used`; `extra` files are added or replace
+/// a same-path file.
+type File<'a> = (&'a str, &'a str, &'a str);
+
+fn tf015<'a>(root: &'a str, extra: &[File<'a>]) -> Vec<File<'a>> {
+    let mut files = vec![
+        ("c", "src/lib.rs", root),
+        ("c", "src/m.rs", "pub struct X;\n"),
+        ("c", "src/used.rs", "pub fn f() {}\n"),
+        ("d", "src/lib.rs", "pub fn g() { c::used::f() }\n"),
+    ];
+    files.retain(|f| extra.iter().all(|e| (e.0, e.1) != (f.0, f.1)));
+    files.extend_from_slice(extra);
+    files
+}
+
+const C_ROOT: &str = "//! Crate c.\npub mod m;\npub mod used;\n";
+
+#[test]
+fn tf015_flags_a_module_nothing_names() {
+    let files = tf015(C_ROOT, &[]);
+    let diags = check_workspace_sources(&files, &[]);
+    assert_eq!(rules_of(&diags), ["TF015"], "\n{}", render(&diags));
+    assert_eq!((diags[0].file.as_str(), diags[0].line), ("src/lib.rs", 2));
+    assert!(diags[0].message.contains("`c::m`"));
+    // The per-crate entry points cannot see other crates: no TF015.
+    assert!(check_sources(&files).is_empty());
+}
+
+#[test]
+fn tf015_flags_a_module_named_only_by_its_own_tests() {
+    let m = "pub struct X;\n#[cfg(test)]\nmod tests { use crate::m::X; fn t() { c::m::X; } }\n";
+    let extra = [("c", "src/m/mod.rs", m), ("c", "src/m/more.rs", "use super::X;\n")];
+    let mut files = tf015(C_ROOT, &extra);
+    files.retain(|f| f.1 != "src/m.rs");
+    let diags = check_workspace_sources(&files, &[]);
+    assert_eq!(rules_of(&diags), ["TF015"], "\n{}", render(&diags));
+}
+
+#[test]
+fn tf015_counts_grouped_imports_sibling_paths_and_crate_renames() {
+    for user in [
+        ("d", "src/lib.rs", "use c::{used::f, m::X};\n"),
+        ("d", "src/lib.rs", "use c::{self, used, m};\n"),
+        ("c", "src/used.rs", "pub fn f(_: crate::m::X) {}\n"),
+        ("c", "src/used.rs", "use super::m;\npub fn f() {}\n"),
+        ("e", "src/lib.rs", "pub use c as core;\nuse crate::core::{used::f, m::X};\n"),
+    ] {
+        let diags = check_workspace_sources(&tf015(C_ROOT, &[user]), &[]);
+        assert!(diags.is_empty(), "{user:?}\n{}", render(&diags));
+    }
+}
+
+#[test]
+fn tf015_counts_references_from_tests_benches_and_examples() {
+    for path in ["tests/t.rs", "benches/b.rs", "examples/e.rs"] {
+        let refs = [("c", path, "use c::m::X;\nfn main() { let _ = X; }\n")];
+        let diags = check_workspace_sources(&tf015(C_ROOT, &[]), &refs);
+        assert!(diags.is_empty(), "{path}\n{}", render(&diags));
+    }
+}
+
+#[test]
+fn tf015_counts_use_through_a_root_reexport_but_not_the_reexport_itself() {
+    let files = tf015("pub mod m;\npub mod used;\npub use m::X;\n", &[]);
+    let diags = check_workspace_sources(&files, &[]);
+    assert_eq!(rules_of(&diags), ["TF015"], "\n{}", render(&diags));
+    let diags = check_workspace_sources(&files, &[("d", "tests/t.rs", "use c::X;\n")]);
+    assert!(diags.is_empty(), "\n{}", render(&diags));
+}
+
+#[test]
+fn tf015_ignores_inline_and_private_modules_and_honours_allows() {
+    let root = "\
+pub mod inline { pub fn f() {} }
+mod private;
+pub(crate) mod scoped;
+pub mod used;
+// tflint::allow(TF015): kept for the next release's public API.
+pub mod m;
+";
+    let extra = [("c", "src/private.rs", ""), ("c", "src/scoped.rs", "")];
+    let files = tf015(root, &extra);
+    let diags = check_workspace_sources(&files, &[]);
+    assert!(diags.is_empty(), "\n{}", render(&diags));
+    // The gate never runs TF015, so it does not call that allow stale.
     assert!(audit_sources(&files).is_empty());
 }
 

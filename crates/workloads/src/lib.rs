@@ -29,7 +29,6 @@ pub mod runner;
 pub mod search;
 pub mod stream;
 pub mod voltdb;
-pub mod voltdb_sim;
 pub mod ycsb;
 
 pub use runner::WorkloadRunner;

@@ -18,8 +18,8 @@
 //! * [`hostsim`] — the host substrate (cores, caches, NUMA, memory hotplug).
 //! * [`ctrlplane`] — the software-defined control plane (property graph,
 //!   path finding, REST-style API, agents).
-//! * [`core`](thymesisflow_core) — the assembled ThymesisFlow endpoints,
-//!   rack builder, attach/detach lifecycle and the calibrated memory model.
+//! * [`core`] — the flit-level fabric, rack builder, attach/detach
+//!   lifecycle and the calibrated memory model.
 //! * [`workloads`] — STREAM, YCSB/VoltDB, Memcached and Elasticsearch-like
 //!   application models used by the paper's evaluation.
 //! * [`dcsim`] — the data-centre motivation simulator (paper Fig. 1).

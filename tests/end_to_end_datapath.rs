@@ -1,15 +1,19 @@
 //! Cross-crate integration: the flit-level datapath — the reference
 //! point-to-point fabric — against the analytic calibration and the
-//! paper's §V prototype envelope, and the endpoint pipeline's legality
-//! checks.
+//! paper's §V prototype envelope, and the legality checks of the
+//! pipeline stages every load crosses.
 
-use thymesisflow::core::endpoint::{ComputeEndpoint, EndpointError, MemoryStealingEndpoint};
-use thymesisflow::core::fabric::{Fabric, FabricBuilder, PathId, StageKind};
+use thymesisflow::core::fabric::{
+    C1MasterDram, Fabric, FabricBuilder, FabricError, M1Capture, PathId, RmmuTranslate,
+    RouterStage, StageKind, WindowSpec,
+};
 use thymesisflow::core::params::DatapathParams;
+use thymesisflow::opencapi::c1::C1Error;
 use thymesisflow::opencapi::pasid::{Pasid, Region};
 use thymesisflow::opencapi::transaction::MemRequest;
 use thymesisflow::rmmu::flow::NetworkId;
 use thymesisflow::rmmu::section::SectionEntry;
+use thymesisflow::rmmu::RoutedRequest;
 use thymesisflow::routing::ChannelId;
 use thymesisflow::simkit::time::SimTime;
 
@@ -118,48 +122,69 @@ fn point_to_point_inventory_is_two_llc_pairs_per_channel() {
 fn full_pipeline_enforces_legality_end_to_end() {
     // The §IV-C security property: "compute endpoint configurations
     // allow memory transactions forwarding only towards legal
-    // destinations, and fail otherwise" — at every stage.
-    let mut compute = ComputeEndpoint::new(WINDOW, 2 * SECTION);
-    compute
-        .program_section(
-            0,
-            SectionEntry::new(DONOR, NetworkId(1)),
-            vec![ChannelId(0)],
-        )
+    // destinations, and fail otherwise" — at every stage a load crosses
+    // in `Fabric::issue_read`, and at the donor.
+    let window = WindowSpec {
+        base: WINDOW,
+        bytes: 2 * SECTION,
+    };
+    let mut capture = M1Capture::new(window);
+    let mut translate = RmmuTranslate::new(window);
+    let mut route = RouterStage::new();
+    translate
+        .program(0, SectionEntry::new(DONOR, NetworkId(1)))
         .unwrap();
+    route.add_route(NetworkId(1), vec![ChannelId(0)]).unwrap();
     // Section 1 deliberately left unprogrammed.
-    let mut memory = MemoryStealingEndpoint::new(SimTime::from_ns(105));
-    memory
-        .register(
-            Pasid(1),
-            Region {
-                ea_base: DONOR,
-                len: SECTION,
-            },
-        )
+    let mut donor = C1MasterDram::new(SimTime::from_ns(105), Pasid(1));
+    donor
+        .register(Region {
+            ea_base: DONOR,
+            len: SECTION,
+        })
         .unwrap();
 
+    // The compute pipeline, stage by stage: M1 capture → RMMU
+    // translate → route pick.
+    let mut issue = |addr: u64| -> Result<(RoutedRequest, ChannelId), FabricError> {
+        let req = MemRequest::read(0, addr);
+        let t = translate.translate(capture.accept(&req)?)?;
+        let ch = route.forward(t.network, t.bonded)?;
+        let routed = RoutedRequest {
+            req: MemRequest::read(0, t.remote_ea.as_u64()),
+            network: t.network,
+            bonded: t.bonded,
+        };
+        Ok((routed, ch))
+    };
+
     // Legal: programmed section, registered donor region.
-    let (routed, ch) = compute
-        .process(&MemRequest::read(0, WINDOW + 0x80))
-        .expect("legal transaction");
+    let (routed, ch) = issue(WINDOW + 0x80).expect("legal transaction");
     assert_eq!(ch, ChannelId(0));
-    assert!(memory.serve(SimTime::ZERO, &routed, Pasid(1)).is_ok());
+    assert_eq!(routed.req.addr, DONOR + 0x80);
+    let done = donor.serve(SimTime::ZERO, &routed).expect("registered region");
+    assert!(done >= SimTime::from_ns(105));
 
     // Illegal at the RMMU: unprogrammed section.
     assert!(matches!(
-        compute.process(&MemRequest::read(0, WINDOW + SECTION + 0x80)),
-        Err(EndpointError::Rmmu(_))
+        issue(WINDOW + SECTION + 0x80),
+        Err(FabricError::Rmmu(_))
     ));
 
     // Illegal at the M1 window: outside the firmware-assigned range.
-    assert!(matches!(
-        compute.process(&MemRequest::read(0, 0x80)),
-        Err(EndpointError::M1(_))
-    ));
+    assert!(matches!(issue(0x80), Err(FabricError::M1(_))));
 
-    // Illegal at the donor: wrong PASID.
-    assert!(memory.serve(SimTime::ZERO, &routed, Pasid(9)).is_err());
+    // Illegal at the donor: an address past its registered region.
+    let stray = RoutedRequest {
+        req: MemRequest::read(0, DONOR + SECTION),
+        ..routed
+    };
+    assert!(matches!(
+        donor.serve(SimTime::ZERO, &stray).map_err(FabricError::from),
+        Err(FabricError::C1(C1Error::Unauthorized { .. }))
+    ));
+    assert_eq!(donor.c1().mastered(), 1);
+    assert_eq!(donor.c1().faulted(), 1);
 }
 
 #[test]
