@@ -95,7 +95,10 @@ echo "==> perfbench (its own workspace: unit tests + one short run per workload 
 # perfbench builds against the crates by path from a separate
 # workspace, so nothing above compiles it; a fabric API change that
 # breaks the benchmark must fail here. Every workload runs at the
-# default seed 1 and at the held-out seed 9001 (perfbench/NOTES.md).
+# default seed 1 and at the held-out seed 9001 (perfbench/NOTES.md),
+# and its simulated digest must match the one pinned in
+# ci/perfbench.digests: a change that moves a digest updates that file
+# and says why in CHANGES.md.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 for seed in 1 9001; do
     for workload in stream_p2p torus_cut rack_churn; do
@@ -106,9 +109,17 @@ for seed in 1 9001; do
             # rack_churn near 11 MiB; dense ones peaked at 74 MiB.
             gate="${gate} and .metrics.peak_rss_mb.value < 32"
         fi
-        cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
-            --workload "${workload}" --seed "${seed}" --seconds 1 --trace 0 | tail -n 1 \
-            | jq -e "${gate}" > /dev/null
+        out=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "${workload}" --seed "${seed}" --seconds 1 --trace 0)
+        tail -n 1 <<< "${out}" | jq -e "${gate}" > /dev/null
+        got="${workload} ${seed} $(sed -n 's/^digest: //p' <<< "${out}")"
+        want=$(grep "^${workload} ${seed} " ci/perfbench.digests || true)
+        if [ "${got}" != "${want}" ]; then
+            echo "perfbench digest differs from ci/perfbench.digests:" >&2
+            echo "  pinned: ${want}" >&2
+            echo "  run:    ${got}" >&2
+            exit 1
+        fi
     done
 done
 

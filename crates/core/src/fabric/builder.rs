@@ -1,9 +1,13 @@
 //! Wires fabric components into topologies.
 //!
 //! [`FabricBuilder`] assembles a [`Fabric`] over one shared event queue
-//! and attaches the requested paths. Since the topology layer landed,
-//! every canned shape is a thin wrapper over a degenerate
-//! [`Topology`]:
+//! and a declared [`Topology`], and attaches the requested paths along
+//! their computed routes — a fabric has no other wiring mode, so
+//! [`FabricBuilder::build`] refuses a builder without
+//! [`FabricBuilder::topology`]. A builder given
+//! [`FabricBuilder::switch`] puts every channel of every path on a
+//! circuit. Every canned shape is a thin wrapper over a degenerate
+//! topology:
 //!
 //! * [`FabricBuilder::point_to_point`] — a 2-node [`routing::Line`];
 //!   the pre-fabric monolith's shape, preserved event-for-event as the
@@ -11,7 +15,7 @@
 //! * [`FabricBuilder::fan_out`] — a 1-tier [`routing::Clos`] (one hub,
 //!   one compute node borrowing from N donors, one network id per
 //!   donor);
-//! * [`FabricBuilder::circuit_rack`] — the same 1-tier Clos through a
+//! * [`FabricBuilder::circuit_rack`] — the same 1-tier Clos with a
 //!   circuit switch, every channel on an allocated circuit;
 //! * [`FabricBuilder::from_topology`] — any [`Topology`] (Line, Ring,
 //!   Torus2D, 2-tier Clos, or a hand-built [`Mesh`]): paths attach by
@@ -36,11 +40,13 @@ pub struct FabricBuilder {
     window: WindowSpec,
     switch: Option<CircuitSwitch>,
     topology: Option<(Mesh, NodeId)>,
-    paths: Vec<(PathSpec, Option<NodeId>)>,
+    paths: Vec<(PathSpec, NodeId)>,
 }
 
 impl FabricBuilder {
-    /// A builder over the rack-default 1 TiB device window.
+    /// A builder over the rack-default 1 TiB device window. It builds
+    /// only once [`FabricBuilder::topology`] declares what it is wired
+    /// over.
     pub fn new(params: DatapathParams) -> Self {
         FabricBuilder {
             params,
@@ -53,9 +59,9 @@ impl FabricBuilder {
     }
 
     /// A builder wired over `topo`, with the compute endpoint on
-    /// `compute`. Paths then attach by destination node
+    /// `compute`. Paths attach by destination node
     /// ([`FabricBuilder::path_to`]) and derive their wiring — including
-    /// interior forwarding stages on multi-hop routes — from computed
+    /// store-and-forward segments on multi-hop routes — from computed
     /// routes.
     pub fn from_topology(
         params: DatapathParams,
@@ -78,7 +84,9 @@ impl FabricBuilder {
         self
     }
 
-    /// Adds a circuit-switching layer paths can route through.
+    /// Adds a circuit-switching layer: every channel of every path then
+    /// rides an allocated circuit, and only single-hop or hub routes
+    /// attach.
     pub fn switch(mut self, switch: CircuitSwitch) -> Self {
         self.switch = Some(switch);
         self
@@ -92,18 +100,10 @@ impl FabricBuilder {
         self
     }
 
-    /// Queues a path to attach at build time over explicit wiring (no
-    /// route computation).
-    pub fn path(mut self, spec: PathSpec) -> Self {
-        self.paths.push((spec, None));
-        self
-    }
-
     /// Queues a path to the donor on topology node `donor` — its wiring
-    /// is derived from the computed route at build time. Requires
-    /// [`FabricBuilder::topology`].
+    /// is derived from the computed route at build time.
     pub fn path_to(mut self, donor: NodeId, spec: PathSpec) -> Self {
-        self.paths.push((spec, Some(donor)));
+        self.paths.push((spec, donor));
         self
     }
 
@@ -111,26 +111,28 @@ impl FabricBuilder {
     ///
     /// # Errors
     ///
-    /// Refuses a device window that is not a whole number of RMMU
-    /// sections at a 128 B aligned base ([`FabricError::Config`]),
-    /// propagates the first failing attach, and fails when
-    /// [`FabricBuilder::path_to`] was used without a declared topology.
+    /// Refuses a builder without a declared topology and a device window
+    /// that is not a whole number of RMMU sections at a 128 B aligned
+    /// base or that wraps past the top of the address space
+    /// ([`FabricError::Config`]), and propagates the first failing
+    /// attach.
     pub fn build(self) -> Result<(Fabric, Vec<PathId>), FabricError> {
+        let (mesh, compute) = self.topology.ok_or_else(|| {
+            FabricError::Config(
+                "a fabric is wired over a declared topology (FabricBuilder::topology)".into(),
+            )
+        })?;
         let mut fabric = Fabric::assemble(
             self.params,
             self.window,
             self.switch.map(SwitchStage::new),
             self.engine,
+            mesh,
+            compute,
         )?;
-        if let Some((mesh, compute)) = self.topology {
-            fabric.install_topology(mesh, compute)?;
-        }
         let mut ids = Vec::with_capacity(self.paths.len());
         for (spec, donor) in &self.paths {
-            ids.push(match donor {
-                Some(node) => fabric.attach_routed(spec, *node)?,
-                None => fabric.attach_path(spec)?,
-            });
+            ids.push(fabric.attach_routed(spec, *donor)?);
         }
         Ok((fabric, ids))
     }
@@ -201,8 +203,8 @@ impl FabricBuilder {
         b.build()
     }
 
-    /// The fan-out shape with every channel routed through `switch`
-    /// circuits.
+    /// The fan-out shape with a circuit switch: every channel rides an
+    /// allocated `switch` circuit.
     ///
     /// # Errors
     ///
@@ -222,7 +224,7 @@ impl FabricBuilder {
             })
             .switch(switch);
         for d in 0..donors {
-            b = b.path_to(hub_host(&clos, 1 + d)?, donor_share(d, share).through_switch());
+            b = b.path_to(hub_host(&clos, 1 + d)?, donor_share(d, share));
         }
         b.build()
     }
@@ -285,12 +287,20 @@ mod tests {
     }
 
     #[test]
-    fn switchless_builders_refuse_switched_paths() {
-        let err = FabricBuilder::new(DatapathParams::prototype())
-            .path(PathSpec::reference(256 << 20, 1).through_switch())
-            .build()
-            .unwrap_err();
-        assert_eq!(err, FabricError::NoSwitch);
+    fn switched_fabrics_refuse_multi_hop_routes() {
+        let line = Line::new(3).unwrap();
+        let switched = |donor| {
+            FabricBuilder::from_topology(DatapathParams::prototype(), &line, NodeId(0))
+                .switch(CircuitSwitch::optical(8))
+                .path_to(donor, PathSpec::reference(256 << 20, 1))
+                .build()
+        };
+        // Node 2 is two hops away: its frames would forward through
+        // node 1, never touching the switch.
+        assert!(matches!(switched(NodeId(2)), Err(FabricError::Config(_))));
+        // A single-hop route rides a circuit.
+        let (fabric, _) = switched(NodeId(1)).unwrap();
+        assert_eq!(fabric.switch_stage().unwrap().switch().circuit_count(), 1);
     }
 
     #[test]
@@ -312,6 +322,8 @@ mod tests {
 
     #[test]
     fn path_to_without_topology_is_refused() {
+        let bare = FabricBuilder::new(DatapathParams::prototype());
+        assert!(matches!(bare.build(), Err(FabricError::Config(_))));
         let err = FabricBuilder::new(DatapathParams::prototype())
             .path_to(NodeId(1), PathSpec::reference(256 << 20, 1))
             .build()

@@ -10,10 +10,11 @@
 //!
 //! Failures target links by *topology name* ([`LinkRef::Name`], e.g.
 //! `"h0x1-h0x2"` on a torus) so a scenario file survives re-wiring; the
-//! raw slot-index form ([`LinkRef::Slot`]) remains for fabrics built
-//! without a topology. Downing a named link that a route merely
-//! *crosses* (an interior hop) exercises adaptive re-route around the
-//! failure rather than endpoint death.
+//! raw slot-index form ([`LinkRef::Slot`]) addresses one endpoint slot,
+//! which is how the engine restores a link after a switch reroute.
+//! Downing a named link that a route merely *crosses* (an interior hop)
+//! exercises adaptive re-route around the failure rather than endpoint
+//! death.
 //!
 //! The contract the fabric upholds under a plan is *exactly-once or
 //! typed fault*: every load in flight when a failure lands either
@@ -32,9 +33,9 @@ use crate::fabric::engine::PathId;
 /// How a chaos event names the link it targets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LinkRef {
-    /// A raw endpoint link-slot index (= channel id). Only meaningful
-    /// on fabrics built without a topology; slot numbering is an
-    /// artifact of attach order.
+    /// A raw endpoint link-slot index (= channel id). Slot numbering is
+    /// an artifact of attach order, so scenarios that must survive
+    /// re-wiring name topology links instead.
     Slot(usize),
     /// A topology link name (e.g. `"h0-hub"`, `"h1x2-h2x2"`). An
     /// endpoint link resolves to every slot riding it; an interior link
@@ -120,14 +121,6 @@ pub enum ChaosEvent {
         /// The failing switch port.
         port: PortId,
     },
-    /// Fail one switch port of the circuit carrying the named link —
-    /// the topology-aware form of [`ChaosEvent::SwitchPortFail`]: the
-    /// scenario names *which link's* circuit loses a port instead of
-    /// hardcoding a port number.
-    SwitchPortFailOn {
-        /// The link whose circuit loses a port.
-        link: LinkRef,
-    },
 }
 
 /// A deterministic failure script: `(instant, event)` pairs handed to
@@ -166,11 +159,6 @@ impl ChaosPlan {
         self.at(at, ChaosEvent::LinkDown { link: LinkRef::named(name) })
     }
 
-    /// Restores the topology link `name` at `at`.
-    pub fn link_up_named(self, at: SimTime, name: &str) -> Self {
-        self.at(at, ChaosEvent::LinkUp { link: LinkRef::named(name) })
-    }
-
     /// Darkens the topology link `name` at `at` for `down_for`.
     pub fn link_flap_named(self, at: SimTime, name: &str, down_for: SimTime) -> Self {
         self.at(
@@ -182,15 +170,6 @@ impl ChaosPlan {
     /// Fails one bonded lane of the topology link `name` at `at`.
     pub fn lane_fail_named(self, at: SimTime, name: &str) -> Self {
         self.at(at, ChaosEvent::LaneFail { link: LinkRef::named(name) })
-    }
-
-    /// Fails a port of the circuit carrying the topology link `name` at
-    /// `at`.
-    pub fn switch_port_fail_on(self, at: SimTime, name: &str) -> Self {
-        self.at(
-            at,
-            ChaosEvent::SwitchPortFailOn { link: LinkRef::named(name) },
-        )
     }
 
     /// Crashes donor `donor` at `at`.

@@ -4,12 +4,15 @@
 //! [`RmmuTranslate`], [`RouterStage`], per-link [`LlcPair`]s and
 //! [`WireChannel`]s, per-donor [`C1MasterDram`]s, an optional
 //! [`SwitchStage`]) and moves messages between them on a single
-//! `simkit::EventQueue`. Topology is dynamic: [`Fabric::attach_path`]
-//! instantiates the flit-level plumbing for one compute→donor flow
-//! (section-table entries, router route, LLC link pairs, channels,
-//! optionally switch circuits) and [`Fabric::detach_path`] tears it back
-//! down, tombstoning the link slots so surviving paths keep their
-//! channel indices and their event trajectories.
+//! `simkit::EventQueue`. Every fabric is wired over a declared topology,
+//! and the topology's route is the only wiring authority:
+//! [`Fabric::attach_routed`] computes the route from the compute node
+//! to the donor's node and instantiates the flit-level plumbing for
+//! that compute→donor flow (section-table entries, router route, LLC
+//! link pairs, channels, and circuits on a switched fabric), and
+//! [`Fabric::detach_path`] tears it back down, tombstoning the link
+//! slots so surviving paths keep their channel indices and their event
+//! trajectories.
 //!
 //! The point-to-point topology built by
 //! [`crate::fabric::FabricBuilder::point_to_point`] reproduces the
@@ -91,7 +94,7 @@ pub struct StreamLoad {
     pub window: u32,
 }
 
-/// Everything [`Fabric::attach_path`] needs to wire one flow.
+/// Everything [`Fabric::attach_routed`] needs to wire one flow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathSpec {
     /// The flow's network identifier (must be unique among live paths).
@@ -111,8 +114,6 @@ pub struct PathSpec {
     pub seeds: Vec<(u64, u64)>,
     /// Fault injection on every channel of the path.
     pub faults: FaultSpec,
-    /// Route the channels through the rack's circuit switch.
-    pub via_switch: bool,
     /// Human-readable label for diagnostics.
     pub label: String,
 }
@@ -129,7 +130,6 @@ impl PathSpec {
             bonded: false,
             seeds: Vec::new(),
             faults: FaultSpec::LOSSLESS,
-            via_switch: false,
             label: format!("net{}", network.0),
         }
     }
@@ -138,12 +138,6 @@ impl PathSpec {
     pub fn bonded_channels(mut self, channels: usize) -> Self {
         self.channels = channels;
         self.bonded = channels > 1;
-        self
-    }
-
-    /// Routes through the circuit switch.
-    pub fn through_switch(mut self) -> Self {
-        self.via_switch = true;
         self
     }
 
@@ -174,7 +168,6 @@ impl PathSpec {
             bonded: channels > 1,
             seeds: FlowPlan::reference_seeds(channels),
             faults: FaultSpec::LOSSLESS,
-            via_switch: false,
             label: plan.label,
         }
     }
@@ -208,8 +201,6 @@ pub enum FabricError {
     M1(M1Error),
     /// The donor's C1 port refused a registration or a transaction.
     C1(C1Error),
-    /// The topology has no switch to route through.
-    NoSwitch,
     /// No such path is attached.
     UnknownPath(PathId),
     /// The path still has loads in flight.
@@ -249,7 +240,6 @@ impl fmt::Display for FabricError {
             FabricError::Route(e) => write!(f, "route: {e}"),
             FabricError::M1(e) => write!(f, "m1: {e}"),
             FabricError::C1(e) => write!(f, "c1: {e}"),
-            FabricError::NoSwitch => write!(f, "topology has no circuit switch"),
             FabricError::UnknownPath(p) => write!(f, "unknown {p}"),
             FabricError::PathBusy(p) => write!(f, "{p} still has loads in flight"),
             FabricError::NoCompletions(p) => {
@@ -439,13 +429,21 @@ impl HopChain {
 }
 
 /// The fabric's topology state: the mesh, which node the compute
-/// endpoint sits on, the currently-downed topology links, and each
-/// path's live route.
+/// endpoint sits on, the currently-downed topology links, and each live
+/// path's route.
 struct FabricTopo {
     mesh: Mesh,
     compute: NodeId,
     down: BTreeSet<usize>,
     routes: BTreeMap<u32, TopoRoute>,
+}
+
+/// Whether `route` collapses onto one endpoint link slot per channel: a
+/// direct cable, or a 1-tier Clos route through the hub — both wire
+/// bit-for-bit like the legacy point-to-point endpoint. Longer routes
+/// forward store-and-forward through their interior nodes.
+fn is_collapsed(route: &TopoRoute, hub: Option<NodeId>) -> bool {
+    route.hops() == 1 || (route.hops() == 2 && hub == Some(route.nodes[1]))
 }
 
 /// Unified per-link statistics: wire-channel, LLC and credit counters
@@ -610,19 +608,15 @@ struct LinkSlot {
     /// first — `None` on single-hop links (every pre-topology fabric).
     chain: Option<HopChain>,
     /// The topology links the endpoint slot itself rides (one for a
-    /// direct cable, two when a hub route is collapsed onto one slot);
-    /// empty on fabrics built without a topology.
+    /// direct cable, two when a hub route is collapsed onto one slot).
     topo_links: Vec<usize>,
 }
 
 /// Per-path bookkeeping.
 struct PathState {
     network: NetworkId,
-    pasid: Pasid,
     donor: usize,
     links: Vec<usize>,
-    first_section: u64,
-    section_count: u64,
     window_base: u64,
     window_bytes: u64,
     issue_cursor: u64,
@@ -707,12 +701,8 @@ pub struct Fabric {
     /// Deferred issues ([`Fabric::schedule_read`]) that landed on a
     /// poisoned path and were refused rather than faulting the run.
     injects_refused: u64,
-    /// The topology the fabric was built over, when one was declared.
-    /// `None` on raw [`Fabric::attach_path`] fabrics.
-    topo: Option<FabricTopo>,
-    /// Forwarding stages at interior topology nodes, keyed by node id —
-    /// one per node any multi-hop route crosses.
-    interior: BTreeMap<u32, SwitchStage>,
+    /// The topology the fabric is wired over.
+    topo: FabricTopo,
     /// Times an interior link failure was detoured by re-routing.
     route_reroutes: u64,
     /// The causal event journal, when enabled ([`Fabric::set_journal`]).
@@ -731,24 +721,34 @@ impl fmt::Debug for Fabric {
 }
 
 impl Fabric {
+    /// An empty fabric wired over `mesh`, with the compute endpoint on
+    /// node `compute`.
     pub(crate) fn assemble(
         params: DatapathParams,
         window: WindowSpec,
         switch: Option<SwitchStage>,
         engine: Engine,
+        mesh: Mesh,
+        compute: NodeId,
     ) -> Result<Self, FabricError> {
-        // M1 capture asserts a non-empty, cacheline-aligned window and
-        // the RMMU maps it in whole sections: refuse anything else here.
+        // M1 capture asserts a non-empty, cacheline-aligned window, the
+        // RMMU maps it in whole sections, and load addresses are base +
+        // offset, so the window's one-past-end must fit in u64: refuse
+        // anything else here.
         let section = 1u64 << DEFAULT_SECTION_BITS;
         if window.bytes == 0
             || !window.bytes.is_multiple_of(section)
             || !window.base.is_multiple_of(128)
+            || window.base.checked_add(window.bytes).is_none()
         {
             return Err(FabricError::Config(format!(
                 "device window {:#x}+{:#x} is not a whole number of {section} B sections \
-                 at a 128 B aligned base",
+                 at a 128 B aligned base, ending below 2^64",
                 window.base, window.bytes
             )));
+        }
+        if mesh.nodes().iter().all(|n| n.id != compute) {
+            return Err(FabricError::Topology(TopologyError::UnknownNode(compute)));
         }
         let capture = M1Capture::new(window);
         let translate = RmmuTranslate::new(window);
@@ -781,42 +781,15 @@ impl Fabric {
             arrivals: Vec::new(),
             rx_action: RxAction::default(),
             injects_refused: 0,
-            topo: None,
-            interior: BTreeMap::new(),
+            topo: FabricTopo {
+                mesh,
+                compute,
+                down: BTreeSet::new(),
+                routes: BTreeMap::new(),
+            },
             route_reroutes: 0,
             journal: None,
         })
-    }
-
-    /// Declares the topology the fabric is wired over: the mesh and the
-    /// node the compute endpoint sits on. Paths attached with
-    /// [`Fabric::attach_routed`] then derive their wiring from computed
-    /// routes, and chaos may target links by name.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the compute node is not part of the mesh or paths are
-    /// already attached.
-    pub(crate) fn install_topology(
-        &mut self,
-        mesh: Mesh,
-        compute: NodeId,
-    ) -> Result<(), FabricError> {
-        if mesh.nodes().iter().all(|n| n.id != compute) {
-            return Err(FabricError::Topology(TopologyError::UnknownNode(compute)));
-        }
-        if !self.paths.is_empty() {
-            return Err(FabricError::Config(
-                "topology must be declared before paths are attached".into(),
-            ));
-        }
-        self.topo = Some(FabricTopo {
-            mesh,
-            compute,
-            down: BTreeSet::new(),
-            routes: BTreeMap::new(),
-        });
-        Ok(())
     }
 
     /// Latency of the endpoint entry/exit path: one serDES crossing plus
@@ -825,86 +798,53 @@ impl Fabric {
         self.params.edge_crossing()
     }
 
-    /// Attaches one compute→donor path: finds a free section run in the
-    /// device window, registers the donor region, instantiates the LLC
-    /// link pairs and wire channels (through switch circuits when asked),
-    /// programs the sections and installs the route.
-    ///
-    /// # Errors
-    ///
-    /// Fails — without touching fabric state — on malformed specs, window
-    /// exhaustion, duplicate networks, or a full switch.
-    pub fn attach_path(&mut self, spec: &PathSpec) -> Result<PathId, FabricError> {
-        self.attach_inner(spec, &[], &[])
-    }
-
-    /// Attaches one path whose wiring is derived from the declared
-    /// topology: the route from the compute node to `donor_node` is
-    /// computed ([`Topology::get_route_avoiding`], skipping downed
-    /// links), single-hop and hub-collapsed routes instantiate the
-    /// exact legacy endpoint wiring, and longer routes add
+    /// Attaches one compute→donor path along the declared topology: the
+    /// route from the compute node to `donor_node` is computed
+    /// ([`Topology::get_route_avoiding`], skipping downed links), a free
+    /// section run is carved from the device window, the donor region is
+    /// registered, and the LLC link pairs and wire channels are
+    /// instantiated, then the sections and the router route programmed.
+    /// Single-hop and hub-collapsed routes take one endpoint link slot
+    /// per channel (the legacy wiring); longer routes add
     /// store-and-forward segments with per-link credit backpressure at
-    /// every interior node.
+    /// every interior node. On a fabric built with a circuit switch every
+    /// channel rides an allocated circuit.
     ///
     /// # Errors
     ///
-    /// Fails without a declared topology, on unroutable donors, on
-    /// `through_switch` specs over multi-hop routes, and on everything
-    /// [`Fabric::attach_path`] rejects.
+    /// Fails — without touching fabric state — on unroutable donors,
+    /// multi-hop routes on a switched fabric, malformed specs (including
+    /// a donor range that runs past the top of the address space),
+    /// window exhaustion, duplicate networks, or a full switch.
     pub fn attach_routed(
         &mut self,
         spec: &PathSpec,
         donor_node: NodeId,
     ) -> Result<PathId, FabricError> {
-        let (route, hub) = {
-            let topo = self.topo.as_ref().ok_or_else(|| {
-                FabricError::Config(
-                    "attach_routed needs a declared topology (FabricBuilder::topology)".into(),
-                )
-            })?;
-            let route = topo
-                .mesh
-                .get_route_avoiding(topo.compute, donor_node, &topo.down)?;
-            (route, topo.mesh.hub())
-        };
+        let topo = &self.topo;
+        let route = topo
+            .mesh
+            .get_route_avoiding(topo.compute, donor_node, &topo.down)?;
         if route.hops() == 0 {
             return Err(FabricError::Config(
                 "donor node is the compute node itself".into(),
             ));
         }
-        // A direct cable, or a 1-tier Clos hub route: both collapse to
-        // one endpoint link slot — bit-for-bit the legacy wiring.
-        let collapsed =
-            route.hops() == 1 || (route.hops() == 2 && hub == Some(route.nodes[1]));
-        if !collapsed && spec.via_switch {
+        let collapsed = is_collapsed(&route, topo.mesh.hub());
+        if !collapsed && self.switch.is_some() {
             return Err(FabricError::Config(
-                "multi-hop routes forward through interior nodes; through_switch \
-                 applies only to single-hop or hub routes"
+                "a switched fabric runs every channel on one circuit; multi-hop \
+                 routes forward through interior nodes instead"
                     .into(),
             ));
         }
-        let path = if collapsed {
-            self.attach_inner(spec, &route.links, &[])?
+        // The endpoint slots ride the whole collapsed route, or only a
+        // longer route's first link, its chain forwarding the rest.
+        let (topo_links, chain_links) = if collapsed {
+            (&route.links[..], &[][..])
         } else {
-            for &n in route.interior() {
-                self.interior
-                    .entry(n.0)
-                    .or_insert_with(|| SwitchStage::new(CircuitSwitch::optical(64)));
-            }
-            self.attach_inner(spec, &route.links[..1], &route.links[1..])?
+            route.links.split_at(1)
         };
-        if let Some(topo) = self.topo.as_mut() {
-            topo.routes.insert(path.0, route);
-        }
-        Ok(path)
-    }
-
-    fn attach_inner(
-        &mut self,
-        spec: &PathSpec,
-        topo_links: &[usize],
-        chain_links: &[usize],
-    ) -> Result<PathId, FabricError> {
         let section = self.translate.table().section_size();
         if spec.channels == 0 {
             return Err(FabricError::Config("a path needs at least one channel".into()));
@@ -915,8 +855,13 @@ impl Fabric {
                 spec.bytes, section
             )));
         }
-        if spec.donor_ea % 128 != 0 {
-            return Err(FabricError::Config("donor EA must be 128 B aligned".into()));
+        // The section table computes each mapping's one-past-end donor
+        // address, so the donor range must end below 2^64.
+        if !spec.donor_ea.is_multiple_of(128) || spec.donor_ea.checked_add(spec.bytes).is_none() {
+            return Err(FabricError::Config(format!(
+                "donor range {:#x}+{:#x} must be 128 B aligned and end below 2^64",
+                spec.donor_ea, spec.bytes
+            )));
         }
         if self.route.router().channels_of(spec.network).is_some() {
             return Err(FabricError::Config(format!(
@@ -924,12 +869,8 @@ impl Fabric {
                 spec.network.0
             )));
         }
-        if spec.via_switch {
-            let free = match &self.switch {
-                Some(sw) => sw.switch().free_ports().len(),
-                None => return Err(FabricError::NoSwitch),
-            };
-            if free < 2 * spec.channels {
+        if let Some(sw) = &self.switch {
+            if sw.switch().free_ports().len() < 2 * spec.channels {
                 return Err(FabricError::Switch(SwitchError::Exhausted));
             }
         }
@@ -955,7 +896,8 @@ impl Fabric {
         })?;
         self.donors.push(Some(donor));
 
-        // Links: LLC pairs + wire channels, optionally through circuits.
+        // Links: LLC pairs + wire channels, through circuits on a
+        // switched fabric.
         let llc_config = LlcConfig::datapath_default();
         let lane = self.params.lane();
         let cable = self.params.cable;
@@ -964,13 +906,13 @@ impl Fabric {
         let mut ready_at = now;
         let path_id = self.next_path;
         for c in 0..spec.channels {
-            let (circuit, extra, ready) = if spec.via_switch {
-                let sw = self.switch.as_mut().ok_or(FabricError::NoSwitch)?;
-                let traversal = sw.switch.traversal_latency();
-                let (a, b, ready) = sw.switch.alloc_circuit(now)?;
-                (Some((a, b)), traversal, ready)
-            } else {
-                (None, SimTime::ZERO, now)
+            let (circuit, extra, ready) = match self.switch.as_mut() {
+                Some(sw) => {
+                    let traversal = sw.switch.traversal_latency();
+                    let (a, b, ready) = sw.switch.alloc_circuit(now)?;
+                    (Some((a, b)), traversal, ready)
+                }
+                None => (None, SimTime::ZERO, now),
             };
             ready_at = ready_at.max(ready);
             let (fwd_seed, rev_seed) = spec.seed_for(c);
@@ -1032,11 +974,8 @@ impl Fabric {
             path_id,
             PathState {
                 network: spec.network,
-                pasid: spec.pasid,
                 donor: donor_idx,
                 links: link_indices,
-                first_section,
-                section_count,
                 window_base: self.window.base + first_section * section,
                 window_bytes: spec.bytes,
                 issue_cursor: 0,
@@ -1051,6 +990,7 @@ impl Fabric {
             },
         );
         self.next_path += 1;
+        self.topo.routes.insert(path_id, route);
         if self.journal.is_some() {
             let names = self.route_link_names(path_id);
             let at = self.queue.now();
@@ -1177,6 +1117,7 @@ impl Fabric {
                 .links(names),
             );
         }
+        self.topo.routes.remove(&path.0);
         Ok(())
     }
 
@@ -2087,12 +2028,7 @@ impl Fabric {
                     }
                     None => (name.as_str(), None),
                 };
-                let topo = self.topo.as_ref().ok_or_else(|| {
-                    FabricError::Config(
-                        "named chaos targets need a declared topology".into(),
-                    )
-                })?;
-                let idx = topo.mesh.link_named(base).ok_or_else(|| {
+                let idx = self.topo.mesh.link_named(base).ok_or_else(|| {
                     FabricError::Topology(TopologyError::UnknownLink(base.to_string()))
                 })?;
                 let mut slots: Vec<usize> = self
@@ -2128,9 +2064,6 @@ impl Fabric {
                 ChaosEvent::DonorCrash { donor } => (format!("donor {donor} crash"), None),
                 ChaosEvent::SwitchPortFail { port } => {
                     (format!("switch port {} fail", port.0), None)
-                }
-                ChaosEvent::SwitchPortFailOn { link } => {
-                    (format!("switch port fail on {link}"), Some(link))
                 }
             };
             let links = match target {
@@ -2214,24 +2147,6 @@ impl Fabric {
             }
             ChaosEvent::DonorCrash { donor } => self.donor_crash(donor)?,
             ChaosEvent::SwitchPortFail { port } => self.switch_port_fail(port)?,
-            ChaosEvent::SwitchPortFailOn { link } => {
-                let (slots, _) = self.resolve_link_ref(&link)?;
-                let port = slots.iter().find_map(|&s| {
-                    self.links
-                        .get(s)
-                        .and_then(Option::as_ref)
-                        .and_then(|slot| slot.circuit)
-                        .map(|(a, _)| a)
-                });
-                match port {
-                    Some(p) => self.switch_port_fail(p)?,
-                    None => {
-                        return Err(FabricError::Config(format!(
-                            "{link} is not routed through the circuit switch"
-                        )));
-                    }
-                }
-            }
         }
         Ok(())
     }
@@ -2242,13 +2157,8 @@ impl Fabric {
     /// endpoints — otherwise the path fails with
     /// [`FaultKind::RouteLost`].
     fn interior_link_down(&mut self, idx: usize) -> Result<(), FabricError> {
-        {
-            let Some(topo) = self.topo.as_mut() else {
-                return Ok(());
-            };
-            if !topo.down.insert(idx) {
-                return Ok(()); // already down
-            }
+        if !self.topo.down.insert(idx) {
+            return Ok(()); // already down
         }
         // Frames in flight on the segment are lost; end-to-end replay
         // plus the reroute below recover them.
@@ -2263,15 +2173,11 @@ impl Fabric {
         }
         let affected: Vec<u32> = self
             .topo
-            .as_ref()
-            .map(|t| {
-                t.routes
-                    .iter()
-                    .filter(|(_, r)| r.links.len() > 1 && r.links[1..].contains(&idx))
-                    .map(|(&p, _)| p)
-                    .collect()
-            })
-            .unwrap_or_default();
+            .routes
+            .iter()
+            .filter(|(_, r)| r.links.len() > 1 && r.links[1..].contains(&idx))
+            .map(|(&p, _)| p)
+            .collect();
         for p in affected {
             self.reroute_path(p, idx)?;
         }
@@ -2282,11 +2188,7 @@ impl Fabric {
     /// (paths that could not detour or never needed to) come back up
     /// and get kicked; detoured routes stay on their detour.
     fn interior_link_up(&mut self, idx: usize) -> Result<(), FabricError> {
-        let was_down = match self.topo.as_mut() {
-            Some(topo) => topo.down.remove(&idx),
-            None => return Ok(()),
-        };
-        if !was_down {
+        if !self.topo.down.remove(&idx) {
             return Ok(());
         }
         let mut kick: Vec<usize> = Vec::new();
@@ -2335,9 +2237,7 @@ impl Fabric {
             return Ok(());
         }
         let detour = {
-            let Some(topo) = self.topo.as_ref() else {
-                return Ok(());
-            };
+            let topo = &self.topo;
             let Some(route) = topo.routes.get(&path_id) else {
                 return Ok(());
             };
@@ -2355,11 +2255,6 @@ impl Fabric {
                 let mut links = vec![head_link];
                 links.extend_from_slice(&tail.links);
                 let new_route = TopoRoute { nodes, links };
-                for &n in new_route.interior() {
-                    self.interior
-                        .entry(n.0)
-                        .or_insert_with(|| SwitchStage::new(CircuitSwitch::optical(64)));
-                }
                 let mut new_gen = None;
                 for &s in &slot_indices {
                     let Some(slot) = self.links.get_mut(s).and_then(Option::as_mut)
@@ -2381,9 +2276,7 @@ impl Fabric {
                         gen,
                     ));
                 }
-                if let Some(topo) = self.topo.as_mut() {
-                    topo.routes.insert(path_id, new_route);
-                }
+                self.topo.routes.insert(path_id, new_route);
                 self.route_reroutes += 1;
                 self.telemetry.inc(self.tele.route_reroutes);
                 if self.journal.is_some() {
@@ -2903,42 +2796,6 @@ impl Fabric {
             .ok_or(FabricError::UnknownPath(path))
     }
 
-    /// The path's label.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown paths.
-    pub fn path_label(&self, path: PathId) -> Result<&str, FabricError> {
-        self.paths
-            .get(&path.0)
-            .map(|s| s.label.as_str())
-            .ok_or(FabricError::UnknownPath(path))
-    }
-
-    /// The PASID the path's donor serves under.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown paths.
-    pub fn path_pasid(&self, path: PathId) -> Result<Pasid, FabricError> {
-        self.paths
-            .get(&path.0)
-            .map(|s| s.pasid)
-            .ok_or(FabricError::UnknownPath(path))
-    }
-
-    /// The `(first, count)` section-table run the path occupies.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown paths.
-    pub fn path_sections(&self, path: PathId) -> Result<(u64, u64), FabricError> {
-        self.paths
-            .get(&path.0)
-            .map(|s| (s.first_section, s.section_count))
-            .ok_or(FabricError::UnknownPath(path))
-    }
-
     /// The path a live link belongs to, or `None` for tombstoned slots.
     pub fn link_path(&self, link: usize) -> Option<PathId> {
         self.links
@@ -3021,9 +2878,10 @@ impl Fabric {
         &self.params
     }
 
-    /// The live component inventory, read off the slot tables: the
-    /// shared compute-side stages, four per live link, one per live
-    /// donor and one per interior forwarding node.
+    /// The live component inventory, read off the slot tables and the
+    /// live routes: the shared compute-side stages, four per live link,
+    /// one per live donor and one per interior node a live multi-hop
+    /// route forwards through.
     pub fn components(&self) -> Vec<(ComponentId, StageKind)> {
         let mut out = vec![
             (CAPTURE_ID, StageKind::M1Capture),
@@ -3046,44 +2904,49 @@ impl Fabric {
                 out.push((donor_id(d), StageKind::C1MasterDram));
             }
         }
-        for &n in self.interior.keys() {
+        let hub = self.topo.mesh.hub();
+        let interior: BTreeSet<u32> = self
+            .topo
+            .routes
+            .iter()
+            .filter(|(p, r)| {
+                !is_collapsed(r, hub) && self.paths.get(*p).is_some_and(|s| !s.links.is_empty())
+            })
+            .flat_map(|(_, r)| r.interior().iter().map(|n| n.0))
+            .collect();
+        for n in interior {
             out.push((interior_id(NodeId(n)), StageKind::CircuitSwitch));
         }
         out
     }
 
-    /// The live route of a topology-attached path: the node/link walk
-    /// currently carrying its frames (detours included). `None` for
-    /// paths attached without a topology.
+    /// The live route of an attached path: the node/link walk currently
+    /// carrying its frames (detours included). `None` for unknown paths.
     pub fn topology_route(&self, path: PathId) -> Option<TopoRoute> {
-        self.topo.as_ref().and_then(|t| t.routes.get(&path.0).cloned())
+        self.topo.routes.get(&path.0).cloned()
     }
 
     /// The declared topology's link names, in link-index order — the
     /// vocabulary named chaos targets ([`LinkRef::Name`]), journal
     /// records and congestion reports share.
     pub fn topology_link_names(&self) -> Vec<String> {
-        self.topo
-            .as_ref()
-            .map(|t| t.mesh.link_names())
-            .unwrap_or_default()
+        self.topo.mesh.link_names()
     }
 
-    /// The declared name of topology link `idx`, or `"link{idx}"` on
-    /// fabrics built without a topology.
+    /// The declared name of topology link `idx`.
     fn topo_link_name(&self, idx: usize) -> String {
         self.topo
-            .as_ref()
-            .and_then(|t| t.mesh.link_name(idx))
+            .mesh
+            .link_name(idx)
             .map_or_else(|| format!("link{idx}"), str::to_string)
     }
 
     /// The topology link names a path's live route walks, in walk
-    /// order; empty on fabrics built without a topology.
+    /// order.
     fn route_link_names(&self, path: u32) -> Vec<String> {
         self.topo
-            .as_ref()
-            .and_then(|t| t.routes.get(&path))
+            .routes
+            .get(&path)
             .map(|r| r.links.iter().map(|&l| self.topo_link_name(l)).collect())
             .unwrap_or_default()
     }
@@ -3102,11 +2965,6 @@ impl Fabric {
         self.journal.as_ref()
     }
 
-    /// Takes the journal, leaving journaling enabled with a fresh one.
-    pub fn take_journal(&mut self) -> Option<Journal> {
-        self.journal.as_mut().map(std::mem::take)
-    }
-
     /// Appends `rec` if the journal is enabled.
     fn jot(&mut self, rec: JournalRecord) {
         if let Some(j) = self.journal.as_mut() {
@@ -3116,35 +2974,24 @@ impl Fabric {
 
     /// A point-in-time congestion heatmap over the declared topology's
     /// named links: endpoint channels and interior hop segments are
-    /// aggregated onto the topology links they ride. Fabrics built
-    /// without a topology report one `"link{n}"` row per live slot.
+    /// aggregated onto the topology links they ride.
     pub fn congestion_report(&self) -> CongestionReport {
         let now = self.queue.now();
-        let mut rows: Vec<LinkCongestion> = match &self.topo {
-            Some(t) => t.mesh.link_names().into_iter().map(LinkCongestion::new).collect(),
-            None => (0..self.links.len())
-                .map(|i| LinkCongestion::new(format!("link{i}")))
-                .collect(),
-        };
-        if let Some(t) = &self.topo {
-            for &idx in &t.down {
-                if let Some(row) = rows.get_mut(idx) {
-                    row.down = true;
-                }
+        let mut rows: Vec<LinkCongestion> = self
+            .topo
+            .mesh
+            .link_names()
+            .into_iter()
+            .map(LinkCongestion::new)
+            .collect();
+        for &idx in &self.topo.down {
+            if let Some(row) = rows.get_mut(idx) {
+                row.down = true;
             }
         }
-        for (i, slot) in self.links.iter().enumerate() {
-            let Some(slot) = slot.as_ref() else {
-                continue;
-            };
-            // Endpoint channels: the slot's own topology links (the
-            // slot index itself on topology-less fabrics).
-            let targets: Vec<usize> = if self.topo.is_some() {
-                slot.topo_links.clone()
-            } else {
-                vec![i]
-            };
-            for tl in targets {
+        for slot in self.links.iter().flatten() {
+            // Endpoint channels: the slot's own topology links.
+            for &tl in &slot.topo_links {
                 let Some(row) = rows.get_mut(tl) else {
                     continue;
                 };
@@ -3185,11 +3032,6 @@ impl Fabric {
         self.route_reroutes
     }
 
-    /// The translation stage (section-table inspection).
-    pub fn translate_stage(&self) -> &RmmuTranslate {
-        &self.translate
-    }
-
     /// The routing stage.
     pub fn router_stage(&self) -> &RouterStage {
         &self.route
@@ -3226,11 +3068,6 @@ impl Fabric {
     /// trace retention. Disabling discards in-flight checkpoints.
     pub fn set_tracing(&mut self, enabled: bool) {
         self.tracer.set_enabled(enabled);
-    }
-
-    /// Whether flit span tracing is currently enabled.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracer.enabled()
     }
 
     /// The metrics registry, for direct reads of registered metrics.
@@ -3372,23 +3209,46 @@ impl Fabric {
 mod tests {
     use super::*;
 
+    use netsim::switch::CircuitSwitch;
+    use routing::topology::Line;
+
+    /// The donor end of the 2-node line every test fabric is wired over.
+    const DONOR: NodeId = NodeId(1);
+
     fn params() -> DatapathParams {
         DatapathParams::prototype()
     }
 
-    fn fabric(window: WindowSpec) -> Fabric {
-        Fabric::assemble(params(), window, None, Engine::Hybrid).unwrap()
+    /// An empty fabric over a 2-node line, compute on node 0, with an
+    /// optional circuit switch.
+    fn fabric(window: WindowSpec, switch: Option<CircuitSwitch>) -> Fabric {
+        let mesh = Mesh::snapshot(&Line::new(2).unwrap());
+        let switch = switch.map(SwitchStage::new);
+        Fabric::assemble(params(), window, switch, Engine::Hybrid, mesh, NodeId(0)).unwrap()
+    }
+
+    /// The reference point-to-point fabric (a 2-node line) and its path.
+    fn reference() -> (Fabric, PathId) {
+        FabricBuilder::point_to_point(params(), 1, 256 << 20).unwrap()
+    }
+
+    /// A 2-node line behind a `ports`-port circuit switch, with one
+    /// 256 MiB path on a circuit.
+    fn switched(ports: u32) -> (Fabric, PathId) {
+        let switch = CircuitSwitch::optical(ports);
+        let mut f = fabric(WindowSpec::rack_default(), Some(switch));
+        let spec = PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 256 << 20);
+        let p = f.attach_routed(&spec, DONOR).unwrap();
+        (f, p)
     }
 
     #[test]
     fn attach_carves_disjoint_windows() {
-        let mut f = fabric(WindowSpec::rack_default());
-        let a = f
-            .attach_path(&PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 512 << 20))
-            .unwrap();
-        let b = f
-            .attach_path(&PathSpec::new(NetworkId(2), Pasid(2), 0x7100_0000_0000, 256 << 20))
-            .unwrap();
+        let mut f = fabric(WindowSpec::rack_default(), None);
+        let a = PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 512 << 20);
+        let b = PathSpec::new(NetworkId(2), Pasid(2), 0x7100_0000_0000, 256 << 20);
+        let a = f.attach_routed(&a, DONOR).unwrap();
+        let b = f.attach_routed(&b, DONOR).unwrap();
         let wa = f.path_window(a).unwrap();
         let wb = f.path_window(b).unwrap();
         assert_eq!(wa.base, 0x1000_0000_0000);
@@ -3397,18 +3257,16 @@ mod tests {
 
     #[test]
     fn detach_frees_the_window_for_reuse() {
-        let mut f = fabric(WindowSpec::reference(512 << 20));
-        let a = f
-            .attach_path(&PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 512 << 20))
-            .unwrap();
+        let mut f = fabric(WindowSpec::reference(512 << 20), None);
+        let one = PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 512 << 20);
+        let two = PathSpec::new(NetworkId(2), Pasid(2), 0x7100_0000_0000, 256 << 20);
+        let a = f.attach_routed(&one, DONOR).unwrap();
         assert!(matches!(
-            f.attach_path(&PathSpec::new(NetworkId(2), Pasid(2), 0x7100_0000_0000, 256 << 20)),
+            f.attach_routed(&two, DONOR),
             Err(FabricError::WindowExhausted { sections: 1 })
         ));
         f.detach_path(a).unwrap();
-        let b = f
-            .attach_path(&PathSpec::new(NetworkId(2), Pasid(2), 0x7100_0000_0000, 256 << 20))
-            .unwrap();
+        let b = f.attach_routed(&two, DONOR).unwrap();
         assert_eq!(f.path_window(b).unwrap().base, 0x1000_0000_0000);
         assert!(matches!(
             f.detach_path(a),
@@ -3418,27 +3276,23 @@ mod tests {
 
     #[test]
     fn duplicate_networks_and_bad_specs_are_refused() {
-        let mut f = fabric(WindowSpec::rack_default());
-        f.attach_path(&PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 256 << 20))
+        let mut f = fabric(WindowSpec::rack_default(), None);
+        let spec = |net, pasid, ea, bytes| PathSpec::new(NetworkId(net), Pasid(pasid), ea, bytes);
+        f.attach_routed(&spec(1, 1, 0x7000_0000_0000, 256 << 20), DONOR)
             .unwrap();
         assert!(matches!(
-            f.attach_path(&PathSpec::new(NetworkId(1), Pasid(2), 0x7200_0000_0000, 256 << 20)),
+            f.attach_routed(&spec(1, 2, 0x7200_0000_0000, 256 << 20), DONOR),
             Err(FabricError::Config(_))
         ));
         assert!(matches!(
-            f.attach_path(&PathSpec::new(NetworkId(3), Pasid(3), 0x7300_0000_0000, 100)),
+            f.attach_routed(&spec(3, 3, 0x7300_0000_0000, 100), DONOR),
             Err(FabricError::Config(_))
-        ));
-        assert!(matches!(
-            f.attach_path(&PathSpec::new(NetworkId(4), Pasid(4), 0x7400_0000_0000, 256 << 20).through_switch()),
-            Err(FabricError::NoSwitch)
         ));
     }
 
     #[test]
     fn reference_path_round_trip_matches_the_monolith_envelope() {
-        let mut f = fabric(WindowSpec::reference(256 << 20));
-        let p = f.attach_path(&PathSpec::reference(256 << 20, 1)).unwrap();
+        let (mut f, p) = reference();
         let rtt = f.measure_load_latency(p).unwrap();
         assert!(
             (1000..=1200).contains(&rtt.as_ns()),
@@ -3448,8 +3302,7 @@ mod tests {
 
     #[test]
     fn busy_paths_refuse_detach_until_drained() {
-        let mut f = fabric(WindowSpec::reference(256 << 20));
-        let p = f.attach_path(&PathSpec::reference(256 << 20, 1)).unwrap();
+        let (mut f, p) = reference();
         f.issue_read(p).unwrap();
         assert!(matches!(f.detach_path(p), Err(FabricError::PathBusy(_))));
         f.drain().unwrap();
@@ -3461,8 +3314,7 @@ mod tests {
 
     #[test]
     fn closed_loop_refuses_an_overflowing_outstanding_count() {
-        let mut f = fabric(WindowSpec::reference(256 << 20));
-        let p = f.attach_path(&PathSpec::reference(256 << 20, 1)).unwrap();
+        let (mut f, p) = reference();
         let us = SimTime::from_us(10);
         assert!(matches!(
             f.measure_stream_bandwidth(p, 65_536, 65_536, us),
@@ -3492,13 +3344,9 @@ mod tests {
 
     #[test]
     fn bonded_attach_fills_one_link_slot_per_channel() {
-        let mut f = fabric(WindowSpec::rack_default());
-        let p = f
-            .attach_path(
-                &PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 512 << 20)
-                    .bonded_channels(2),
-            )
-            .unwrap();
+        let mut f = fabric(WindowSpec::rack_default(), None);
+        let spec = PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 512 << 20);
+        let p = f.attach_routed(&spec.bonded_channels(2), DONOR).unwrap();
         // 3 shared stages + 2 LLC pairs and 2 channels per link + 1 donor.
         let kinds: Vec<StageKind> = f.components().into_iter().map(|(_, k)| k).collect();
         assert_eq!(kinds.len(), 3 + 4 * 2 + 1);
@@ -3517,8 +3365,7 @@ mod tests {
 
     #[test]
     fn link_stats_cover_live_links_only() {
-        let mut f = fabric(WindowSpec::reference(256 << 20));
-        let p = f.attach_path(&PathSpec::reference(256 << 20, 1)).unwrap();
+        let (mut f, p) = reference();
         f.measure_load_latency(p).unwrap();
         let s = f.link_stats(0).expect("live link");
         assert_eq!(s.path, p);
@@ -3533,8 +3380,7 @@ mod tests {
 
     #[test]
     fn traced_load_spans_sum_exactly_to_rtt() {
-        let mut f = fabric(WindowSpec::reference(256 << 20));
-        let p = f.attach_path(&PathSpec::reference(256 << 20, 1)).unwrap();
+        let (mut f, p) = reference();
         let t = f.measure_traced_load(p).unwrap();
         assert_eq!(
             t.spans_total(),
@@ -3575,20 +3421,7 @@ mod tests {
 
     #[test]
     fn switched_path_traces_include_circuit_hops() {
-        use netsim::switch::CircuitSwitch;
-        let mut f = Fabric::assemble(
-            params(),
-            WindowSpec::rack_default(),
-            Some(SwitchStage::new(CircuitSwitch::optical(8))),
-            Engine::Hybrid,
-        )
-        .unwrap();
-        let p = f
-            .attach_path(
-                &PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 256 << 20)
-                    .through_switch(),
-            )
-            .unwrap();
+        let (mut f, p) = switched(8);
         let t = f.measure_traced_load(p).unwrap();
         assert_eq!(t.spans_total(), t.rtt());
         assert_eq!(t.serdes_crossings(), 6);
@@ -3627,8 +3460,7 @@ mod tests {
 
     #[test]
     fn flap_shorter_than_detection_window_completes_every_load() {
-        let mut f = fabric(WindowSpec::reference(256 << 20));
-        let p = f.attach_path(&PathSpec::reference(256 << 20, 1)).unwrap();
+        let (mut f, p) = reference();
         // Dark for 10 µs — half the default 20 µs detection window.
         f.schedule_chaos(&ChaosPlan::new().at(
             SimTime::from_ns(500),
@@ -3651,8 +3483,7 @@ mod tests {
 
     #[test]
     fn hard_link_down_resolves_stranded_loads_to_typed_faults() {
-        let mut f = fabric(WindowSpec::reference(256 << 20));
-        let p = f.attach_path(&PathSpec::reference(256 << 20, 1)).unwrap();
+        let (mut f, p) = reference();
         f.schedule_chaos(&ChaosPlan::new().at(
             SimTime::from_ns(300),
             ChaosEvent::LinkDown {
@@ -3685,13 +3516,9 @@ mod tests {
 
     #[test]
     fn bonded_path_degrades_to_surviving_links() {
-        let mut f = fabric(WindowSpec::rack_default());
-        let p = f
-            .attach_path(
-                &PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 512 << 20)
-                    .bonded_channels(2),
-            )
-            .unwrap();
+        let mut f = fabric(WindowSpec::rack_default(), None);
+        let spec = PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 512 << 20);
+        let p = f.attach_routed(&spec.bonded_channels(2), DONOR).unwrap();
         f.schedule_chaos(&ChaosPlan::new().at(
             SimTime::from_ns(300),
             ChaosEvent::LinkDown {
@@ -3713,8 +3540,7 @@ mod tests {
 
     #[test]
     fn lane_failure_degrades_bandwidth_without_faulting() {
-        let mut f = fabric(WindowSpec::reference(256 << 20));
-        let p = f.attach_path(&PathSpec::reference(256 << 20, 1)).unwrap();
+        let (mut f, p) = reference();
         f.schedule_chaos(&ChaosPlan::new().at(
             SimTime::from_ns(100),
             ChaosEvent::LaneFail {
@@ -3734,8 +3560,7 @@ mod tests {
 
     #[test]
     fn donor_crash_faults_every_inflight_load_and_poisons_the_path() {
-        let mut f = fabric(WindowSpec::reference(256 << 20));
-        let p = f.attach_path(&PathSpec::reference(256 << 20, 1)).unwrap();
+        let (mut f, p) = reference();
         let donor = f.path_donor(p).unwrap();
         f.schedule_chaos(&ChaosPlan::new().donor_crash(SimTime::from_ns(400), donor));
         run_exactly_once(&mut f, p, 8);
@@ -3757,20 +3582,7 @@ mod tests {
 
     #[test]
     fn switch_port_failure_reroutes_around_the_port() {
-        use netsim::switch::CircuitSwitch;
-        let mut f = Fabric::assemble(
-            params(),
-            WindowSpec::rack_default(),
-            Some(SwitchStage::new(CircuitSwitch::optical(8))),
-            Engine::Hybrid,
-        )
-        .unwrap();
-        let p = f
-            .attach_path(
-                &PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 256 << 20)
-                    .through_switch(),
-            )
-            .unwrap();
+        let (mut f, p) = switched(8);
         // Warm up so the circuit-wait is behind us, then fail one of
         // the two ports the path's circuit rides.
         f.measure_load_latency(p).unwrap();
@@ -3801,21 +3613,8 @@ mod tests {
 
     #[test]
     fn switch_port_failure_without_spares_kills_the_link() {
-        use netsim::switch::CircuitSwitch;
         // A 2-port switch: the path's circuit uses both, no spares.
-        let mut f = Fabric::assemble(
-            params(),
-            WindowSpec::rack_default(),
-            Some(SwitchStage::new(CircuitSwitch::optical(2))),
-            Engine::Hybrid,
-        )
-        .unwrap();
-        let p = f
-            .attach_path(
-                &PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 256 << 20)
-                    .through_switch(),
-            )
-            .unwrap();
+        let (mut f, p) = switched(2);
         f.measure_load_latency(p).unwrap();
         f.schedule_chaos(
             &ChaosPlan::new().at(f.now(), ChaosEvent::SwitchPortFail { port: PortId(0) }),
@@ -3832,8 +3631,7 @@ mod tests {
 
     #[test]
     fn telemetry_registry_tracks_loads_and_links() {
-        let mut f = fabric(WindowSpec::reference(256 << 20));
-        let p = f.attach_path(&PathSpec::reference(256 << 20, 1)).unwrap();
+        let (mut f, p) = reference();
         f.set_telemetry(true);
         f.measure_load_latency(p).unwrap();
         f.measure_load_latency(p).unwrap();
@@ -3851,10 +3649,7 @@ mod tests {
         let hop = snap.timer("fabric.hop.c1_dram").expect("hop timer");
         assert_eq!(hop.count(), 2);
         // Disabled fabrics record nothing.
-        let mut quiet = fabric(WindowSpec::reference(256 << 20));
-        let q = quiet
-            .attach_path(&PathSpec::reference(256 << 20, 1))
-            .unwrap();
+        let (mut quiet, q) = reference();
         quiet.measure_load_latency(q).unwrap();
         let snap = quiet.telemetry_snapshot();
         assert_eq!(snap.counter("fabric.loads.issued"), Some(0));

@@ -11,6 +11,11 @@
 //! borrower's [`Fabric`], torn back down on [`Rack::detach`]. Leased
 //! memory is thereby exercised end to end at flit granularity via
 //! [`Rack::measure_lease_rtt`] / [`Rack::run_lease_streams`].
+//!
+//! Every borrower fabric is wired over the cable graph: a lease's path
+//! follows the route its borrower's fabric computes, avoiding cables
+//! that fabric has seen cut, and an attach with no surviving route to
+//! the donor rolls back and fails with [`FabricError::Topology`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -18,11 +23,9 @@ use std::fmt;
 use ctrlplane::agent::{AgentError, NodeAgent};
 use ctrlplane::api::AttachSpec;
 use ctrlplane::auth::{Role, Token};
-use ctrlplane::graph::VertexKind;
 use ctrlplane::retry::{RetryPolicy, RetryStats};
 use ctrlplane::service::{ControlPlane, CpError, FlowGrant};
 use hostsim::node::{HostNode, NodeSpec};
-use netsim::switch::CircuitSwitch;
 use opencapi::pasid::Pasid;
 use rmmu::flow::NetworkId;
 use simkit::bandwidth::Rate;
@@ -41,12 +44,7 @@ use crate::fabric::{
 use crate::memmodel::MemoryModel;
 use crate::params::DatapathParams;
 
-use routing::topology::{Mesh, NodeId, TopologyError};
-
-/// Ports on the per-borrower fabric's circuit switch — enough for many
-/// concurrent switched leases (each channel takes an ingress+egress
-/// pair).
-const FABRIC_SWITCH_PORTS: u32 = 64;
+use routing::topology::{Mesh, NodeId};
 
 /// Per-node rack configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -317,8 +315,10 @@ impl Rack {
     ///
     /// # Errors
     ///
-    /// Propagates control-plane, agent, and fabric failures; on any
-    /// partial failure every prior step is rolled back.
+    /// Propagates control-plane, agent, and fabric failures — including
+    /// a borrower fabric with no surviving route to the donor
+    /// ([`FabricError::Topology`]); on any partial failure every prior
+    /// step is rolled back.
     pub fn attach(&mut self, req: AttachRequest) -> Result<Lease, RackError> {
         if !self.agents.contains_key(&req.compute) {
             return Err(RackError::BadTopology(format!("unknown node {}", req.compute)));
@@ -362,14 +362,13 @@ impl Rack {
         };
         // Wire the flit-level path the lease will be served over.
         let id = LeaseId(self.next_lease);
-        let spec = self.grant_path_spec(&grant, &format!("{}:{id}", req.memory));
+        let spec = Self::grant_path_spec(&grant, &format!("{}:{id}", req.memory));
         let params = self.params.clone();
         let compute_node = self.node_ids[&req.compute];
         let donor_node = self.node_ids[&req.memory];
         let journal_fabrics = self.fabric_journals;
         let fabric = self.fabrics.entry(req.compute.clone()).or_insert_with(|| {
             let (fabric, _) = FabricBuilder::new(params)
-                .switch(CircuitSwitch::optical(FABRIC_SWITCH_PORTS))
                 .topology(self.mesh.clone(), compute_node)
                 .build()
                 .expect("an empty fabric always assembles");
@@ -378,16 +377,9 @@ impl Rack {
         if journal_fabrics && fabric.journal().is_none() {
             fabric.set_journal(true);
         }
-        // Route along the cable graph; grants brokered through a
-        // control-plane circuit switch have no cable route and fall back
-        // to the explicit (switched) endpoint wiring.
-        let routed = match fabric.attach_routed(&spec, donor_node) {
-            Err(FabricError::Topology(TopologyError::NoRoute { .. })) => {
-                fabric.attach_path(&spec)
-            }
-            other => other,
-        };
-        let path = match routed {
+        // Route along the cable graph, avoiding links this fabric has
+        // seen cut.
+        let path = match fabric.attach_routed(&spec, donor_node) {
             Ok(p) => p,
             Err(e) => {
                 self.agents
@@ -537,11 +529,6 @@ impl Rack {
     /// journal — see [`Rack::set_observability`].
     pub fn journal(&self) -> &Journal {
         &self.journal
-    }
-
-    /// Drains the rack-level journal.
-    pub fn take_journal(&mut self) -> Journal {
-        std::mem::take(&mut self.journal)
     }
 
     /// Enables or disables causal journals on every borrower fabric,
@@ -806,28 +793,13 @@ impl Rack {
 
     /// Derives the flit-level path of a control-plane grant: network id
     /// and bonding from the section programming, PASID and donor EA from
-    /// the memory config, channel count from the reserved paths, and
-    /// switch traversal from the reservation's graph vertices.
-    fn grant_path_spec(&self, grant: &FlowGrant, label: &str) -> PathSpec {
+    /// the memory config, and channel count from the reserved paths.
+    fn grant_path_spec(grant: &FlowGrant, label: &str) -> PathSpec {
         let first = grant
             .compute_config
             .sections
             .first()
             .expect("granted flows program at least one section");
-        let graph = self.cp.graph();
-        let via_switch = grant
-            .paths
-            .iter()
-            .flat_map(|p| p.edges.iter())
-            .filter_map(|&eid| graph.edge(eid))
-            .any(|e| {
-                [e.a, e.b].into_iter().any(|v| {
-                    matches!(
-                        graph.vertex(v).map(|x| &x.kind),
-                        Some(VertexKind::SwitchPort { .. })
-                    )
-                })
-            });
         let mut spec = PathSpec::new(
             NetworkId(first.network),
             Pasid(grant.memory_config.pasid),
@@ -837,9 +809,6 @@ impl Rack {
         .bonded_channels(grant.paths.len().max(1))
         .labelled(label);
         spec.bonded = first.bonded;
-        if via_switch {
-            spec = spec.through_switch();
-        }
         spec
     }
 
@@ -912,11 +881,6 @@ impl Rack {
     /// The control plane (REST-style interface, audit trail).
     pub fn control_plane_mut(&mut self) -> &mut ControlPlane {
         &mut self.cp
-    }
-
-    /// The admin token the rack was provisioned with.
-    pub fn admin_token(&self) -> &Token {
-        &self.admin
     }
 
     /// Live leases.
@@ -1204,7 +1168,7 @@ impl Rack {
     /// Congestion heatmaps for every borrower fabric in the rack, in
     /// host order — the fleet-wide view [`Rack::congestion_report`]
     /// gives per host. Hosts that never built a fabric are absent.
-    pub fn fleet_congestion(&self) -> BTreeMap<String, CongestionReport> {
+    fn fleet_congestion(&self) -> BTreeMap<String, CongestionReport> {
         self.fabrics
             .iter()
             .map(|(host, fabric)| (host.clone(), fabric.congestion_report()))
@@ -1256,6 +1220,7 @@ impl Rack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use routing::topology::TopologyError;
     use simkit::units::GIB;
 
     fn rack() -> Rack {
@@ -1655,6 +1620,47 @@ mod tests {
             matches!(empty, Err(RackError::Fabric(FabricError::Config(_)))),
             "{empty:?}"
         );
+    }
+
+    #[test]
+    fn attach_without_a_surviving_route_rolls_back() {
+        // A line a–b–c. The control plane still sees cable a-b, but a's
+        // fabric has seen it cut: the fabric's route is the authority,
+        // so a's attach to c fails and every prior step is undone.
+        let mut r = RackBuilder::new()
+            .node(NodeConfig::ac922("a"))
+            .node(NodeConfig::ac922("b"))
+            .node(NodeConfig::ac922("c"))
+            .cable("a", "b")
+            .cable("b", "c")
+            .build()
+            .unwrap();
+        let lease = r.attach(AttachRequest::new("a", "b", 4 * GIB)).unwrap();
+        let path = r.lease_path(lease.id()).unwrap();
+        let fabric = r.fabric_mut("a").unwrap();
+        let cut = fabric.topology_route(path).unwrap().links[0];
+        let name = fabric.topology_link_names()[cut].clone();
+        assert_eq!(name, "a-b");
+        let at = fabric.now();
+        fabric.schedule_chaos(&ChaosPlan::new().link_down_named(at, &name));
+        fabric.drain().unwrap();
+        let flows = r.cp.flow_count();
+        let pinned = r.agents["c"].pinned().to_vec();
+        let numa = r.host("a").unwrap().numa().nodes().to_vec();
+        let paths = r.fabric("a").unwrap().path_ids();
+        let err = r.attach(AttachRequest::new("a", "c", 4 * GIB)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RackError::Fabric(FabricError::Topology(TopologyError::NoRoute { .. }))
+            ),
+            "{err:?}"
+        );
+        assert_eq!(r.cp.flow_count(), flows);
+        assert_eq!(r.agents["c"].pinned(), pinned.as_slice());
+        assert_eq!(r.host("a").unwrap().numa().nodes(), numa.as_slice());
+        assert_eq!(r.fabric("a").unwrap().path_ids(), paths);
+        assert_eq!(r.leases().count(), 1);
     }
 
     #[test]

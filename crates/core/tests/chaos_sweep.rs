@@ -22,6 +22,7 @@ use netsim::fault::FaultSpec;
 use netsim::switch::{CircuitSwitch, PortId};
 use opencapi::pasid::Pasid;
 use rmmu::flow::NetworkId;
+use routing::topology::{Line, NodeId};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scenario {
@@ -61,15 +62,13 @@ fn build(scenario: Scenario, seed: u64) -> (Fabric, thymesisflow_core::fabric::P
     let switched = matches!(scenario, Scenario::SwitchReroute);
     let mut spec = PathSpec::new(NetworkId(1), Pasid(7), 0x7000_0000_0000, 512 << 20);
     spec.seeds = vec![(seed | 1, seed.rotate_left(17) | 1)];
-    if switched {
-        spec = spec.through_switch();
-    }
     if matches!(scenario, Scenario::LossyFlap) {
         spec = spec.with_faults(FaultSpec::new(0.02, 0.01));
     }
-    let mut builder = FabricBuilder::new(DatapathParams::prototype())
+    let line = Line::new(2).expect("a 2-node line");
+    let mut builder = FabricBuilder::from_topology(DatapathParams::prototype(), &line, NodeId(0))
         .window(WindowSpec::rack_default())
-        .path(spec);
+        .path_to(NodeId(1), spec);
     if switched {
         builder = builder.switch(CircuitSwitch::optical(8));
     }
@@ -80,8 +79,8 @@ fn build(scenario: Scenario, seed: u64) -> (Fabric, thymesisflow_core::fabric::P
 fn plan_for(scenario: Scenario, fabric: &Fabric, path: thymesisflow_core::fabric::PathId, jitter_ns: u64) -> ChaosPlan {
     let t0 = SimTime::from_ns(300 + jitter_ns);
     match scenario {
-        // These fabrics are built raw (no declared topology), so the
-        // plans address endpoint slots explicitly.
+        // Each fabric carries one single-channel path, so the plans
+        // address its one endpoint slot directly.
         Scenario::Flap | Scenario::LossyFlap => ChaosPlan::new().at(
             t0,
             ChaosEvent::LinkFlap {

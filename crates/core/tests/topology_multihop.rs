@@ -21,7 +21,7 @@ use netsim::switch::CircuitSwitch;
 use routing::topology::{Clos, Line, Torus2D};
 use simkit::time::SimTime;
 use thymesisflow_core::fabric::{
-    ChaosPlan, Fabric, FabricBuilder, HopKind, PathId, PathSpec, WireDir,
+    ChaosPlan, Fabric, FabricBuilder, HopKind, PathId, PathSpec, StageKind, WireDir,
 };
 use thymesisflow_core::params::DatapathParams;
 
@@ -98,6 +98,17 @@ fn multi_hop_spans_sum_exactly_to_rtt() {
         for w in t.spans.windows(2) {
             assert_eq!(w[0].end, w[1].start);
         }
+        // The inventory lists the live route's interior nodes, and
+        // forgets them with the path.
+        let forwarders = |f: &Fabric| {
+            f.components()
+                .iter()
+                .filter(|(_, k)| *k == StageKind::CircuitSwitch)
+                .count()
+        };
+        assert_eq!(forwarders(&fabric), n - 2);
+        fabric.detach_path(paths[0]).unwrap();
+        assert_eq!(forwarders(&fabric), 0);
     }
 }
 

@@ -1,27 +1,25 @@
-//! Degenerate-topology parity: since the topology layer landed, the
-//! canned builders (`point_to_point`, `fan_out`, `circuit_rack`) are
-//! thin wrappers over degenerate topologies — a 2-node `Line` and a
-//! 1-tier `Clos`. This suite pins the refactor **bit-for-bit**: the
-//! wrappers must produce the same event counts and the same completion
-//! trajectories as fabrics wired raw from the original inline
-//! constants (explicit `attach_path`, no topology declared). Any drift
-//! here means the topology layer changed simulated behaviour, not just
-//! its construction.
+//! Degenerate-topology parity: the canned builders (`point_to_point`,
+//! `fan_out`, `circuit_rack`) are thin wrappers over degenerate
+//! topologies — a 2-node `Line` and a 1-tier `Clos` — and must keep the
+//! event trajectories the fabric has always produced for those shapes.
+//! Each wrapper runs a fixed workload and is pinned to its event count,
+//! completion count and a fold of every completion, as measured when
+//! the wrappers were still checked against fabrics wired raw from the
+//! original inline constants. Any drift here means a refactor changed
+//! simulated behaviour, not just its construction.
 
 use netsim::switch::CircuitSwitch;
-use opencapi::pasid::Pasid;
-use rmmu::flow::NetworkId;
-use thymesisflow_core::fabric::{
-    Completion, Fabric, FabricBuilder, PathId, PathSpec, WindowSpec,
-};
+use thymesisflow_core::fabric::{Fabric, FabricBuilder, PathId};
 use thymesisflow_core::params::DatapathParams;
 
 const LOADS_PER_PATH: usize = 12;
 
+const SHARE: u64 = 256 << 20;
+
 /// Issues a fixed round-robin workload and drains the fabric, returning
-/// the full completion trajectory and the event count — the two
-/// quantities the parity contract compares.
-fn run_workload(fabric: &mut Fabric, paths: &[PathId]) -> (Vec<Completion>, u64) {
+/// `(events, completions, fold)`: the fold is FNV-1a 64 over each
+/// completion's tag, path id and latency in ps, in retire order.
+fn run_workload(fabric: &mut Fabric, paths: &[PathId]) -> (u64, usize, u64) {
     for i in 0..LOADS_PER_PATH * paths.len() {
         fabric
             .issue_read(paths[i % paths.len()])
@@ -32,112 +30,57 @@ fn run_workload(fabric: &mut Fabric, paths: &[PathId]) -> (Vec<Completion>, u64)
         done.extend(batch);
     }
     assert!(fabric.faults().is_empty(), "parity workloads never fault");
-    (done, fabric.events_processed())
-}
-
-/// The pre-topology point-to-point wiring, spelled out with the
-/// original inline constants.
-fn raw_point_to_point(channels: usize, bytes: u64) -> (Fabric, Vec<PathId>) {
-    let (fabric, ids) = FabricBuilder::new(DatapathParams::prototype())
-        .window(WindowSpec::reference(bytes))
-        .path(PathSpec::reference(bytes, channels))
-        .build()
-        .expect("raw reference wiring assembles");
-    (fabric, ids)
-}
-
-/// The per-donor spec with the constants `FabricBuilder::fan_out`
-/// hardwired before `FlowPlan` owned them: network `d+1`, PASID
-/// `100+d`, donor EA staggered 1 TiB apart.
-fn raw_donor_spec(d: usize, share: u64) -> PathSpec {
-    PathSpec::new(
-        NetworkId(d as u32 + 1),
-        Pasid(100 + d as u32),
-        0x7000_0000_0000 + d as u64 * 0x0100_0000_0000,
-        share,
-    )
-    .labelled(&format!("donor{d}"))
-}
-
-/// The pre-topology fan-out wiring (optionally circuit-switched),
-/// spelled out with explicit `path()` calls.
-fn raw_fan_out(
-    donors: usize,
-    share: u64,
-    switch: Option<CircuitSwitch>,
-) -> (Fabric, Vec<PathId>) {
-    let mut b = FabricBuilder::new(DatapathParams::prototype()).window(WindowSpec {
-        base: 0x1000_0000_0000,
-        bytes: share * donors as u64,
-    });
-    let switched = switch.is_some();
-    if let Some(sw) = switch {
-        b = b.switch(sw);
+    let mut fold = 0xcbf2_9ce4_8422_2325u64;
+    for c in &done {
+        for x in [c.tag, u64::from(c.path.0), c.latency.as_ps()] {
+            fold = (fold ^ x).wrapping_mul(0x0100_0000_01b3);
+        }
     }
-    for d in 0..donors {
-        let spec = raw_donor_spec(d, share);
-        b = b.path(if switched { spec.through_switch() } else { spec });
-    }
-    b.build().expect("raw fan-out wiring assembles")
+    (fabric.events_processed(), done.len(), fold)
 }
 
 #[test]
 fn line2_wrapper_matches_raw_point_to_point_bit_for_bit() {
-    for channels in [1, 2, 4] {
-        let bytes = 256 << 20;
-        let (mut raw, raw_paths) = raw_point_to_point(channels, bytes);
-        let (mut wrapped, id) =
-            FabricBuilder::point_to_point(DatapathParams::prototype(), channels, bytes)
+    let pinned = [
+        (1, (47, 12, 2_629_045_119_176_429_657)),
+        (2, (48, 12, 7_382_661_129_086_658_335)),
+        (4, (56, 12, 3_777_747_220_585_500_445)),
+    ];
+    for (channels, want) in pinned {
+        let (mut fabric, id) =
+            FabricBuilder::point_to_point(DatapathParams::prototype(), channels, SHARE)
                 .expect("wrapper assembles");
-        let want = run_workload(&mut raw, &raw_paths);
-        let got = run_workload(&mut wrapped, &[id]);
-        assert_eq!(
-            got.1, want.1,
-            "{channels}ch: event counts diverged (wrapper vs raw)"
-        );
-        assert_eq!(
-            got.0, want.0,
-            "{channels}ch: completion trajectories diverged"
-        );
+        assert_eq!(run_workload(&mut fabric, &[id]), want, "{channels}ch");
     }
 }
 
 #[test]
 fn clos_wrapper_matches_raw_fan_out_bit_for_bit() {
-    for donors in [1, 2, 4] {
-        let share = 256 << 20;
-        let (mut raw, raw_paths) = raw_fan_out(donors, share, None);
-        let (mut wrapped, paths) =
-            FabricBuilder::fan_out(DatapathParams::prototype(), donors, share)
+    let pinned = [
+        (1, (47, 12, 2_629_045_119_176_429_657)),
+        (2, (94, 24, 3_465_931_424_642_060_037)),
+        (4, (188, 48, 16_959_462_281_938_787_157)),
+    ];
+    for (donors, want) in pinned {
+        let (mut fabric, paths) =
+            FabricBuilder::fan_out(DatapathParams::prototype(), donors, SHARE)
                 .expect("wrapper assembles");
-        assert_eq!(paths.len(), raw_paths.len());
-        let want = run_workload(&mut raw, &raw_paths);
-        let got = run_workload(&mut wrapped, &paths);
-        assert_eq!(
-            got.1, want.1,
-            "{donors} donors: event counts diverged (wrapper vs raw)"
-        );
-        assert_eq!(
-            got.0, want.0,
-            "{donors} donors: completion trajectories diverged"
-        );
+        assert_eq!(paths.len(), donors);
+        assert_eq!(run_workload(&mut fabric, &paths), want, "{donors} donors");
     }
 }
 
 #[test]
 fn clos_wrapper_matches_raw_circuit_rack_bit_for_bit() {
-    let donors = 3;
-    let share = 256 << 20;
-    let (mut raw, raw_paths) = raw_fan_out(donors, share, Some(CircuitSwitch::optical(16)));
-    let (mut wrapped, paths) = FabricBuilder::circuit_rack(
+    let (mut fabric, paths) = FabricBuilder::circuit_rack(
         DatapathParams::prototype(),
-        donors,
-        share,
+        3,
+        SHARE,
         CircuitSwitch::optical(16),
     )
     .expect("wrapper assembles");
-    let want = run_workload(&mut raw, &raw_paths);
-    let got = run_workload(&mut wrapped, &paths);
-    assert_eq!(got.1, want.1, "circuit rack: event counts diverged");
-    assert_eq!(got.0, want.0, "circuit rack: completion trajectories diverged");
+    assert_eq!(
+        run_workload(&mut fabric, &paths),
+        (141, 36, 9_298_963_066_891_267_771)
+    );
 }

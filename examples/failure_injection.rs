@@ -13,6 +13,7 @@ use thymesisflow::llc::frame::{assemble, FrameId};
 use thymesisflow::llc::wire::{decode, encode, WireError};
 use thymesisflow::llc::Frame;
 use thymesisflow::netsim::fault::FaultSpec;
+use thymesisflow::routing::topology::{Line, NodeId};
 use thymesisflow::simkit::time::SimTime;
 
 type Msg = (u32, usize);
@@ -23,6 +24,7 @@ fn main() {
         "{:>10} {:>10} {:>10} {:>12} {:>10} {:>10}",
         "drop %", "corrupt %", "GiB/s", "completions", "frames", "replays"
     );
+    let line = Line::new(2).expect("a 2-node line");
     let mut lossless = None;
     for (drop, corrupt) in [(0.0, 0.0), (0.001, 0.001), (0.005, 0.005), (0.02, 0.02)] {
         // Same reference topology every run; only the fault process on
@@ -30,10 +32,11 @@ fn main() {
         let spec = PathSpec::reference(256 << 20, 1)
             .with_faults(FaultSpec::new(drop, corrupt))
             .labelled("lossy");
-        let (mut fabric, paths) = FabricBuilder::new(DatapathParams::prototype())
-            .path(spec)
-            .build()
-            .expect("reference topology assembles");
+        let (mut fabric, paths) =
+            FabricBuilder::from_topology(DatapathParams::prototype(), &line, NodeId(0))
+                .path_to(NodeId(1), spec)
+                .build()
+                .expect("reference topology assembles");
         let path = paths[0];
         let rate = fabric
             .measure_stream_bandwidth(path, 8, 32, SimTime::from_us(100))
