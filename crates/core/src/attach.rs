@@ -60,6 +60,7 @@ pub struct Lease {
     bonded: bool,
     window_base: u64,
     network: u32,
+    pasid: u32,
 }
 
 impl Lease {
@@ -70,6 +71,7 @@ impl Lease {
         req: &AttachRequest,
         window_base: u64,
         network: u32,
+        pasid: u32,
     ) -> Self {
         Lease {
             id,
@@ -81,6 +83,7 @@ impl Lease {
             bonded: req.bonded,
             window_base,
             network,
+            pasid,
         }
     }
 
@@ -129,6 +132,11 @@ impl Lease {
     pub fn network_id(&self) -> u32 {
         self.network
     }
+
+    /// The PASID the donor pinned the lease's region under.
+    pub fn pasid(&self) -> u32 {
+        self.pasid
+    }
 }
 
 #[cfg(test)]
@@ -146,13 +154,14 @@ mod tests {
     #[test]
     fn lease_exposes_request() {
         let r = AttachRequest::new("a", "b", 1 << 30);
-        let l = Lease::new(LeaseId(1), FlowHandle(9), NumaNodeId(255), &r, 0x1000_0000_0000, 7);
+        let l = Lease::new(LeaseId(1), FlowHandle(9), NumaNodeId(255), &r, 0x1000_0000_0000, 7, 3);
         assert_eq!(l.id(), LeaseId(1));
         assert_eq!(l.bytes(), 1 << 30);
         assert_eq!(l.numa_node(), NumaNodeId(255));
         assert!(!l.is_bonded());
         assert_eq!(l.window_base(), 0x1000_0000_0000);
         assert_eq!(l.network_id(), 7);
+        assert_eq!(l.pasid(), 3);
         assert_eq!(l.to_owned().compute(), "a");
     }
 }

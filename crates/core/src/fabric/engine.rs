@@ -35,7 +35,7 @@ use opencapi::m1::M1Error;
 use opencapi::pasid::{Pasid, Region};
 use opencapi::transaction::{MemRequest, MemResponse};
 use rmmu::flow::NetworkId;
-use rmmu::section::{RmmuError, SectionEntry, DEFAULT_SECTION_BITS};
+use rmmu::section::{RmmuError, SectionEntry, DEFAULT_SECTION_BITS, MAX_SECTIONS};
 use rmmu::RoutedRequest;
 use routing::plan::FlowPlan;
 use routing::topology::{Mesh, NodeId, Route as TopoRoute, Topology, TopologyError};
@@ -747,6 +747,14 @@ impl Fabric {
                 window.base, window.bytes
             )));
         }
+        // The section table holds one entry per section: refuse before
+        // allocating it.
+        if window.bytes / section > MAX_SECTIONS {
+            return Err(FabricError::Config(format!(
+                "device window {:#x} B spans more than {MAX_SECTIONS} sections",
+                window.bytes
+            )));
+        }
         if mesh.nodes().iter().all(|n| n.id != compute) {
             return Err(FabricError::Topology(TopologyError::UnknownNode(compute)));
         }
@@ -825,6 +833,23 @@ impl Fabric {
         let route = topo
             .mesh
             .get_route_avoiding(topo.compute, donor_node, &topo.down)?;
+        self.attach_along(spec, route)
+    }
+
+    /// [`Fabric::attach_routed`] along a route chosen elsewhere: the
+    /// rack's control plane routes and reserves every lease, and the
+    /// fabric forwards on exactly that route. `route` must walk the
+    /// fabric's topology from its compute node.
+    ///
+    /// # Errors
+    ///
+    /// As [`Fabric::attach_routed`].
+    pub(crate) fn attach_along(
+        &mut self,
+        spec: &PathSpec,
+        route: TopoRoute,
+    ) -> Result<PathId, FabricError> {
+        let topo = &self.topo;
         if route.hops() == 0 {
             return Err(FabricError::Config(
                 "donor node is the compute node itself".into(),
@@ -2918,6 +2943,12 @@ impl Fabric {
             out.push((interior_id(NodeId(n)), StageKind::CircuitSwitch));
         }
         out
+    }
+
+    /// The topology links this fabric has seen go down and not come
+    /// back, by link index.
+    pub(crate) fn down_topology_links(&self) -> &BTreeSet<usize> {
+        &self.topo.down
     }
 
     /// The live route of an attached path: the node/link walk currently

@@ -9,8 +9,8 @@
 //! * [`Journal`] — an append-only, sequence-numbered record of every
 //!   *explainable* state transition: attach/detach, chaos landings,
 //!   reroutes (with the new path generation and link walk), link
-//!   failures, load faults, donor crashes, evacuations, retry backoff
-//!   and SLO breaches. Each [`JournalRecord`] carries the lease id,
+//!   failures, load faults, donor crashes, evacuations and SLO
+//!   breaches. Each [`JournalRecord`] carries the lease id,
 //!   path, chain generation and topology link names involved, and the
 //!   whole journal exports as JSONL ([`Journal::to_jsonl`]) for
 //!   post-hoc analysis of a chaos run.
@@ -58,8 +58,6 @@ pub enum JournalKind {
     SwitchReroute,
     /// A lease was evacuated off a dead donor (migrated or poisoned).
     Evacuation,
-    /// A transient control-plane rejection backed off before retrying.
-    RetryBackoff,
     /// A per-lease SLO window violated its budget.
     SloBreach,
 }
@@ -79,7 +77,6 @@ impl JournalKind {
             JournalKind::DonorCrash => "donor_crash",
             JournalKind::SwitchReroute => "switch_reroute",
             JournalKind::Evacuation => "evacuation",
-            JournalKind::RetryBackoff => "retry_backoff",
             JournalKind::SloBreach => "slo_breach",
         }
     }

@@ -12,18 +12,19 @@
 //! memory is thereby exercised end to end at flit granularity via
 //! [`Rack::measure_lease_rtt`] / [`Rack::run_lease_streams`].
 //!
-//! Every borrower fabric is wired over the cable graph: a lease's path
-//! follows the route its borrower's fabric computes, avoiding cables
-//! that fabric has seen cut, and an attach with no surviving route to
-//! the donor rolls back and fails with [`FabricError::Topology`].
+//! The control plane is the one route authority: it routes every lease
+//! on the rack's cable mesh, around cabled pairs without free channels
+//! and around the cables the borrower's fabric has seen cut, reserves
+//! the lease's channels on that route, and the borrower's fabric
+//! forwards on exactly that route. An attach with no such route is
+//! refused with [`CpError::NoPath`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use ctrlplane::agent::{AgentError, NodeAgent};
+use ctrlplane::agent::{AgentError, NodeAgent, PinnedRegion};
 use ctrlplane::api::AttachSpec;
 use ctrlplane::auth::{Role, Token};
-use ctrlplane::retry::{RetryPolicy, RetryStats};
 use ctrlplane::service::{ControlPlane, CpError, FlowGrant};
 use hostsim::node::{HostNode, NodeSpec};
 use opencapi::pasid::Pasid;
@@ -43,8 +44,6 @@ use crate::fabric::{
 };
 use crate::memmodel::MemoryModel;
 use crate::params::DatapathParams;
-
-use routing::topology::{Mesh, NodeId};
 
 /// Per-node rack configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,20 +205,14 @@ impl RackBuilder {
                     n.spec.name
                 )));
             }
-            cp.register_host(&n.spec.name, n.transceivers, n.spec.dram_bytes);
+            cp.register_host(&n.spec.name, n.spec.dram_bytes);
             agents.insert(
                 n.spec.name.clone(),
                 NodeAgent::new(HostNode::new(n.spec.clone()), "rack-secret"),
             );
         }
-        // The cable list doubles as the rack's routing topology: one
-        // mesh host per node, one topology link per cabled pair (the
-        // per-pair transceiver fan-out rides that link).
-        let mut mesh = Mesh::new();
-        let mut node_ids: BTreeMap<String, NodeId> = BTreeMap::new();
-        for n in &self.nodes {
-            node_ids.insert(n.spec.name.clone(), mesh.add_host(&n.spec.name));
-        }
+        // One cable per matching transceiver index: the control plane's
+        // mesh link for the pair carries one channel per cable.
         for (a, b) in &self.cables {
             let ta = self
                 .nodes
@@ -233,10 +226,9 @@ impl RackBuilder {
                 .find(|n| &n.spec.name == b)
                 .ok_or_else(|| RackError::BadTopology(format!("unknown node {b}")))?
                 .transceivers;
-            for i in 0..ta.min(tb) {
-                cp.add_cable(a, i, b, i, 100.0);
+            for _ in 0..ta.min(tb) {
+                cp.add_cable(a, b)?;
             }
-            mesh.link(node_ids[a], node_ids[b]);
         }
         Ok(Rack {
             cp,
@@ -248,8 +240,6 @@ impl RackBuilder {
             fabrics: BTreeMap::new(),
             lease_paths: BTreeMap::new(),
             failed_hosts: BTreeSet::new(),
-            mesh,
-            node_ids,
             journal: Journal::new(),
             slos: BTreeMap::new(),
             pending_breaches: Vec::new(),
@@ -285,14 +275,9 @@ pub struct Rack {
     /// Hosts declared dead by [`Rack::crash_donor`]. They neither donate
     /// nor borrow until an operator re-provisions them.
     failed_hosts: BTreeSet<String>,
-    /// The cable graph as a routing topology: every lazily-built
-    /// borrower fabric gets a copy, so lease paths are routed (and
-    /// chaos targets named) in cable terms.
-    mesh: Mesh,
-    node_ids: BTreeMap<String, NodeId>,
-    /// The rack-level causal journal: lease attach/detach, retry
-    /// backoff, evacuations and SLO breaches. Always on — control-plane
-    /// transitions are rare and recording never touches the simulation.
+    /// The rack-level causal journal: lease attach/detach, evacuations
+    /// and SLO breaches. Always on — control-plane transitions are rare
+    /// and recording never touches the simulation.
     journal: Journal,
     /// Per-lease SLO contracts under evaluation.
     slos: BTreeMap<LeaseId, SloMonitor>,
@@ -309,16 +294,17 @@ pub struct Rack {
 
 impl Rack {
     /// Attaches donor memory to a borrower, end to end: control-plane
-    /// reservation, signed agent configs, donor pin, borrower hotplug,
-    /// **and** the flit-level fabric path (section-table entries, router
-    /// route, LLC pairs, channels) on the borrower's [`Fabric`].
+    /// route and channel reservation, signed agent configs, donor pin,
+    /// borrower hotplug, **and** the flit-level fabric path
+    /// (section-table entries, router route, LLC pairs, channels) on the
+    /// borrower's [`Fabric`], along the reserved route.
     ///
     /// # Errors
     ///
     /// Propagates control-plane, agent, and fabric failures — including
-    /// a borrower fabric with no surviving route to the donor
-    /// ([`FabricError::Topology`]); on any partial failure every prior
-    /// step is rolled back.
+    /// [`CpError::NoPath`] when no route to the donor has the lease's
+    /// channels free and avoids every cable the borrower's fabric has
+    /// seen cut; on any partial failure every prior step is rolled back.
     pub fn attach(&mut self, req: AttachRequest) -> Result<Lease, RackError> {
         if !self.agents.contains_key(&req.compute) {
             return Err(RackError::BadTopology(format!("unknown node {}", req.compute)));
@@ -331,7 +317,14 @@ impl Rack {
                 return Err(RackError::HostDown(host.clone()));
             }
         }
-        let grant = self.cp.attach(
+        // The control plane routes and reserves, around the cables this
+        // borrower's fabric has seen cut.
+        let no_cuts = BTreeSet::new();
+        let cut = self
+            .fabrics
+            .get(&req.compute)
+            .map_or(&no_cuts, Fabric::down_topology_links);
+        let grant = self.cp.attach_avoiding(
             &self.admin,
             AttachSpec {
                 compute_host: req.compute.clone(),
@@ -339,6 +332,7 @@ impl Rack {
                 bytes: req.bytes,
                 bonded: req.bonded,
             },
+            cut,
         )?;
         // Donor pins first; borrower hotplugs second.
         let donor = self.agents.get_mut(&req.memory).expect("checked");
@@ -360,16 +354,17 @@ impl Rack {
                 return Err(e.into());
             }
         };
-        // Wire the flit-level path the lease will be served over.
+        // Wire the flit-level path the lease will be served over, on the
+        // route the control plane reserved.
         let id = LeaseId(self.next_lease);
         let spec = Self::grant_path_spec(&grant, &format!("{}:{id}", req.memory));
         let params = self.params.clone();
-        let compute_node = self.node_ids[&req.compute];
-        let donor_node = self.node_ids[&req.memory];
+        let mesh = self.cp.mesh();
+        let compute_node = grant.route.nodes[0];
         let journal_fabrics = self.fabric_journals;
         let fabric = self.fabrics.entry(req.compute.clone()).or_insert_with(|| {
             let (fabric, _) = FabricBuilder::new(params)
-                .topology(self.mesh.clone(), compute_node)
+                .topology(mesh.clone(), compute_node)
                 .build()
                 .expect("an empty fabric always assembles");
             fabric
@@ -377,9 +372,7 @@ impl Rack {
         if journal_fabrics && fabric.journal().is_none() {
             fabric.set_journal(true);
         }
-        // Route along the cable graph, avoiding links this fabric has
-        // seen cut.
-        let path = match fabric.attach_routed(&spec, donor_node) {
+        let path = match fabric.attach_along(&spec, grant.route) {
             Ok(p) => p,
             Err(e) => {
                 self.agents
@@ -403,7 +396,7 @@ impl Rack {
         let at = fabric.now();
         let route_links = Self::route_names(fabric, path);
         self.next_lease += 1;
-        let lease = Lease::new(id, grant.flow, node, &req, window_base, spec.network.0);
+        let lease = Lease::new(id, grant.flow, node, &req, window_base, spec.network.0, pasid);
         self.leases.insert(id, lease.clone());
         self.lease_paths.insert(id, (req.compute.clone(), path));
         self.journal.record(
@@ -542,80 +535,10 @@ impl Rack {
     }
 
     /// A congestion heatmap over the borrower host's fabric, keyed by
-    /// cable-graph link names. `None` if no lease ever built a fabric
+    /// cable-mesh link names. `None` if no lease ever built a fabric
     /// there.
     pub fn congestion_report(&self, host: &str) -> Option<CongestionReport> {
         self.fabrics.get(host).map(Fabric::congestion_report)
-    }
-
-    /// Attaches with bounded retry: transient control-plane rejections
-    /// (donor exhausted, no path, no disjoint second path for bonding)
-    /// back off exponentially and try again — capacity churns as other
-    /// tenants detach — while permanent rejections fail fast. The
-    /// returned [`RetryStats`] reports attempts made and simulated time
-    /// spent backing off.
-    ///
-    /// # Errors
-    ///
-    /// As [`Rack::attach`]; a transient error is returned only once
-    /// `policy.max_attempts` attempts are exhausted.
-    pub fn attach_with_retry(
-        &mut self,
-        req: AttachRequest,
-        policy: &RetryPolicy,
-    ) -> Result<(Lease, RetryStats), RackError> {
-        let max = policy.max_attempts.max(1);
-        let mut stats = RetryStats {
-            attempts: 0,
-            backoff_total: SimTime::ZERO,
-            attempt_time_total: SimTime::ZERO,
-            transient_errors: Vec::new(),
-        };
-        loop {
-            stats.attempts += 1;
-            match self.attach(req.clone()) {
-                Ok(lease) => return Ok((lease, stats)),
-                Err(RackError::ControlPlane(e))
-                    if e.is_transient() && stats.attempts < max =>
-                {
-                    stats.attempt_time_total =
-                        stats.attempt_time_total + policy.attempt_timeout;
-                    stats.backoff_total =
-                        stats.backoff_total + policy.backoff_after(stats.attempts);
-                    self.journal.record(JournalRecord::new(
-                        stats.total_delay(),
-                        JournalKind::RetryBackoff,
-                        format!(
-                            "attempt {} for {}←{}: {e}; backing off {}",
-                            stats.attempts,
-                            req.compute,
-                            req.memory,
-                            policy.backoff_after(stats.attempts),
-                        ),
-                    ));
-                    stats.transient_errors.push(e);
-                }
-                Err(e) => {
-                    // Exhausted retries leave a closing record so the
-                    // journal tells the whole story, not just the
-                    // backoffs: how many attempts, which transient
-                    // errors were absorbed, and what the retrying cost.
-                    if stats.attempts > 1 {
-                        self.journal.record(JournalRecord::new(
-                            stats.total_delay(),
-                            JournalKind::RetryBackoff,
-                            format!(
-                                "{}←{} gave up after {}: {e}",
-                                req.compute,
-                                req.memory,
-                                stats.summary(),
-                            ),
-                        ));
-                    }
-                    return Err(e);
-                }
-            }
-        }
     }
 
     /// Declares a donor host dead and evacuates every lease it served.
@@ -793,7 +716,7 @@ impl Rack {
 
     /// Derives the flit-level path of a control-plane grant: network id
     /// and bonding from the section programming, PASID and donor EA from
-    /// the memory config, and channel count from the reserved paths.
+    /// the memory config, and channel count from the reservation.
     fn grant_path_spec(grant: &FlowGrant, label: &str) -> PathSpec {
         let first = grant
             .compute_config
@@ -806,7 +729,7 @@ impl Rack {
             grant.memory_config.ea_base,
             grant.compute_config.window_bytes,
         )
-        .bonded_channels(grant.paths.len().max(1))
+        .bonded_channels(grant.channels as usize)
         .labelled(label);
         spec.bonded = first.bonded;
         spec
@@ -838,18 +761,11 @@ impl Rack {
                 fabric.detach_path(path)?;
             }
         }
-        // Find the donor's pinned region for this lease via its pasid:
-        // the memory config's pasid equals the flow's pasid; agents track
-        // by pasid, so release whatever matches the lease bytes.
-        let donor = self.agents.get_mut(lease.memory()).expect("lease host");
-        let pasid = donor
-            .pinned()
-            .iter()
-            .find(|p| p.len == lease.bytes())
-            .map(|p| p.pasid);
-        if let Some(p) = pasid {
-            donor.release_memory(p).expect("found above");
-        }
+        self.agents
+            .get_mut(lease.memory())
+            .expect("lease host")
+            .release_memory(lease.pasid())
+            .expect("a live lease's donor pin is held");
         self.cp.detach(&self.admin, lease.flow())?;
         self.leases.remove(&id);
         self.slos.remove(&id);
@@ -878,9 +794,21 @@ impl Rack {
         self.agents.get_mut(name).map(|a| a.host_mut())
     }
 
+    /// The control plane: the cable mesh, its channel reservations and
+    /// the audit trail.
+    pub fn control_plane(&self) -> &ControlPlane {
+        &self.cp
+    }
+
     /// The control plane (REST-style interface, audit trail).
     pub fn control_plane_mut(&mut self) -> &mut ControlPlane {
         &mut self.cp
+    }
+
+    /// The regions a host has pinned for donation, one per lease it
+    /// serves. `None` for unknown hosts.
+    pub fn pinned(&self, host: &str) -> Option<&[PinnedRegion]> {
+        self.agents.get(host).map(NodeAgent::pinned)
     }
 
     /// Live leases.
@@ -1220,7 +1148,6 @@ impl Rack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use routing::topology::TopologyError;
     use simkit::units::GIB;
 
     fn rack() -> Rack {
@@ -1624,9 +1551,9 @@ mod tests {
 
     #[test]
     fn attach_without_a_surviving_route_rolls_back() {
-        // A line a–b–c. The control plane still sees cable a-b, but a's
-        // fabric has seen it cut: the fabric's route is the authority,
-        // so a's attach to c fails and every prior step is undone.
+        // A line a–b–c. a's fabric has seen cable a-b cut, so the
+        // control plane routes a's leases around it: a's attach to c has
+        // no route, is refused and holds nothing.
         let mut r = RackBuilder::new()
             .node(NodeConfig::ac922("a"))
             .node(NodeConfig::ac922("b"))
@@ -1645,70 +1572,18 @@ mod tests {
         fabric.schedule_chaos(&ChaosPlan::new().link_down_named(at, &name));
         fabric.drain().unwrap();
         let flows = r.cp.flow_count();
+        let channels = r.cp.links().to_vec();
         let pinned = r.agents["c"].pinned().to_vec();
         let numa = r.host("a").unwrap().numa().nodes().to_vec();
         let paths = r.fabric("a").unwrap().path_ids();
         let err = r.attach(AttachRequest::new("a", "c", 4 * GIB)).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                RackError::Fabric(FabricError::Topology(TopologyError::NoRoute { .. }))
-            ),
-            "{err:?}"
-        );
+        assert_eq!(err, RackError::ControlPlane(CpError::NoPath));
         assert_eq!(r.cp.flow_count(), flows);
+        assert_eq!(r.cp.links(), channels.as_slice());
         assert_eq!(r.agents["c"].pinned(), pinned.as_slice());
         assert_eq!(r.host("a").unwrap().numa().nodes(), numa.as_slice());
         assert_eq!(r.fabric("a").unwrap().path_ids(), paths);
         assert_eq!(r.leases().count(), 1);
-    }
-
-    #[test]
-    fn attach_with_retry_rides_through_transient_exhaustion() {
-        let mut r = rack();
-        // Reserve the whole donor so the next attach is transient-busy.
-        let hog = r
-            .attach(AttachRequest::new("borrower", "donor", 512 * GIB))
-            .unwrap();
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff: simkit::time::SimTime::from_us(10),
-            attempt_timeout: simkit::time::SimTime::from_us(5),
-            ..RetryPolicy::default()
-        };
-        let err = r
-            .attach_with_retry(AttachRequest::new("borrower", "donor", GIB), &policy)
-            .unwrap_err();
-        assert!(matches!(err, RackError::ControlPlane(e) if e.is_transient()));
-        // Two backoffs plus the closing give-up record, which carries
-        // the whole retry story in one line.
-        let retries: Vec<_> = r.journal().of_kind(JournalKind::RetryBackoff).collect();
-        assert_eq!(retries.len(), 3);
-        assert!(
-            retries[2].detail.contains("gave up after 3 attempts (2 transient:"),
-            "{}",
-            retries[2].detail
-        );
-        // Capacity frees; the same request now succeeds on attempt one.
-        r.detach(hog.id()).unwrap();
-        let (lease, stats) = r
-            .attach_with_retry(AttachRequest::new("borrower", "donor", GIB), &policy)
-            .unwrap();
-        assert_eq!(stats.attempts, 1);
-        assert_eq!(stats.backoff_total, SimTime::ZERO);
-        assert_eq!(lease.bytes(), GIB);
-    }
-
-    #[test]
-    fn attach_with_retry_fails_fast_on_permanent_errors() {
-        let mut r = rack();
-        let err = r
-            .attach_with_retry(
-                AttachRequest::new("ghost", "donor", GIB),
-                &RetryPolicy::default(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, RackError::BadTopology(_)));
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! address placement yields a fabric or a typed `FabricError`, never a
 //! panic.
 //!
-//! Windows stay at or below 1 TiB: the RMMU section table holds one
-//! entry per 256 MiB of window, so a window near 2^64 bytes would ask
-//! for billions of entries. Windows and donor ranges may still *sit*
-//! near the top of the address space.
+//! Windows are drawn up to 2^63 bytes. The RMMU section table holds one
+//! entry per 256 MiB of window, so `Fabric::assemble` refuses a window
+//! over `rmmu::section::MAX_SECTIONS` sections before it allocates the
+//! table. Windows and donor ranges may also *sit* near the top of the
+//! address space.
 
 use proptest::prelude::*;
+use rmmu::section::MAX_SECTIONS;
 use routing::topology::{Line, NodeId};
 use thymesisflow_core::fabric::{FabricBuilder, FabricError, PathSpec, WindowSpec};
 use thymesisflow_core::params::DatapathParams;
@@ -72,7 +74,11 @@ proptest! {
     #[test]
     fn windowed_builds_or_refuse(
         offset in prop_oneof![(0u64..4096).prop_map(|k| k * 128), 1u64..128],
-        bytes in prop_oneof![size(), (1u64..=4096).prop_map(|k| k * SECTION)],
+        bytes in prop_oneof![
+            size(),
+            (1u64..=4096).prop_map(|k| k * SECTION),
+            (1u64..=1 << 35).prop_map(|k| k * SECTION),
+        ],
         path_bytes in size(),
         channels in 0usize..=8,
     ) {
@@ -84,6 +90,7 @@ proptest! {
         match built {
             Ok(_) => {
                 prop_assert!(offset.is_multiple_of(128) && bytes.is_multiple_of(SECTION));
+                prop_assert!(bytes / SECTION <= MAX_SECTIONS);
                 prop_assert!(path_bytes <= bytes);
             }
             Err(e) => prop_assert!(typed(&e), "untyped refusal {e:?}"),

@@ -15,13 +15,20 @@
 //! reserved, the control plane generates the suitable configurations and
 //! pushes them to the appropriate agents."
 //!
-//! The paper backs this graph with JanusGraph; [`graph`] is the in-memory
-//! property-graph stand-in. The "REST API" of the paper is modelled by
-//! [`api`]: serde-encoded requests answered by
-//! [`service::ControlPlane::handle_json`]. Access control and trusted
-//! configuration push ("trusted node agents […] accept configuration
-//! updates only from a trusted control plane") live in [`auth`], and the
-//! host-side agents in [`agent`].
+//! The paper backs this graph with JanusGraph. Here the state is the
+//! rack's cable mesh, a [`routing::topology::Mesh`] with one node per
+//! host and one link per cabled host pair, each link carrying as many
+//! channels as cables were laid ([`service::ControlPlane::add_cable`]).
+//! An attach routes the lease with the same breadth-first search the
+//! flit-level fabric forwards on, over links with enough free channels,
+//! holds the lease's channels on every link of that route, and hands the
+//! route to the caller in the [`service::FlowGrant`], so the links the
+//! control plane reserves are the links the data plane uses. The "REST
+//! API" of the paper is modelled by [`api`]: serde-encoded requests
+//! answered by [`service::ControlPlane::handle_json`]. Access control and
+//! trusted configuration push ("trusted node agents […] accept
+//! configuration updates only from a trusted control plane") live in
+//! [`auth`], and the host-side agents in [`agent`].
 //!
 //! # Example
 //!
@@ -33,9 +40,9 @@
 //!
 //! let mut cp = ControlPlane::new("cp-secret");
 //! let admin = cp.auth_mut().issue_token(Role::Admin);
-//! cp.register_host("borrower", 2, 512 * GIB);
-//! cp.register_host("donor", 2, 512 * GIB);
-//! cp.add_cable("borrower", 0, "donor", 0, 100.0);
+//! cp.register_host("borrower", 512 * GIB);
+//! cp.register_host("donor", 512 * GIB);
+//! cp.add_cable("borrower", "donor")?;
 //!
 //! let grant = cp.attach(&admin, AttachSpec {
 //!     compute_host: "borrower".into(),
@@ -44,19 +51,17 @@
 //!     bonded: false,
 //! })?;
 //! assert_eq!(grant.memory_config.len, 64 * GIB);
+//! assert_eq!((grant.route.hops(), grant.channels), (1, 1));
 //! # Ok::<(), ctrlplane::service::CpError>(())
 //! ```
 
 pub mod agent;
 pub mod api;
 pub mod auth;
-pub mod graph;
-pub mod path;
 pub mod retry;
 pub mod service;
 
 pub use api::{AttachSpec, Request, Response};
 pub use auth::{AccessControl, Role, Token};
-pub use graph::{EdgeId, Graph, VertexId, VertexKind};
 pub use retry::{attach_with_retry, RetryPolicy, RetryStats};
-pub use service::{ControlPlane, CpError, FlowGrant, FlowHandle};
+pub use service::{ControlPlane, CpError, FlowGrant, FlowHandle, LinkChannels};

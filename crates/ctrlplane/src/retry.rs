@@ -1,8 +1,8 @@
 //! Bounded attach retry with exponential backoff.
 //!
-//! A control-plane rejection is not always final: `DonorExhausted`,
-//! `NoPath` and `NoSecondPath` describe the *current* reservation state,
-//! which another tenant's detach can change a moment later. This module
+//! A control-plane rejection is not always final: `DonorExhausted` and
+//! `NoPath` describe the *current* reservation state, which another
+//! tenant's detach can change a moment later. This module
 //! classifies [`CpError`]s into transient and permanent
 //! ([`CpError::is_transient`]) and drives a bounded, exponentially
 //! backed-off retry loop over [`ControlPlane::attach`]
@@ -30,10 +30,7 @@ impl CpError {
     /// churn. Authorization, unknown hosts and malformed requests are
     /// permanent: retrying replays the same mistake.
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            CpError::DonorExhausted { .. } | CpError::NoPath | CpError::NoSecondPath
-        )
+        matches!(self, CpError::DonorExhausted { .. } | CpError::NoPath)
     }
 }
 
@@ -194,10 +191,10 @@ mod tests {
     fn plane() -> (ControlPlane, Token) {
         let mut cp = ControlPlane::new("s");
         let admin = cp.auth_mut().issue_token(Role::Admin);
-        cp.register_host("b", 2, 64 * GIB);
-        cp.register_host("d", 2, 64 * GIB);
-        cp.add_cable("b", 0, "d", 0, 100.0);
-        cp.add_cable("b", 1, "d", 1, 100.0);
+        cp.register_host("b", 64 * GIB);
+        cp.register_host("d", 64 * GIB);
+        cp.add_cable("b", "d").unwrap();
+        cp.add_cable("b", "d").unwrap();
         (cp, admin)
     }
 
@@ -213,7 +210,6 @@ mod tests {
     #[test]
     fn classification_separates_transient_from_permanent() {
         assert!(CpError::NoPath.is_transient());
-        assert!(CpError::NoSecondPath.is_transient());
         assert!(CpError::DonorExhausted {
             host: "d".into(),
             available: 0

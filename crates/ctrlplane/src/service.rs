@@ -1,23 +1,27 @@
 //! The control-plane service: state, attach/detach orchestration, the
 //! JSON entry point and the audit trail.
+//!
+//! The system state is the rack's cable mesh: one [`Mesh`] host per
+//! registered host and one link per cabled host pair, whose capacity is
+//! the number of cables laid between the pair, one channel each. An
+//! attach routes the lease with [`Topology::get_route_avoiding`], the
+//! breadth-first search the fabric forwards on, skipping every link
+//! without enough free channels, and holds the lease's channels (two
+//! when bonded) on each link of that one route.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use routing::topology::{Mesh, NodeId, Route, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::api::{
     AttachSpec, ComputeConfig, MemoryConfig, Request, Response, SectionProgram,
 };
 use crate::auth::{sign_config, AccessControl, AuthError, Token};
-use crate::graph::{Graph, VertexId, VertexKind};
-use crate::path::{find_path, release_path, reserve_path, PathReservation};
 
 /// Section granularity (must match the RMMU/hotplug section size).
 pub const SECTION_BYTES: u64 = 256 << 20;
-
-/// Bandwidth one ThymesisFlow channel needs, Gbit/s.
-pub const CHANNEL_GBPS: f64 = 100.0;
 
 /// Handle of a live attachment.
 #[derive(
@@ -47,10 +51,9 @@ pub enum CpError {
         /// Bytes available.
         available: u64,
     },
-    /// No network path with enough capacity exists.
+    /// No route between the two hosts has the lease's channels free on
+    /// every link.
     NoPath,
-    /// Bonding requested but only one disjoint path exists.
-    NoSecondPath,
     /// Unknown flow handle.
     UnknownFlow(FlowHandle),
 }
@@ -65,7 +68,6 @@ impl fmt::Display for CpError {
                 write!(f, "donor {host} exhausted ({available} bytes left)")
             }
             CpError::NoPath => write!(f, "no network path with enough capacity"),
-            CpError::NoSecondPath => write!(f, "no disjoint second path for bonding"),
             CpError::UnknownFlow(h) => write!(f, "unknown {h}"),
         }
     }
@@ -80,8 +82,8 @@ impl From<AuthError> for CpError {
 }
 
 /// What an approved attachment hands back: the configurations to push to
-/// the two agents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// the two agents, and the route the datapath must forward on.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowGrant {
     /// The flow handle for later detachment.
     pub flow: FlowHandle,
@@ -89,26 +91,37 @@ pub struct FlowGrant {
     pub compute_config: ComputeConfig,
     /// Configuration for the memory-side agent.
     pub memory_config: MemoryConfig,
-    /// Reserved network paths (1, or 2 when bonded).
-    pub paths: Vec<PathReservation>,
+    /// The reserved route over [`ControlPlane::mesh`], compute host
+    /// first, memory host last.
+    pub route: Route,
+    /// Channels held on every link of `route` (1, or 2 when bonded).
+    pub channels: u32,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Channel accounting of one cabled host pair (one mesh link).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkChannels {
+    /// Cables laid between the pair, one channel each.
+    pub cables: u32,
+    /// Channels live flows hold on the pair.
+    pub held: u32,
+}
+
+#[derive(Debug, Clone)]
 struct HostRecord {
-    compute_v: VertexId,
-    memory_v: VertexId,
-    transceivers: Vec<VertexId>,
+    node: NodeId,
     donor_total: u64,
     donor_reserved: u64,
     next_ea: u64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct FlowRecord {
     compute: String,
     memory: String,
     bytes: u64,
-    paths: Vec<PathReservation>,
+    route: Route,
+    channels: u32,
 }
 
 /// One audit-trail entry.
@@ -124,7 +137,9 @@ pub struct AuditEntry {
 #[derive(Debug)]
 pub struct ControlPlane {
     secret: String,
-    graph: Graph,
+    mesh: Mesh,
+    /// Per mesh link, by link index.
+    links: Vec<LinkChannels>,
     auth: AccessControl,
     hosts: BTreeMap<String, HostRecord>,
     flows: BTreeMap<FlowHandle, FlowRecord>,
@@ -139,7 +154,8 @@ impl ControlPlane {
     pub fn new(secret: &str) -> Self {
         ControlPlane {
             secret: secret.to_string(),
-            graph: Graph::new(),
+            mesh: Mesh::new(),
+            links: Vec::new(),
             auth: AccessControl::new(),
             hosts: BTreeMap::new(),
             flows: BTreeMap::new(),
@@ -155,9 +171,16 @@ impl ControlPlane {
         &mut self.auth
     }
 
-    /// The system-state graph (read-only).
-    pub fn graph(&self) -> &Graph {
-        &self.graph
+    /// The system state: the cable mesh grants are routed on. Hosts are
+    /// nodes in registration order; each cabled pair is one link, in
+    /// the order of its first cable.
+    pub fn mesh(&self) -> &Mesh {
+        &self.mesh
+    }
+
+    /// Channel accounting of every mesh link, by link index.
+    pub fn links(&self) -> &[LinkChannels] {
+        &self.links
     }
 
     /// The audit trail.
@@ -170,135 +193,113 @@ impl ControlPlane {
         self.audit.push(AuditEntry { seq, event });
     }
 
-    /// Registers a host with `transceivers` network-facing transceivers
-    /// and `donor_bytes` of memory it may donate.
-    pub fn register_host(&mut self, name: &str, transceivers: u32, donor_bytes: u64) {
-        let compute_v = self.graph.add_vertex(VertexKind::ComputeEndpoint {
-            host: name.to_string(),
-        });
-        let memory_v = self.graph.add_vertex(VertexKind::MemoryEndpoint {
-            host: name.to_string(),
-        });
-        let mut txs = Vec::new();
-        for i in 0..transceivers {
-            let t = self.graph.add_vertex(VertexKind::Transceiver {
-                host: name.to_string(),
-                index: i,
-            });
-            // Host-internal hops: endpoints reach every transceiver.
-            self.graph
-                .add_edge(compute_v, t, CHANNEL_GBPS * transceivers as f64)
-                .expect("fresh vertices");
-            self.graph
-                .add_edge(memory_v, t, CHANNEL_GBPS * transceivers as f64)
-                .expect("fresh vertices");
-            txs.push(t);
-        }
+    fn host(&self, name: &str) -> Result<&HostRecord, CpError> {
+        self.hosts
+            .get(name)
+            .ok_or_else(|| CpError::UnknownHost(name.to_string()))
+    }
+
+    /// Registers a host with `donor_bytes` of memory it may donate.
+    pub fn register_host(&mut self, name: &str, donor_bytes: u64) {
+        let node = self.mesh.add_host(name);
         self.hosts.insert(
             name.to_string(),
             HostRecord {
-                compute_v,
-                memory_v,
-                transceivers: txs,
+                node,
                 donor_total: donor_bytes,
                 donor_reserved: 0,
                 next_ea: 0x7000_0000_0000,
             },
         );
-        self.log(format!("register_host {name} txs={transceivers}"));
+        self.log(format!("register_host {name} donor_bytes={donor_bytes}"));
     }
 
-    /// Connects transceiver `tx_a` of `host_a` to transceiver `tx_b` of
-    /// `host_b` with a direct-attach cable.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown hosts or transceiver indices.
-    pub fn add_cable(&mut self, host_a: &str, tx_a: u32, host_b: &str, tx_b: u32, gbps: f64) {
-        let a = self.hosts[host_a].transceivers[tx_a as usize];
-        let b = self.hosts[host_b].transceivers[tx_b as usize];
-        self.graph.add_edge(a, b, gbps).expect("vertices exist");
-        self.log(format!("add_cable {host_a}:{tx_a} <-> {host_b}:{tx_b} @{gbps}"));
-    }
-
-    /// Adds a circuit switch and cables the listed host transceivers to
-    /// its ports (port i ↔ i-th listed transceiver).
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown hosts or transceiver indices.
-    pub fn add_switch(&mut self, name: &str, attached: &[(&str, u32)], port_gbps: f64) {
-        let hub = self.graph.add_vertex(VertexKind::SwitchPort {
-            switch: name.to_string(),
-            port: u32::MAX,
-        });
-        for (i, (host, tx)) in attached.iter().enumerate() {
-            let port = self.graph.add_vertex(VertexKind::SwitchPort {
-                switch: name.to_string(),
-                port: i as u32,
-            });
-            let t = self.hosts[*host].transceivers[*tx as usize];
-            self.graph.add_edge(t, port, port_gbps).expect("vertices");
-            self.graph.add_edge(port, hub, port_gbps).expect("vertices");
-        }
-        self.log(format!("add_switch {name} ports={}", attached.len()));
-    }
-
-    /// Attaches `spec.bytes` of `spec.memory_host`'s memory to
-    /// `spec.compute_host`.
+    /// Lays one direct-attach cable between `host_a` and `host_b`: one
+    /// more channel on the pair's mesh link, which the pair's first
+    /// cable creates.
     ///
     /// # Errors
     ///
-    /// Fails on authorization, capacity, or path-search failures; on
+    /// [`CpError::UnknownHost`] if either host is unregistered.
+    pub fn add_cable(&mut self, host_a: &str, host_b: &str) -> Result<(), CpError> {
+        let a = self.host(host_a)?.node;
+        let b = self.host(host_b)?.node;
+        let pair = self
+            .mesh
+            .links()
+            .iter()
+            .position(|l| (l.a, l.b) == (a, b) || (l.a, l.b) == (b, a));
+        let link = match pair {
+            Some(link) => link,
+            None => {
+                self.links.push(LinkChannels::default());
+                self.mesh.link(a, b)
+            }
+        };
+        self.links[link].cables += 1;
+        self.log(format!("add_cable {host_a} <-> {host_b}"));
+        Ok(())
+    }
+
+    /// Attaches `spec.bytes` of `spec.memory_host`'s memory to
+    /// `spec.compute_host` over the fewest-hop route whose every link
+    /// has the lease's channels free.
+    ///
+    /// # Errors
+    ///
+    /// Fails on authorization, capacity, or route-search failures; on
     /// failure no resource remains reserved.
     pub fn attach(&mut self, token: &Token, spec: AttachSpec) -> Result<FlowGrant, CpError> {
+        self.attach_avoiding(token, spec, &BTreeSet::new())
+    }
+
+    /// [`ControlPlane::attach`] that also keeps the route off the `cut`
+    /// mesh links, the cables the borrower's datapath has seen fail.
+    ///
+    /// # Errors
+    ///
+    /// As [`ControlPlane::attach`].
+    pub fn attach_avoiding(
+        &mut self,
+        token: &Token,
+        spec: AttachSpec,
+        cut: &BTreeSet<usize>,
+    ) -> Result<FlowGrant, CpError> {
         self.auth
             .authorize_attach(token, &spec.compute_host, &spec.memory_host)?;
         if spec.bytes == 0 || spec.bytes % SECTION_BYTES != 0 {
             return Err(CpError::BadSize(spec.bytes));
         }
-        let (compute_v, memory_v) = {
-            let c = self
-                .hosts
-                .get(&spec.compute_host)
-                .ok_or_else(|| CpError::UnknownHost(spec.compute_host.clone()))?;
-            let m = self
-                .hosts
-                .get(&spec.memory_host)
-                .ok_or_else(|| CpError::UnknownHost(spec.memory_host.clone()))?;
-            if m.donor_total - m.donor_reserved < spec.bytes {
-                return Err(CpError::DonorExhausted {
-                    host: spec.memory_host.clone(),
-                    available: m.donor_total - m.donor_reserved,
-                });
-            }
-            (c.compute_v, m.memory_v)
-        };
+        let compute = self.host(&spec.compute_host)?.node;
+        let donor = self.host(&spec.memory_host)?;
+        let available = donor.donor_total - donor.donor_reserved;
+        if available < spec.bytes {
+            return Err(CpError::DonorExhausted {
+                host: spec.memory_host.clone(),
+                available,
+            });
+        }
 
-        // Reserve one path, or two for bonding.
-        let mut paths: Vec<PathReservation> = Vec::new();
-        let edges =
-            find_path(&self.graph, compute_v, memory_v, CHANNEL_GBPS).ok_or(CpError::NoPath)?;
-        paths.push(
-            reserve_path(&mut self.graph, &edges, CHANNEL_GBPS)
-                .map_err(|_| CpError::NoPath)?,
+        // Route on the mesh around the cut links and every link without
+        // the lease's channels free, then hold them along the route.
+        let channels = if spec.bonded { 2 } else { 1 };
+        let mut avoid = cut.clone();
+        avoid.extend(
+            self.links
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.held + channels > l.cables)
+                .map(|(i, _)| i),
         );
-        if spec.bonded {
-            match find_path(&self.graph, compute_v, memory_v, CHANNEL_GBPS) {
-                Some(second) => {
-                    match reserve_path(&mut self.graph, &second, CHANNEL_GBPS) {
-                        Ok(r) => paths.push(r),
-                        Err(_) => {
-                            release_path(&mut self.graph, &paths[0]).expect("held");
-                            return Err(CpError::NoSecondPath);
-                        }
-                    }
-                }
-                None => {
-                    release_path(&mut self.graph, &paths[0]).expect("held");
-                    return Err(CpError::NoSecondPath);
-                }
-            }
+        let route = self
+            .mesh
+            .get_route_avoiding(compute, donor.node, &avoid)
+            .map_err(|_| CpError::NoPath)?;
+        if route.hops() == 0 {
+            return Err(CpError::NoPath);
+        }
+        for &l in &route.links {
+            self.links[l].held += channels;
         }
 
         // Carve the donor region and mint configurations.
@@ -344,46 +345,44 @@ impl ControlPlane {
                 compute: spec.compute_host.clone(),
                 memory: spec.memory_host.clone(),
                 bytes: spec.bytes,
-                paths: paths.clone(),
+                route: route.clone(),
+                channels,
             },
         );
         self.log(format!(
-            "attach {flow}: {} <- {} {} bytes bonded={} paths={}",
+            "attach {flow}: {} <- {} {} bytes bonded={} channels={channels} hops={}",
             spec.compute_host,
             spec.memory_host,
             spec.bytes,
             spec.bonded,
-            paths.len()
+            route.hops()
         ));
         Ok(FlowGrant {
             flow,
             compute_config,
             memory_config,
-            paths,
+            route,
+            channels,
         })
     }
 
-    /// Tears a flow down, releasing network and donor reservations.
+    /// Tears a flow down, releasing its channels and donor reservation.
     ///
     /// # Errors
     ///
     /// Fails on authorization failure or unknown flows.
     pub fn detach(&mut self, token: &Token, flow: FlowHandle) -> Result<(), CpError> {
-        let record = self
-            .flows
-            .get(&flow)
-            .ok_or(CpError::UnknownFlow(flow))?
-            .clone();
+        let record = self.flows.get(&flow).ok_or(CpError::UnknownFlow(flow))?;
         self.auth
             .authorize_attach(token, &record.compute, &record.memory)?;
-        for p in &record.paths {
-            release_path(&mut self.graph, p).expect("reserved at attach");
+        let record = self.flows.remove(&flow).expect("found above");
+        for &l in &record.route.links {
+            self.links[l].held -= record.channels;
         }
         self.hosts
             .get_mut(&record.memory)
             .expect("host existed at attach")
             .donor_reserved -= record.bytes;
-        self.flows.remove(&flow);
         self.log(format!("detach {flow}"));
         Ok(())
     }
@@ -400,7 +399,7 @@ impl ControlPlane {
                 Ok(grant) => Response::Attached {
                     flow: grant.flow.0,
                     bytes: grant.memory_config.len,
-                    channels: grant.paths.len() as u32,
+                    channels: grant.channels,
                 },
                 Err(e) => error_response(e),
             },
@@ -447,7 +446,7 @@ fn error_response(e: CpError) -> Response {
         CpError::UnknownHost(_) => "unknown_host",
         CpError::BadSize(_) => "bad_size",
         CpError::DonorExhausted { .. } => "donor_exhausted",
-        CpError::NoPath | CpError::NoSecondPath => "no_path",
+        CpError::NoPath => "no_path",
         CpError::UnknownFlow(_) => "unknown_flow",
     };
     Response::Error {
@@ -462,23 +461,46 @@ mod tests {
     use crate::auth::Role;
     use simkit::units::GIB;
 
+    /// `c1` and `m1` joined by two cables.
     fn plane() -> (ControlPlane, Token) {
         let mut cp = ControlPlane::new("s3cret");
         let admin = cp.auth_mut().issue_token(Role::Admin);
-        cp.register_host("c1", 2, 512 * GIB);
-        cp.register_host("m1", 2, 512 * GIB);
-        cp.add_cable("c1", 0, "m1", 0, 100.0);
-        cp.add_cable("c1", 1, "m1", 1, 100.0);
+        cp.register_host("c1", 512 * GIB);
+        cp.register_host("m1", 512 * GIB);
+        cp.add_cable("c1", "m1").unwrap();
+        cp.add_cable("c1", "m1").unwrap();
+        (cp, admin)
+    }
+
+    /// Hosts `h0..h{n-1}` in a row, one cable per neighbouring pair.
+    fn line(n: usize) -> (ControlPlane, Token) {
+        let mut cp = ControlPlane::new("s");
+        let admin = cp.auth_mut().issue_token(Role::Admin);
+        for i in 0..n {
+            cp.register_host(&format!("h{i}"), 512 * GIB);
+        }
+        for i in 1..n {
+            cp.add_cable(&format!("h{}", i - 1), &format!("h{i}"))
+                .unwrap();
+        }
         (cp, admin)
     }
 
     fn spec(bytes: u64, bonded: bool) -> AttachSpec {
+        between("c1", "m1", bytes, bonded)
+    }
+
+    fn between(compute: &str, memory: &str, bytes: u64, bonded: bool) -> AttachSpec {
         AttachSpec {
-            compute_host: "c1".into(),
-            memory_host: "m1".into(),
+            compute_host: compute.into(),
+            memory_host: memory.into(),
             bytes,
             bonded,
         }
+    }
+
+    fn held(cp: &ControlPlane) -> Vec<u32> {
+        cp.links().iter().map(|l| l.held).collect()
     }
 
     #[test]
@@ -487,7 +509,7 @@ mod tests {
         let grant = cp.attach(&admin, spec(1 * GIB, false)).unwrap();
         assert_eq!(grant.compute_config.sections.len(), 4); // 4 x 256 MiB
         assert_eq!(grant.memory_config.len, 1 * GIB);
-        assert_eq!(grant.paths.len(), 1);
+        assert_eq!(grant.channels, 1);
         assert!(crate::auth::verify_config(
             "s3cret",
             &grant.compute_config.payload(),
@@ -502,17 +524,115 @@ mod tests {
     }
 
     #[test]
-    fn bonding_reserves_two_paths() {
+    fn cables_between_one_pair_share_one_link() {
+        let (cp, _) = plane();
+        assert_eq!(cp.mesh().links().len(), 1);
+        assert_eq!(cp.mesh().link_name(0), Some("c1-m1"));
+        assert_eq!(cp.links(), &[LinkChannels { cables: 2, held: 0 }]);
+    }
+
+    #[test]
+    fn add_cable_to_an_unknown_host_is_refused() {
+        let (mut cp, _) = plane();
+        assert_eq!(
+            cp.add_cable("c1", "ghost"),
+            Err(CpError::UnknownHost("ghost".into()))
+        );
+        assert_eq!(cp.links(), &[LinkChannels { cables: 2, held: 0 }]);
+    }
+
+    #[test]
+    fn bonding_holds_two_channels_on_one_route() {
         let (mut cp, admin) = plane();
         let grant = cp.attach(&admin, spec(1 * GIB, true)).unwrap();
-        assert_eq!(grant.paths.len(), 2);
-        // Both 100G cables are now full: a second bonded attach fails
-        // with everything rolled back.
+        assert_eq!(grant.channels, 2);
+        assert_eq!(grant.route.links, vec![0]);
+        assert_eq!(held(&cp), vec![2]);
+        // Both cables are now full: a second bonded attach fails with
+        // everything rolled back.
         let err = cp.attach(&admin, spec(1 * GIB, true)).unwrap_err();
-        assert!(matches!(err, CpError::NoPath | CpError::NoSecondPath));
+        assert_eq!(err, CpError::NoPath);
         cp.detach(&admin, grant.flow).unwrap();
         // After detach the capacity is back.
         assert!(cp.attach(&admin, spec(1 * GIB, true)).is_ok());
+    }
+
+    #[test]
+    fn attach_takes_the_fewest_hop_route() {
+        // A row of four hosts: the only route crosses both interior
+        // hosts.
+        let (mut cp, admin) = line(4);
+        let grant = cp.attach(&admin, between("h0", "h3", GIB, false)).unwrap();
+        assert_eq!(grant.route.links, vec![0, 1, 2]);
+        assert_eq!(grant.route.nodes.first(), Some(&NodeId(0)));
+        assert_eq!(grant.route.nodes.last(), Some(&NodeId(3)));
+        assert_eq!(held(&cp), vec![1, 1, 1]);
+        // With the row free again, a shortcut cable wins over it.
+        cp.detach(&admin, grant.flow).unwrap();
+        cp.add_cable("h0", "h3").unwrap();
+        let grant = cp.attach(&admin, between("h0", "h3", GIB, false)).unwrap();
+        assert_eq!(grant.route.links, vec![3]);
+    }
+
+    #[test]
+    fn attach_detours_around_full_links() {
+        // A ring h0-h1-h2-h3-h0 of single cables: once h0-h1 is full,
+        // h0's lease on h1 goes the long way round.
+        let (mut cp, admin) = line(4);
+        cp.add_cable("h3", "h0").unwrap();
+        let first = cp.attach(&admin, between("h0", "h1", GIB, false)).unwrap();
+        assert_eq!(first.route.links, vec![0]);
+        let detour = cp.attach(&admin, between("h0", "h1", GIB, false)).unwrap();
+        assert_eq!(detour.route.links, vec![3, 2, 1]);
+        assert_eq!(held(&cp), vec![1, 1, 1, 1]);
+        // The cut links of the caller's datapath are avoided the same way.
+        cp.detach(&admin, first.flow).unwrap();
+        let cut = BTreeSet::from([0]);
+        let err = cp
+            .attach_avoiding(&admin, between("h0", "h1", GIB, false), &cut)
+            .unwrap_err();
+        assert_eq!(err, CpError::NoPath);
+    }
+
+    #[test]
+    fn no_free_channels_is_no_path_and_holds_nothing() {
+        let (mut cp, admin) = line(3);
+        cp.add_cable("h1", "h2").unwrap();
+        let _hog = cp.attach(&admin, between("h0", "h1", GIB, false)).unwrap();
+        // h0-h1 has no channel left, h1-h2 has two.
+        let before = held(&cp);
+        for bonded in [false, true] {
+            let err = cp
+                .attach(&admin, between("h0", "h2", GIB, bonded))
+                .unwrap_err();
+            assert_eq!(err, CpError::NoPath);
+            assert_eq!(held(&cp), before, "a refusal holds nothing");
+        }
+        assert_eq!(cp.flow_count(), 1);
+        // The donor's memory was not reserved either: h2 can still give
+        // away all of it where a channel is free.
+        assert!(cp
+            .attach(&admin, between("h1", "h2", 512 * GIB, true))
+            .is_ok());
+        // A host is no route to itself.
+        assert_eq!(
+            cp.attach(&admin, between("h0", "h0", GIB, false)),
+            Err(CpError::NoPath)
+        );
+    }
+
+    #[test]
+    fn detach_returns_every_channel() {
+        let (mut cp, admin) = line(4);
+        for i in 1..4 {
+            cp.add_cable(&format!("h{}", i - 1), &format!("h{i}"))
+                .unwrap();
+        }
+        let grant = cp.attach(&admin, between("h0", "h3", GIB, true)).unwrap();
+        assert_eq!(held(&cp), vec![2, 2, 2]);
+        cp.detach(&admin, grant.flow).unwrap();
+        assert_eq!(held(&cp), vec![0, 0, 0]);
+        assert_eq!(cp.flow_count(), 0);
     }
 
     #[test]
@@ -522,6 +642,7 @@ mod tests {
         assert!(matches!(err, CpError::DonorExhausted { .. }));
         // Nothing was reserved.
         assert_eq!(cp.flow_count(), 0);
+        assert_eq!(held(&cp), vec![0]);
     }
 
     #[test]
@@ -590,29 +711,5 @@ mod tests {
         let events: Vec<&str> = cp.audit().iter().map(|e| e.event.as_str()).collect();
         assert!(events.iter().any(|e| e.starts_with("attach flow#1")));
         assert!(events.iter().any(|e| e.starts_with("detach flow#1")));
-    }
-
-    #[test]
-    fn switch_provides_connectivity() {
-        let mut cp = ControlPlane::new("s");
-        let admin = cp.auth_mut().issue_token(Role::Admin);
-        cp.register_host("a", 1, 512 * GIB);
-        cp.register_host("b", 1, 512 * GIB);
-        cp.register_host("c", 1, 512 * GIB);
-        // No direct cables: everything goes through one switch.
-        cp.add_switch("sw0", &[("a", 0), ("b", 0), ("c", 0)], 100.0);
-        let g = cp
-            .attach(
-                &admin,
-                AttachSpec {
-                    compute_host: "a".into(),
-                    memory_host: "c".into(),
-                    bytes: 1 * GIB,
-                    bonded: false,
-                },
-            )
-            .unwrap();
-        // Path: compute -> tx(a) -> port -> hub -> port -> tx(c) -> memory.
-        assert!(g.paths[0].edges.len() >= 5);
     }
 }

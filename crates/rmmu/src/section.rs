@@ -13,6 +13,11 @@ use crate::flow::NetworkId;
 /// section granularity used for hotplug on the prototype kernel).
 pub const DEFAULT_SECTION_BITS: u32 = 28;
 
+/// The most sections a device window may span: 2^16 sections of 256 MiB
+/// map 16 TiB. A [`SectionTable`] holds one entry per section, so a
+/// bigger window costs memory in proportion before any path attaches.
+pub const MAX_SECTIONS: u64 = 1 << 16;
+
 /// A donor-side effective address produced by RMMU translation.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,

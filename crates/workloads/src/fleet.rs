@@ -691,13 +691,15 @@ fn node(r: usize, c: usize) -> String {
 }
 
 /// Attaches the base fleet: two leases contending over one hot route
-/// plus one pair per remaining row, classes rotating, one bonded.
+/// plus one pair per remaining row, classes rotating, one bonded. The
+/// hot pair and the bonded lease each hold both cables of the pairs
+/// they cross, so `n11`'s lease detours around them.
 fn base_leases(rack: &mut Rack, floor: f64) -> Result<Vec<FleetLease>, RackError> {
     let plan: [(&str, &str, bool); 8] = [
         ("n00", "n02", false), // the hot lease (zipf key 0)
         ("n00", "n02", false), // its rival on the same route
         ("n10", "n12", true),  // bonded: the lane-degradation target
-        ("n11", "n13", false),
+        ("n11", "n13", false), // detours: n10-n11 and n11-n12 are full
         ("n20", "n22", false),
         ("n21", "n23", false), // donor n23: the crash target
         ("n30", "n32", false),

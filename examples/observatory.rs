@@ -54,9 +54,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- scene 1: four leases, two of them fighting for one route -----
     // `victim` and `rival` borrow from the same two-hop-distant donor,
-    // so every frame of theirs crosses the same pair of torus cables.
-    // `near` borrows one hop out on that route; `control` borrows down
-    // the orthogonal column and should never breach.
+    // so every frame of theirs crosses the same two cabled pairs, and
+    // between them they hold both cables of each. `near` borrows from
+    // the route's first hop; with that pair full, the control plane
+    // detours it around. `control` borrows down the orthogonal column
+    // and should never breach.
     let victim = rack.attach_with_slo(
         AttachRequest::new("n00", "n02", 8 * GIB),
         SloSpec::new().availability(0.999),
@@ -75,15 +77,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         route.links.iter().map(|&l| link_names[l].clone()).collect();
     let via: Vec<String> = route_links[0].split('-').map(str::to_string).collect();
     let near = rack.attach(AttachRequest::new("n00", &via[1], 8 * GIB))?;
+    let fabric = rack.fabric("n00").expect("attaches built the fabric");
+    let near_route = fabric
+        .topology_route(rack.lease_path(near.id()).expect("near lease is live"))
+        .expect("near lease is routed");
+    let near_links: Vec<String> =
+        near_route.links.iter().map(|&l| link_names[l].clone()).collect();
     println!("== scene 1: contend ==");
     println!(
-        "torus 4x4: {} cables; {} and {} contend over {} ({} hops), {} idles on the column",
+        "torus 4x4: {} cabled pairs; {} and {} contend over {} ({} hops), {} idles on the column",
         link_names.len(),
         victim.id(),
         rival.id(),
         route_links.join(" + "),
         route.hops(),
         control.id(),
+    );
+    println!(
+        "{} borrows from {}, one hop out, but both cables are taken: detoured over {}",
+        near.id(),
+        via[1],
+        near_links.join(" + "),
     );
 
     rack.set_lease_telemetry(victim.id(), true)?;

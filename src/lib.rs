@@ -16,8 +16,8 @@
 //!   translation and network-id tagging).
 //! * [`routing`] — per-flow routing with round-robin channel bonding.
 //! * [`hostsim`] — the host substrate (cores, caches, NUMA, memory hotplug).
-//! * [`ctrlplane`] — the software-defined control plane (property graph,
-//!   path finding, REST-style API, agents).
+//! * [`ctrlplane`] — the software-defined control plane (cable mesh,
+//!   route reservation, REST-style API, agents).
 //! * [`core`] — the flit-level fabric, rack builder, attach/detach
 //!   lifecycle and the calibrated memory model.
 //! * [`workloads`] — STREAM, YCSB/VoltDB, Memcached and Elasticsearch-like

@@ -10,10 +10,10 @@ use thymesisflow::simkit::units::GIB;
 
 fn plane() -> ControlPlane {
     let mut cp = ControlPlane::new("integration-secret");
-    cp.register_host("c1", 2, 512 * GIB);
-    cp.register_host("m1", 2, 512 * GIB);
-    cp.add_cable("c1", 0, "m1", 0, 100.0);
-    cp.add_cable("c1", 1, "m1", 1, 100.0);
+    cp.register_host("c1", 512 * GIB);
+    cp.register_host("m1", 512 * GIB);
+    cp.add_cable("c1", "m1").unwrap();
+    cp.add_cable("c1", "m1").unwrap();
     cp
 }
 

@@ -2,7 +2,7 @@
 //! sequences never leak or double-book resources.
 
 use proptest::prelude::*;
-use thymesisflow::core::attach::AttachRequest;
+use thymesisflow::core::attach::{AttachRequest, Lease};
 use thymesisflow::core::rack::{NodeConfig, Rack, RackBuilder};
 use thymesisflow::simkit::units::GIB;
 
@@ -19,11 +19,15 @@ fn rack() -> Rack {
 enum Action {
     Attach { sections: u64, bonded: bool, flip: bool },
     DetachOldest,
+    DetachNewest,
 }
 
 fn action_strategy() -> impl Strategy<Value = Action> {
+    // Every other attach is 4 sections, so one donor often serves two
+    // leases of the same size.
+    let sections = prop_oneof![1u64..16, Just(4u64)];
     prop_oneof![
-        (1u64..16, any::<bool>(), any::<bool>()).prop_map(|(sections, bonded, flip)| {
+        (sections, any::<bool>(), any::<bool>()).prop_map(|(sections, bonded, flip)| {
             Action::Attach {
                 sections,
                 bonded,
@@ -31,6 +35,7 @@ fn action_strategy() -> impl Strategy<Value = Action> {
             }
         }),
         Just(Action::DetachOldest),
+        Just(Action::DetachNewest),
     ]
 }
 
@@ -42,7 +47,7 @@ proptest! {
         actions in prop::collection::vec(action_strategy(), 1..24)
     ) {
         let mut rack = rack();
-        let mut live: Vec<(thymesisflow::core::attach::LeaseId, u64, String)> = Vec::new();
+        let mut live: Vec<Lease> = Vec::new();
         for action in actions {
             match action {
                 Action::Attach { sections, bonded, flip } => {
@@ -53,24 +58,29 @@ proptest! {
                         req = req.bonded();
                     }
                     match rack.attach(req) {
-                        Ok(lease) => live.push((lease.id(), bytes, c.to_string())),
+                        Ok(lease) => live.push(lease),
                         Err(_) => {} // capacity/path exhaustion is legal
                     }
                 }
                 Action::DetachOldest => {
                     if !live.is_empty() {
-                        let (id, _, _) = live.remove(0);
-                        rack.detach(id).expect("live lease detaches");
+                        let lease = live.remove(0);
+                        rack.detach(lease.id()).expect("live lease detaches");
+                    }
+                }
+                Action::DetachNewest => {
+                    if let Some(lease) = live.pop() {
+                        rack.detach(lease.id()).expect("live lease detaches");
                     }
                 }
             }
-            // Invariant: each host's remote bytes equal the sum of its
-            // live leases.
             for host in ["a", "b"] {
+                // Each host's remote bytes equal the sum of its live
+                // leases.
                 let expect: u64 = live
                     .iter()
-                    .filter(|(_, _, c)| c == host)
-                    .map(|(_, b, _)| *b)
+                    .filter(|l| l.compute() == host)
+                    .map(Lease::bytes)
                     .sum();
                 prop_assert_eq!(
                     rack.host(host).expect("host").remote_bytes(),
@@ -78,18 +88,32 @@ proptest! {
                     "host {} leaks",
                     host
                 );
+                // Each donor's pinned PASIDs are exactly its live leases'.
+                let mut pinned: Vec<u32> =
+                    rack.pinned(host).expect("host").iter().map(|p| p.pasid).collect();
+                pinned.sort_unstable();
+                let mut served: Vec<u32> =
+                    live.iter().filter(|l| l.memory() == host).map(Lease::pasid).collect();
+                served.sort_unstable();
+                prop_assert_eq!(pinned, served, "donor {} pins", host);
+            }
+            // No cabled pair carries more channels than it has cables.
+            for link in rack.control_plane().links() {
+                prop_assert!(link.held <= link.cables, "{:?}", link);
             }
         }
         // Full teardown always succeeds and restores the pristine state.
-        for (id, _, _) in live {
-            rack.detach(id).expect("teardown");
+        for lease in live {
+            rack.detach(lease.id()).expect("teardown");
         }
         for host in ["a", "b"] {
             let h = rack.host(host).expect("host");
             prop_assert_eq!(h.remote_bytes(), 0);
             prop_assert_eq!(h.numa().nodes().len(), 2);
             prop_assert_eq!(h.local_bytes(), 512 * GIB);
+            prop_assert!(rack.pinned(host).expect("host").is_empty());
         }
+        prop_assert!(rack.control_plane().links().iter().all(|l| l.held == 0));
         prop_assert_eq!(rack.leases().count(), 0);
     }
 }
