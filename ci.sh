@@ -71,6 +71,8 @@ cargo test -q -p workloads --test fleet_scenario
 
 echo "==> chaos scenario smoke (link flap + donor crash, exactly-once asserts)"
 cargo test -q -p thymesisflow-core --test chaos_sweep
+# Loss alone: drops and CRC errors strand nothing and kill no live link.
+cargo test -q -p thymesisflow-core --test loss_recovery
 cargo test -q -p llc --test prop_loss_burst
 
 echo "==> topology layer: degenerate parity + multi-hop properties + torus re-route"

@@ -16,11 +16,21 @@
 //! exercises adaptive re-route around the failure rather than endpoint
 //! death.
 //!
-//! The contract the fabric upholds under a plan is *exactly-once or
-//! typed fault*: every load in flight when a failure lands either
-//! completes normally (the outage was shorter than the detection
-//! window, or a surviving bonded lane carried it) or resolves to one
-//! [`LoadFault`] naming the failure — never both, and never silence.
+//! The contract every fabric upholds, under a plan or under statistical
+//! loss alone, is *exactly-once or typed fault*: every load in flight
+//! either completes normally (replay masked the loss, the outage was
+//! shorter than [`DETECTION_WINDOW`], or a surviving bonded lane carried
+//! it) or resolves to one [`LoadFault`] naming the failure — never both,
+//! and never silence.
+//!
+//! Detection is part of every fabric, not a setting. A link goes under
+//! watch when one of its channels or hop segments drops or corrupts a
+//! frame, when it is cut, and when its route is rebuilt. While it owes
+//! work, the watchdog samples the link's count of intact frames carried
+//! every 5 µs: a sample that finds the count moved clears the strikes;
+//! a silent one adds a strike and kicks tail replay, the keepalive. The
+//! fifth silent sample in a row declares the link dead. A lossy or
+//! congested link keeps carrying frames, so only a silent wire dies.
 
 use std::fmt;
 
@@ -94,7 +104,7 @@ pub enum ChaosEvent {
         link: LinkRef,
     },
     /// Down then up: the link is dark for `down_for`, then restored.
-    /// Shorter than the detection window, a flap costs only replays.
+    /// Shorter than [`DETECTION_WINDOW`], a flap costs only replays.
     LinkFlap {
         /// The targeted link.
         link: LinkRef,
@@ -189,42 +199,23 @@ impl ChaosPlan {
     }
 }
 
-/// How the fabric detects dead links once a [`ChaosPlan`] is armed.
+/// Interval between two watchdog samples of a link under watch.
+pub(crate) const WATCHDOG_PERIOD: SimTime = SimTime::from_us(5);
+
+/// Consecutive silent samples that declare a link dead.
+pub(crate) const DEAD_AFTER: u32 = 5;
+
+/// How long a link that owes work may carry no intact frame before it
+/// is declared dead: five silent watchdog samples, 5 µs apart, counted
+/// from the instant the watchdog arms. A hard cut on a quiet link is
+/// declared dead exactly this long after it lands; an outage shorter
+/// than this costs only replays.
 ///
-/// A per-link watchdog samples the link's LLC progress counters every
-/// `watchdog_period`; each silent sample while work is outstanding is a
-/// strike (and re-kicks tail replay, the keepalive), and `dead_after`
-/// consecutive strikes declare the link dead. An outage shorter than
-/// `watchdog_period × dead_after` is therefore survivable; a longer one
-/// resolves every stranded load to a typed [`LoadFault`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryConfig {
-    /// Interval between watchdog samples of a suspect link.
-    pub watchdog_period: SimTime,
-    /// Consecutive progress-free samples before the link is declared
-    /// dead.
-    pub dead_after: u32,
-}
-
-impl RecoveryConfig {
-    /// The detection window: silence longer than this kills the link.
-    pub fn detection_window(&self) -> SimTime {
-        let mut w = SimTime::ZERO;
-        for _ in 0..self.dead_after {
-            w = w + self.watchdog_period;
-        }
-        w
-    }
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            watchdog_period: SimTime::from_us(5),
-            dead_after: 4,
-        }
-    }
-}
+/// It must outlast a circuit-switch reconfiguration: a switch port
+/// failure re-programs the circuit and keeps the link dark for the
+/// optical switch's 25 µs, so a 20 µs window would declare a link dead
+/// that the switch is about to restore.
+pub const DETECTION_WINDOW: SimTime = SimTime::from_ps(WATCHDOG_PERIOD.as_ps() * DEAD_AFTER as u64);
 
 /// Why a load (or a lease) faulted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,17 +309,6 @@ mod tests {
         assert_eq!(LinkRef::from("h0-h1"), LinkRef::named("h0-h1"));
         assert_eq!(LinkRef::Slot(2).to_string(), "link 2");
         assert_eq!(LinkRef::named("h0-h1").to_string(), "link \"h0-h1\"");
-    }
-
-    #[test]
-    fn detection_window_is_period_times_strikes() {
-        let cfg = RecoveryConfig {
-            watchdog_period: SimTime::from_us(3),
-            dead_after: 5,
-        };
-        assert_eq!(cfg.detection_window(), SimTime::from_us(15));
-        let dflt = RecoveryConfig::default();
-        assert_eq!(dflt.detection_window(), SimTime::from_us(20));
     }
 
     #[test]

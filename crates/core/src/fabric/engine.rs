@@ -48,7 +48,7 @@ use simkit::time::SimTime;
 
 use crate::fabric::builder::FabricBuilder;
 use crate::fabric::chaos::{
-    ChaosEvent, ChaosPlan, FaultKind, LinkRef, LoadFault, RecoveryConfig,
+    ChaosEvent, ChaosPlan, FaultKind, LinkRef, LoadFault, DEAD_AFTER, WATCHDOG_PERIOD,
 };
 use crate::fabric::obs::{CongestionReport, Journal, JournalKind, JournalRecord, LinkCongestion};
 use crate::fabric::stage::{
@@ -335,7 +335,7 @@ enum Ev {
     Inject { path: u32 },
     /// A scripted failure lands (see [`ChaosPlan`]).
     Chaos(ChaosEvent),
-    /// The link-down watchdog samples a suspect link's progress.
+    /// The link watchdog samples a link under watch.
     Watchdog { link: usize },
     /// A frame reaches segment `seg` of a multi-hop forwarding chain
     /// (store-and-forward at an interior topology node). Only exists on
@@ -597,11 +597,10 @@ struct LinkSlot {
     tele: LinkTele,
     /// A watchdog sample is already scheduled for this link.
     watchdog_pending: bool,
-    /// Consecutive progress-free watchdog samples.
+    /// Consecutive silent watchdog samples.
     strikes: u32,
-    /// Progress marker at the last watchdog sample: txns acked and
-    /// frames delivered, both directions.
-    progress: (usize, usize, u64, u64),
+    /// [`LinkSlot::frames_carried`] when the pending sample was armed.
+    carried: u64,
     /// When the link went hard-down (for recovery-latency spans).
     down_since: Option<SimTime>,
     /// Interior forwarding segments, one per topology link past the
@@ -610,6 +609,24 @@ struct LinkSlot {
     /// The topology links the endpoint slot itself rides (one for a
     /// direct cable, two when a hub route is collapsed onto one slot).
     topo_links: Vec<usize>,
+}
+
+impl LinkSlot {
+    /// Intact frames the link's wire has carried: sent minus dropped
+    /// minus corrupted, over both endpoint channels and every hop
+    /// segment. The watchdog's only progress signal — a congested or
+    /// lossy link keeps moving it, a dead one does not.
+    fn frames_carried(&self) -> u64 {
+        let segs = self
+            .chain
+            .iter()
+            .flat_map(|ch| ch.fwd.iter().chain(&ch.rev));
+        [&self.fwd.chan, &self.rev.chan]
+            .into_iter()
+            .chain(segs.map(|s| &s.chan))
+            .map(|c| c.frames_sent() - c.frames_dropped() - c.frames_corrupted())
+            .sum()
+    }
 }
 
 /// Per-path bookkeeping.
@@ -680,9 +697,6 @@ pub struct Fabric {
     telemetry: Registry,
     tele: FabricTele,
     tracer: FlitTracer,
-    /// Armed by [`Fabric::schedule_chaos`]; `None` keeps every healthy
-    /// run's event trajectory untouched (no watchdog events exist).
-    recovery: Option<RecoveryConfig>,
     /// Typed resolutions of loads that could not complete.
     faults: Vec<LoadFault>,
     /// Tags resolved as faulted, so a completion racing its own fault
@@ -781,7 +795,6 @@ impl Fabric {
             telemetry,
             tele,
             tracer: FlitTracer::new(),
-            recovery: None,
             faults: Vec::new(),
             faulted: BTreeMap::new(),
             late_completions: 0,
@@ -975,7 +988,7 @@ impl Fabric {
                 tele: LinkTele::register(&mut self.telemetry, link)?,
                 watchdog_pending: false,
                 strikes: 0,
-                progress: (0, 0, 0, 0),
+                carried: 0,
                 down_since: None,
                 chain,
                 topo_links: topo_links.to_vec(),
@@ -1315,14 +1328,14 @@ impl Fabric {
                 .and_then(|ch| (!ch.segs(chain_dir).is_empty()).then_some(ch.gen));
             (delivery, hop_gen, chain_dir)
         };
+        // A lost or damaged frame puts the link under watch: if it was
+        // the tail of the traffic, nothing else would ever replay it.
         let (at, intact) = match delivery {
             Delivery::Delivered { at } => (at, true),
-            Delivery::Corrupted { at } => (at, false),
-            // A lost frame is only silence until someone notices: with
-            // recovery armed, losing a frame puts the link under watch
-            // (the watchdog re-kicks replay and eventually declares the
-            // link dead). Unarmed fabrics keep the historical
-            // trajectory: replay alone recovers statistical loss.
+            Delivery::Corrupted { at } => {
+                self.arm_watchdog(link);
+                (at, false)
+            }
             Delivery::Dropped => return self.arm_watchdog(link),
         };
         match hop_gen {
@@ -1431,7 +1444,10 @@ impl Fabric {
         };
         let (at, intact) = match delivery {
             Delivery::Delivered { at } => (at, intact),
-            Delivery::Corrupted { at } => (at, false),
+            Delivery::Corrupted { at } => {
+                self.arm_watchdog(link);
+                (at, false)
+            }
             Delivery::Dropped => {
                 // The frame is gone mid-route: the credit returns (the
                 // segment is not congested, the fabric is broken) and
@@ -1958,30 +1974,13 @@ impl Fabric {
             .min()
     }
 
-    /// Schedules a failure script on the event queue and arms link-down
-    /// recovery (with [`RecoveryConfig::default`] unless
-    /// [`Fabric::set_recovery`] configured it). Events dated in the
-    /// past land at the current instant.
+    /// Schedules a failure script on the event queue. Events dated in
+    /// the past land at the current instant.
     pub fn schedule_chaos(&mut self, plan: &ChaosPlan) {
-        if self.recovery.is_none() {
-            self.recovery = Some(RecoveryConfig::default());
-        }
         let now = self.queue.now();
         for (at, ev) in plan.events() {
             self.queue.schedule((*at).max(now), Ev::Chaos(ev.clone()));
         }
-    }
-
-    /// Arms (or re-tunes) link-down detection without scheduling any
-    /// failure — useful when only statistical loss is injected but
-    /// stranded loads must still resolve.
-    pub fn set_recovery(&mut self, cfg: RecoveryConfig) {
-        self.recovery = Some(cfg);
-    }
-
-    /// The armed recovery configuration, if any.
-    pub fn recovery_config(&self) -> Option<RecoveryConfig> {
-        self.recovery
     }
 
     /// Typed resolutions of every load an injected failure stranded, in
@@ -2381,8 +2380,8 @@ impl Fabric {
         self.kick_link(link)
     }
 
-    /// Tail-replay keepalive: re-queues the oldest unacknowledged frame
-    /// on both directions and pumps them through the channels.
+    /// Tail-replay keepalive: re-queues every unacknowledged frame on
+    /// both directions and pumps them through the channels.
     fn kick_link(&mut self, link: usize) -> Result<(), FabricError> {
         {
             let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
@@ -2395,14 +2394,11 @@ impl Fabric {
         self.pump(link, Dir::ToCompute)
     }
 
-    /// Schedules one watchdog sample for `link`, if recovery is armed
-    /// and none is pending. Never fires on healthy unarmed fabrics, so
-    /// their event trajectories are untouched.
+    /// Puts `link` under watch: schedules one watchdog sample a period
+    /// from now and records the link's count of intact frames carried,
+    /// unless a sample is already pending.
     fn arm_watchdog(&mut self, link: usize) {
-        let Some(cfg) = self.recovery else {
-            return;
-        };
-        let at = self.queue.now() + cfg.watchdog_period;
+        let at = self.queue.now() + WATCHDOG_PERIOD;
         let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
             return;
         };
@@ -2410,52 +2406,39 @@ impl Fabric {
             return;
         }
         slot.watchdog_pending = true;
+        slot.carried = slot.frames_carried();
         self.queue.schedule(at, Ev::Watchdog { link });
     }
 
-    /// One watchdog sample: a strike if the link owes work and made no
-    /// progress since the last sample, a keepalive kick and re-arm
-    /// while strikes are below the threshold, and a dead declaration at
-    /// it. Goes quiet (no re-arm) once the link owes nothing, so a
-    /// drained queue stays drained.
+    /// One watchdog sample. A link that owes nothing goes quiet (no
+    /// re-arm), so a drained queue stays drained. One whose wire carried
+    /// an intact frame since the watchdog armed is busy, not dead: its
+    /// strikes clear and the watch goes on. A silent one takes a strike
+    /// and a keepalive kick, and the [`DEAD_AFTER`]th strike in a row
+    /// declares it dead.
     fn watchdog_fire(&mut self, link: usize) -> Result<(), FabricError> {
-        let Some(cfg) = self.recovery else {
-            return Ok(());
-        };
-        let (declare_dead, rearm) = {
+        let (silent, dead) = {
             let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
                 return Ok(());
             };
             slot.watchdog_pending = false;
-            let waiting = !slot.up.tx.is_idle() || !slot.down.tx.is_idle();
-            let marker = (
-                slot.up.tx.txns_acked(),
-                slot.down.tx.txns_acked(),
-                slot.up.rx.frames_delivered(),
-                slot.down.rx.frames_delivered(),
-            );
-            if !waiting {
+            if slot.up.tx.is_idle() && slot.down.tx.is_idle() {
                 slot.strikes = 0;
-                slot.progress = marker;
-                (false, false)
-            } else if marker != slot.progress {
-                slot.progress = marker;
-                slot.strikes = 0;
-                (false, true)
-            } else {
-                slot.strikes += 1;
-                (slot.strikes >= cfg.dead_after, slot.strikes < cfg.dead_after)
+                return Ok(());
             }
+            let silent = slot.frames_carried() == slot.carried;
+            slot.strikes = if silent { slot.strikes + 1 } else { 0 };
+            (silent, slot.strikes >= DEAD_AFTER)
         };
-        if declare_dead {
+        if dead {
             return self.fail_link(link, FaultKind::LinkDead { link });
         }
-        if rearm {
+        if silent {
             self.kick_link(link)?;
-            // The kick may have re-armed already (a retransmit dropped
-            // on the still-dark channel); arming is idempotent.
-            self.arm_watchdog(link);
         }
+        // A retransmit the kick lost on a still-dark wire may have
+        // re-armed already; arming is idempotent.
+        self.arm_watchdog(link);
         Ok(())
     }
 
@@ -3240,6 +3223,7 @@ impl Fabric {
 mod tests {
     use super::*;
 
+    use crate::fabric::chaos::DETECTION_WINDOW;
     use netsim::switch::CircuitSwitch;
     use routing::topology::Line;
 
@@ -3492,7 +3476,7 @@ mod tests {
     #[test]
     fn flap_shorter_than_detection_window_completes_every_load() {
         let (mut f, p) = reference();
-        // Dark for 10 µs — half the default 20 µs detection window.
+        // Dark for 10 µs, well inside the 25 µs detection window.
         f.schedule_chaos(&ChaosPlan::new().at(
             SimTime::from_ns(500),
             ChaosEvent::LinkFlap {
@@ -3530,7 +3514,7 @@ mod tests {
             assert_eq!(fault.path, p);
             assert_eq!(fault.kind, FaultKind::LinkDead { link: 0 });
             assert!(
-                fault.at >= SimTime::from_us(20),
+                fault.at >= DETECTION_WINDOW,
                 "death cannot be declared before the detection window"
             );
         }
@@ -3543,6 +3527,41 @@ mod tests {
         f.detach_path(p).unwrap();
         assert!(f.path_ids().is_empty());
         let _ = completed;
+    }
+
+    #[test]
+    fn hard_cut_is_declared_dead_one_detection_window_after_it_lands() {
+        // Cuts under load, after the loads drained and long after; the
+        // load scheduled just behind each cut owes work on the dark wire.
+        for cut_ns in [300, 2_000, 7_000, 50_000] {
+            let (mut f, p) = reference();
+            f.set_telemetry(true);
+            let cut = SimTime::from_ns(cut_ns);
+            f.schedule_chaos(&ChaosPlan::new().at(
+                cut,
+                ChaosEvent::LinkDown {
+                    link: LinkRef::Slot(0),
+                },
+            ));
+            for _ in 0..8 {
+                f.issue_read(p).unwrap();
+            }
+            f.schedule_read(p, cut + SimTime::from_ns(1)).unwrap();
+            f.drain().unwrap();
+            let snap = f.telemetry_snapshot();
+            let detect = snap.timer("fabric.recovery.detect_ns").unwrap();
+            let window = DETECTION_WINDOW.as_ns();
+            assert_eq!(detect.count(), 1, "cut at {cut}");
+            assert_eq!(
+                (detect.min(), detect.max()),
+                (window, window),
+                "cut at {cut}"
+            );
+            assert!(!f.faults().is_empty(), "cut at {cut}");
+            for fault in f.faults() {
+                assert_eq!(fault.at, cut + DETECTION_WINDOW, "cut at {cut}");
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod trace;
 
 pub use builder::FabricBuilder;
 pub use partition::{FabricShard, PartitionedFabric, ShardDigest, ShardMsg, WorkloadSpec};
-pub use chaos::{ChaosEvent, ChaosPlan, FaultKind, LinkRef, LoadFault, RecoveryConfig};
+pub use chaos::{ChaosEvent, ChaosPlan, FaultKind, LinkRef, LoadFault, DETECTION_WINDOW};
 pub use engine::{Completion, Fabric, FabricError, LinkStats, PathId, PathSpec, StreamLoad};
 pub use obs::{
     CongestionReport, Journal, JournalKind, JournalRecord, LinkCongestion, SloBreach,

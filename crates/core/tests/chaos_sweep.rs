@@ -14,7 +14,7 @@ use simkit::sweep::sweep_with_workers;
 use simkit::time::SimTime;
 use thymesisflow_core::fabric::{
     ChaosEvent, ChaosPlan, Fabric, FabricBuilder, FabricError, FaultKind, LinkRef,
-    LoadFault, PathSpec, RecoveryConfig, WindowSpec,
+    LoadFault, PathSpec, WindowSpec, DETECTION_WINDOW,
 };
 use thymesisflow_core::params::DatapathParams;
 
@@ -36,7 +36,8 @@ enum Scenario {
     DonorCrash,
     /// A switch port fails with spares available: 25 µs reroute.
     SwitchReroute,
-    /// Statistical loss *plus* a flap: replay and recovery compose.
+    /// Statistical loss *plus* a flap: replay and recovery compose, and
+    /// a lossy link that keeps carrying frames is never declared dead.
     LossyFlap,
     /// Every bonded lane of one link dies, 1 ns apart: the link goes
     /// hard-down and must die exactly like a cut cable.
@@ -153,7 +154,7 @@ fn run_point(idx: usize, scenario: Scenario, seed: u64) -> String {
 
     // Scenario-shaped expectations.
     match scenario {
-        Scenario::Flap | Scenario::LaneFail | Scenario::SwitchReroute => {
+        Scenario::Flap | Scenario::LaneFail | Scenario::SwitchReroute | Scenario::LossyFlap => {
             assert!(
                 faults.is_empty(),
                 "point {idx} ({scenario:?}): survivable failures must not fault"
@@ -172,7 +173,6 @@ fn run_point(idx: usize, scenario: Scenario, seed: u64) -> String {
                 "point {idx} ({scenario:?}): the dead path must refuse new loads"
             );
         }
-        Scenario::LossyFlap => {} // loss may or may not strand loads
     }
     if scenario == Scenario::LanesExhausted {
         assert!(
@@ -182,14 +182,10 @@ fn run_point(idx: usize, scenario: Scenario, seed: u64) -> String {
             "point {idx} ({scenario:?}): losing every lane must fault as a dead link: {faults:?}"
         );
     }
-    let window = fabric
-        .recovery_config()
-        .unwrap_or(RecoveryConfig::default())
-        .detection_window();
     for f in &faults {
         if let FaultKind::LinkDead { .. } = f.kind {
             assert!(
-                f.at >= window,
+                f.at >= DETECTION_WINDOW,
                 "point {idx}: link death declared before the detection window"
             );
         }

@@ -18,7 +18,7 @@
 
 use thymesisflow::core::attach::AttachRequest;
 use thymesisflow::core::fabric::{
-    ChaosPlan, FabricBuilder, FabricError, PathSpec, RecoveryConfig,
+    ChaosPlan, FabricBuilder, FabricError, PathSpec, DETECTION_WINDOW,
 };
 use thymesisflow::core::params::DatapathParams;
 use thymesisflow::routing::topology::{Line, NodeId};
@@ -31,7 +31,6 @@ const LOADS: usize = 16;
 fn main() {
     // ---- act 1: a flap the replay protocol rides out -----------------
     println!("== link flap shorter than the detection window ==");
-    let window = RecoveryConfig::default().detection_window();
     let line = Line::new(2).expect("2-node line");
     let (mut fabric, paths) =
         FabricBuilder::from_topology(DatapathParams::prototype(), &line, NodeId(0))
@@ -59,7 +58,7 @@ fn main() {
     let stats = fabric.path_link_stats(path).expect("live path")[0];
     println!(
         "  10 us outage inside a {} window: {}/{} loads completed, {} replays, 0 faults\n",
-        window,
+        DETECTION_WINDOW,
         completed,
         issued.len(),
         stats.up_replays + stats.down_replays,
@@ -90,7 +89,7 @@ fn main() {
     }
     assert!(!faults.is_empty(), "a permanent cut must strand loads");
     for f in &faults {
-        assert!(f.at >= window, "declared dead before the detection window");
+        assert!(f.at >= DETECTION_WINDOW, "declared dead before the detection window");
     }
     assert!(
         matches!(fabric.issue_read(path), Err(FabricError::PathFaulted { .. })),

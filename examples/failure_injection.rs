@@ -38,6 +38,8 @@ fn main() {
                 .build()
                 .expect("reference topology assembles");
         let path = paths[0];
+        fabric.set_telemetry(true);
+        fabric.set_tracing(false);
         let rate = fabric
             .measure_stream_bandwidth(path, 8, 32, SimTime::from_us(100))
             .expect("replay keeps the stream progressing")
@@ -51,6 +53,17 @@ fn main() {
             fabric.completions(path).expect("live path").count(),
             stats.fwd_frames + stats.rev_frames,
             stats.up_replays + stats.down_replays,
+        );
+        // The loads still in flight at the deadline drain too: every
+        // issued load completes and none faults, however lossy the wire.
+        fabric.drain().expect("the stream drains");
+        let snap = fabric.telemetry_snapshot();
+        let count = |name: &str| snap.counter(name).unwrap_or(0);
+        assert!(fabric.faults().is_empty(), "a lossy link is not a dead one");
+        assert_eq!(
+            count("fabric.loads.retired"),
+            count("fabric.loads.issued"),
+            "every issued load completes exactly once"
         );
         match lossless {
             None => lossless = Some(rate),

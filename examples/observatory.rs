@@ -7,15 +7,17 @@
 //!
 //! 1. **Contend** — four leases borrow through `n00`; two of them hammer
 //!    the same two-hop route, so its links saturate while the rest of
-//!    the torus idles. A [`Recorder`] polls the telemetry registry on a
-//!    fixed sim-time cadence the whole way.
+//!    the torus idles. Each 20 µs window drains before the next, so its
+//!    latency measures contention, not backlog. A [`Recorder`] polls the
+//!    telemetry registry on a fixed sim-time cadence the whole way.
 //! 2. **Heatmap** — the [`CongestionReport`] ranks every cabled link by
 //!    utilization / credit-stall time / carried frames; the hottest link
 //!    must be one the contended route crosses.
-//! 3. **Cut** — chaos kills the contended route's interior link. The
-//!    torus re-routes, the disruption blows the victim lease's p99
-//!    budget, and [`Rack::evaluate_slos`] turns that into a typed
-//!    breach plus a journal record.
+//! 3. **Cut** — the steady windows calibrate the victim lease's p99
+//!    budget and one more healthy window stays inside it; then chaos
+//!    kills the contended route's interior link. The torus re-routes,
+//!    the disruption blows the budget, and [`Rack::evaluate_slos`]
+//!    turns that into a typed breach plus a journal record.
 //! 4. **Export** — the Prometheus exposition and the merged JSONL
 //!    journal land in `target/` where `ci.sh` validates them.
 //!
@@ -23,10 +25,13 @@
 //! cargo run --example observatory
 //! ```
 
-use thymesisflow::core::attach::AttachRequest;
-use thymesisflow::core::fabric::{ChaosPlan, JournalKind, SloSpec};
-use thymesisflow::core::rack::{NodeConfig, RackBuilder};
+use std::error::Error;
+
+use thymesisflow::core::attach::{AttachRequest, LeaseId};
+use thymesisflow::core::fabric::{ChaosPlan, JournalKind, PathId, SloSpec};
+use thymesisflow::core::rack::{NodeConfig, Rack, RackBuilder};
 use thymesisflow::simkit::obs::{prometheus_exposition, Recorder};
+use thymesisflow::simkit::stats::Histogram;
 use thymesisflow::simkit::time::SimTime;
 use thymesisflow::simkit::units::GIB;
 
@@ -34,7 +39,23 @@ fn node(r: usize, c: usize) -> String {
     format!("n{r}{c}")
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// Runs one 20 µs closed-loop window on `n00`'s fabric and drains the
+/// loads it leaves in flight, so the window's latencies measure
+/// contention and disruption, not backlog carried into the next window.
+/// Returns `path`'s latency histogram for the window.
+fn drained_window(
+    rack: &mut Rack,
+    loads: &[(LeaseId, u32, u32)],
+    path: PathId,
+) -> Result<Histogram, Box<dyn Error>> {
+    let before = rack.fabric("n00").ok_or("fabric is live")?.completions(path)?.clone();
+    rack.run_lease_streams(loads, SimTime::from_us(20))?;
+    let fabric = rack.fabric_mut("n00").ok_or("fabric is live")?;
+    fabric.drain()?;
+    Ok(fabric.completions(path)?.subtract(&before))
+}
+
+fn main() -> Result<(), Box<dyn Error>> {
     // ---- a 4x4 torus rack, cabled row-wise and column-wise ------------
     let mut builder = RackBuilder::new();
     for r in 0..4 {
@@ -109,7 +130,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (control.id(), 1, 2),
     ];
     for _segment in 0..5 {
-        rack.run_lease_streams(&loads, SimTime::from_us(20))?;
+        drained_window(&mut rack, &loads, vpath)?;
         let fabric = rack.fabric_mut("n00").expect("fabric is live");
         let now = fabric.now();
         if recorder.due(now) {
@@ -145,21 +166,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("hottest link: {hottest} -- on the contended route, as injected");
 
     // ---- scene 3: cut the contended interior link under SLO -----------
-    // Calibrate the p99 budget from the steady-state window, then judge
-    // the chaos window against it: the re-route disruption (loss
-    // detection, replay, a longer detour) must blow the budget.
+    // Calibrate the p99 budget from the steady-state windows with 25%
+    // headroom. One more healthy window must stay inside it; the cut's
+    // window must blow it (frames lost with the cut link are replayed
+    // down a longer detour).
+    println!("\n== scene 3: cut ==");
     let fabric = rack.fabric("n00").expect("fabric is live");
     let steady_p99 = fabric.completions(vpath)?.quantile(0.99);
-    let budget = SimTime::from_ns(steady_p99 * 2);
+    let budget = SimTime::from_ns(steady_p99 * 5 / 4);
     rack.set_lease_slo(
         victim.id(),
         SloSpec::new().p99(budget).availability(0.999),
     )?;
-    let _ = rack.evaluate_slos()?; // consume the pre-chaos history
+    let breaches = rack.evaluate_slos()?; // judges the whole steady history
+    assert!(
+        breaches.is_empty(),
+        "the steady state sets the budget: {breaches:?}"
+    );
+    let healthy_p99 = drained_window(&mut rack, &loads, vpath)?.quantile(0.99);
+    let breaches = rack.evaluate_slos()?;
+    assert!(
+        breaches.is_empty(),
+        "a healthy window must stay inside the budget: {breaches:?}"
+    );
     let interior = route_links[1].clone();
-    println!("\n== scene 3: cut ==");
     println!(
-        "steady p99 {steady_p99} ns -> contracted budget {} ns; cutting '{interior}'",
+        "steady p99 {steady_p99} ns -> contracted budget {} ns; next healthy window p99 {healthy_p99} ns",
         budget.as_ns(),
     );
     {
@@ -167,7 +199,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let at = fabric.now() + SimTime::from_us(5);
         fabric.schedule_chaos(&ChaosPlan::new().link_down_named(at, &interior));
     }
-    rack.run_lease_streams(&loads, SimTime::from_us(40))?;
+    let cut_p99 = drained_window(&mut rack, &loads, vpath)?.quantile(0.99);
+    println!("cutting '{interior}' 5 us into the next window: p99 {cut_p99} ns");
     {
         let fabric = rack.fabric_mut("n00").expect("fabric is live");
         if recorder.due(fabric.now()) {
