@@ -761,8 +761,8 @@ impl Fabric {
                 window.base, window.bytes
             )));
         }
-        // The section table holds one entry per section: refuse before
-        // allocating it.
+        // The section table allocates one root pointer per 256 sections
+        // up front: refuse before allocating it.
         if window.bytes / section > MAX_SECTIONS {
             return Err(FabricError::Config(format!(
                 "device window {:#x} B spans more than {MAX_SECTIONS} sections",

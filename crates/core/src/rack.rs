@@ -258,6 +258,14 @@ struct SloMonitor {
     seen_faults: u64,
 }
 
+/// A path's cumulative SLO signals: its completion histogram and the
+/// number of its loads that faulted.
+fn path_signals(fabric: &Fabric, path: PathId) -> Result<(Histogram, u64), FabricError> {
+    let completions = fabric.completions(path)?.clone();
+    let faults = fabric.faults().iter().filter(|f| f.path == path).count() as u64;
+    Ok((completions, faults))
+}
+
 /// A built rack.
 #[derive(Debug)]
 pub struct Rack {
@@ -443,32 +451,34 @@ impl Rack {
         spec: SloSpec,
     ) -> Result<Lease, RackError> {
         let lease = self.attach(req)?;
-        self.slos.insert(
-            lease.id(),
-            SloMonitor {
-                spec,
-                seen: Histogram::new(),
-                seen_faults: 0,
-            },
-        );
+        self.set_lease_slo(lease.id(), spec)?;
         Ok(lease)
     }
 
-    /// Attaches or replaces the SLO contract on a live lease.
+    /// Attaches or replaces the SLO contract on a live lease. The new
+    /// contract judges only what runs under it: the next
+    /// [`Rack::evaluate_slos`] call sees the loads completed or faulted
+    /// since this one, never the lease's earlier history.
     ///
     /// # Errors
     ///
     /// Fails on unknown leases.
     pub fn set_lease_slo(&mut self, id: LeaseId, spec: SloSpec) -> Result<(), RackError> {
-        if !self.leases.contains_key(&id) {
-            return Err(RackError::UnknownLease(id));
-        }
+        let (host, path) = self
+            .lease_paths
+            .get(&id)
+            .ok_or(RackError::UnknownLease(id))?;
+        let fabric = self
+            .fabrics
+            .get(host)
+            .ok_or(RackError::UnknownLease(id))?;
+        let (seen, seen_faults) = path_signals(fabric, *path)?;
         self.slos.insert(
             id,
             SloMonitor {
                 spec,
-                seen: Histogram::new(),
-                seen_faults: 0,
+                seen,
+                seen_faults,
             },
         );
         Ok(())
@@ -495,8 +505,7 @@ impl Rack {
             let Some(fabric) = self.fabrics.get(&host) else {
                 continue;
             };
-            let cumulative = fabric.completions(path)?.clone();
-            let faults = fabric.faults().iter().filter(|f| f.path == path).count() as u64;
+            let (cumulative, faults) = path_signals(fabric, path)?;
             let at = fabric.now();
             let monitor = self.slos.get_mut(&id).expect("listed above");
             let window = cumulative.subtract(&monitor.seen);
@@ -605,9 +614,7 @@ impl Rack {
                 // launder it. The breaches surface from the next
                 // `evaluate_slos` call.
                 if let Some(monitor) = self.slos.get_mut(&id) {
-                    let cumulative = fabric.completions(path)?.clone();
-                    let faults =
-                        fabric.faults().iter().filter(|f| f.path == path).count() as u64;
+                    let (cumulative, faults) = path_signals(fabric, path)?;
                     let window = cumulative.subtract(&monitor.seen);
                     let faulted = faults.saturating_sub(monitor.seen_faults);
                     let breaches =
@@ -655,14 +662,7 @@ impl Rack {
                     // The contract survives the migration: the
                     // replacement lease is judged from a fresh window.
                     if let Some(m) = self.slos.remove(&id) {
-                        self.slos.insert(
-                            new.id(),
-                            SloMonitor {
-                                spec: m.spec,
-                                seen: Histogram::new(),
-                                seen_faults: 0,
-                            },
-                        );
+                        self.set_lease_slo(new.id(), m.spec)?;
                     }
                     self.journal.record(
                         JournalRecord::new(
@@ -922,6 +922,11 @@ impl Rack {
     /// each — over one borrower's fabric, returning per-lease rates in
     /// the order given.
     ///
+    /// The window drains after its deadline, as
+    /// [`Rack::run_fleet_streams`] does, so back-to-back calls each
+    /// start from an idle fabric: latency measures contention, not the
+    /// last window's backlog.
+    ///
     /// # Errors
     ///
     /// Fails on unknown leases, on an empty load list, or if the leases
@@ -959,7 +964,9 @@ impl Rack {
             .fabrics
             .get_mut(&host)
             .expect("lease paths point at live fabrics");
-        Ok(fabric.run_closed_loop(&streams, duration)?)
+        let rates = fabric.run_closed_loop(&streams, duration)?;
+        fabric.drain()?;
+        Ok(rates)
     }
 
     /// Runs concurrent closed-loop streams across *every* borrower
@@ -1546,6 +1553,80 @@ mod tests {
         assert!(
             matches!(empty, Err(RackError::Fabric(FabricError::Config(_)))),
             "{empty:?}"
+        );
+    }
+
+    /// The completions `path` retired since `before`, on the borrower's
+    /// fabric.
+    fn window_since(r: &Rack, path: PathId, before: &Histogram) -> Histogram {
+        r.fabric("borrower")
+            .unwrap()
+            .completions(path)
+            .unwrap()
+            .subtract(before)
+    }
+
+    #[test]
+    fn back_to_back_lease_windows_each_start_idle() {
+        // Each window drains before the call returns, so the second
+        // window carries none of the first's loads and sees the same
+        // latencies.
+        let mut r = rack();
+        let lease = r
+            .attach(AttachRequest::new("borrower", "donor", 4 * GIB))
+            .unwrap();
+        let path = r.lease_path(lease.id()).unwrap();
+        let mut p50s = Vec::new();
+        for _ in 0..2 {
+            let before = r.fabric("borrower").unwrap().completions(path).unwrap().clone();
+            r.run_lease_streams(&[(lease.id(), 8, 32)], SimTime::from_us(20))
+                .unwrap();
+            p50s.push(window_since(&r, path, &before).quantile(0.5));
+        }
+        assert_eq!(p50s[0], p50s[1], "the second window's p50 climbed");
+        assert_eq!(r.fabric("borrower").unwrap().next_event_time(), None);
+    }
+
+    #[test]
+    fn re_contracting_a_lease_judges_only_windows_under_the_new_contract() {
+        let mut r = rack();
+        let lease = r
+            .attach_with_slo(
+                AttachRequest::new("borrower", "donor", 4 * GIB),
+                SloSpec::new().availability(0.999),
+            )
+            .unwrap();
+        let path = r.lease_path(lease.id()).unwrap();
+        // The new contract's budget: twice the uncontended load-to-use.
+        let budget = SimTime::from_ns(2 * r.measure_lease_rtt(lease.id()).unwrap().as_ns());
+        // A slow history: a deep closed loop queues loads behind each
+        // other, under a contract with no latency budget.
+        let slow = [(lease.id(), 16, 32)];
+        r.run_lease_streams(&slow, SimTime::from_us(20)).unwrap();
+        assert!(r.evaluate_slos().unwrap().is_empty());
+        let history_p99 = window_since(&r, path, &Histogram::new()).quantile(0.99);
+        assert!(history_p99 > budget.as_ns(), "history p99 {history_p99} ns");
+        r.set_lease_slo(lease.id(), SloSpec::new().p99(budget)).unwrap();
+        assert_eq!(
+            r.evaluate_slos().unwrap(),
+            vec![],
+            "the slow history ran under the old contract"
+        );
+        // A light window under the new contract stays inside it...
+        r.run_lease_streams(&[(lease.id(), 1, 1)], SimTime::from_us(20))
+            .unwrap();
+        assert_eq!(r.evaluate_slos().unwrap(), vec![]);
+        // ...and the first slow one breaches it.
+        r.run_lease_streams(&slow, SimTime::from_us(20)).unwrap();
+        let breaches = r.evaluate_slos().unwrap();
+        assert_eq!(breaches.len(), 1, "{breaches:?}");
+        assert_eq!(breaches[0].lease, lease.id().0);
+        assert!(
+            matches!(
+                breaches[0].kind,
+                crate::fabric::SloBreachKind::P99 { budget_ns, .. } if budget_ns == budget.as_ns()
+            ),
+            "{breaches:?}"
         );
     }
 

@@ -4,10 +4,10 @@
 //! panic.
 //!
 //! Windows are drawn up to 2^63 bytes. The RMMU section table holds one
-//! entry per 256 MiB of window, so `Fabric::assemble` refuses a window
-//! over `rmmu::section::MAX_SECTIONS` sections before it allocates the
-//! table. Windows and donor ranges may also *sit* near the top of the
-//! address space.
+//! root pointer per 256 sections of 256 MiB, so `Fabric::assemble`
+//! refuses a window over `rmmu::section::MAX_SECTIONS` sections before
+//! it allocates the table. Windows and donor ranges may also *sit* near
+//! the top of the address space.
 
 use proptest::prelude::*;
 use rmmu::section::MAX_SECTIONS;

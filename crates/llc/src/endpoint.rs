@@ -42,10 +42,6 @@ pub struct LlcTx<T> {
     replay: ReplayBuffer<T>,
     credit_return_pool: u32,
     last_replay_request: Option<FrameId>,
-    /// Tail-replay kicks issued with no intervening ack progress — the
-    /// Tx half of the link-down detector: a live peer answers a replay
-    /// burst with an ack, so consecutive unanswered kicks mean silence.
-    unanswered_kicks: u32,
     frames_sent: u64,
     frames_replayed: u64,
     txns_offered: usize,
@@ -71,7 +67,6 @@ impl<T: FlitSized + Clone> LlcTx<T> {
             replay: ReplayBuffer::new(config.replay_window),
             credit_return_pool: 0,
             last_replay_request: None,
-            unanswered_kicks: 0,
             frames_sent: 0,
             frames_replayed: 0,
             txns_offered: 0,
@@ -189,8 +184,6 @@ impl<T: FlitSized + Clone> LlcTx<T> {
                 let freed = u32::try_from(before - self.replay.len()).unwrap_or(u32::MAX);
                 if freed > 0 {
                     self.credits.replenish(freed)?;
-                    // Ack progress proves the peer is alive.
-                    self.unanswered_kicks = 0;
                 }
                 // A new ack re-arms replay-request deduplication.
                 if self
@@ -219,25 +212,18 @@ impl<T: FlitSized + Clone> LlcTx<T> {
         Ok(())
     }
 
-    /// Retransmits everything unacknowledged (tail-loss recovery, driven
-    /// by the link's idle timer). Each kick that actually re-queues
-    /// frames counts as one unanswered keepalive probe until an ack
-    /// makes progress; [`Self::unanswered_kicks`] exposes the count so a
-    /// watchdog can declare the peer dead after N silent probes.
+    /// Retransmits everything unacknowledged (tail-loss recovery). A
+    /// lost tail leaves no later frame to expose the gap, so a caller
+    /// that sees the link quiet with frames outstanding (an idle timer,
+    /// a link watchdog) re-queues the whole retained window. It only
+    /// retransmits: judging a silent link dead is the caller's job. A
+    /// no-op while nothing is retained or a replay is still queued.
     pub fn kick_tail_replay(&mut self) {
         if let Some(oldest) = self.replay.oldest() {
             if self.retransmit.is_empty() {
                 self.retransmit = self.replay.frames_from(oldest).into();
-                self.unanswered_kicks = self.unanswered_kicks.saturating_add(1);
             }
         }
-    }
-
-    /// Consecutive tail-replay kicks issued without any ack progress —
-    /// the keepalive half of link-down detection. Reset to zero whenever
-    /// a cumulative ack frees at least one retained frame.
-    pub fn unanswered_kicks(&self) -> u32 {
-        self.unanswered_kicks
     }
 
     /// Whether any frame is staged, framed, retained or replaying.
@@ -353,9 +339,6 @@ pub struct LlcRx<T> {
     ack_every: u64,
     discards_since_request: u32,
     awaiting_replay: bool,
-    /// Replay requests emitted with no in-order delivery since — the Rx
-    /// half of the link-down detector.
-    unanswered_requests: u32,
     frames_delivered: u64,
     duplicates: u64,
     gaps: u64,
@@ -375,7 +358,6 @@ impl<T: FlitSized + Clone> LlcRx<T> {
             ack_every: config.ack_every,
             discards_since_request: 0,
             awaiting_replay: false,
-            unanswered_requests: 0,
             frames_delivered: 0,
             duplicates: 0,
             gaps: 0,
@@ -389,7 +371,6 @@ impl<T: FlitSized + Clone> LlcRx<T> {
             replies.push(Control::ReplayRequest(self.expected));
             self.awaiting_replay = true;
             self.discards_since_request = 0;
-            self.unanswered_requests = self.unanswered_requests.saturating_add(1);
         }
     }
 
@@ -455,7 +436,6 @@ impl<T: FlitSized + Clone> LlcRx<T> {
         self.expected = self.expected.next();
         self.awaiting_replay = false;
         self.discards_since_request = 0;
-        self.unanswered_requests = 0;
         self.frames_delivered += 1;
         out.delivered.extend(entries.txns().cloned());
         // Cumulative acks coalesce: every Nth frame carries the ack for
@@ -533,13 +513,6 @@ impl<T: FlitSized + Clone> LlcRx<T> {
     /// Corrupt frames discarded.
     pub fn corrupt(&self) -> u64 {
         self.corrupt
-    }
-
-    /// Replay requests emitted with no in-order delivery since — the Rx
-    /// half of link-down detection. Reset to zero by every in-order
-    /// frame.
-    pub fn unanswered_replay_requests(&self) -> u32 {
-        self.unanswered_requests
     }
 }
 
@@ -823,45 +796,6 @@ mod tests {
         assert_eq!(delivered, (0..6).map(|i| (i, 7)).collect::<Vec<_>>());
         assert!(tx.all_acked());
         assert_eq!(rx.duplicates(), 0, "wraparound produced duplicates");
-    }
-
-    #[test]
-    fn unanswered_kicks_count_silence_and_reset_on_ack() {
-        let mut tx = LlcTx::new(cfg());
-        tx.offer((1, 7));
-        tx.seal();
-        let _lost = tx.next_transmittable().unwrap().unwrap();
-        assert_eq!(tx.unanswered_kicks(), 0);
-        // Each kick that re-queues the tail counts one silent probe;
-        // kicks while the retransmit queue still holds frames do not.
-        tx.kick_tail_replay();
-        tx.kick_tail_replay();
-        assert_eq!(tx.unanswered_kicks(), 1);
-        let _lost_again = drain_tx(&mut tx);
-        tx.kick_tail_replay();
-        assert_eq!(tx.unanswered_kicks(), 2);
-        // Ack progress proves the peer alive and resets the detector.
-        tx.on_control(Control::Ack(FrameId(0))).unwrap();
-        assert_eq!(tx.unanswered_kicks(), 0);
-    }
-
-    #[test]
-    fn unanswered_replay_requests_reset_on_delivery() {
-        let mut tx = LlcTx::new(cfg());
-        let mut rx: LlcRx<Msg> = LlcRx::new(cfg());
-        for i in 0..2 {
-            tx.offer((i, 7));
-        }
-        tx.seal();
-        let frames = drain_tx(&mut tx);
-        // Frame 0 lost: frame 1 arrives as a gap and arms a request.
-        let act = rx.on_frame(frames[1].clone(), true).unwrap();
-        assert!(act.delivered.is_empty());
-        assert_eq!(rx.unanswered_replay_requests(), 1);
-        // In-order delivery clears the detector.
-        let act = rx.on_frame(frames[0].clone(), true).unwrap();
-        assert_eq!(act.delivered.len(), 1);
-        assert_eq!(rx.unanswered_replay_requests(), 0);
     }
 
     #[test]

@@ -11,6 +11,10 @@ use crate::frame::{Frame, FrameId};
 
 /// Retention buffer for unacknowledged frames.
 ///
+/// The capacity bounds how many frames the buffer retains; storage
+/// grows on demand up to the deepest window the link actually used, so
+/// an idle or lightly loaded link holds no frame storage.
+///
 /// # Example
 ///
 /// ```
@@ -41,7 +45,7 @@ impl<T: Clone> ReplayBuffer<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "replay buffer cannot be empty");
         ReplayBuffer {
-            frames: VecDeque::with_capacity(capacity),
+            frames: VecDeque::new(),
             capacity,
             replays_served: 0,
         }

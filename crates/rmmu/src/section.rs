@@ -1,4 +1,18 @@
 //! The section table: one entry per Linux sparse-memory section.
+//!
+//! # Layout
+//!
+//! [`SectionTable`] is a two-level section array, the layout Linux uses
+//! for its own sparse-memory sections under `SPARSEMEM_EXTREME` (and
+//! `hostsim::hotplug` uses for the host's). The high bits of a section
+//! index pick a *root* covering 256 consecutive sections; the low 8 bits
+//! pick the entry inside it. A root is allocated by the first
+//! [`SectionTable::program`] that lands in it and freed when
+//! [`SectionTable::unprogram`] clears its last entry, so a table holds
+//! one 8-byte root pointer per 256 sections of window plus 4 KiB per
+//! root something is programmed in. A rack fabric's 1 TiB window (4,096
+//! sections) costs 128 bytes before any lease attaches, where one entry
+//! per section cost 64 KiB. Translation stays two indexings.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -14,9 +28,17 @@ use crate::flow::NetworkId;
 pub const DEFAULT_SECTION_BITS: u32 = 28;
 
 /// The most sections a device window may span: 2^16 sections of 256 MiB
-/// map 16 TiB. A [`SectionTable`] holds one entry per section, so a
-/// bigger window costs memory in proportion before any path attaches.
+/// map 16 TiB. The fabric refuses a bigger window. Table memory no
+/// longer follows this limit: a [`SectionTable`] allocates a root only
+/// where a section is programmed, and the root pointers it allocates up
+/// front take 2 KiB for a 16 TiB window.
 pub const MAX_SECTIONS: u64 = 1 << 16;
+
+/// Section-index bits resolved inside one root.
+const ROOT_SHIFT: u32 = 8;
+
+/// Sections per root of the two-level table.
+const ROOT_SECTIONS: usize = 1 << ROOT_SHIFT;
 
 /// A donor-side effective address produced by RMMU translation.
 #[derive(
@@ -122,19 +144,54 @@ pub struct Translated {
     pub section: u64,
 }
 
+/// The entries of [`ROOT_SECTIONS`] consecutive sections.
+#[derive(Debug, Clone)]
+struct Root {
+    /// Programmed entries; the root is freed when the last one goes.
+    programmed: usize,
+    entries: [Option<SectionEntry>; ROOT_SECTIONS],
+}
+
+impl Root {
+    fn empty() -> Box<Root> {
+        Box::new(Root {
+            programmed: 0,
+            entries: [None; ROOT_SECTIONS],
+        })
+    }
+}
+
+/// The root slot and the entry index of section `index`.
+fn locate(index: u64) -> (usize, usize) {
+    (
+        (index >> ROOT_SHIFT) as usize,
+        (index % ROOT_SECTIONS as u64) as usize,
+    )
+}
+
+/// The entry programmed at an in-range section `index`, if any.
+fn lookup(roots: &[Option<Box<Root>>], index: u64) -> Option<SectionEntry> {
+    let (root, at) = locate(index);
+    roots[root].as_ref().and_then(|r| r.entries[at])
+}
+
 /// The RMMU section table.
 ///
 /// A bit range of the device-internal address indexes the table: address
 /// bits `[section_bits ..]` select the section, the low bits are the
-/// offset within it.
+/// offset within it. Entries live in the two-level array described in
+/// the [module docs](self).
 ///
 /// Programmed sections are also indexed by network, so the alias check
 /// of [`SectionTable::program`] visits only the sections of the new
 /// entry's flow, not the whole table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SectionTable {
     section_bits: u32,
-    entries: Vec<Option<SectionEntry>>,
+    sections: u64,
+    /// One slot per [`ROOT_SECTIONS`] sections; `None` until something
+    /// is programmed there.
+    roots: Vec<Option<Box<Root>>>,
     /// Programmed section indices per network, ascending.
     by_network: BTreeMap<NetworkId, Vec<u64>>,
     translations: u64,
@@ -156,7 +213,8 @@ impl SectionTable {
         assert!(sections > 0, "table needs at least one section");
         SectionTable {
             section_bits,
-            entries: vec![None; sections as usize],
+            sections,
+            roots: vec![None; sections.div_ceil(ROOT_SECTIONS as u64) as usize],
             by_network: BTreeMap::new(),
             translations: 0,
             faults: 0,
@@ -177,7 +235,7 @@ impl SectionTable {
 
     /// Number of sections in the table.
     pub fn sections(&self) -> u64 {
-        self.entries.len() as u64
+        self.sections
     }
 
     /// The section index a device address falls in.
@@ -193,31 +251,33 @@ impl SectionTable {
     /// remote ranges that would alias an existing mapping on the same
     /// network flow.
     pub fn program(&mut self, index: u64, entry: SectionEntry) -> Result<(), RmmuError> {
-        let slot = self
-            .entries
-            .get(index as usize)
-            .ok_or(RmmuError::BadIndex(index))?;
+        if index >= self.sections {
+            return Err(RmmuError::BadIndex(index));
+        }
         if entry.remote_ea_base % 128 != 0 {
             return Err(RmmuError::Misaligned(entry.remote_ea_base));
         }
-        if slot.is_some() {
+        if lookup(&self.roots, index).is_some() {
             return Err(RmmuError::Occupied(index));
         }
         let size = self.section_size();
-        let aliases = |o: &SectionEntry| {
+        let aliases = |o: SectionEntry| {
             entry.remote_ea_base < o.remote_ea_base + size
                 && o.remote_ea_base < entry.remote_ea_base + size
         };
         let flow = self.by_network.entry(entry.network).or_default();
         if let Some(&i) = flow
             .iter()
-            .find(|&&i| self.entries[i as usize].as_ref().is_some_and(aliases))
+            .find(|&&i| lookup(&self.roots, i).is_some_and(aliases))
         {
             return Err(RmmuError::Aliases { with_section: i });
         }
         let at = flow.partition_point(|&i| i < index);
         flow.insert(at, index);
-        self.entries[index as usize] = Some(entry);
+        let (root, at) = locate(index);
+        let root = self.roots[root].get_or_insert_with(Root::empty);
+        root.entries[at] = Some(entry);
+        root.programmed += 1;
         Ok(())
     }
 
@@ -227,11 +287,18 @@ impl SectionTable {
     ///
     /// Fails if the index is out of range or the section is unmapped.
     pub fn unprogram(&mut self, index: u64) -> Result<SectionEntry, RmmuError> {
-        let slot = self
-            .entries
-            .get_mut(index as usize)
-            .ok_or(RmmuError::BadIndex(index))?;
-        let entry = slot.take().ok_or(RmmuError::Unmapped(index))?;
+        if index >= self.sections {
+            return Err(RmmuError::BadIndex(index));
+        }
+        let (slot, at) = locate(index);
+        let root = self.roots[slot]
+            .as_mut()
+            .ok_or(RmmuError::Unmapped(index))?;
+        let entry = root.entries[at].take().ok_or(RmmuError::Unmapped(index))?;
+        root.programmed -= 1;
+        if root.programmed == 0 {
+            self.roots[slot] = None;
+        }
         if let Some(flow) = self.by_network.get_mut(&entry.network) {
             flow.retain(|&i| i != index);
             if flow.is_empty() {
@@ -251,17 +318,14 @@ impl SectionTable {
     /// forwarding only towards legal destinations, and fail otherwise").
     pub fn translate(&mut self, addr: DeviceAddress) -> Result<Translated, RmmuError> {
         let index = self.index_of(addr);
-        let entry = self
-            .entries
-            .get(index as usize)
-            .ok_or_else(|| {
-                self.faults += 1;
-                RmmuError::BadIndex(index)
-            })?
-            .ok_or_else(|| {
-                self.faults += 1;
-                RmmuError::Unmapped(index)
-            })?;
+        if index >= self.sections {
+            self.faults += 1;
+            return Err(RmmuError::BadIndex(index));
+        }
+        let Some(entry) = lookup(&self.roots, index) else {
+            self.faults += 1;
+            return Err(RmmuError::Unmapped(index));
+        };
         self.translations += 1;
         let offset = addr.as_u64() & (self.section_size() - 1);
         Ok(Translated {
@@ -274,29 +338,47 @@ impl SectionTable {
 
     /// The entry programmed at `index`, if any.
     pub fn entry(&self, index: u64) -> Option<SectionEntry> {
-        self.entries.get(index as usize).copied().flatten()
+        (index < self.sections)
+            .then(|| lookup(&self.roots, index))
+            .flatten()
     }
 
     /// The first index of `run` consecutive unprogrammed sections, if
     /// the table still has such a run (the per-lease window carving the
-    /// fabric attach path uses).
+    /// fabric attach path uses). An unallocated root counts as one free
+    /// stretch of up to 256 sections, so the search visits only the
+    /// entries of roots something is programmed in.
     pub fn first_free_run(&self, run: u64) -> Option<u64> {
-        if run == 0 || run > self.sections() {
+        if run == 0 || run > self.sections {
             return None;
         }
-        let mut start = 0usize;
+        let mut start = 0u64;
         let mut len = 0u64;
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.is_none() {
+        for (slot, root) in self.roots.iter().enumerate() {
+            let base = (slot as u64) << ROOT_SHIFT;
+            let span = (ROOT_SECTIONS as u64).min(self.sections - base);
+            let Some(root) = root else {
                 if len == 0 {
-                    start = i;
+                    start = base;
+                }
+                len += span;
+                if len >= run {
+                    return Some(start);
+                }
+                continue;
+            };
+            for (i, e) in root.entries[..span as usize].iter().enumerate() {
+                if e.is_some() {
+                    len = 0;
+                    continue;
+                }
+                if len == 0 {
+                    start = base + i as u64;
                 }
                 len += 1;
                 if len == run {
-                    return Some(start as u64);
+                    return Some(start);
                 }
-            } else {
-                len = 0;
             }
         }
         None
@@ -308,13 +390,19 @@ impl SectionTable {
         self.by_network.get(&network).cloned().unwrap_or_default()
     }
 
-    /// Indices of programmed sections.
+    /// Indices of programmed sections, ascending.
     pub fn programmed(&self) -> Vec<u64> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.map(|_| i as u64))
-            .collect()
+        let mut out = Vec::new();
+        for (slot, root) in self.roots.iter().enumerate() {
+            let Some(root) = root else { continue };
+            let base = (slot as u64) << ROOT_SHIFT;
+            for (i, e) in root.entries.iter().enumerate() {
+                if e.is_some() {
+                    out.push(base + i as u64);
+                }
+            }
+        }
+        out
     }
 
     /// Successful translations served.
@@ -452,6 +540,29 @@ mod tests {
         assert_eq!(t.sections_of(NetworkId(7)), vec![0, 1]);
         assert_eq!(t.sections_of(NetworkId(8)), vec![4]);
         assert!(t.sections_of(NetworkId(9)).is_empty());
+    }
+
+    #[test]
+    fn roots_are_allocated_on_program_and_freed_with_their_last_section() {
+        // A rack fabric's 1 TiB window: 4,096 sections in 16 roots.
+        let mut t = SectionTable::with_default_sections(1 << 40);
+        let live_roots = |t: &SectionTable| t.roots.iter().flatten().count();
+        assert_eq!(t.roots.len(), 16);
+        assert_eq!(live_roots(&t), 0);
+        for (i, index) in [255u64, 256, 4_095].into_iter().enumerate() {
+            let base = (i as u64 + 1) << 30;
+            t.program(index, SectionEntry::new(base, NetworkId(3))).unwrap();
+        }
+        assert_eq!(live_roots(&t), 3);
+        assert_eq!(t.programmed(), vec![255, 256, 4_095]);
+        t.unprogram(256).unwrap();
+        assert_eq!(live_roots(&t), 2);
+        assert_eq!(t.unprogram(256), Err(RmmuError::Unmapped(256)));
+        t.unprogram(255).unwrap();
+        t.unprogram(4_095).unwrap();
+        assert_eq!(live_roots(&t), 0);
+        assert!(t.sections_of(NetworkId(3)).is_empty());
+        assert_eq!(t.first_free_run(4_096), Some(0));
     }
 
     #[test]

@@ -17,16 +17,21 @@
 //!   engines pop every schedule in the identical order, so simulations
 //!   are byte-for-byte reproducible on either.
 //!
-//! The calendar stores its records structure-of-arrays: calendar buckets
-//! and the drain the current bucket is sorted into hold only `(at, seq,
-//! slot)` sort keys, and every calendar payload sits in one queue-wide
-//! slot arena the keys index. Ordering a bucket therefore sorts 24-byte
+//! Every calendar event lives in one queue-wide node slab. A node holds
+//! the event's `(at, seq)` sort key, a `u32` link and the payload; each
+//! of the 1,024 buckets is a singly linked list of nodes threaded
+//! through those links, so the calendar's fixed cost is 1,024 `u32`
+//! list heads (4 KiB) and its memory otherwise follows the peak number
+//! of pending events, not the history of any one bucket. When a bucket
+//! comes due, its list is walked into one reused `drain` vector of
+//! `(at, seq, node)` keys and sorted, so ordering a bucket sorts 24-byte
 //! keys instead of shuffling full event payloads (which on the fabric
 //! hot path carry whole LLC frames); a payload is moved exactly once on
-//! schedule and once on pop. Freed slots are reused last-in first-out,
-//! so the schedule that typically follows a pop writes the slot that
-//! pop just read while it is still in cache, and the arena never holds
-//! more slots than the peak number of pending events.
+//! schedule and once on pop. Popped nodes go on a last-in first-out
+//! free list threaded through the same links, so the schedule that
+//! typically follows a pop writes the node that pop just read while it
+//! is still in cache, and the slab never holds more nodes than the peak
+//! number of pending calendar events.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -84,56 +89,96 @@ impl<E> Ord for Scheduled<E> {
 }
 
 /// A calendar sort key: delivery instant, FIFO sequence number, and the
-/// arena slot that holds the payload.
+/// slab node that holds the payload.
 type Key = (SimTime, u64, u32);
 
-/// The queue-wide payload arena behind every calendar key. A slot
-/// empties when its key pops and goes on a last-in first-out free list,
-/// so the next schedule reuses the slot read most recently and the
-/// arena only grows when every slot is occupied.
+/// The end of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One calendar event: its sort key, the next node of its bucket list
+/// (or of the free list once popped), and the payload (`None` while
+/// the node is free).
 #[derive(Debug)]
-struct Arena<E> {
-    slots: Vec<Option<E>>,
-    /// Empty slots, the most recently freed last.
-    free: Vec<u32>,
+struct Node<E> {
+    at: SimTime,
+    seq: u64,
+    next: u32,
+    event: Option<E>,
 }
 
-fn slot_index(slot: u32) -> usize {
-    usize::try_from(slot).expect("arena slot index fits usize")
+/// The queue-wide node slab behind every calendar event. A node is
+/// freed when its event pops and goes on a last-in first-out free list,
+/// so the next schedule reuses the node read most recently and the slab
+/// only grows when every node is occupied.
+#[derive(Debug)]
+struct Slab<E> {
+    nodes: Vec<Node<E>>,
+    /// Head of the free list, the most recently freed node first.
+    free: u32,
 }
 
-impl<E> Arena<E> {
+fn node_index(node: u32) -> usize {
+    usize::try_from(node).expect("slab node index fits usize")
+}
+
+impl<E> Slab<E> {
     fn new() -> Self {
-        Arena {
-            slots: Vec::new(),
-            free: Vec::new(),
+        Slab {
+            nodes: Vec::new(),
+            free: NIL,
         }
     }
 
-    /// Parks `event` in the most recently freed slot (or a new one) and
-    /// returns the slot's index.
-    fn put(&mut self, event: E) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            self.slots[slot_index(slot)] = Some(event);
-            return slot;
+    /// Parks an event in the most recently freed node (or a new one),
+    /// linked in front of `next`, and returns the node's index.
+    fn put(&mut self, at: SimTime, seq: u64, next: u32, event: E) -> u32 {
+        let node = Node {
+            at,
+            seq,
+            next,
+            event: Some(event),
+        };
+        if self.free != NIL {
+            let index = self.free;
+            let slot = &mut self.nodes[node_index(index)];
+            self.free = slot.next;
+            *slot = node;
+            return index;
         }
-        let slot = u32::try_from(self.slots.len()).expect("arena slot index fits u32");
-        self.slots.push(Some(event));
-        slot
+        let index = u32::try_from(self.nodes.len()).expect("slab node index fits u32");
+        assert!(index != NIL, "event slab is full");
+        self.nodes.push(node);
+        index
     }
 
-    fn get(&self, slot: u32) -> &E {
-        self.slots[slot_index(slot)]
+    /// The nodes of the list that starts at `head`, with their indices,
+    /// in link order.
+    fn list(&self, head: u32) -> impl Iterator<Item = (u32, &Node<E>)> {
+        let mut index = head;
+        std::iter::from_fn(move || {
+            if index == NIL {
+                return None;
+            }
+            let node = &self.nodes[node_index(index)];
+            let item = (index, node);
+            index = node.next;
+            Some(item)
+        })
+    }
+
+    fn get(&self, node: u32) -> &E {
+        self.nodes[node_index(node)]
+            .event
             .as_ref()
-            .expect("pending slot holds its payload")
+            .expect("pending node holds its payload")
     }
 
-    /// Moves the payload out and frees its slot.
-    fn take(&mut self, slot: u32) -> E {
-        let event = self.slots[slot_index(slot)]
-            .take()
-            .expect("pending slot holds its payload");
-        self.free.push(slot);
+    /// Moves the payload out and frees its node.
+    fn take(&mut self, node: u32) -> E {
+        let slot = &mut self.nodes[node_index(node)];
+        let event = slot.event.take().expect("pending node holds its payload");
+        slot.next = self.free;
+        self.free = node;
         event
     }
 }
@@ -168,20 +213,21 @@ pub struct EventQueue<E> {
     /// Far-future events (all events in `HeapOnly` mode), payload
     /// inline.
     heap: BinaryHeap<Scheduled<E>>,
-    /// Payloads of every event in `drain` and `buckets`.
-    arena: Arena<E>,
+    /// Every event in `drain` and the bucket lists.
+    slab: Slab<E>,
     /// The currently ingested calendar slice, keys sorted **descending**
     /// by `(at, seq)`; the next event pops from the back. Also absorbs
     /// late schedules that land inside the already-ingested window.
     drain: Vec<Key>,
-    /// Unsorted calendar buckets; bucket `slot % NUM_BUCKETS` holds the
-    /// keys of `slot` for slots in `[cursor_slot, cursor_slot + N)`.
-    buckets: Vec<Vec<Key>>,
+    /// Head node of each calendar bucket's unsorted list ([`NIL`] when
+    /// empty); bucket `slot % NUM_BUCKETS` lists the events of `slot`
+    /// for slots in `[cursor_slot, cursor_slot + N)`.
+    heads: Vec<u32>,
     /// One bit per bucket: whether it holds any events.
     occupied: Vec<u64>,
     /// First slot not yet ingested into `drain`.
     cursor_slot: u64,
-    /// Events currently resident in `buckets`.
+    /// Events currently resident in the bucket lists.
     in_buckets: usize,
 }
 
@@ -216,9 +262,9 @@ impl<E> EventQueue<E> {
             popped: 0,
             pending: 0,
             heap: BinaryHeap::new(),
-            arena: Arena::new(),
+            slab: Slab::new(),
             drain: Vec::new(),
-            buckets: (0..n).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; n],
             occupied: vec![0u64; n.div_ceil(64)],
             cursor_slot: 0,
             in_buckets: 0,
@@ -261,7 +307,7 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         self.pending += 1;
-        if self.buckets.is_empty() {
+        if self.heads.is_empty() {
             self.heap.push(Scheduled { at, seq, event });
             return;
         }
@@ -279,13 +325,12 @@ impl<E> EventQueue<E> {
             // drain at its (at, seq) position.
             let key = (at, seq);
             let pos = self.drain.partition_point(|&(a, s, _)| (a, s) > key);
-            let arena_slot = self.arena.put(event);
-            self.drain.insert(pos, (at, seq, arena_slot));
-        } else if slot - self.cursor_slot < self.buckets.len() as u64 {
-            let idx = usize::try_from(slot % self.buckets.len() as u64)
-                .expect("bucket count fits usize");
-            let arena_slot = self.arena.put(event);
-            self.buckets[idx].push((at, seq, arena_slot));
+            let node = self.slab.put(at, seq, NIL, event);
+            self.drain.insert(pos, (at, seq, node));
+        } else if slot - self.cursor_slot < self.heads.len() as u64 {
+            let idx =
+                usize::try_from(slot % self.heads.len() as u64).expect("bucket count fits usize");
+            self.heads[idx] = self.slab.put(at, seq, self.heads[idx], event);
             self.occupied[idx / 64] |= 1u64 << (idx % 64);
             self.in_buckets += 1;
         } else {
@@ -322,7 +367,7 @@ impl<E> EventQueue<E> {
         if !self.drain.is_empty() || self.in_buckets == 0 {
             return;
         }
-        let n = self.buckets.len() as u64;
+        let n = self.heads.len() as u64;
         let start = usize::try_from(self.cursor_slot % n).expect("bucket count fits usize");
         let idx = self.next_occupied(start);
         let delta = if idx >= start {
@@ -330,11 +375,12 @@ impl<E> EventQueue<E> {
         } else {
             n - (start - idx) as u64
         };
-        // Swap keeps the bucket's allocation alive for its next lap.
-        std::mem::swap(&mut self.drain, &mut self.buckets[idx]);
+        let head = std::mem::replace(&mut self.heads[idx], NIL);
+        self.drain
+            .extend(self.slab.list(head).map(|(i, n)| (n.at, n.seq, i)));
         self.occupied[idx / 64] &= !(1u64 << (idx % 64));
         self.in_buckets -= self.drain.len();
-        // Only the keys move; the payloads stay put in the arena.
+        // Only the keys move; the payloads stay put in the slab.
         self.drain
             .sort_unstable_by(|a, b| (b.0, b.1).cmp(&(a.0, a.1)));
         self.cursor_slot = self.cursor_slot + delta + 1;
@@ -358,8 +404,8 @@ impl<E> EventQueue<E> {
             let sch = self.heap.pop().expect("peeked event exists");
             (sch.at, sch.event)
         } else {
-            let (at, _, slot) = self.drain.pop().expect("peeked event exists");
-            (at, self.arena.take(slot))
+            let (at, _, node) = self.drain.pop().expect("peeked event exists");
+            (at, self.slab.take(node))
         }
     }
 
@@ -403,8 +449,8 @@ impl<E> EventQueue<E> {
             let h = self.heap.peek().expect("peeked event exists");
             (h.at, &h.event)
         } else {
-            let &(at, _, slot) = self.drain.last().expect("peeked event exists");
-            (at, self.arena.get(slot))
+            let &(at, _, node) = self.drain.last().expect("peeked event exists");
+            (at, self.slab.get(node))
         };
         if front_at != self.now || !pred(front) {
             return None;
@@ -420,10 +466,10 @@ impl<E> EventQueue<E> {
         let near = if let Some(&(at, _, _)) = self.drain.last() {
             Some(at)
         } else if self.in_buckets > 0 {
-            let n = self.buckets.len() as u64;
+            let n = self.heads.len() as u64;
             let start = usize::try_from(self.cursor_slot % n).expect("bucket count fits usize");
-            let idx = self.next_occupied(start);
-            self.buckets[idx].iter().map(|&(at, _, _)| at).min()
+            let head = self.heads[self.next_occupied(start)];
+            self.slab.list(head).map(|(_, n)| n.at).min()
         } else {
             None
         };
@@ -444,10 +490,10 @@ impl<E> EventQueue<E> {
         self.pending == 0
     }
 
-    /// Slots the payload arena has ever allocated.
+    /// Nodes the calendar slab has ever allocated.
     #[cfg(test)]
-    fn arena_slots(&self) -> usize {
-        self.arena.slots.len()
+    fn slab_nodes(&self) -> usize {
+        self.slab.nodes.len()
     }
 
     /// Drains events while `cond(next_event_time)` holds, applying `f`.
@@ -645,22 +691,42 @@ mod tests {
     }
 
     #[test]
-    fn arena_never_outgrows_the_peak_pending_count() {
-        // Freed arena slots are reused, so pouring many laps through the
-        // same buckets keeps FIFO order and never grows the arena past
-        // the most events ever pending at once.
+    fn slab_never_outgrows_the_peak_pending_count() {
+        // K events stay pending while the clock laps the calendar three
+        // times: each pop schedules one successor 1–7 buckets ahead, so
+        // events pass through every one of the 1,024 buckets. Freed
+        // nodes are reused, so the slab never holds more than K nodes
+        // however many buckets the events have visited, and the pop
+        // order matches the reference heap event for event.
+        const K: u64 = 48;
+        let bucket = 1u64 << SLOT_SHIFT;
         let mut q = EventQueue::new();
-        for lap in 0..100u64 {
-            for i in 0..64u64 {
-                q.schedule(SimTime::from_ns(lap * 10 + 1), (lap, i));
-            }
-            for i in 0..64u64 {
-                assert_eq!(q.pop().unwrap().1, (lap, i));
-            }
+        let mut reference = EventQueue::new_heap_only();
+        for i in 0..K {
+            let at = SimTime::from_ps(i * bucket / 8);
+            q.schedule(at, i);
+            reference.schedule(at, i);
         }
-        assert!(q.is_empty());
-        assert_eq!(q.popped(), 6_400);
-        assert_eq!(q.arena_slots(), 64);
+        let mut visited = vec![false; NUM_BUCKETS];
+        let laps = SimTime::from_ps(3 * bucket * NUM_BUCKETS as u64);
+        let mut tag = K;
+        while q.now() < laps {
+            let popped = q.pop();
+            assert_eq!(popped, reference.pop());
+            let (at, _) = popped.expect("K events stay pending");
+            visited[usize::try_from(q.slot_of(at) % NUM_BUCKETS as u64).expect("bucket")] = true;
+            let delay = SimTime::from_ps((1 + tag % 7) * bucket - tag % 3);
+            q.schedule_in(delay, tag);
+            reference.schedule_in(delay, tag);
+            tag += 1;
+            assert_eq!(q.len() as u64, K);
+            assert!(
+                q.slab_nodes() as u64 <= K,
+                "after {tag} events: slab {} > {K} pending",
+                q.slab_nodes()
+            );
+        }
+        assert!(visited.iter().all(|&v| v), "every bucket took events");
         // Interleaved pops, near reschedules, late merges into the drain
         // and far timers on the heap: the bound holds after every step.
         let mut q = EventQueue::new();
@@ -683,9 +749,9 @@ mod tests {
                 }
             }
             assert!(
-                q.arena_slots() <= peak,
-                "step {step}: arena {} > peak pending {peak}",
-                q.arena_slots()
+                q.slab_nodes() <= peak,
+                "step {step}: slab {} > peak pending {peak}",
+                q.slab_nodes()
             );
         }
     }

@@ -9,6 +9,10 @@ use std::collections::VecDeque;
 
 /// A FIFO with a hard capacity.
 ///
+/// The capacity is a limit, not a reservation: storage grows on demand
+/// up to the deepest the queue has been, so a queue that never fills
+/// holds only what it used.
+///
 /// # Example
 ///
 /// ```
@@ -58,7 +62,7 @@ impl<T> BoundedFifo<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         BoundedFifo {
-            items: VecDeque::with_capacity(capacity),
+            items: VecDeque::new(),
             capacity,
             stats: FifoStats::default(),
         }

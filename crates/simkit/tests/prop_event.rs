@@ -3,8 +3,8 @@
 //! schedules — including same-instant bursts, far-future jumps past the
 //! calendar horizon, schedules interleaved with pops, and coincident
 //! pops whose predicate accepts or rejects the front event (a rejected
-//! peek must leave the hybrid engine's payload arena untouched, so the
-//! next schedule reuses slots without clobbering a pending event). This
+//! peek must leave the hybrid engine's node slab untouched, so the
+//! next schedule reuses nodes without clobbering a pending event). This
 //! is the invariant that lets the fast path replace the heap without
 //! changing a single simulation trajectory.
 

@@ -290,7 +290,6 @@ impl FleetScenario {
                     .availability(self.availability_floor),
             )?;
         }
-        let _ = rack.evaluate_slos()?; // swallow the calibration window
 
         // ---- walk the ladder ----------------------------------------
         let clock = PhaseClock::new(
