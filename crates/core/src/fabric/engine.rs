@@ -43,7 +43,9 @@ use routing::{ChannelId, RouteError};
 use simkit::bandwidth::Rate;
 use simkit::event::{Engine, EventQueue};
 use simkit::stats::Histogram;
-use simkit::telemetry::{CounterId, GaugeId, Registry, Snapshot, TelemetryError, TimerId};
+use simkit::telemetry::{
+    CounterId, MetricKind, Registry, Snapshot, TelemetryError, TimerId, ViewSchema,
+};
 use simkit::time::SimTime;
 
 use crate::fabric::builder::FabricBuilder;
@@ -447,9 +449,9 @@ fn is_collapsed(route: &TopoRoute, hub: Option<NodeId>) -> bool {
 }
 
 /// Unified per-link statistics: wire-channel, LLC and credit counters
-/// for both directions of one link, in one typed struct. Mirrored into
-/// the telemetry registry by [`Fabric::telemetry_snapshot`] under
-/// `fabric.link{n}.*` paths.
+/// for both directions of one link, in one typed struct. Every
+/// [`Fabric::telemetry_snapshot`] reads them in under `fabric.link{n}.*`
+/// paths while the link lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkStats {
     /// Global link index (= channel id).
@@ -498,6 +500,33 @@ pub struct LinkStats {
     pub down_rx_high_water: usize,
 }
 
+impl LinkStats {
+    /// The link's telemetry views: each metric's leaf under
+    /// `fabric.link{n}.`, its kind and its value.
+    fn metrics(&self) -> [(&'static str, MetricKind, u64); 16] {
+        use MetricKind::{Counter, Gauge};
+        let level = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
+        [
+            ("fwd.frames", Counter, self.fwd_frames),
+            ("fwd.bytes", Counter, self.fwd_bytes),
+            ("rev.frames", Counter, self.rev_frames),
+            ("rev.bytes", Counter, self.rev_bytes),
+            ("up.replays", Counter, self.up_replays),
+            ("down.replays", Counter, self.down_replays),
+            ("up.delivered", Counter, self.up_delivered),
+            ("down.delivered", Counter, self.down_delivered),
+            ("up.credit_stalls", Counter, self.up_credit_stalls),
+            ("down.credit_stalls", Counter, self.down_credit_stalls),
+            ("up.credits", Gauge, u64::from(self.up_credits)),
+            ("down.credits", Gauge, u64::from(self.down_credits)),
+            ("up.backlog", Gauge, level(self.up_backlog)),
+            ("down.backlog", Gauge, level(self.down_backlog)),
+            ("up.rx_high_water", Gauge, level(self.up_rx_high_water)),
+            ("down.rx_high_water", Gauge, level(self.down_rx_high_water)),
+        ]
+    }
+}
+
 /// Registry handles for the fabric-wide metrics.
 struct FabricTele {
     issued: CounterId,
@@ -538,49 +567,12 @@ impl FabricTele {
     }
 }
 
-/// Registry handles for one link's mirrored component statistics.
-#[derive(Debug, Clone, Copy)]
-struct LinkTele {
-    fwd_frames: CounterId,
-    fwd_bytes: CounterId,
-    rev_frames: CounterId,
-    rev_bytes: CounterId,
-    up_replays: CounterId,
-    down_replays: CounterId,
-    up_delivered: CounterId,
-    down_delivered: CounterId,
-    up_credit_stalls: CounterId,
-    down_credit_stalls: CounterId,
-    up_credits: GaugeId,
-    down_credits: GaugeId,
-    up_backlog: GaugeId,
-    down_backlog: GaugeId,
-    up_rx_high_water: GaugeId,
-    down_rx_high_water: GaugeId,
-}
-
-impl LinkTele {
-    fn register(r: &mut Registry, link: usize) -> Result<Self, TelemetryError> {
-        let p = |leaf: &str| format!("fabric.link{link}.{leaf}");
-        Ok(LinkTele {
-            fwd_frames: r.counter(&p("fwd.frames"))?,
-            fwd_bytes: r.counter(&p("fwd.bytes"))?,
-            rev_frames: r.counter(&p("rev.frames"))?,
-            rev_bytes: r.counter(&p("rev.bytes"))?,
-            up_replays: r.counter(&p("up.replays"))?,
-            down_replays: r.counter(&p("down.replays"))?,
-            up_delivered: r.counter(&p("up.delivered"))?,
-            down_delivered: r.counter(&p("down.delivered"))?,
-            up_credit_stalls: r.counter(&p("up.credit_stalls"))?,
-            down_credit_stalls: r.counter(&p("down.credit_stalls"))?,
-            up_credits: r.gauge(&p("up.credits"))?,
-            down_credits: r.gauge(&p("down.credits"))?,
-            up_backlog: r.gauge(&p("up.backlog"))?,
-            down_backlog: r.gauge(&p("down.backlog"))?,
-            up_rx_high_water: r.gauge(&p("up.rx_high_water"))?,
-            down_rx_high_water: r.gauge(&p("down.rx_high_water"))?,
-        })
-    }
+/// The view schema of the latest telemetry snapshot and the live links
+/// and paths it names; rebuilt when either set changes.
+struct TeleViews {
+    links: Vec<usize>,
+    paths: Vec<u32>,
+    schema: ViewSchema,
 }
 
 /// One live link: the up/down LLC pairs and the two wire channels of a
@@ -594,7 +586,6 @@ struct LinkSlot {
     path: u32,
     flush_pending: [bool; 2],
     circuit: Option<(PortId, PortId)>,
-    tele: LinkTele,
     /// A watchdog sample is already scheduled for this link.
     watchdog_pending: bool,
     /// Consecutive silent watchdog samples.
@@ -641,7 +632,6 @@ struct PathState {
     completed_bytes: u64,
     ready_at: SimTime,
     label: String,
-    tele_rtt: TimerId,
     /// Set once the path loses its last link: no further issues.
     poisoned: Option<FaultKind>,
 }
@@ -685,8 +675,11 @@ pub struct Fabric {
     capture: M1Capture,
     translate: RmmuTranslate,
     route: RouterStage,
-    links: Vec<Option<LinkSlot>>,
-    donors: Vec<Option<C1MasterDram>>,
+    /// Link slots by link index. Indices are never reused, so a
+    /// detached or dead link leaves a `None` behind: one pointer.
+    links: Vec<Option<Box<LinkSlot>>>,
+    /// Donor stages by donor index, tombstoned like `links`.
+    donors: Vec<Option<Box<C1MasterDram>>>,
     switch: Option<SwitchStage>,
     paths: BTreeMap<u32, PathState>,
     next_path: u32,
@@ -722,6 +715,8 @@ pub struct Fabric {
     /// The causal event journal, when enabled ([`Fabric::set_journal`]).
     /// `None` records nothing; recording is pure observation either way.
     journal: Option<Journal>,
+    /// The telemetry snapshot's view schema, built on first use.
+    views: Option<TeleViews>,
 }
 
 impl fmt::Debug for Fabric {
@@ -810,6 +805,7 @@ impl Fabric {
             },
             route_reroutes: 0,
             journal: None,
+            views: None,
         })
     }
 
@@ -932,7 +928,7 @@ impl Fabric {
             ea_base: spec.donor_ea,
             len: spec.bytes,
         })?;
-        self.donors.push(Some(donor));
+        self.donors.push(Some(Box::new(donor)));
 
         // Links: LLC pairs + wire channels, through circuits on a
         // switched fabric.
@@ -976,7 +972,7 @@ impl Fabric {
                     0,
                 ))
             };
-            self.links.push(Some(LinkSlot {
+            self.links.push(Some(Box::new(LinkSlot {
                 up: LlcPair::new(llc_config),
                 down: LlcPair::new(llc_config),
                 fwd: WireChannel::new(mk_chan(fwd_seed)),
@@ -985,14 +981,13 @@ impl Fabric {
                 path: path_id,
                 flush_pending: [false; 2],
                 circuit,
-                tele: LinkTele::register(&mut self.telemetry, link)?,
                 watchdog_pending: false,
                 strikes: 0,
                 carried: 0,
                 down_since: None,
                 chain,
                 topo_links: topo_links.to_vec(),
-            }));
+            })));
             // Link indices stay far below u32::MAX.
             chan_ids.push(ChannelId(link as u32));
             link_indices.push(link);
@@ -1021,9 +1016,6 @@ impl Fabric {
                 completed_bytes: 0,
                 ready_at,
                 label: spec.label.clone(),
-                tele_rtt: self
-                    .telemetry
-                    .timer(&format!("fabric.path{path_id}.rtt_ns"))?,
                 poisoned: None,
             },
         );
@@ -1660,9 +1652,6 @@ impl Fabric {
         }
         self.telemetry.inc(self.tele.retired);
         self.telemetry.record_ns(self.tele.rtt, latency.as_ns());
-        if let Some(state) = self.paths.get(&path) {
-            self.telemetry.record_ns(state.tele_rtt, latency.as_ns());
-        }
         if self.tracer.active() {
             let ctx = self
                 .tracer
@@ -3090,59 +3079,73 @@ impl Fabric {
     }
 
     /// A snapshot of every registered metric at the current instant,
-    /// with each live link's component statistics (frames, replays,
-    /// credits, backlog, ingress high-water) mirrored in under
-    /// `fabric.link{n}.*` paths.
+    /// joined with views of the fabric's live state: each live link's
+    /// component statistics (frames, replays, credits, backlog, ingress
+    /// high-water) under `fabric.link{n}.*`, and each attached path's
+    /// completion latencies under `fabric.path{p}.rtt_ns`. A detached or
+    /// dead link and a detached path leave the snapshot. The views read
+    /// statistics the fabric keeps whether or not telemetry records.
     pub fn telemetry_snapshot(&mut self) -> Snapshot {
-        self.refresh_link_metrics();
-        self.telemetry.snapshot(self.queue.now())
+        let now = self.queue.now();
+        let fresh = self.views.as_ref().is_some_and(|v| {
+            v.schema.fits(&self.telemetry)
+                && v.links.iter().copied().eq(self.live_links())
+                && v.paths.iter().eq(self.paths.keys())
+        });
+        if !fresh {
+            self.views = self.tele_views().ok();
+        }
+        let Some(views) = &self.views else {
+            return self.telemetry.snapshot(now);
+        };
+        let mut counters = Vec::new();
+        let mut gauges = Vec::new();
+        for stats in views.links.iter().filter_map(|&l| self.link_stats(l)) {
+            for (_, kind, value) in stats.metrics() {
+                match kind {
+                    MetricKind::Counter => counters.push(value),
+                    MetricKind::Gauge => gauges.push(value),
+                    MetricKind::Timer => {}
+                }
+            }
+        }
+        let timers = self.paths.values().map(|p| p.completions.clone()).collect();
+        // The views were just checked against the live links and paths
+        // that filled these columns, so this cannot fail; if it did, the
+        // registry's own metrics are still a true snapshot.
+        self.telemetry
+            .snapshot_with(now, &views.schema, &counters, &gauges, timers)
+            .unwrap_or_else(|_| self.telemetry.snapshot(now))
     }
 
-    fn refresh_link_metrics(&mut self) {
-        if !self.telemetry.enabled() {
-            return;
-        }
-        for link in 0..self.links.len() {
-            let Some((t, s)) = self
-                .links
-                .get(link)
-                .and_then(Option::as_ref)
-                .map(|slot| (slot.tele, Self::stats_of(slot, link)))
-            else {
-                continue;
-            };
-            self.telemetry.set_counter(t.fwd_frames, s.fwd_frames);
-            self.telemetry.set_counter(t.fwd_bytes, s.fwd_bytes);
-            self.telemetry.set_counter(t.rev_frames, s.rev_frames);
-            self.telemetry.set_counter(t.rev_bytes, s.rev_bytes);
-            self.telemetry.set_counter(t.up_replays, s.up_replays);
-            self.telemetry.set_counter(t.down_replays, s.down_replays);
-            self.telemetry.set_counter(t.up_delivered, s.up_delivered);
-            self.telemetry
-                .set_counter(t.down_delivered, s.down_delivered);
-            self.telemetry
-                .set_counter(t.up_credit_stalls, s.up_credit_stalls);
-            self.telemetry
-                .set_counter(t.down_credit_stalls, s.down_credit_stalls);
-            self.telemetry
-                .set_gauge(t.up_credits, u64::from(s.up_credits));
-            self.telemetry
-                .set_gauge(t.down_credits, u64::from(s.down_credits));
-            self.telemetry
-                .set_gauge(t.up_backlog, u64::try_from(s.up_backlog).unwrap_or(u64::MAX));
-            self.telemetry.set_gauge(
-                t.down_backlog,
-                u64::try_from(s.down_backlog).unwrap_or(u64::MAX),
-            );
-            self.telemetry.set_gauge(
-                t.up_rx_high_water,
-                u64::try_from(s.up_rx_high_water).unwrap_or(u64::MAX),
-            );
-            self.telemetry.set_gauge(
-                t.down_rx_high_water,
-                u64::try_from(s.down_rx_high_water).unwrap_or(u64::MAX),
-            );
-        }
+    /// Indices of the live link slots, ascending.
+    fn live_links(&self) -> impl Iterator<Item = usize> + '_ {
+        self.links
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.as_ref().map(|_| i))
+    }
+
+    /// Builds the telemetry views of the live links and paths.
+    fn tele_views(&self) -> Result<TeleViews, TelemetryError> {
+        let links: Vec<usize> = self.live_links().collect();
+        let paths: Vec<u32> = self.paths.keys().copied().collect();
+        let link_views = links
+            .iter()
+            .filter_map(|&l| self.link_stats(l))
+            .flat_map(|s| {
+                s.metrics()
+                    .map(|(leaf, kind, _)| (format!("fabric.link{}.{leaf}", s.link), kind))
+            });
+        let path_views = paths
+            .iter()
+            .map(|p| (format!("fabric.path{p}.rtt_ns"), MetricKind::Timer));
+        let schema = self.telemetry.view_schema(link_views.chain(path_views))?;
+        Ok(TeleViews {
+            links,
+            paths,
+            schema,
+        })
     }
 
     /// Caps the number of finished flit traces the fabric retains.

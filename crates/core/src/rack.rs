@@ -875,9 +875,11 @@ impl Rack {
         Ok(())
     }
 
-    /// A snapshot of the serving fabric's telemetry registry — the
-    /// lease's per-path RTT timer plus the fabric-wide and per-link
-    /// metrics — taken at the fabric's current instant.
+    /// A snapshot of the serving fabric's telemetry at its current
+    /// instant: the fabric-wide registry metrics, each live link's
+    /// statistics and each attached path's RTT timer, the lease's among
+    /// them ([`Fabric::telemetry_snapshot`]). Links and paths of
+    /// detached leases are absent.
     ///
     /// # Errors
     ///

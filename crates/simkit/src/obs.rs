@@ -15,10 +15,13 @@
 //! delta against the previous window (counters and timers subtract,
 //! gauges keep the newer reading), which is what rate queries
 //! ([`Recorder::rate`]) and windowed histograms
-//! ([`Recorder::window_timer`]) are answered from. The recorder holds
-//! one cumulative snapshot, the latest accepted, to diff the next one
-//! against. The ring is bounded: once `capacity` windows are held, the
-//! oldest falls off.
+//! ([`Recorder::window_timer`]) are answered from. A window is flat like
+//! a snapshot: the snapshot's shared schema, a counter-delta column, a
+//! gauge column, and only the timers that recorded in the window, each
+//! stored from its lowest non-empty bucket to its highest. The recorder
+//! holds one cumulative snapshot, the latest accepted, to diff the next
+//! one against. The ring is bounded: once `capacity` windows are held,
+//! the oldest falls off.
 //!
 //! # Example
 //!
@@ -45,12 +48,15 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use crate::stats::Histogram;
-use crate::telemetry::{Metric, Snapshot};
+use crate::stats::{BucketSpan, Histogram};
+use crate::telemetry::{Align, MetricRef, Schema, Slot, Snapshot};
 use crate::time::SimTime;
 
-/// One closed observation window in a [`Recorder`]'s ring.
+/// One closed observation window in a [`Recorder`]'s ring: the change
+/// over the window, counters and timers subtracted against the previous
+/// cumulative snapshot, gauges as read at `end`.
 #[derive(Debug, Clone)]
 pub struct Window {
     /// Where the window opened (the previous window's close, or
@@ -58,15 +64,79 @@ pub struct Window {
     pub start: SimTime,
     /// Where the window closed (the accepted snapshot's timestamp).
     pub end: SimTime,
-    /// Change over this window: counters/timers subtracted against the
-    /// previous cumulative snapshot, gauges as read at `end`.
-    pub delta: Snapshot,
+    schema: Arc<Schema>,
+    counters: Box<[u64]>,
+    gauges: Box<[u64]>,
+    /// Timers that recorded in the window, by timer column.
+    timers: Box<[(usize, BucketSpan)]>,
 }
 
 impl Window {
+    /// The window from `start` to `snap.at`: `snap` less `prev`, the
+    /// cumulative snapshot that closed the previous window (none for
+    /// the first).
+    fn between(start: SimTime, prev: Option<&Snapshot>, snap: &Snapshot) -> Window {
+        let align = prev.map(|p| (p, Align::new(snap.schema(), p.schema())));
+        let counters = match &align {
+            Some((p, a)) => snap.counter_deltas(p, a).collect(),
+            None => snap.counter_column().into(),
+        };
+        let timers = snap
+            .timer_column()
+            .iter()
+            .enumerate()
+            .map(|(t, now)| {
+                let then = align
+                    .as_ref()
+                    .and_then(|(p, a)| Some(&p.timer_column()[a.timer(t)?]));
+                (
+                    t,
+                    then.map_or_else(|| now.span(), |then| now.span_since(then)),
+                )
+            })
+            .filter(|(_, span)| !span.is_empty())
+            .collect();
+        Window {
+            start,
+            end: snap.at,
+            schema: Arc::clone(snap.schema()),
+            counters,
+            gauges: snap.gauge_column().into(),
+            timers,
+        }
+    }
+
     /// Window length.
     pub fn span(&self) -> SimTime {
         self.end.saturating_sub(self.start)
+    }
+
+    /// The counter delta over the window at `path`, if a counter is
+    /// registered there.
+    pub fn counter(&self, path: &str) -> Option<u64> {
+        match self.schema.slot(path)? {
+            Slot::Counter(i) => Some(self.counters[i]),
+            _ => None,
+        }
+    }
+
+    /// The gauge level at the window's close at `path`, if a gauge is
+    /// registered there.
+    pub fn gauge(&self, path: &str) -> Option<u64> {
+        match self.schema.slot(path)? {
+            Slot::Gauge(i) => Some(self.gauges[i]),
+            _ => None,
+        }
+    }
+
+    /// The durations recorded within the window by the timer at `path`,
+    /// if a timer is registered there.
+    pub fn timer(&self, path: &str) -> Option<Histogram> {
+        let Slot::Timer(t) = self.schema.slot(path)? else {
+            return None;
+        };
+        let recorded = self.timers.binary_search_by_key(&t, |(col, _)| *col);
+        Some(recorded.map_or_else(|_| Histogram::new(), |i| self.timers[i].1.to_histogram()))
     }
 }
 
@@ -119,21 +189,15 @@ impl Recorder {
         if self.accepted > 0 && snap.at <= self.last_end {
             return;
         }
-        let delta = match &self.last_cumulative {
-            Some(prev) => snap.diff(prev),
-            None => snap.clone(),
-        };
-        let window = Window {
-            start: self.last_end,
-            end: snap.at,
-            delta,
-        };
+        let window = Window::between(self.last_end, self.last_cumulative.as_ref(), &snap);
         self.last_end = snap.at;
         self.last_cumulative = Some(snap);
-        self.windows.push_back(window);
-        while self.windows.len() > self.capacity {
+        // Evict before pushing, so the ring's buffer never grows past
+        // `capacity` windows.
+        if self.windows.len() == self.capacity {
             self.windows.pop_front();
         }
+        self.windows.push_back(window);
         self.accepted += 1;
         // Re-align the cadence past the accepted timestamp so a late
         // snapshot doesn't trigger an immediate catch-up burst. A zero
@@ -173,7 +237,7 @@ impl Recorder {
         if span_ns == 0 {
             return None;
         }
-        let delta = w.delta.counter(path)?;
+        let delta = w.counter(path)?;
         Some(delta as f64 * 1e9 / span_ns as f64)
     }
 
@@ -182,14 +246,14 @@ impl Recorder {
     pub fn deltas(&self, path: &str) -> Vec<(SimTime, u64)> {
         self.windows
             .iter()
-            .filter_map(|w| w.delta.counter(path).map(|d| (w.end, d)))
+            .filter_map(|w| w.counter(path).map(|d| (w.end, d)))
             .collect()
     }
 
     /// The latest window's timer histogram for `path` — only the
     /// durations recorded *within* that window.
-    pub fn window_timer(&self, path: &str) -> Option<&Histogram> {
-        self.latest()?.delta.timer(path)
+    pub fn window_timer(&self, path: &str) -> Option<Histogram> {
+        self.latest()?.timer(path)
     }
 }
 
@@ -288,18 +352,18 @@ impl PhaseClock {
 /// `summary` (quantile samples plus `_sum`/`_count`).
 pub fn prometheus_exposition(snap: &Snapshot) -> String {
     let mut out = String::new();
-    for (path, metric) in &snap.metrics {
+    for (path, metric) in snap.entries() {
         let name = metric_name(path);
         match metric {
-            Metric::Counter(n) => {
+            MetricRef::Counter(n) => {
                 let _ = writeln!(out, "# TYPE {name} counter");
                 let _ = writeln!(out, "{name} {n}");
             }
-            Metric::Gauge(n) => {
+            MetricRef::Gauge(n) => {
                 let _ = writeln!(out, "# TYPE {name} gauge");
                 let _ = writeln!(out, "{name} {n}");
             }
-            Metric::Timer(h) => {
+            MetricRef::Timer(h) => {
                 let _ = writeln!(out, "# TYPE {name} summary");
                 for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (0.999, "0.999")] {
                     // An empty summary has no quantiles; Prometheus

@@ -226,28 +226,104 @@ impl Histogram {
     /// bucket edges, so they carry the same ~3% relative error as
     /// quantiles rather than being exact.
     pub fn subtract(&self, earlier: &Histogram) -> Histogram {
+        self.span_since(earlier).to_histogram()
+    }
+
+    /// [`Histogram::subtract`] in compact form: only the buckets from the
+    /// lowest to the highest non-empty one of `self − earlier`.
+    pub(crate) fn span_since(&self, earlier: &Histogram) -> BucketSpan {
         let diff = |i: usize| {
             let before = earlier.counts.get(i).copied().unwrap_or(0);
             self.counts[i].saturating_sub(before)
         };
-        let mut out = Histogram::new();
-        out.sum = self.sum.saturating_sub(earlier.sum);
-        let Some(top) = (0..self.counts.len()).rev().find(|&i| diff(i) > 0) else {
-            return out;
+        let sum = self.sum.saturating_sub(earlier.sum);
+        let Some(hi) = (0..self.counts.len()).rev().find(|&i| diff(i) > 0) else {
+            return BucketSpan::empty(sum);
         };
-        out.counts = vec![0; Self::rows_to(top)];
-        for i in 0..=top {
-            let c = diff(i);
-            if c == 0 {
-                continue;
+        let lo = (0..hi).find(|&i| diff(i) > 0).unwrap_or(hi);
+        let counts: Box<[u64]> = (lo..=hi).map(diff).collect();
+        let mut span = BucketSpan {
+            lo,
+            total: counts.iter().sum(),
+            counts,
+            sum,
+            min: u64::MAX,
+            max: 0,
+        };
+        for (i, &c) in (lo..).zip(span.counts.iter()) {
+            if c > 0 {
+                let edge = Self::value_of(i).min(self.max);
+                span.min = span.min.min(edge);
+                span.max = span.max.max(edge);
             }
-            out.counts[i] = c;
-            out.total += c;
-            let edge = Self::value_of(i).min(self.max);
-            out.min = out.min.min(edge);
-            out.max = out.max.max(edge);
         }
-        out
+        span
+    }
+
+    /// All of `self` in compact form, exact `min`/`max` included.
+    pub(crate) fn span(&self) -> BucketSpan {
+        let Some(hi) = self.counts.iter().rposition(|&c| c > 0) else {
+            return BucketSpan::empty(self.sum);
+        };
+        let lo = self.counts.iter().position(|&c| c > 0).unwrap_or(hi);
+        BucketSpan {
+            lo,
+            counts: self.counts[lo..=hi].into(),
+            total: self.total,
+            sum: self.sum,
+            min: self.min,
+            max: self.max,
+        }
+    }
+}
+
+/// A histogram stored from its lowest non-empty bucket to its highest:
+/// what a [`Recorder`](crate::obs::Recorder) window keeps of each timer's
+/// delta. A 1 µs latency distribution spans tens of buckets where its
+/// range-sized [`Histogram`] stores every bucket from zero up, so
+/// [`Histogram::record`] keeps its direct index and only retained
+/// windows pay the offset.
+#[derive(Debug, Clone)]
+pub(crate) struct BucketSpan {
+    lo: usize,
+    counts: Box<[u64]>,
+    total: u64,
+    sum: u128,
+    min: u64,
+    max: u64,
+}
+
+impl BucketSpan {
+    fn empty(sum: u128) -> Self {
+        BucketSpan {
+            lo: 0,
+            counts: Box::default(),
+            total: 0,
+            sum,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
+    /// Whether the span holds no observation.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.total == 0
+    }
+
+    /// The range-sized histogram this span stands for.
+    pub(crate) fn to_histogram(&self) -> Histogram {
+        let mut h = Histogram::new();
+        h.sum = self.sum;
+        if self.counts.is_empty() {
+            return h;
+        }
+        let hi = self.lo + self.counts.len() - 1;
+        h.counts = vec![0; Histogram::rows_to(hi)];
+        h.counts[self.lo..=hi].copy_from_slice(&self.counts);
+        h.total = self.total;
+        h.min = self.min;
+        h.max = self.max;
+        h
     }
 }
 

@@ -114,11 +114,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let snap = rack.lease_telemetry(lease.id())?;
     println!(
-        "lease telemetry @ {} ns: issued={} retired={} (registry exports {} metric paths)",
+        "lease telemetry @ {} ns: issued={} retired={} (snapshot exports {} metric paths)",
         snap.at.as_ns(),
         snap.counter("fabric.loads.issued").unwrap_or(0),
         snap.counter("fabric.loads.retired").unwrap_or(0),
-        snap.metrics.len()
+        snap.len()
     );
     Ok(())
 }
