@@ -12,6 +12,17 @@ echo "==> cargo check --workspace --all-targets (benches, examples, tests)"
 # step that compiles most of them.
 cargo check --workspace --all-targets
 
+echo "==> cargo clippy --workspace --all-targets (first-party crates)"
+# The vendor/ stand-ins do not opt into the workspace lints (vendored
+# proptest's `flag || !flag` trips a default-deny lint), so they are
+# left out. unwrap_used, expect_used and cast_possible_truncation stay
+# advisory, as the manifest declares them: tflint TF004/TF005 enforce
+# them with datapath scoping and a test-code exemption.
+cargo clippy --workspace --all-targets \
+    --exclude criterion --exclude proptest --exclude rand \
+    --exclude serde --exclude serde_derive --exclude serde_json -- \
+    -A clippy::unwrap_used -A clippy::expect_used -A clippy::cast_possible_truncation
+
 echo "==> cargo doc --workspace --no-deps (rustdoc lints are errors under warnings = deny)"
 # A deleted module leaves crate-doc links that only rustdoc resolves.
 cargo doc --workspace --no-deps

@@ -796,10 +796,8 @@ fn criterion_benches(c: &mut Criterion) {
     reproduce();
     c.bench_function("engine/hybrid_pop_schedule", |b| {
         let mut q = EventQueue::new();
-        let mut tag = 0u64;
         for k in 0..4_096u64 {
-            q.schedule(SimTime::from_ps((k + 1) * FLIT_PS), tag);
-            tag += 1;
+            q.schedule(SimTime::from_ps((k + 1) * FLIT_PS), k);
         }
         b.iter(|| {
             let (at, v) = q.pop().expect("steady state");

@@ -17,7 +17,10 @@
 //! A fabric that keeps a full link slot for every link ever attached,
 //! and registers 16 link metrics and a path timer per lease that no
 //! detach removes, grows about 5 KiB per cycle and lists every detached
-//! lease's metrics in each snapshot.
+//! lease's metrics in each snapshot. One whose router keeps a load
+//! counter per channel ever attached grows about 2.3 KiB over the run;
+//! what is left, about 1 KiB, is one tombstone pointer per detached
+//! link slot and per detached donor (64 × 8 B each).
 //!
 //! Run it with `cargo test -p bench --test fabric_churn_budget`.
 
@@ -67,7 +70,7 @@ static GLOBAL: Counting = Counting;
 const KIB: u64 = 1 << 10;
 const CYCLES: usize = 64;
 const WINDOW: SimTime = SimTime::from_us(4);
-const GROWTH_BUDGET: u64 = 16 * KIB;
+const GROWTH_BUDGET: u64 = 2 * KIB;
 
 fn live() -> u64 {
     LIVE.load(Ordering::Relaxed)

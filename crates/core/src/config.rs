@@ -88,6 +88,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[allow(clippy::float_cmp)] // exact: the fractions are the constants 0, 1 and 1/2
     fn fractions_and_channels() {
         assert_eq!(SystemConfig::Local.remote_fraction(), 0.0);
         assert_eq!(SystemConfig::SingleDisaggregated.remote_fraction(), 1.0);

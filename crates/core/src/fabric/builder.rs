@@ -26,7 +26,7 @@ use netsim::switch::CircuitSwitch;
 use simkit::event::Engine;
 
 use crate::fabric::engine::{Fabric, FabricError, PathId, PathSpec};
-use crate::fabric::stage::{SwitchStage, WindowSpec};
+use crate::fabric::stage::WindowSpec;
 use crate::params::DatapathParams;
 
 use routing::plan::FlowPlan;
@@ -125,7 +125,7 @@ impl FabricBuilder {
         let mut fabric = Fabric::assemble(
             self.params,
             self.window,
-            self.switch.map(SwitchStage::new),
+            self.switch,
             self.engine,
             mesh,
             compute,
@@ -263,7 +263,7 @@ mod tests {
             .count();
         let captures = kinds
             .iter()
-            .filter(|(_, k)| *k == StageKind::M1Capture)
+            .filter(|(_, k)| *k == StageKind::M1)
             .count();
         assert_eq!(donors, 3);
         assert_eq!(captures, 1, "fan-out shares one M1 capture stage");
@@ -271,19 +271,26 @@ mod tests {
 
     #[test]
     fn circuit_rack_puts_every_channel_on_a_circuit() {
-        let (fabric, paths) = FabricBuilder::circuit_rack(
+        let (mut fabric, paths) = FabricBuilder::circuit_rack(
             DatapathParams::prototype(),
             2,
             256 << 20,
             CircuitSwitch::optical(8),
         )
         .unwrap();
-        let sw = fabric.switch_stage().unwrap().switch();
+        let sw = fabric.switch().unwrap();
         assert_eq!(sw.circuit_count(), 2);
         assert_eq!(sw.free_ports().len(), 4);
-        for p in paths {
-            assert!(fabric.path_ready_at(p).unwrap() >= SimTime::from_us(25));
+        // A first load on each path waits out the circuits' 25 µs setup.
+        for &p in &paths {
+            fabric.issue_read(p).unwrap();
         }
+        let mut done = Vec::new();
+        while let Some(batch) = fabric.step().unwrap() {
+            done.extend(batch);
+        }
+        assert_eq!(done.len(), paths.len());
+        assert!(done.iter().all(|c| c.latency >= SimTime::from_us(25)));
     }
 
     #[test]
@@ -300,7 +307,7 @@ mod tests {
         assert!(matches!(switched(NodeId(2)), Err(FabricError::Config(_))));
         // A single-hop route rides a circuit.
         let (fabric, _) = switched(NodeId(1)).unwrap();
-        assert_eq!(fabric.switch_stage().unwrap().switch().circuit_count(), 1);
+        assert_eq!(fabric.switch().unwrap().circuit_count(), 1);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The fabric engine: executes wired stages over one shared event queue.
 //!
-//! [`Fabric`] owns the component instances ([`M1Capture`],
-//! [`RmmuTranslate`], [`RouterStage`], per-link [`LlcPair`]s and
-//! [`WireChannel`]s, per-donor [`C1MasterDram`]s, an optional
-//! [`SwitchStage`]) and moves messages between them on a single
-//! `simkit::EventQueue`. Every fabric is wired over a declared topology,
-//! and the topology's route is the only wiring authority:
+//! [`Fabric`] owns the component instances — the compute side's
+//! [`M1Endpoint`], [`SectionTable`] and [`Router`], per-link
+//! [`LlcPair`]s and wire [`Channel`]s, per-donor [`C1MasterDram`]s and an
+//! optional [`CircuitSwitch`] — and moves messages between them on a
+//! single `simkit::EventQueue`. The router's route is a path's only
+//! channel list. Every fabric is wired over a declared topology, and the
+//! topology's route is the only wiring authority:
 //! [`Fabric::attach_routed`] computes the route from the compute node
 //! to the donor's node and instantiates the flit-level plumbing for
 //! that compute→donor flow (section-table entries, router route, LLC
@@ -31,15 +32,15 @@ use netsim::fault::FaultSpec;
 use netsim::switch::{CircuitSwitch, PortId, SwitchError};
 use netsim::Delivery;
 use opencapi::c1::C1Error;
-use opencapi::m1::M1Error;
+use opencapi::m1::{M1Endpoint, M1Error};
 use opencapi::pasid::{Pasid, Region};
 use opencapi::transaction::{MemRequest, MemResponse};
 use rmmu::flow::NetworkId;
-use rmmu::section::{RmmuError, SectionEntry, DEFAULT_SECTION_BITS, MAX_SECTIONS};
+use rmmu::section::{RmmuError, SectionEntry, SectionTable, DEFAULT_SECTION_BITS, MAX_SECTIONS};
 use rmmu::RoutedRequest;
 use routing::plan::FlowPlan;
 use routing::topology::{Mesh, NodeId, Route as TopoRoute, Topology, TopologyError};
-use routing::{ChannelId, RouteError};
+use routing::{ChannelId, RouteError, Router};
 use simkit::bandwidth::Rate;
 use simkit::event::{Engine, EventQueue};
 use simkit::stats::Histogram;
@@ -53,10 +54,7 @@ use crate::fabric::chaos::{
     ChaosEvent, ChaosPlan, FaultKind, LinkRef, LoadFault, DEAD_AFTER, WATCHDOG_PERIOD,
 };
 use crate::fabric::obs::{CongestionReport, Journal, JournalKind, JournalRecord, LinkCongestion};
-use crate::fabric::stage::{
-    C1MasterDram, FabricMsg, LlcPair, M1Capture, RmmuTranslate, RouterStage, StageKind,
-    SwitchStage, WindowSpec, WireChannel,
-};
+use crate::fabric::stage::{C1MasterDram, FabricMsg, LlcPair, StageKind, WindowSpec};
 use crate::fabric::tags::TagWindow;
 use crate::fabric::trace::{
     ComponentId, FlitTrace, FlitTracer, HopContext, HopKind, LatencyBreakdown, SpanIds, WireDir,
@@ -137,7 +135,7 @@ impl PathSpec {
     }
 
     /// Uses `channels` bonded channels.
-    pub fn bonded_channels(mut self, channels: usize) -> Self {
+    pub(crate) fn bonded_channels(mut self, channels: usize) -> Self {
         self.channels = channels;
         self.bonded = channels > 1;
         self
@@ -175,7 +173,7 @@ impl PathSpec {
     }
 
     /// The `(forward, reverse)` channel seeds for channel `c`.
-    pub fn seed_for(&self, c: usize) -> (u64, u64) {
+    pub(crate) fn seed_for(&self, c: usize) -> (u64, u64) {
         self.seeds.get(c).copied().unwrap_or_else(|| {
             let base = (u64::from(self.network.0) << 20) | c as u64;
             (base | 0x100_0000, base | 0x200_0000)
@@ -580,8 +578,8 @@ struct TeleViews {
 struct LinkSlot {
     up: LlcPair,
     down: LlcPair,
-    fwd: WireChannel,
-    rev: WireChannel,
+    fwd: Channel,
+    rev: Channel,
     donor: usize,
     path: u32,
     flush_pending: [bool; 2],
@@ -612,7 +610,7 @@ impl LinkSlot {
             .chain
             .iter()
             .flat_map(|ch| ch.fwd.iter().chain(&ch.rev));
-        [&self.fwd.chan, &self.rev.chan]
+        [&self.fwd, &self.rev]
             .into_iter()
             .chain(segs.map(|s| &s.chan))
             .map(|c| c.frames_sent() - c.frames_dropped() - c.frames_corrupted())
@@ -624,7 +622,6 @@ impl LinkSlot {
 struct PathState {
     network: NetworkId,
     donor: usize,
-    links: Vec<usize>,
     window_base: u64,
     window_bytes: u64,
     issue_cursor: u64,
@@ -672,15 +669,16 @@ fn interior_id(node: NodeId) -> ComponentId {
 pub struct Fabric {
     params: DatapathParams,
     window: WindowSpec,
-    capture: M1Capture,
-    translate: RmmuTranslate,
-    route: RouterStage,
+    capture: M1Endpoint,
+    translate: SectionTable,
+    /// Each attached network's channels: a path's only channel list.
+    router: Router,
     /// Link slots by link index. Indices are never reused, so a
     /// detached or dead link leaves a `None` behind: one pointer.
     links: Vec<Option<Box<LinkSlot>>>,
     /// Donor stages by donor index, tombstoned like `links`.
     donors: Vec<Option<Box<C1MasterDram>>>,
-    switch: Option<SwitchStage>,
+    switch: Option<CircuitSwitch>,
     paths: BTreeMap<u32, PathState>,
     next_path: u32,
     queue: EventQueue<Ev>,
@@ -735,7 +733,7 @@ impl Fabric {
     pub(crate) fn assemble(
         params: DatapathParams,
         window: WindowSpec,
-        switch: Option<SwitchStage>,
+        switch: Option<CircuitSwitch>,
         engine: Engine,
         mesh: Mesh,
         compute: NodeId,
@@ -767,8 +765,8 @@ impl Fabric {
         if mesh.nodes().iter().all(|n| n.id != compute) {
             return Err(FabricError::Topology(TopologyError::UnknownNode(compute)));
         }
-        let capture = M1Capture::new(window);
-        let translate = RmmuTranslate::new(window);
+        let capture = M1Endpoint::new(window.base, window.bytes);
+        let translate = SectionTable::with_default_sections(window.bytes);
         // Telemetry starts disabled: instrumentation is observation only
         // and costs one predicted branch per hook until switched on.
         let mut telemetry = Registry::new(false);
@@ -778,7 +776,7 @@ impl Fabric {
             window,
             capture,
             translate,
-            route: RouterStage::new(),
+            router: Router::new(),
             links: Vec::new(),
             donors: Vec::new(),
             switch,
@@ -789,7 +787,7 @@ impl Fabric {
             next_tag: 0,
             telemetry,
             tele,
-            tracer: FlitTracer::new(),
+            tracer: FlitTracer::default(),
             faults: Vec::new(),
             faulted: BTreeMap::new(),
             late_completions: 0,
@@ -879,11 +877,11 @@ impl Fabric {
         } else {
             route.links.split_at(1)
         };
-        let section = self.translate.table().section_size();
+        let section = self.translate.section_size();
         if spec.channels == 0 {
             return Err(FabricError::Config("a path needs at least one channel".into()));
         }
-        if spec.bytes == 0 || spec.bytes % section != 0 {
+        if spec.bytes == 0 || !spec.bytes.is_multiple_of(section) {
             return Err(FabricError::Config(format!(
                 "path size {} is not a whole number of {} B sections",
                 spec.bytes, section
@@ -897,21 +895,20 @@ impl Fabric {
                 spec.donor_ea, spec.bytes
             )));
         }
-        if self.route.router().channels_of(spec.network).is_some() {
+        if self.router.channels_of(spec.network).is_some() {
             return Err(FabricError::Config(format!(
                 "network {} already has an attached path",
                 spec.network.0
             )));
         }
         if let Some(sw) = &self.switch {
-            if sw.switch().free_ports().len() < 2 * spec.channels {
+            if sw.free_ports().len() < 2 * spec.channels {
                 return Err(FabricError::Switch(SwitchError::Exhausted));
             }
         }
         let section_count = spec.bytes / section;
         let first_section = self
             .translate
-            .table()
             .first_free_run(section_count)
             .ok_or(FabricError::WindowExhausted {
                 sections: section_count,
@@ -936,14 +933,13 @@ impl Fabric {
         let lane = self.params.lane();
         let cable = self.params.cable;
         let mut chan_ids = Vec::with_capacity(spec.channels);
-        let mut link_indices = Vec::with_capacity(spec.channels);
         let mut ready_at = now;
         let path_id = self.next_path;
         for c in 0..spec.channels {
             let (circuit, extra, ready) = match self.switch.as_mut() {
                 Some(sw) => {
-                    let traversal = sw.switch.traversal_latency();
-                    let (a, b, ready) = sw.switch.alloc_circuit(now)?;
+                    let traversal = sw.traversal_latency();
+                    let (a, b, ready) = sw.alloc_circuit(now)?;
                     (Some((a, b)), traversal, ready)
                 }
                 None => (None, SimTime::ZERO, now),
@@ -975,8 +971,8 @@ impl Fabric {
             self.links.push(Some(Box::new(LinkSlot {
                 up: LlcPair::new(llc_config),
                 down: LlcPair::new(llc_config),
-                fwd: WireChannel::new(mk_chan(fwd_seed)),
-                rev: WireChannel::new(mk_chan(rev_seed)),
+                fwd: mk_chan(fwd_seed),
+                rev: mk_chan(rev_seed),
                 donor: donor_idx,
                 path: path_id,
                 flush_pending: [false; 2],
@@ -990,7 +986,6 @@ impl Fabric {
             })));
             // Link indices stay far below u32::MAX.
             chan_ids.push(ChannelId(link as u32));
-            link_indices.push(link);
         }
 
         // Section-table entries + route.
@@ -1001,14 +996,13 @@ impl Fabric {
             }
             self.translate.program(first_section + i, entry)?;
         }
-        self.route.add_route(spec.network, chan_ids)?;
+        self.router.add_route(spec.network, chan_ids)?;
 
         self.paths.insert(
             path_id,
             PathState {
                 network: spec.network,
                 donor: donor_idx,
-                links: link_indices,
                 window_base: self.window.base + first_section * section,
                 window_bytes: spec.bytes,
                 issue_cursor: 0,
@@ -1116,18 +1110,19 @@ impl Fabric {
             .ok_or(FabricError::UnknownPath(path))?;
         // A poisoned path already lost its route (and possibly its
         // circuits) when its last link died; tear down what remains.
-        if self.route.router().channels_of(state.network).is_some() {
-            self.route.remove_route(state.network)?;
+        let links: Vec<usize> = self.path_links(state.network).collect();
+        if !links.is_empty() {
+            self.router.remove_route(state.network)?;
         }
-        for s in self.translate.table().sections_of(state.network) {
+        for s in self.translate.sections_of(state.network) {
             self.translate.unprogram(s)?;
         }
         let now = self.queue.now();
-        for &l in &state.links {
+        for l in links {
             if let Some(slot) = self.links.get_mut(l).and_then(Option::take) {
                 if let (Some((a, _)), Some(sw)) = (slot.circuit, self.switch.as_mut()) {
-                    if sw.switch.peer(a).is_some() {
-                        sw.switch.disconnect(a, now)?;
+                    if sw.peer(a).is_some() {
+                        sw.disconnect(a, now)?;
                     }
                 }
             }
@@ -1179,7 +1174,7 @@ impl Fabric {
         // translate → route pick.
         let dev = self.capture.accept(&req)?;
         let t = self.translate.translate(dev)?;
-        let ch = self.route.forward(t.network, t.bonded)?;
+        let ch = self.router.forward(t.network, t.bonded)?;
         let mut out = req;
         out.addr = t.remote_ea.as_u64();
         let routed = RoutedRequest {
@@ -1216,10 +1211,10 @@ impl Fabric {
             let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
                 return Ok(());
             };
-            let pace = slot.fwd.chan.payload_rate();
+            let pace = slot.fwd.payload_rate();
             let data_free = match dir {
-                Dir::ToMemory => slot.fwd.chan.free_at(),
-                Dir::ToCompute => slot.rev.chan.free_at(),
+                Dir::ToMemory => slot.fwd.free_at(),
+                Dir::ToCompute => slot.rev.free_at(),
             };
             let tx = match dir {
                 Dir::ToMemory => &mut slot.up.tx,
@@ -1310,8 +1305,8 @@ impl Fabric {
                 (Dir::ToCompute, false) | (Dir::ToMemory, true) => ChainDir::Rev,
             };
             let physical = match chain_dir {
-                ChainDir::Fwd => &mut slot.fwd.chan,
-                ChainDir::Rev => &mut slot.rev.chan,
+                ChainDir::Fwd => &mut slot.fwd,
+                ChainDir::Rev => &mut slot.rev,
             };
             let delivery = physical.transmit(now, frame.wire_bytes());
             let hop_gen = slot
@@ -1604,10 +1599,10 @@ impl Fabric {
         };
         let (fwd, rev) = match slot.chain.as_ref() {
             Some(chain) => (
-                total(wire(&slot.fwd.chan), &chain.fwd),
-                total(wire(&slot.rev.chan), &chain.rev),
+                total(wire(&slot.fwd), &chain.fwd),
+                total(wire(&slot.rev), &chain.rev),
             ),
-            None => (wire(&slot.fwd.chan), wire(&slot.rev.chan)),
+            None => (wire(&slot.fwd), wire(&slot.rev)),
         };
         Some(HopContext {
             serdes: SimTime::from_ns(self.params.serdes_crossing_ns),
@@ -1924,7 +1919,7 @@ impl Fabric {
     /// # Errors
     ///
     /// Fails on unknown paths.
-    pub fn schedule_read(&mut self, path: PathId, at: SimTime) -> Result<(), FabricError> {
+    pub(crate) fn schedule_read(&mut self, path: PathId, at: SimTime) -> Result<(), FabricError> {
         if !self.paths.contains_key(&path.0) {
             return Err(FabricError::UnknownPath(path));
         }
@@ -1943,7 +1938,7 @@ impl Fabric {
     /// channels — the fabric's conservative lookahead contribution: no
     /// flit can cross a link (and hence a partition boundary cut at a
     /// link) faster than this.
-    pub fn min_wire_latency(&self) -> Option<SimTime> {
+    pub(crate) fn min_wire_latency(&self) -> Option<SimTime> {
         self.links
             .iter()
             .flatten()
@@ -1954,8 +1949,8 @@ impl Fabric {
                     .flat_map(|ch| ch.fwd.iter().chain(ch.rev.iter()))
                     .map(|s| s.chan.flight_latency());
                 [
-                    slot.fwd.chan.flight_latency(),
-                    slot.rev.chan.flight_latency(),
+                    slot.fwd.flight_latency(),
+                    slot.rev.flight_latency(),
                 ]
                 .into_iter()
                 .chain(segs)
@@ -2007,15 +2002,6 @@ impl Fabric {
             .get(&path.0)
             .map(|s| s.donor)
             .ok_or(FabricError::UnknownPath(path))
-    }
-
-    /// Whether a live link is currently hard-down (`None` for
-    /// tombstoned slots).
-    pub fn link_is_down(&self, link: usize) -> Option<bool> {
-        self.links
-            .get(link)
-            .and_then(Option::as_ref)
-            .map(|s| s.fwd.chan.is_down() || s.rev.chan.is_down())
     }
 
     /// Resolves a chaos link reference to the endpoint slots it touches
@@ -2125,8 +2111,8 @@ impl Fabric {
                         else {
                             continue;
                         };
-                        slot.fwd.chan.fail_lane();
-                        slot.rev.chan.fail_lane()
+                        slot.fwd.fail_lane();
+                        slot.rev.fail_lane()
                     };
                     touched = true;
                     if left == 0 {
@@ -2235,10 +2221,10 @@ impl Fabric {
     /// and the watchdog supervises the transition. With no surviving
     /// detour the path fails with [`FaultKind::RouteLost`].
     fn reroute_path(&mut self, path_id: u32, cause: usize) -> Result<(), FabricError> {
-        let slot_indices: Vec<usize> = match self.paths.get(&path_id) {
-            Some(p) => p.links.clone(),
-            None => return Ok(()),
+        let Some(network) = self.paths.get(&path_id).map(|p| p.network) else {
+            return Ok(());
         };
+        let slot_indices: Vec<usize> = self.path_links(network).collect();
         // Collapsed (single-hop / hub) routes have no chains; endpoint
         // recovery owns those failures.
         if !slot_indices.iter().any(|&s| {
@@ -2342,8 +2328,8 @@ impl Fabric {
         let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
             return;
         };
-        slot.fwd.chan.set_down(true);
-        slot.rev.chan.set_down(true);
+        slot.fwd.set_down(true);
+        slot.rev.set_down(true);
         if slot.down_since.is_none() {
             slot.down_since = Some(now);
         }
@@ -2358,8 +2344,8 @@ impl Fabric {
             let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
                 return Ok(());
             };
-            slot.fwd.chan.set_down(false);
-            slot.rev.chan.set_down(false);
+            slot.fwd.set_down(false);
+            slot.rev.set_down(false);
             slot.strikes = 0;
             slot.down_since.take()
         };
@@ -2446,8 +2432,8 @@ impl Fabric {
         if let (Some((a, _)), Some(sw)) = (slot.circuit, self.switch.as_mut()) {
             // A failed port already tore the circuit; only live ones
             // still need disconnecting.
-            if sw.switch.peer(a).is_some() {
-                sw.switch.disconnect(a, now)?;
+            if sw.peer(a).is_some() {
+                sw.disconnect(a, now)?;
             }
         }
         // Resolve this link's stranded loads in tag order (the window
@@ -2464,22 +2450,25 @@ impl Fabric {
         // Degrade the path to its surviving links, or poison it.
         let path = slot.path;
         if let Some(state) = self.paths.get_mut(&path) {
-            state.links.retain(|&l| l != link);
             let network = state.network;
-            let survivors: Vec<ChannelId> = state
-                .links
+            // Link indices stay far below u32::MAX.
+            let dead = ChannelId(link as u32);
+            let survivors: Vec<ChannelId> = self
+                .router
+                .channels_of(network)
+                .unwrap_or_default()
                 .iter()
-                // Link indices stay far below u32::MAX.
-                .map(|&l| ChannelId(l as u32))
+                .copied()
+                .filter(|&c| c != dead)
                 .collect();
+            // Re-adding the survivors restarts round-robin at the first.
+            if self.router.channels_of(network).is_some() {
+                self.router.remove_route(network)?;
+            }
             if survivors.is_empty() {
                 state.poisoned = Some(kind);
-                if self.route.router().channels_of(network).is_some() {
-                    self.route.remove_route(network)?;
-                }
             } else {
-                self.route.remove_route(network)?;
-                self.route.add_route(network, survivors)?;
+                self.router.add_route(network, survivors)?;
             }
         }
         self.telemetry.inc(self.tele.links_failed);
@@ -2561,7 +2550,7 @@ impl Fabric {
             let Some(sw) = self.switch.as_mut() else {
                 return Ok(()); // no switch in this topology
             };
-            if sw.switch.fail_port(port).is_err() {
+            if sw.fail_port(port).is_err() {
                 return Ok(()); // unknown or already failed
             }
         }
@@ -2573,7 +2562,7 @@ impl Fabric {
             return Ok(()); // the port carried no live circuit
         };
         let realloc = match self.switch.as_mut() {
-            Some(sw) => sw.switch.alloc_circuit(now),
+            Some(sw) => sw.alloc_circuit(now),
             None => return Ok(()),
         };
         match realloc {
@@ -2745,7 +2734,7 @@ impl Fabric {
     ///
     /// Propagates fabric failures (never expected for the reference
     /// topology).
-    pub fn reference_load_latency(
+    pub(crate) fn reference_load_latency(
         params: &DatapathParams,
         channels: usize,
     ) -> Result<SimTime, FabricError> {
@@ -2771,7 +2760,7 @@ impl Fabric {
     /// # Errors
     ///
     /// Fails on unknown paths.
-    pub fn path_window(&self, path: PathId) -> Result<WindowSpec, FabricError> {
+    pub(crate) fn path_window(&self, path: PathId) -> Result<WindowSpec, FabricError> {
         self.paths
             .get(&path.0)
             .map(|s| WindowSpec {
@@ -2781,20 +2770,8 @@ impl Fabric {
             .ok_or(FabricError::UnknownPath(path))
     }
 
-    /// When the path's plumbing (switch circuits) is ready for traffic.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown paths.
-    pub fn path_ready_at(&self, path: PathId) -> Result<SimTime, FabricError> {
-        self.paths
-            .get(&path.0)
-            .map(|s| s.ready_at)
-            .ok_or(FabricError::UnknownPath(path))
-    }
-
     /// The path a live link belongs to, or `None` for tombstoned slots.
-    pub fn link_path(&self, link: usize) -> Option<PathId> {
+    pub(crate) fn link_path(&self, link: usize) -> Option<PathId> {
         self.links
             .get(link)
             .and_then(Option::as_ref)
@@ -2805,14 +2782,14 @@ impl Fabric {
         LinkStats {
             link,
             path: PathId(slot.path),
-            fwd_frames: slot.fwd.chan.frames_sent(),
-            fwd_bytes: slot.fwd.chan.bytes_sent(),
-            rev_frames: slot.rev.chan.frames_sent(),
-            rev_bytes: slot.rev.chan.bytes_sent(),
-            fwd_dropped: slot.fwd.chan.frames_dropped(),
-            fwd_corrupted: slot.fwd.chan.frames_corrupted(),
-            rev_dropped: slot.rev.chan.frames_dropped(),
-            rev_corrupted: slot.rev.chan.frames_corrupted(),
+            fwd_frames: slot.fwd.frames_sent(),
+            fwd_bytes: slot.fwd.bytes_sent(),
+            rev_frames: slot.rev.frames_sent(),
+            rev_bytes: slot.rev.bytes_sent(),
+            fwd_dropped: slot.fwd.frames_dropped(),
+            fwd_corrupted: slot.fwd.frames_corrupted(),
+            rev_dropped: slot.rev.frames_dropped(),
+            rev_corrupted: slot.rev.frames_corrupted(),
             up_replays: slot.up.tx.frames_replayed(),
             down_replays: slot.down.tx.frames_replayed(),
             up_delivered: slot.up.rx.frames_delivered(),
@@ -2830,7 +2807,7 @@ impl Fabric {
 
     /// The unified statistics of one link, or `None` for tombstoned
     /// slots.
-    pub fn link_stats(&self, link: usize) -> Option<LinkStats> {
+    pub(crate) fn link_stats(&self, link: usize) -> Option<LinkStats> {
         self.links
             .get(link)
             .and_then(Option::as_ref)
@@ -2848,11 +2825,18 @@ impl Fabric {
             .paths
             .get(&path.0)
             .ok_or(FabricError::UnknownPath(path))?;
-        Ok(state
-            .links
-            .iter()
-            .filter_map(|&l| self.link_stats(l))
+        Ok(self
+            .path_links(state.network)
+            .filter_map(|l| self.link_stats(l))
             .collect())
+    }
+
+    /// The link slots serving `network`, in channel order: the router's
+    /// route is a path's only channel list, empty once a poisoned path
+    /// has lost its route.
+    fn path_links(&self, network: NetworkId) -> impl Iterator<Item = usize> + '_ {
+        let channels = self.router.channels_of(network).unwrap_or_default();
+        channels.iter().map(|c| c.0 as usize)
     }
 
     /// Live attached paths, in attach order.
@@ -2881,8 +2865,8 @@ impl Fabric {
     /// route forwards through.
     pub fn components(&self) -> Vec<(ComponentId, StageKind)> {
         let mut out = vec![
-            (CAPTURE_ID, StageKind::M1Capture),
-            (TRANSLATE_ID, StageKind::RmmuTranslate),
+            (CAPTURE_ID, StageKind::M1),
+            (TRANSLATE_ID, StageKind::Rmmu),
             (ROUTER_ID, StageKind::Router),
         ];
         if self.switch.is_some() {
@@ -2907,7 +2891,11 @@ impl Fabric {
             .routes
             .iter()
             .filter(|(p, r)| {
-                !is_collapsed(r, hub) && self.paths.get(*p).is_some_and(|s| !s.links.is_empty())
+                !is_collapsed(r, hub)
+                    && self
+                        .paths
+                        .get(*p)
+                        .is_some_and(|s| self.router.channels_of(s.network).is_some())
             })
             .flat_map(|(_, r)| r.interior().iter().map(|n| n.0))
             .collect();
@@ -2999,16 +2987,16 @@ impl Fabric {
                     continue;
                 };
                 row.endpoint_frames +=
-                    slot.fwd.chan.frames_sent() + slot.rev.chan.frames_sent();
+                    slot.fwd.frames_sent() + slot.rev.frames_sent();
                 row.replays +=
                     slot.up.tx.frames_replayed() + slot.down.tx.frames_replayed();
                 row.credit_stalls += slot.up.tx.credits().starvation_events()
                     + slot.down.tx.credits().starvation_events();
                 row.utilization = row
                     .utilization
-                    .max(slot.fwd.chan.utilization(now))
-                    .max(slot.rev.chan.utilization(now));
-                row.down |= slot.fwd.chan.is_down() || slot.rev.chan.is_down();
+                    .max(slot.fwd.utilization(now))
+                    .max(slot.rev.utilization(now));
+                row.down |= slot.fwd.is_down() || slot.rev.is_down();
             }
             // Interior hop segments: each covers exactly one topology
             // link past the endpoint's own.
@@ -3035,13 +3023,8 @@ impl Fabric {
         self.route_reroutes
     }
 
-    /// The routing stage.
-    pub fn router_stage(&self) -> &RouterStage {
-        &self.route
-    }
-
-    /// The switching layer, when the topology has one.
-    pub fn switch_stage(&self) -> Option<&SwitchStage> {
+    /// The circuit switch, when the topology has one.
+    pub fn switch(&self) -> Option<&CircuitSwitch> {
         self.switch.as_ref()
     }
 
@@ -3052,10 +3035,10 @@ impl Fabric {
     ///
     /// The registry costs a few counter bumps per retired load and is
     /// meant to stay on; per-load span tracing costs checkpoint
-    /// bookkeeping on every hop and retains whole traces, so for long
-    /// closed-loop runs either lower [`Fabric::set_trace_capacity`]
-    /// (the tracer quiesces when full) or keep only the registry on
-    /// via [`Fabric::set_tracing`]`(false)`.
+    /// bookkeeping on every hop until it has retained its first 16,384
+    /// traces (then it quiesces), so long closed-loop runs that want no
+    /// traces keep only the registry on via
+    /// [`Fabric::set_tracing`]`(false)`.
     pub fn set_telemetry(&mut self, enabled: bool) {
         self.telemetry.set_enabled(enabled);
         self.tracer.set_enabled(enabled);
@@ -3148,19 +3131,9 @@ impl Fabric {
         })
     }
 
-    /// Caps the number of finished flit traces the fabric retains.
-    pub fn set_trace_capacity(&mut self, cap: usize) {
-        self.tracer.set_capacity(cap);
-    }
-
     /// Finished flit traces, in retire order.
     pub fn traces(&self) -> &[FlitTrace] {
         self.tracer.traces()
-    }
-
-    /// Traces that finished but were discarded at the retention cap.
-    pub fn traces_dropped(&self) -> u64 {
-        self.tracer.dropped()
     }
 
     /// Per-hop latency attribution over the path's finished traces.
@@ -3241,7 +3214,6 @@ mod tests {
     /// optional circuit switch.
     fn fabric(window: WindowSpec, switch: Option<CircuitSwitch>) -> Fabric {
         let mesh = Mesh::snapshot(&Line::new(2).unwrap());
-        let switch = switch.map(SwitchStage::new);
         Fabric::assemble(params(), window, switch, Engine::Hybrid, mesh, NodeId(0)).unwrap()
     }
 
@@ -3490,7 +3462,8 @@ mod tests {
         let completed = run_exactly_once(&mut f, p, 16);
         assert_eq!(completed.len(), 16, "a survivable flap costs only latency");
         assert!(f.faults().is_empty());
-        assert_eq!(f.link_is_down(0), Some(false));
+        assert!(f.link_stats(0).is_some(), "a survived flap leaves the link live");
+        assert!(f.congestion_report().links().iter().all(|l| !l.down), "and up");
         assert!(f.path_fault(p).unwrap().is_none());
         let replays = f.link_stats(0).unwrap();
         assert!(
@@ -3579,16 +3552,20 @@ mod tests {
             },
         ));
         run_exactly_once(&mut f, p, 8);
-        // Link 0 died; link 1 carries on. The path stays issuable.
-        assert_eq!(f.link_is_down(0), None, "dead links are tombstoned");
-        assert_eq!(f.link_is_down(1), Some(false));
+        // Link 0 died and is tombstoned; the path's one channel table
+        // now lists link 1 alone, and link 1 carries on.
+        let links: Vec<usize> = f.path_link_stats(p).unwrap().iter().map(|s| s.link).collect();
+        assert_eq!(links, [1]);
+        assert!(f.link_stats(0).is_none(), "dead links are tombstoned");
         assert!(f.path_fault(p).unwrap().is_none());
+        let sent = f.link_stats(1).unwrap().fwd_frames;
         let tag = f.issue_read(p).unwrap();
         let mut late = Vec::new();
         while let Some(done) = f.step().unwrap() {
             late.extend(done.iter().map(|c| c.tag));
         }
         assert!(late.contains(&tag), "the degraded path must still serve loads");
+        assert!(f.link_stats(1).unwrap().fwd_frames > sent, "the late load rode link 1");
     }
 
     #[test]
@@ -3649,7 +3626,7 @@ mod tests {
         );
         assert!(f.faults().is_empty());
         assert!(f.path_fault(p).unwrap().is_none());
-        let sw = f.switch_stage().unwrap().switch();
+        let sw = f.switch().unwrap();
         assert!(sw.is_port_failed(port));
         assert!(sw.reconfigurations() >= 2, "tear-down plus re-program");
         // The link slot moved onto the new circuit: still one circuit,

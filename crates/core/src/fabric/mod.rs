@@ -36,10 +36,7 @@ pub use obs::{
     SloBreachKind, SloSpec,
 };
 pub use trace::{
-    chrome_trace, chrome_trace_json, BreakdownRow, ComponentId, FlitTrace, HopKind,
+    chrome_trace_json, BreakdownRow, ComponentId, FlitTrace, HopKind,
     LatencyBreakdown, SerdesSite, Span, StackSite, TraceId, WireDir,
 };
-pub use stage::{
-    C1MasterDram, LlcPair, M1Capture, RmmuTranslate, RouterStage, StageKind, SwitchStage,
-    WindowSpec, WireChannel,
-};
+pub use stage::{C1MasterDram, LlcPair, StageKind, WindowSpec};

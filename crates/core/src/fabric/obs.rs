@@ -139,7 +139,7 @@ impl JournalRecord {
     }
 
     /// Stamps the chain generation the transition produced.
-    pub fn generation(mut self, generation: u32) -> Self {
+    pub(crate) fn generation(mut self, generation: u32) -> Self {
         self.generation = Some(generation);
         self
     }
@@ -401,7 +401,7 @@ impl SloSpec {
     /// quantile reads 0, which is a gap, not a measurement);
     /// availability is judged whenever the window saw traffic, so a
     /// window of nothing *but* faults still counts as 0% available.
-    pub fn evaluate(
+    pub(crate) fn evaluate(
         &self,
         lease: u64,
         at: SimTime,

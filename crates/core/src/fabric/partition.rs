@@ -2,7 +2,7 @@
 //!
 //! The fabric graph cuts cleanly at wire-channel boundaries: every
 //! cross-shard interaction rides a link whose in-flight latency
-//! ([`Fabric::min_wire_latency`]) bounds how soon one shard can affect
+//! (`Fabric::min_wire_latency`) bounds how soon one shard can affect
 //! another. [`PartitionedFabric`] exploits that cut: it holds N whole
 //! fabric shards (each a self-contained topology on its own event
 //! queue), runs them under `simkit::partition`'s conservative

@@ -1,37 +1,35 @@
-//! The Fig. 2 pipeline stages as individually instantiable components.
+//! The Fig. 2 pipeline stages the fabric composes.
 //!
 //! Each hardware block of the paper's datapath — M1 capture, RMMU
 //! translate, router, LLC Tx/Rx pair, wire channel, circuit switch,
-//! C1 master + donor DRAM — is one stage type here, identified in the
-//! inventory by its [`StageKind`]. The [`crate::fabric::Fabric`] engine
-//! owns the instances in its link-slot and donor tables and moves
-//! messages between them over the shared `simkit` event queue; the
-//! section table and router routes decide which instances a load
-//! crosses, which is what lets the same blocks serve point-to-point,
-//! one-compute-to-N-donors, or a switching layer.
+//! C1 master + donor DRAM — is identified in the inventory by its
+//! [`StageKind`]. Most blocks are the model crates' own types, which the
+//! [`crate::fabric::Fabric`] engine holds directly: `opencapi`'s
+//! `M1Endpoint`, `rmmu`'s `SectionTable`, `routing`'s `Router`,
+//! `netsim`'s `Channel` and `CircuitSwitch`. This module adds the two
+//! the fabric builds itself: the [`LlcPair`] and the donor's
+//! [`C1MasterDram`], which adds the DRAM latency and the PASID to a C1
+//! port. The engine moves messages between the blocks over the shared
+//! `simkit` event queue; the section table and router routes decide
+//! which blocks a load crosses, which is what lets the same blocks serve
+//! point-to-point, one-compute-to-N-donors, or a switching layer.
 
 use llc::endpoint::{LlcRx, LlcTx};
 use llc::flit::FlitSized;
 use llc::LlcConfig;
-use netsim::channel::Channel;
-use netsim::switch::CircuitSwitch;
 use opencapi::c1::{C1Error, C1Port};
-use opencapi::m1::{DeviceAddress, M1Endpoint, M1Error};
 use opencapi::pasid::{Pasid, Region};
-use opencapi::transaction::{MemRequest, MemResponse};
-use rmmu::flow::NetworkId;
-use rmmu::section::{RmmuError, SectionEntry, SectionTable, Translated};
+use opencapi::transaction::MemResponse;
 use rmmu::RoutedRequest;
-use routing::{ChannelId, RouteError, Router};
 use simkit::time::SimTime;
 
 /// What kind of pipeline stage a component models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageKind {
     /// OpenCAPI M1 window capture.
-    M1Capture,
+    M1,
     /// RMMU section-table translation.
-    RmmuTranslate,
+    Rmmu,
     /// Per-network-id routing with channel bonding.
     Router,
     /// One direction's LLC Tx/Rx state-machine pair.
@@ -92,136 +90,9 @@ impl FlitSized for FabricMsg {
     }
 }
 
-/// M1 capture: the host-facing window attachment.
-#[derive(Debug)]
-pub struct M1Capture {
-    m1: M1Endpoint,
-}
-
-impl M1Capture {
-    /// A capture stage over the given device window.
-    pub fn new(window: WindowSpec) -> Self {
-        M1Capture {
-            m1: M1Endpoint::new(window.base, window.bytes),
-        }
-    }
-
-    /// Captures one host transaction into the device address space.
-    ///
-    /// # Errors
-    ///
-    /// Rejects transactions outside or misaligned within the window.
-    pub fn accept(&mut self, req: &MemRequest) -> Result<DeviceAddress, M1Error> {
-        self.m1.accept(req)
-    }
-
-    /// The window base real address.
-    pub fn window_base(&self) -> u64 {
-        self.m1.window_base()
-    }
-}
-
-/// RMMU translate: the section table.
-#[derive(Debug)]
-pub struct RmmuTranslate {
-    table: SectionTable,
-}
-
-impl RmmuTranslate {
-    /// A translate stage whose table covers the given window with
-    /// default 256 MiB sections.
-    pub fn new(window: WindowSpec) -> Self {
-        RmmuTranslate {
-            table: SectionTable::with_default_sections(window.bytes),
-        }
-    }
-
-    /// Translates one captured address.
-    ///
-    /// # Errors
-    ///
-    /// Faults on unprogrammed sections.
-    pub fn translate(&mut self, addr: DeviceAddress) -> Result<Translated, RmmuError> {
-        self.table.translate(addr)
-    }
-
-    /// Programs one section.
-    ///
-    /// # Errors
-    ///
-    /// Propagates section-table failures (occupied, aliasing…).
-    pub fn program(&mut self, index: u64, entry: SectionEntry) -> Result<(), RmmuError> {
-        self.table.program(index, entry)
-    }
-
-    /// Clears one section.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unmapped indices.
-    pub fn unprogram(&mut self, index: u64) -> Result<SectionEntry, RmmuError> {
-        self.table.unprogram(index)
-    }
-
-    /// The underlying section table (inspection).
-    pub fn table(&self) -> &SectionTable {
-        &self.table
-    }
-}
-
-/// The routing stage: each network id's channel set, round-robin when
-/// bonded.
-#[derive(Debug, Default)]
-pub struct RouterStage {
-    router: Router,
-}
-
-impl RouterStage {
-    /// An empty routing stage.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Installs a flow's route.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing-table failures.
-    pub fn add_route(
-        &mut self,
-        network: NetworkId,
-        channels: Vec<ChannelId>,
-    ) -> Result<(), RouteError> {
-        self.router.add_route(network, channels)
-    }
-
-    /// Removes a flow's route.
-    ///
-    /// # Errors
-    ///
-    /// Fails if no route exists.
-    pub fn remove_route(&mut self, network: NetworkId) -> Result<(), RouteError> {
-        self.router.remove_route(network)
-    }
-
-    /// Picks the channel for the next transaction of a flow.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unrouted networks.
-    pub fn forward(&mut self, network: NetworkId, bonded: bool) -> Result<ChannelId, RouteError> {
-        self.router.forward(network, bonded)
-    }
-
-    /// The underlying router (inspection).
-    pub fn router(&self) -> &Router {
-        &self.router
-    }
-}
-
 /// One direction's LLC Tx/Rx pair: the Tx lives at the sending endpoint,
-/// the Rx at the receiving one, and a [`WireChannel`] carries the frames
-/// in between.
+/// the Rx at the receiving one, and a wire [`netsim::channel::Channel`]
+/// carries the frames in between.
 #[derive(Debug)]
 pub struct LlcPair {
     pub(crate) tx: LlcTx<FabricMsg>,
@@ -234,42 +105,6 @@ impl LlcPair {
             tx: LlcTx::new(config),
             rx: LlcRx::new(config),
         }
-    }
-}
-
-/// A physical wire channel (bonded serDES lanes + cable).
-#[derive(Debug)]
-pub struct WireChannel {
-    pub(crate) chan: Channel,
-}
-
-impl WireChannel {
-    pub(crate) fn new(chan: Channel) -> Self {
-        WireChannel { chan }
-    }
-
-    /// The underlying channel (stats).
-    pub fn channel(&self) -> &Channel {
-        &self.chan
-    }
-}
-
-/// The circuit-switching layer as a stage: the circuits that carry
-/// switched channels.
-#[derive(Debug)]
-pub struct SwitchStage {
-    pub(crate) switch: CircuitSwitch,
-}
-
-impl SwitchStage {
-    /// Wraps a circuit switch.
-    pub fn new(switch: CircuitSwitch) -> Self {
-        SwitchStage { switch }
-    }
-
-    /// The underlying switch (stats, circuit inspection).
-    pub fn switch(&self) -> &CircuitSwitch {
-        &self.switch
     }
 }
 

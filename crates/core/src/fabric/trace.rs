@@ -19,8 +19,8 @@
 //! cannot change a run's trajectory.
 //!
 //! Exporters: [`LatencyBreakdown`] aggregates spans into the paper-style
-//! table; [`chrome_trace`] renders traces as Chrome `trace_event` JSON
-//! (load into `chrome://tracing` or Perfetto).
+//! table; [`chrome_trace_json`] renders traces as Chrome `trace_event`
+//! JSON (load into `chrome://tracing` or Perfetto).
 
 use std::fmt;
 
@@ -97,9 +97,9 @@ pub enum WireDir {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HopKind {
     /// M1 window capture (zero-width: combinational in the model).
-    M1Capture,
+    M1,
     /// RMMU section-table translation (zero-width).
-    RmmuTranslate,
+    Rmmu,
     /// Route pick (zero-width).
     Router,
     /// Waiting for a freshly allocated switch circuit to be programmed.
@@ -122,12 +122,12 @@ pub enum HopKind {
 
 impl HopKind {
     /// Number of distinct hop kinds.
-    pub const COUNT: usize = 23;
+    pub(crate) const COUNT: usize = 23;
 
     /// Every hop kind, in round-trip timeline order.
     pub const ALL: [HopKind; HopKind::COUNT] = [
-        HopKind::M1Capture,
-        HopKind::RmmuTranslate,
+        HopKind::M1,
+        HopKind::Rmmu,
         HopKind::Router,
         HopKind::SerDes(SerdesSite::ComputeTx),
         HopKind::Stack(StackSite::ComputeTx),
@@ -154,8 +154,8 @@ impl HopKind {
     /// Stable dense index (position in [`HopKind::ALL`]).
     pub fn index(self) -> usize {
         match self {
-            HopKind::M1Capture => 0,
-            HopKind::RmmuTranslate => 1,
+            HopKind::M1 => 0,
+            HopKind::Rmmu => 1,
             HopKind::Router => 2,
             HopKind::SerDes(SerdesSite::ComputeTx) => 3,
             HopKind::Stack(StackSite::ComputeTx) => 4,
@@ -184,8 +184,8 @@ impl HopKind {
     /// the Chrome trace event name).
     pub fn label(self) -> &'static str {
         match self {
-            HopKind::M1Capture => "m1_capture",
-            HopKind::RmmuTranslate => "rmmu_translate",
+            HopKind::M1 => "m1_capture",
+            HopKind::Rmmu => "rmmu_translate",
             HopKind::Router => "router",
             HopKind::CircuitWait => "circuit_wait",
             HopKind::SerDes(SerdesSite::ComputeTx) => "serdes.compute_tx",
@@ -211,13 +211,13 @@ impl HopKind {
     }
 
     /// Whether this is one of the paper's six serDES crossings.
-    pub fn is_serdes(self) -> bool {
+    pub(crate) fn is_serdes(self) -> bool {
         matches!(self, HopKind::SerDes(_))
     }
 
     /// Whether this is one of the paper's four FPGA-stack pipeline
     /// stages.
-    pub fn is_stack_stage(self) -> bool {
+    pub(crate) fn is_stack_stage(self) -> bool {
         matches!(self, HopKind::Stack(_))
     }
 }
@@ -388,8 +388,9 @@ impl Cursor {
     }
 }
 
-/// Default cap on retained finished traces (a closed-loop run with
-/// tracing left on would otherwise grow without bound).
+/// How many finished traces the tracer retains, the first ones to finish
+/// (a closed-loop run with tracing left on would otherwise grow without
+/// bound).
 const DEFAULT_TRACE_CAP: usize = 16_384;
 
 /// The engine-side tracer: checkpoints per in-flight tag, finished
@@ -407,17 +408,9 @@ pub(crate) struct FlitTracer {
     /// Checkpoints of the traced loads in flight.
     live: TagWindow<Pending>,
     finished: Vec<FlitTrace>,
-    cap: usize,
-    dropped: u64,
 }
 
 impl FlitTracer {
-    pub(crate) fn new() -> Self {
-        FlitTracer {
-            cap: DEFAULT_TRACE_CAP,
-            ..FlitTracer::default()
-        }
-    }
 
     /// Current window footprint in slots (tests pin the recycling).
     #[cfg(test)]
@@ -445,18 +438,9 @@ impl FlitTracer {
         self.enabled && !self.live.is_empty()
     }
 
-    pub(crate) fn set_capacity(&mut self, cap: usize) {
-        self.cap = cap;
-    }
-
-    /// Traces finished but not yet retained because the cap was hit.
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Opens checkpoints for a freshly issued tag. Once the retained
-    /// cap is full new tags are counted as dropped instead of traced,
-    /// so a long closed-loop run quiesces: `live` drains, [`Self::active`]
+    /// cap is full new tags are not traced, so a long closed-loop run
+    /// quiesces: `live` drains, [`Self::active`]
     /// goes false, and every downstream hook becomes a single branch.
     pub(crate) fn begin(
         &mut self,
@@ -469,8 +453,7 @@ impl FlitTracer {
         if !self.enabled {
             return;
         }
-        if self.finished.len() >= self.cap {
-            self.dropped += 1;
+        if self.finished.len() >= DEFAULT_TRACE_CAP {
             return;
         }
         self.live.insert(
@@ -540,8 +523,7 @@ impl FlitTracer {
         ctx: &HopContext,
     ) -> Option<usize> {
         let p = self.live.remove(tag)?;
-        if self.finished.len() >= self.cap {
-            self.dropped += 1;
+        if self.finished.len() >= DEFAULT_TRACE_CAP {
             return None;
         }
         let (fwd_tx, fwd_deliver, mem_done, rev_tx, rev_deliver) = (
@@ -559,8 +541,8 @@ impl FlitTracer {
         // Compute egress: the zero-width pipeline picks, then one serDES
         // + one stack crossing; a freshly switched path additionally
         // waits for its circuit.
-        c.zero(HopKind::M1Capture, ids.capture);
-        c.zero(HopKind::RmmuTranslate, ids.translate);
+        c.zero(HopKind::M1, ids.capture);
+        c.zero(HopKind::Rmmu, ids.translate);
         c.zero(HopKind::Router, ids.router);
         c.fixed(HopKind::SerDes(SerdesSite::ComputeTx), ids.up, ctx.serdes);
         c.fixed(HopKind::Stack(StackSite::ComputeTx), ids.up, ctx.stack);
@@ -665,7 +647,7 @@ pub struct LatencyBreakdown {
 
 impl LatencyBreakdown {
     /// Aggregates a set of traces.
-    pub fn from_traces(traces: &[FlitTrace]) -> Self {
+    pub(crate) fn from_traces(traces: &[FlitTrace]) -> Self {
         let mut count = [0u64; HopKind::COUNT];
         let mut time = [SimTime::ZERO; HopKind::COUNT];
         let mut rtt_total = SimTime::ZERO;
@@ -845,7 +827,7 @@ impl fmt::Display for LatencyBreakdown {
 /// `chrome://tracing` or Perfetto to see per-flit timelines. Timestamps
 /// are microseconds of simulated time; `pid` is the path, `tid` the
 /// flit's trace id.
-pub fn chrome_trace(traces: &[FlitTrace]) -> Value {
+pub(crate) fn chrome_trace(traces: &[FlitTrace]) -> Value {
     let mut events = Vec::new();
     for t in traces {
         for s in &t.spans {
@@ -875,7 +857,8 @@ pub fn chrome_trace(traces: &[FlitTrace]) -> Value {
     ])
 }
 
-/// [`chrome_trace`] serialized to a JSON string.
+/// The traces as a Chrome `trace_event` JSON document: one complete
+/// event per span, a process per path and a thread per load.
 pub fn chrome_trace_json(traces: &[FlitTrace]) -> String {
     serde_json::to_string(&chrome_trace(traces)).unwrap_or_default()
 }
@@ -920,7 +903,7 @@ mod tests {
     /// checkpoint times and checks the exact-sum property.
     #[test]
     fn spans_sum_exactly_to_rtt() {
-        let mut tr = FlitTracer::new();
+        let mut tr = FlitTracer::default();
         tr.set_enabled(true);
         let edge = SimTime::from_ns(75 + 101);
         let issued = SimTime::from_ns(10);
@@ -961,7 +944,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_records_nothing() {
-        let mut tr = FlitTracer::new();
+        let mut tr = FlitTracer::default();
         tr.begin(1, 0, 0, SimTime::ZERO, SimTime::from_ns(176));
         tr.wire_tx(1, WireDir::Forward, SimTime::from_ns(200));
         assert!(tr.finish(1, SimTime::from_ns(1000), &ctx()).is_none());
@@ -971,7 +954,7 @@ mod tests {
 
     #[test]
     fn partial_checkpoints_discard_the_trace() {
-        let mut tr = FlitTracer::new();
+        let mut tr = FlitTracer::default();
         tr.set_enabled(true);
         tr.begin(1, 0, 0, SimTime::ZERO, SimTime::from_ns(176));
         // No wire/delivery checkpoints: finish must refuse to fabricate.
@@ -981,10 +964,9 @@ mod tests {
 
     #[test]
     fn capacity_cap_drops_excess_traces() {
-        let mut tr = FlitTracer::new();
+        let mut tr = FlitTracer::default();
         tr.set_enabled(true);
-        tr.set_capacity(1);
-        for tag in 0..3u64 {
+        for tag in 0..DEFAULT_TRACE_CAP as u64 + 2 {
             let issued = SimTime::from_ns(tag * 10_000);
             let edge = SimTime::from_ns(176);
             tr.begin(tag, 0, 0, issued, issued + edge);
@@ -995,8 +977,8 @@ mod tests {
             tr.delivered(tag, WireDir::Reverse, issued + SimTime::from_ns(880));
             tr.finish(tag, issued + SimTime::from_ns(1056), &ctx());
         }
-        assert_eq!(tr.traces().len(), 1);
-        assert_eq!(tr.dropped(), 2);
+        assert_eq!(tr.traces().len(), DEFAULT_TRACE_CAP);
+        assert!(tr.traces().iter().all(|t| t.trace.0 < DEFAULT_TRACE_CAP as u64));
     }
 
     /// Drives a full synthetic round trip for `tag` starting at `issued`.
@@ -1013,7 +995,7 @@ mod tests {
 
     #[test]
     fn checkpoint_window_recycles_slots() {
-        let mut tr = FlitTracer::new();
+        let mut tr = FlitTracer::default();
         tr.set_enabled(true);
         // Sequential loads: each finish recycles its slot, so the
         // window never grows past the in-flight count (1).
@@ -1024,7 +1006,7 @@ mod tests {
         assert_eq!(tr.traces().len(), 64);
         // A late-enabled tracer re-bases to the first live tag instead
         // of padding from zero.
-        let mut late = FlitTracer::new();
+        let mut late = FlitTracer::default();
         late.set_enabled(true);
         drive(&mut late, 1_000_000, SimTime::from_ns(5));
         assert!(late.window_slots() <= 1, "window padded from tag zero");
@@ -1033,7 +1015,7 @@ mod tests {
 
     #[test]
     fn out_of_order_finish_keeps_checkpoints_intact() {
-        let mut tr = FlitTracer::new();
+        let mut tr = FlitTracer::default();
         tr.set_enabled(true);
         let edge = SimTime::from_ns(176);
         // Open three overlapping loads, retire the middle one first.
@@ -1060,7 +1042,7 @@ mod tests {
 
     #[test]
     fn breakdown_aggregates_and_exports() {
-        let mut tr = FlitTracer::new();
+        let mut tr = FlitTracer::default();
         tr.set_enabled(true);
         let edge = SimTime::from_ns(176);
         for tag in 0..2u64 {

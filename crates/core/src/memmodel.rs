@@ -61,14 +61,9 @@ impl MemoryModel {
     /// Calibrates the remote load latency from a fabric measurement
     /// (e.g. [`crate::fabric::Fabric::reference_load_latency`]) instead
     /// of the analytic budget.
-    pub fn with_measured_remote(mut self, rtt: simkit::time::SimTime) -> Self {
+    pub(crate) fn with_measured_remote(mut self, rtt: simkit::time::SimTime) -> Self {
         self.measured_remote_ns = Some(rtt.as_ns_f64());
         self
-    }
-
-    /// The fabric-measured remote latency override, if calibrated.
-    pub fn measured_remote_ns(&self) -> Option<f64> {
-        self.measured_remote_ns
     }
 
     /// The configuration modelled.
@@ -87,7 +82,7 @@ impl MemoryModel {
     }
 
     /// Latency of one cache-line access of the given placement, ns.
-    pub fn load_latency_ns(&self, placement: Placement) -> f64 {
+    pub(crate) fn load_latency_ns(&self, placement: Placement) -> f64 {
         match placement {
             Placement::Local => self.params.local_load_latency().as_ns_f64(),
             Placement::Remote => self
@@ -121,7 +116,7 @@ impl MemoryModel {
     }
 
     /// Local DRAM capacity in bytes/s (one socket streams the server).
-    pub fn local_capacity_bytes(&self) -> f64 {
+    pub(crate) fn local_capacity_bytes(&self) -> f64 {
         self.params.local_bw_gib * (1u64 << 30) as f64
     }
 
@@ -129,7 +124,7 @@ impl MemoryModel {
     /// in bytes/s. `mlp_scale` lets kernels with more arithmetic per
     /// byte (STREAM scale/triad) shave effective memory-level
     /// parallelism.
-    pub fn stream_bandwidth_bytes(&self, threads: u32, mlp_scale: f64) -> f64 {
+    pub(crate) fn stream_bandwidth_bytes(&self, threads: u32, mlp_scale: f64) -> f64 {
         assert!(threads > 0, "need at least one thread");
         let f_remote = self.remote_fraction();
         let f_local = 1.0 - f_remote;
@@ -158,21 +153,12 @@ impl MemoryModel {
         base * eff
     }
 
-    /// [`MemoryModel::stream_bandwidth_bytes`] in GiB/s (the unit of
-    /// the paper's Fig. 5).
+    /// Sustainable streaming bandwidth for `threads` hardware threads,
+    /// in GiB/s (the unit of the paper's Fig. 5). `mlp_scale` lets
+    /// kernels with more arithmetic per byte (STREAM scale/triad) shave
+    /// effective memory-level parallelism.
     pub fn stream_bandwidth_gib(&self, threads: u32, mlp_scale: f64) -> f64 {
         self.stream_bandwidth_bytes(threads, mlp_scale) / (1u64 << 30) as f64
-    }
-
-    /// The latency of one request-level memory access where the workload
-    /// misses caches with probability `miss_ratio` and touches
-    /// `lines_per_op` lines per operation, ns. Used by the in-memory
-    /// database / cache / search models.
-    pub fn op_memory_ns(&self, lines_per_op: f64, miss_ratio: f64) -> f64 {
-        // Hits cost L2-ish latency; misses pay the placement mix.
-        let hit_ns = 10.0;
-        let miss_ns = self.avg_load_latency_ns();
-        lines_per_op * (miss_ratio * miss_ns + (1.0 - miss_ratio) * hit_ns)
     }
 
     /// Fraction of cycles stalled on memory for an instruction stream
@@ -286,12 +272,12 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::float_cmp)] // exact: an override is returned as given, local latency untouched
     fn measured_remote_overrides_the_budget() {
         use simkit::time::SimTime;
         let analytic = model(SystemConfig::SingleDisaggregated);
         let measured = model(SystemConfig::SingleDisaggregated)
             .with_measured_remote(SimTime::from_ns(1100));
-        assert_eq!(measured.measured_remote_ns(), Some(1100.0));
         assert_eq!(measured.load_latency_ns(Placement::Remote), 1100.0);
         assert_ne!(
             measured.avg_load_latency_ns(),
@@ -302,13 +288,5 @@ mod tests {
             measured.load_latency_ns(Placement::Local),
             analytic.load_latency_ns(Placement::Local)
         );
-    }
-
-    #[test]
-    fn op_memory_cost_scales_with_miss_ratio() {
-        let m = model(SystemConfig::SingleDisaggregated);
-        assert!(m.op_memory_ns(10.0, 0.5) > m.op_memory_ns(10.0, 0.1));
-        let local = model(SystemConfig::Local);
-        assert!(m.op_memory_ns(10.0, 0.3) > local.op_memory_ns(10.0, 0.3));
     }
 }

@@ -22,8 +22,6 @@ use netsim::lane::SerdesLane;
 /// The model's calibration constants.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatapathParams {
-    /// LLC/flit clock of the three mesochronous domains, MHz.
-    pub flit_clock_mhz: f64,
     /// One serDES crossing, nanoseconds (6 such crossings per RTT).
     pub serdes_crossing_ns: u64,
     /// One FPGA stack crossing, nanoseconds (4 per RTT).
@@ -53,7 +51,6 @@ pub struct DatapathParams {
 impl Default for DatapathParams {
     fn default() -> Self {
         DatapathParams {
-            flit_clock_mhz: 401.0,
             serdes_crossing_ns: 75,
             stack_crossing_ns: 101,
             cable: DirectAttachCable::rack_default(),
@@ -83,11 +80,6 @@ impl DatapathParams {
         }
     }
 
-    /// One flit clock cycle.
-    pub fn flit_cycle(&self) -> SimTime {
-        SimTime::from_ps(simkit::units::ps_per_cycle_mhz(self.flit_clock_mhz))
-    }
-
     /// The serDES lane the channels are built from.
     pub fn lane(&self) -> SerdesLane {
         SerdesLane::gty_25g().with_crossing(SimTime::from_ns(self.serdes_crossing_ns))
@@ -108,7 +100,7 @@ impl DatapathParams {
     /// Latency of entering or leaving an endpoint FPGA: one serDES
     /// crossing plus one stack crossing. The fabric charges this once at
     /// the compute edge (core → LLC) and once per donor edge.
-    pub fn edge_crossing(&self) -> SimTime {
+    pub(crate) fn edge_crossing(&self) -> SimTime {
         SimTime::from_ns(self.serdes_crossing_ns + self.stack_crossing_ns)
     }
 
@@ -168,12 +160,6 @@ mod tests {
         assert!((p.channel_nominal_gib() - 11.64).abs() < 0.01);
         let c1 = p.c1_sustained_rate().as_gib_per_sec();
         assert!((c1 - 16.0).abs() < 0.5, "c1 {c1}");
-    }
-
-    #[test]
-    fn flit_clock_is_401mhz() {
-        let p = DatapathParams::prototype();
-        assert_eq!(p.flit_cycle().as_ps(), 2494);
     }
 
     #[test]

@@ -224,8 +224,8 @@ mod tests {
     #[test]
     fn trusted_compute_config_hotplugs() {
         let mut a = agent();
-        let node = a.apply_compute(&signed_compute(1 * GIB, "sec")).unwrap();
-        assert_eq!(a.host().remote_bytes(), 1 * GIB);
+        let node = a.apply_compute(&signed_compute(GIB, "sec")).unwrap();
+        assert_eq!(a.host().remote_bytes(), GIB);
         a.remove_compute(node).unwrap();
         assert_eq!(a.host().remote_bytes(), 0);
     }
@@ -234,10 +234,10 @@ mod tests {
     fn untrusted_configs_rejected() {
         let mut a = agent();
         // Signed with the wrong secret.
-        let c = signed_compute(1 * GIB, "evil");
+        let c = signed_compute(GIB, "evil");
         assert_eq!(a.apply_compute(&c), Err(AgentError::UntrustedConfig));
         // Tampered after signing.
-        let mut m = signed_memory(1 * GIB, "sec");
+        let mut m = signed_memory(GIB, "sec");
         m.len = 2 * GIB;
         assert_eq!(a.apply_memory(&m), Err(AgentError::UntrustedConfig));
         assert_eq!(a.host().remote_bytes(), 0);

@@ -71,22 +71,8 @@ impl AccessControl {
         t
     }
 
-    /// Revokes a token.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`AuthError::UnknownToken`] when the token was never
-    /// issued or is already revoked, so double-revocation is visible to
-    /// the caller instead of folding into a silent no-op.
-    pub fn revoke(&mut self, token: &Token) -> Result<(), AuthError> {
-        self.tokens
-            .remove(token)
-            .map(|_| ())
-            .ok_or(AuthError::UnknownToken)
-    }
-
     /// The role of a token.
-    pub fn role(&self, token: &Token) -> Option<&Role> {
+    pub(crate) fn role(&self, token: &Token) -> Option<&Role> {
         self.tokens.get(token)
     }
 
@@ -96,7 +82,7 @@ impl AccessControl {
     ///
     /// Fails for unknown tokens, observers, and tenants whose host list
     /// does not cover both hosts.
-    pub fn authorize_attach(
+    pub(crate) fn authorize_attach(
         &mut self,
         token: &Token,
         compute: &str,
@@ -130,7 +116,7 @@ impl AccessControl {
 /// Signs a configuration blob with the control plane's shared secret so
 /// agents can verify its origin (a stand-in for mutually authenticated
 /// channels).
-pub fn sign_config(secret: &str, payload: &str) -> u64 {
+pub(crate) fn sign_config(secret: &str, payload: &str) -> u64 {
     // FNV-1a over secret || payload: not cryptographic, but deterministic
     // and good enough to model the trust check.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -142,7 +128,7 @@ pub fn sign_config(secret: &str, payload: &str) -> u64 {
 }
 
 /// Verifies a configuration signature.
-pub fn verify_config(secret: &str, payload: &str, signature: u64) -> bool {
+pub(crate) fn verify_config(secret: &str, payload: &str, signature: u64) -> bool {
     sign_config(secret, payload) == signature
 }
 
@@ -179,19 +165,12 @@ mod tests {
     }
 
     #[test]
-    fn unknown_and_revoked_tokens_rejected() {
+    fn unknown_tokens_rejected() {
         let mut ac = AccessControl::new();
         assert_eq!(
             ac.authorize_attach(&Token("nope".into()), "a", "b"),
             Err(AuthError::UnknownToken)
         );
-        let t = ac.issue_token(Role::Admin);
-        assert_eq!(ac.revoke(&t), Ok(()));
-        assert_eq!(
-            ac.authorize_attach(&t, "a", "b"),
-            Err(AuthError::UnknownToken)
-        );
-        assert_eq!(ac.revoke(&t), Err(AuthError::UnknownToken));
     }
 
     #[test]

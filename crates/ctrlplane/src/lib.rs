@@ -58,10 +58,8 @@
 pub mod agent;
 pub mod api;
 pub mod auth;
-pub mod retry;
 pub mod service;
 
 pub use api::{AttachSpec, Request, Response};
 pub use auth::{AccessControl, Role, Token};
-pub use retry::{attach_with_retry, RetryPolicy, RetryStats};
 pub use service::{ControlPlane, CpError, FlowGrant, FlowHandle, LinkChannels};

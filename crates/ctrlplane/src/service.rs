@@ -267,7 +267,7 @@ impl ControlPlane {
     ) -> Result<FlowGrant, CpError> {
         self.auth
             .authorize_attach(token, &spec.compute_host, &spec.memory_host)?;
-        if spec.bytes == 0 || spec.bytes % SECTION_BYTES != 0 {
+        if spec.bytes == 0 || !spec.bytes.is_multiple_of(SECTION_BYTES) {
             return Err(CpError::BadSize(spec.bytes));
         }
         let compute = self.host(&spec.compute_host)?.node;
@@ -432,11 +432,6 @@ impl ControlPlane {
         };
         serde_json::to_string(&resp).expect("responses always serialize")
     }
-
-    /// The signing secret (for wiring trusted agents in tests/assembly).
-    pub fn secret(&self) -> &str {
-        &self.secret
-    }
 }
 
 fn error_response(e: CpError) -> Response {
@@ -506,9 +501,9 @@ mod tests {
     #[test]
     fn attach_produces_signed_configs() {
         let (mut cp, admin) = plane();
-        let grant = cp.attach(&admin, spec(1 * GIB, false)).unwrap();
+        let grant = cp.attach(&admin, spec(GIB, false)).unwrap();
         assert_eq!(grant.compute_config.sections.len(), 4); // 4 x 256 MiB
-        assert_eq!(grant.memory_config.len, 1 * GIB);
+        assert_eq!(grant.memory_config.len, GIB);
         assert_eq!(grant.channels, 1);
         assert!(crate::auth::verify_config(
             "s3cret",
@@ -544,17 +539,17 @@ mod tests {
     #[test]
     fn bonding_holds_two_channels_on_one_route() {
         let (mut cp, admin) = plane();
-        let grant = cp.attach(&admin, spec(1 * GIB, true)).unwrap();
+        let grant = cp.attach(&admin, spec(GIB, true)).unwrap();
         assert_eq!(grant.channels, 2);
         assert_eq!(grant.route.links, vec![0]);
         assert_eq!(held(&cp), vec![2]);
         // Both cables are now full: a second bonded attach fails with
         // everything rolled back.
-        let err = cp.attach(&admin, spec(1 * GIB, true)).unwrap_err();
+        let err = cp.attach(&admin, spec(GIB, true)).unwrap_err();
         assert_eq!(err, CpError::NoPath);
         cp.detach(&admin, grant.flow).unwrap();
         // After detach the capacity is back.
-        assert!(cp.attach(&admin, spec(1 * GIB, true)).is_ok());
+        assert!(cp.attach(&admin, spec(GIB, true)).is_ok());
     }
 
     #[test]
@@ -660,7 +655,7 @@ mod tests {
         let tenant = cp.auth_mut().issue_token(Role::Tenant {
             hosts: vec!["c1".into()],
         });
-        let err = cp.attach(&tenant, spec(1 * GIB, false)).unwrap_err();
+        let err = cp.attach(&tenant, spec(GIB, false)).unwrap_err();
         assert!(matches!(err, CpError::Auth(AuthError::Forbidden)));
     }
 
@@ -678,14 +673,14 @@ mod tests {
         let (mut cp, admin) = plane();
         let req = serde_json::to_string(&Request::Attach {
             token: admin.clone(),
-            spec: spec(1 * GIB, false),
+            spec: spec(GIB, false),
         })
         .unwrap();
         let resp = cp.handle_json(&req);
         let parsed: Response = serde_json::from_str(&resp).unwrap();
         match parsed {
             Response::Attached { flow, bytes, channels } => {
-                assert_eq!(bytes, 1 * GIB);
+                assert_eq!(bytes, GIB);
                 assert_eq!(channels, 1);
                 let det = serde_json::to_string(&Request::Detach { token: admin, flow })
                     .unwrap();
@@ -706,7 +701,7 @@ mod tests {
     #[test]
     fn audit_trail_records_lifecycle() {
         let (mut cp, admin) = plane();
-        let g = cp.attach(&admin, spec(1 * GIB, false)).unwrap();
+        let g = cp.attach(&admin, spec(GIB, false)).unwrap();
         cp.detach(&admin, g.flow).unwrap();
         let events: Vec<&str> = cp.audit().iter().map(|e| e.event.as_str()).collect();
         assert!(events.iter().any(|e| e.starts_with("attach flow#1")));

@@ -33,13 +33,6 @@ pub struct ChurnTenant {
     pub mem_fraction: f64,
 }
 
-impl ChurnTenant {
-    /// Whether the tenant is live during phase `phase`.
-    pub fn live_during(&self, phase: usize) -> bool {
-        self.arrive_phase <= phase && phase < self.depart_phase
-    }
-}
-
 /// Deals `tenants` synthetic tasks onto a ladder of `phases` phases.
 ///
 /// Arrival seconds are rescaled so the busiest stretch of the trace
@@ -118,8 +111,6 @@ mod tests {
             assert!(t.depart_phase > t.arrive_phase);
             assert!(t.depart_phase <= 3);
             assert!(t.mem_fraction > 0.0 && t.mem_fraction <= 0.9);
-            assert!(t.live_during(t.arrive_phase));
-            assert!(!t.live_during(t.depart_phase));
         }
     }
 

@@ -42,7 +42,7 @@ impl MetricAccumulator {
     }
 
     /// Records a placement outcome.
-    pub fn record_placement(&mut self, placed: bool) {
+    pub(crate) fn record_placement(&mut self, placed: bool) {
         if placed {
             self.placed += 1;
         } else {
@@ -55,7 +55,7 @@ impl MetricAccumulator {
     /// # Panics
     ///
     /// Panics if no snapshot was taken.
-    pub fn average(&self) -> UtilSnapshot {
+    pub(crate) fn average(&self) -> UtilSnapshot {
         assert!(self.samples > 0, "no snapshots collected");
         let n = self.samples as f64;
         UtilSnapshot {

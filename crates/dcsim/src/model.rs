@@ -42,11 +42,6 @@ impl FixedDataCentre {
             allocations: BTreeMap::new(),
         }
     }
-
-    /// Server count.
-    pub fn servers(&self) -> usize {
-        self.cpu_free.len()
-    }
 }
 
 impl DataCentre for FixedDataCentre {
@@ -57,7 +52,7 @@ impl DataCentre for FixedDataCentre {
         for i in 0..self.cpu_free.len() {
             if self.cpu_free[i] + EPS >= ev.cpu && self.mem_free[i] + EPS >= ev.mem {
                 let leftover = (self.cpu_free[i] - ev.cpu) + (self.mem_free[i] - ev.mem);
-                if best.map_or(true, |(_, l)| leftover < l) {
+                if best.is_none_or(|(_, l)| leftover < l) {
                     best = Some((i, leftover));
                 }
             }
@@ -144,7 +139,7 @@ impl DisaggregatedDataCentre {
     /// # Panics
     ///
     /// Panics if `modules == 0` or `links == 0`.
-    pub fn with_links(modules: usize, links: u32) -> Self {
+    pub(crate) fn with_links(modules: usize, links: u32) -> Self {
         assert!(modules > 0 && links > 0, "need modules and links");
         DisaggregatedDataCentre {
             cpu_free: vec![1.0; modules],
@@ -155,11 +150,6 @@ impl DisaggregatedDataCentre {
             allocations: BTreeMap::new(),
             max_links: links,
         }
-    }
-
-    /// Compute/memory module count.
-    pub fn modules(&self) -> usize {
-        self.cpu_free.len()
     }
 }
 
@@ -203,7 +193,7 @@ impl DataCentre for DisaggregatedDataCentre {
         for i in 0..self.cpu_free.len() {
             if self.cpu_free[i] + EPS >= ev.cpu {
                 let leftover = self.cpu_free[i] - ev.cpu;
-                if compute.map_or(true, |(_, l)| leftover < l) {
+                if compute.is_none_or(|(_, l)| leftover < l) {
                     compute = Some((i, leftover));
                 }
             }
@@ -219,7 +209,7 @@ impl DataCentre for DisaggregatedDataCentre {
         for j in 0..self.mem_free.len() {
             if self.mem_free[j] + EPS >= ev.mem && self.reachable(compute, j) {
                 let leftover = self.mem_free[j] - ev.mem;
-                if single.map_or(true, |(_, l)| leftover < l) {
+                if single.is_none_or(|(_, l)| leftover < l) {
                     single = Some((j, leftover));
                 }
             }

@@ -8,12 +8,12 @@ use crate::model::DataCentre;
 use crate::trace::{TraceEvent, TraceGenerator, TraceParams};
 
 /// Mean task duration implied by [`TraceParams`] (lognormal mean).
-pub fn mean_duration_s(p: &TraceParams) -> f64 {
+pub(crate) fn mean_duration_s(p: &TraceParams) -> f64 {
     (p.duration_mu + p.duration_sigma * p.duration_sigma / 2.0).exp()
 }
 
 /// Mean per-task CPU demand implied by [`TraceParams`].
-pub fn mean_cpu(p: &TraceParams) -> f64 {
+pub(crate) fn mean_cpu(p: &TraceParams) -> f64 {
     (p.cpu_mu + p.cpu_sigma * p.cpu_sigma / 2.0).exp()
 }
 

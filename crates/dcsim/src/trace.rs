@@ -100,7 +100,7 @@ impl TraceGenerator {
     }
 
     /// Generates `n` tasks.
-    pub fn generate(&mut self, n: usize) -> Vec<TraceEvent> {
+    pub(crate) fn generate(&mut self, n: usize) -> Vec<TraceEvent> {
         (0..n).map(|_| self.next_event()).collect()
     }
 }

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
-pub struct CoreId(pub u32);
+pub(crate) struct CoreId(pub u32);
 
 /// A hardware (SMT) thread identifier (dense, across cores).
 #[derive(
@@ -58,7 +58,7 @@ impl CpuTopology {
     }
 
     /// Socket count.
-    pub fn sockets(&self) -> u32 {
+    pub(crate) fn sockets(&self) -> u32 {
         self.sockets
     }
 
@@ -72,17 +72,12 @@ impl CpuTopology {
         self.cores() * self.smt
     }
 
-    /// SMT ways per core.
-    pub fn smt(&self) -> u32 {
-        self.smt
-    }
-
     /// The socket a core belongs to.
     ///
     /// # Panics
     ///
     /// Panics if the core is out of range.
-    pub fn socket_of(&self, core: CoreId) -> u32 {
+    pub(crate) fn socket_of(&self, core: CoreId) -> u32 {
         assert!(core.0 < self.cores(), "core {core:?} out of range");
         core.0 / self.cores_per_socket
     }
@@ -92,7 +87,7 @@ impl CpuTopology {
     /// # Panics
     ///
     /// Panics if the thread is out of range.
-    pub fn core_of(&self, thread: HwThreadId) -> CoreId {
+    pub(crate) fn core_of(&self, thread: HwThreadId) -> CoreId {
         assert!(thread.0 < self.hw_threads(), "thread {thread:?} out of range");
         CoreId(thread.0 / self.smt)
     }
@@ -103,7 +98,7 @@ impl CpuTopology {
     }
 
     /// The hardware threads hosted by one socket.
-    pub fn threads_of_socket(&self, socket: u32) -> Vec<HwThreadId> {
+    pub(crate) fn threads_of_socket(&self, socket: u32) -> Vec<HwThreadId> {
         self.threads()
             .filter(|t| self.socket_of(self.core_of(*t)) == socket)
             .collect()
@@ -120,7 +115,6 @@ mod tests {
         assert_eq!(t.sockets(), 2);
         assert_eq!(t.cores(), 32);
         assert_eq!(t.hw_threads(), 128);
-        assert_eq!(t.smt(), 4);
     }
 
     #[test]

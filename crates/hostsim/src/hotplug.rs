@@ -146,7 +146,7 @@ struct NodeSections {
 
 /// The root and the entry index of a section-aligned address.
 fn locate(start: u64) -> Option<(u64, usize)> {
-    let section = (start % SECTION_BYTES == 0).then_some(start / SECTION_BYTES)?;
+    let section = start.is_multiple_of(SECTION_BYTES).then_some(start / SECTION_BYTES)?;
     Some((
         section >> ROOT_SHIFT,
         (section % SECTIONS_PER_ROOT) as usize,
@@ -199,7 +199,7 @@ impl SparseMemory {
     }
 
     fn check_aligned(start: u64) -> Result<(), HotplugError> {
-        if start % SECTION_BYTES != 0 {
+        if !start.is_multiple_of(SECTION_BYTES) {
             Err(HotplugError::Misaligned(start))
         } else {
             Ok(())

@@ -8,7 +8,7 @@
 //!
 //! * [`cpu`] — sockets, cores and SMT threads.
 //! * [`cache`] — a set-associative cache hierarchy (POWER9 geometry).
-//! * [`mmu`] — per-process effective→real address translation.
+//! * [`mmu`] — the kernel's page size.
 //! * [`physmap`] — the real-address map, including the window firmware
 //!   assigns to the ThymesisFlow compute endpoint.
 //! * [`hotplug`] — the Linux sparse-memory section lifecycle

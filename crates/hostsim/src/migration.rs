@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::numa::{NumaNodeId, NumaTopology};
 
 /// A logical page identifier inside one workload's working set.
-pub type PageId = u64;
+pub(crate) type PageId = u64;
 
 /// Where each page of a working set lives.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
@@ -82,7 +82,6 @@ pub struct MigrationDaemon {
     local: NumaNodeId,
     hot_threshold: u64,
     counters: BTreeMap<PageId, u64>,
-    migrations: u64,
 }
 
 impl MigrationDaemon {
@@ -93,7 +92,6 @@ impl MigrationDaemon {
             local,
             hot_threshold: hot_threshold.max(1),
             counters: BTreeMap::new(),
-            migrations: 0,
         }
     }
 
@@ -128,13 +126,7 @@ impl MigrationDaemon {
             }
         }
         self.counters.clear();
-        self.migrations += moved;
         moved
-    }
-
-    /// Total pages migrated over the daemon's lifetime.
-    pub fn total_migrations(&self) -> u64 {
-        self.migrations
     }
 }
 
@@ -203,7 +195,6 @@ mod tests {
             d.record_access(2);
         }
         assert_eq!(d.scan(&mut numa, &mut placement), 1);
-        assert_eq!(d.total_migrations(), 1);
     }
 
     #[test]

@@ -1,261 +1,9 @@
-//! Per-process effective→real address translation.
+//! The processor MMU's page size.
 //!
-//! The first stage of the paper's Fig. 3 pipeline: "an effective address
-//! emitted at the compute side is first translated into a real address by
-//! the processor MMU". A process address space is a set of
-//! non-overlapping VMAs, each mapping a contiguous effective range onto a
-//! contiguous real range (the kernel's linear mapping of hotplugged
-//! sections makes contiguous VMAs the common case here).
-
-use std::fmt;
-
-use serde::{Deserialize, Serialize};
+//! The first stage of the paper's Fig. 3 pipeline translates an
+//! effective address into a real address in the processor MMU. The
+//! model needs only the kernel's page size from it: NUMA nodes count
+//! their memory in pages.
 
 /// Page size used by the prototype kernel (64 KiB pages on ppc64).
 pub const PAGE_BYTES: u64 = 64 * 1024;
-
-/// A virtual memory area: one contiguous effective→real mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Vma {
-    /// Effective (virtual) base.
-    pub ea_base: u64,
-    /// Real (physical) base.
-    pub ra_base: u64,
-    /// Length in bytes.
-    pub len: u64,
-}
-
-impl Vma {
-    fn contains(&self, ea: u64) -> bool {
-        ea >= self.ea_base && ea - self.ea_base < self.len
-    }
-
-    fn overlaps(&self, other: &Vma) -> bool {
-        self.ea_base < other.ea_base + other.len && other.ea_base < self.ea_base + self.len
-    }
-}
-
-/// MMU errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MmuError {
-    /// The mapping is not page aligned.
-    Misaligned,
-    /// The new VMA overlaps an existing one.
-    Overlap,
-    /// No mapping covers the effective address (page fault).
-    Fault(u64),
-}
-
-impl fmt::Display for MmuError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MmuError::Misaligned => write!(f, "mapping not page aligned"),
-            MmuError::Overlap => write!(f, "mapping overlaps an existing vma"),
-            MmuError::Fault(ea) => write!(f, "page fault at {ea:#x}"),
-        }
-    }
-}
-
-impl std::error::Error for MmuError {}
-
-/// A process address space.
-///
-/// # Example
-///
-/// ```
-/// use hostsim::mmu::{AddressSpace, Vma, PAGE_BYTES};
-///
-/// let mut aspace = AddressSpace::new(1234);
-/// aspace.map(Vma { ea_base: 0x10000, ra_base: 0x200000, len: PAGE_BYTES * 4 })?;
-/// assert_eq!(aspace.translate(0x10008)?, 0x200008);
-/// # Ok::<(), hostsim::mmu::MmuError>(())
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AddressSpace {
-    pid: u32,
-    vmas: Vec<Vma>,
-    translations: u64,
-    faults: u64,
-}
-
-impl AddressSpace {
-    /// Creates an empty address space for process `pid`.
-    pub fn new(pid: u32) -> Self {
-        AddressSpace {
-            pid,
-            vmas: Vec::new(),
-            translations: 0,
-            faults: 0,
-        }
-    }
-
-    /// The owning process id.
-    pub fn pid(&self) -> u32 {
-        self.pid
-    }
-
-    /// Installs a mapping.
-    ///
-    /// # Errors
-    ///
-    /// Fails on non-page-aligned or overlapping mappings.
-    pub fn map(&mut self, vma: Vma) -> Result<(), MmuError> {
-        if vma.ea_base % PAGE_BYTES != 0
-            || vma.ra_base % PAGE_BYTES != 0
-            || vma.len % PAGE_BYTES != 0
-            || vma.len == 0
-        {
-            return Err(MmuError::Misaligned);
-        }
-        if self.vmas.iter().any(|v| v.overlaps(&vma)) {
-            return Err(MmuError::Overlap);
-        }
-        self.vmas.push(vma);
-        self.vmas.sort_by_key(|v| v.ea_base);
-        Ok(())
-    }
-
-    /// Removes the mapping starting at `ea_base`.
-    ///
-    /// # Errors
-    ///
-    /// Faults if no such mapping exists.
-    pub fn unmap(&mut self, ea_base: u64) -> Result<Vma, MmuError> {
-        let pos = self
-            .vmas
-            .iter()
-            .position(|v| v.ea_base == ea_base)
-            .ok_or(MmuError::Fault(ea_base))?;
-        Ok(self.vmas.remove(pos))
-    }
-
-    /// Translates an effective address to a real address.
-    ///
-    /// # Errors
-    ///
-    /// Faults on unmapped addresses.
-    pub fn translate(&mut self, ea: u64) -> Result<u64, MmuError> {
-        // Binary search over sorted, non-overlapping VMAs.
-        let idx = self.vmas.partition_point(|v| v.ea_base <= ea);
-        if idx > 0 && self.vmas[idx - 1].contains(ea) {
-            self.translations += 1;
-            let v = self.vmas[idx - 1];
-            return Ok(v.ra_base + (ea - v.ea_base));
-        }
-        self.faults += 1;
-        Err(MmuError::Fault(ea))
-    }
-
-    /// Number of installed VMAs.
-    pub fn vma_count(&self) -> usize {
-        self.vmas.len()
-    }
-
-    /// Total mapped bytes.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.vmas.iter().map(|v| v.len).sum()
-    }
-
-    /// Successful translations.
-    pub fn translations(&self) -> u64 {
-        self.translations
-    }
-
-    /// Page faults taken.
-    pub fn faults(&self) -> u64 {
-        self.faults
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn vma(ea: u64, ra: u64, pages: u64) -> Vma {
-        Vma {
-            ea_base: ea * PAGE_BYTES,
-            ra_base: ra * PAGE_BYTES,
-            len: pages * PAGE_BYTES,
-        }
-    }
-
-    #[test]
-    fn translate_inside_vma() {
-        let mut a = AddressSpace::new(1);
-        a.map(vma(1, 100, 4)).unwrap();
-        assert_eq!(
-            a.translate(PAGE_BYTES + 42).unwrap(),
-            100 * PAGE_BYTES + 42
-        );
-        // Last byte of the VMA.
-        assert_eq!(
-            a.translate(5 * PAGE_BYTES - 1).unwrap(),
-            104 * PAGE_BYTES - 1
-        );
-    }
-
-    #[test]
-    fn fault_outside() {
-        let mut a = AddressSpace::new(1);
-        a.map(vma(1, 100, 4)).unwrap();
-        assert_eq!(a.translate(0), Err(MmuError::Fault(0)));
-        assert_eq!(
-            a.translate(5 * PAGE_BYTES),
-            Err(MmuError::Fault(5 * PAGE_BYTES))
-        );
-        assert_eq!(a.faults(), 2);
-    }
-
-    #[test]
-    fn overlap_rejected() {
-        let mut a = AddressSpace::new(1);
-        a.map(vma(1, 100, 4)).unwrap();
-        assert_eq!(a.map(vma(4, 200, 2)), Err(MmuError::Overlap));
-        assert!(a.map(vma(5, 200, 2)).is_ok());
-    }
-
-    #[test]
-    fn misaligned_rejected() {
-        let mut a = AddressSpace::new(1);
-        assert_eq!(
-            a.map(Vma {
-                ea_base: 1,
-                ra_base: 0,
-                len: PAGE_BYTES
-            }),
-            Err(MmuError::Misaligned)
-        );
-        assert_eq!(
-            a.map(Vma {
-                ea_base: 0,
-                ra_base: 0,
-                len: 0
-            }),
-            Err(MmuError::Misaligned)
-        );
-    }
-
-    #[test]
-    fn unmap_lifecycle() {
-        let mut a = AddressSpace::new(1);
-        a.map(vma(1, 100, 4)).unwrap();
-        assert_eq!(a.mapped_bytes(), 4 * PAGE_BYTES);
-        a.unmap(PAGE_BYTES).unwrap();
-        assert_eq!(a.vma_count(), 0);
-        assert!(a.translate(PAGE_BYTES).is_err());
-        assert!(a.unmap(PAGE_BYTES).is_err());
-    }
-
-    #[test]
-    fn many_vmas_binary_search() {
-        let mut a = AddressSpace::new(1);
-        for i in 0..100 {
-            a.map(vma(i * 2, 1000 + i * 2, 1)).unwrap();
-        }
-        for i in (0..100).rev() {
-            let ea = i * 2 * PAGE_BYTES + 7;
-            assert_eq!(a.translate(ea).unwrap(), (1000 + i * 2) * PAGE_BYTES + 7);
-            assert!(a.translate(ea + PAGE_BYTES).is_err(), "gap at {i}");
-        }
-    }
-}

@@ -17,7 +17,7 @@ use crate::physmap::{PhysMapError, PhysicalMemoryMap, Region, RegionKind};
 
 /// Distance the kernel assigns to the CPU-less disaggregated node,
 /// "reflecting the respective transaction RTT delay".
-pub const REMOTE_NODE_DISTANCE: u32 = 80;
+pub(crate) const REMOTE_NODE_DISTANCE: u32 = 80;
 
 /// Static description of a host.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -115,7 +115,7 @@ impl HostNode {
         let sockets = spec.topology.sockets();
         let per_socket = spec.dram_bytes / sockets as u64;
         assert!(
-            per_socket % SECTION_BYTES == 0,
+            per_socket.is_multiple_of(SECTION_BYTES),
             "per-socket DRAM must be section aligned"
         );
         let mut physmap = PhysicalMemoryMap::new();
@@ -172,16 +172,6 @@ impl HostNode {
         &mut self.numa
     }
 
-    /// The physical map.
-    pub fn physmap(&self) -> &PhysicalMemoryMap {
-        &self.physmap
-    }
-
-    /// The sparse-memory registry.
-    pub fn sparse(&self) -> &SparseMemory {
-        &self.sparse
-    }
-
     /// Local DRAM bytes.
     pub fn local_bytes(&self) -> u64 {
         self.physmap
@@ -203,7 +193,7 @@ impl HostNode {
     /// Fails if `bytes` is not a whole number of sections or the map
     /// rejects the window.
     pub fn hotplug_remote_memory(&mut self, bytes: u64) -> Result<NumaNodeId, HostError> {
-        if bytes == 0 || bytes % SECTION_BYTES != 0 {
+        if bytes == 0 || !bytes.is_multiple_of(SECTION_BYTES) {
             return Err(HostError::NotSectionMultiple(bytes));
         }
         let node_id = NumaNodeId(self.next_remote_node);
@@ -251,16 +241,6 @@ impl HostNode {
         }
         Ok(())
     }
-
-    /// The real-address base of the ThymesisFlow window backing a remote
-    /// NUMA node (what the RMMU's M1 port is programmed with).
-    pub fn remote_window(&self, node: NumaNodeId) -> Option<Region> {
-        self.physmap
-            .regions()
-            .iter()
-            .find(|r| matches!(r.kind, RegionKind::ThymesisFlow { node: n } if n == node.0))
-            .copied()
-    }
 }
 
 #[cfg(test)]
@@ -269,6 +249,15 @@ mod tests {
     use crate::numa::AllocPolicy;
     use simkit::units::GIB;
 
+    /// The real-address window backing a remote NUMA node.
+    fn remote_window(host: &HostNode, node: NumaNodeId) -> Option<Region> {
+        host.physmap
+            .regions()
+            .iter()
+            .find(|r| matches!(r.kind, RegionKind::ThymesisFlow { node: n } if n == node.0))
+            .copied()
+    }
+
     #[test]
     fn boot_builds_two_numa_nodes() {
         let host = HostNode::new(NodeSpec::ac922("n1"));
@@ -276,7 +265,7 @@ mod tests {
         assert_eq!(host.local_bytes(), 512 * GIB);
         assert_eq!(host.remote_bytes(), 0);
         let n0 = host.numa().node(NumaNodeId(0)).unwrap();
-        assert_eq!(n0.cpus().len(), 64);
+        assert!(!n0.is_cpuless());
         assert_eq!(n0.total_pages(), 256 * GIB / PAGE_BYTES);
     }
 
@@ -293,7 +282,7 @@ mod tests {
         );
         assert_eq!(host.remote_bytes(), 64 * GIB);
         // The window exists and is section aligned.
-        let w = host.remote_window(node).unwrap();
+        let w = remote_window(&host, node).unwrap();
         assert_eq!(w.base % SECTION_BYTES, 0);
         assert_eq!(w.len, 64 * GIB);
     }
@@ -305,7 +294,7 @@ mod tests {
         host.unplug_remote_memory(node).unwrap();
         assert_eq!(host.remote_bytes(), 0);
         assert!(host.numa().node(node).is_none());
-        assert!(host.remote_window(node).is_none());
+        assert!(remote_window(&host, node).is_none());
         // A second attach lands cleanly.
         let node2 = host.hotplug_remote_memory(16 * GIB).unwrap();
         assert_ne!(node, node2);
@@ -342,8 +331,8 @@ mod tests {
         let a = host.hotplug_remote_memory(16 * GIB).unwrap();
         let b = host.hotplug_remote_memory(32 * GIB).unwrap();
         assert_eq!(host.remote_bytes(), 48 * GIB);
-        let wa = host.remote_window(a).unwrap();
-        let wb = host.remote_window(b).unwrap();
+        let wa = remote_window(&host, a).unwrap();
+        let wb = remote_window(&host, b).unwrap();
         assert!(wa.base + wa.len <= wb.base || wb.base + wb.len <= wa.base);
     }
 }

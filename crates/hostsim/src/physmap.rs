@@ -141,7 +141,7 @@ impl PhysicalMemoryMap {
 
     /// The first gap of at least `len` bytes above `min_base`, aligned to
     /// `align` — where firmware places a new ThymesisFlow window.
-    pub fn find_hole(&self, min_base: u64, len: u64, align: u64) -> u64 {
+    pub(crate) fn find_hole(&self, min_base: u64, len: u64, align: u64) -> u64 {
         let align_up = |x: u64| x.div_ceil(align) * align;
         let mut candidate = align_up(min_base);
         for r in &self.regions {
@@ -157,12 +157,12 @@ impl PhysicalMemoryMap {
     }
 
     /// All regions of a kind predicate.
-    pub fn regions(&self) -> &[Region] {
+    pub(crate) fn regions(&self) -> &[Region] {
         &self.regions
     }
 
     /// Total bytes of a given backing kind.
-    pub fn total_bytes<F: Fn(&RegionKind) -> bool>(&self, pred: F) -> u64 {
+    pub(crate) fn total_bytes<F: Fn(&RegionKind) -> bool>(&self, pred: F) -> u64 {
         self.regions
             .iter()
             .filter(|r| pred(&r.kind))

@@ -81,7 +81,7 @@ struct Reference {
 
 impl Reference {
     fn probe(&mut self, start: u64, node: u32) -> Result<(), HotplugError> {
-        if start % SECTION_BYTES != 0 {
+        if !start.is_multiple_of(SECTION_BYTES) {
             return Err(HotplugError::Misaligned(start));
         }
         if self.sections.contains_key(&start) {
@@ -135,7 +135,7 @@ impl Reference {
     /// All-or-nothing: the lowest present section in the run fails it,
     /// otherwise every section is probed and onlined in turn.
     fn probe_online_run(&mut self, start: u64, count: u64, node: u32) -> Result<(), HotplugError> {
-        if start % SECTION_BYTES != 0 {
+        if !start.is_multiple_of(SECTION_BYTES) {
             return Err(HotplugError::Misaligned(start));
         }
         let end = start + count * SECTION_BYTES;
@@ -169,12 +169,14 @@ impl Reference {
 /// Every observable of the registry: each pooled section (start, inner
 /// address), each node's sections in order and online bytes, and the
 /// event count.
+type Observation = (Vec<Option<Section>>, Vec<(Vec<Section>, u64)>, u64);
+
 fn observe(
     section: impl Fn(u64) -> Option<Section>,
     sections_of: impl Fn(u32) -> Vec<Section>,
     online_bytes: impl Fn(u32) -> u64,
     events: u64,
-) -> (Vec<Option<Section>>, Vec<(Vec<Section>, u64)>, u64) {
+) -> Observation {
     let pooled = SECTIONS
         .iter()
         .flat_map(|&n| [n * SECTION_BYTES, n * SECTION_BYTES + SECTION_BYTES / 2])
@@ -186,7 +188,7 @@ fn observe(
     (pooled, nodes, events)
 }
 
-fn observe_real(m: &SparseMemory) -> (Vec<Option<Section>>, Vec<(Vec<Section>, u64)>, u64) {
+fn observe_real(m: &SparseMemory) -> Observation {
     observe(
         |a| m.section(a),
         |n| m.sections_of(n),
@@ -195,7 +197,7 @@ fn observe_real(m: &SparseMemory) -> (Vec<Option<Section>>, Vec<(Vec<Section>, u
     )
 }
 
-fn observe_reference(r: &Reference) -> (Vec<Option<Section>>, Vec<(Vec<Section>, u64)>, u64) {
+fn observe_reference(r: &Reference) -> Observation {
     observe(
         |a| r.sections.get(&a).copied(),
         |n| r.sections_of(n),

@@ -57,11 +57,6 @@ impl CreditCounter {
         self.max
     }
 
-    /// Whether at least one credit is available.
-    pub fn has_credit(&self) -> bool {
-        self.available > 0
-    }
-
     /// Consumes one credit if available; records starvation otherwise.
     // tflint::allow(TF013): denial is backpressure — the protocol's normal flow-control signal, not a collapsed error.
     pub fn try_consume(&mut self) -> bool {
@@ -97,16 +92,6 @@ impl CreditCounter {
         #[cfg(feature = "sanitize")]
         self.assert_conserved();
         Ok(())
-    }
-
-    /// Total credits ever consumed.
-    pub fn consumed_total(&self) -> u64 {
-        self.consumed_total
-    }
-
-    /// Total credits ever returned to the pool.
-    pub fn replenished_total(&self) -> u64 {
-        self.replenished_total
     }
 
     /// Number of sends that found no credit ("credit starvation at the
@@ -153,9 +138,8 @@ mod tests {
         assert!(c.try_consume());
         assert!(c.try_consume());
         assert!(!c.try_consume());
-        assert!(!c.has_credit());
+        assert_eq!(c.available(), 0);
         assert_eq!(c.starvation_events(), 1);
-        assert_eq!(c.consumed_total(), 2);
     }
 
     #[test]
@@ -165,7 +149,6 @@ mod tests {
         c.try_consume();
         c.replenish(2).unwrap();
         assert_eq!(c.available(), 3);
-        assert_eq!(c.replenished_total(), 2);
     }
 
     #[test]
@@ -181,7 +164,6 @@ mod tests {
         );
         // The failed return must not leak into the pool.
         assert_eq!(c.available(), 2);
-        assert_eq!(c.replenished_total(), 0);
     }
 
     #[test]

@@ -125,15 +125,9 @@ impl<T: FlitSized + Clone> LlcTx<T> {
         self.assert_flit_conservation();
     }
 
-    /// Accumulates credits that the co-located receiver wants returned to
-    /// the peer; they ride on the next sealed frame's header.
-    pub fn stage_credit_return(&mut self, n: u32) {
-        self.credit_return_pool += n;
-    }
-
     /// Drains the accumulated credit returns (used when an explicit
     /// [`Control::CreditReturn`] frame must be emitted on an idle link).
-    pub fn take_credit_returns(&mut self) -> u32 {
+    pub(crate) fn take_credit_returns(&mut self) -> u32 {
         std::mem::take(&mut self.credit_return_pool)
     }
 
@@ -235,7 +229,7 @@ impl<T: FlitSized + Clone> LlcTx<T> {
     }
 
     /// Whether delivery is complete (nothing unsent and nothing unacked).
-    pub fn all_acked(&self) -> bool {
+    pub(crate) fn all_acked(&self) -> bool {
         self.is_idle()
     }
 
@@ -279,7 +273,7 @@ impl<T: FlitSized + Clone> LlcTx<T> {
     /// Panics when a transaction leaked (e.g. a frame silently dropped
     /// from the replay buffer without being acknowledged).
     #[cfg(feature = "sanitize")]
-    pub fn assert_flit_conservation(&self) {
+    pub(crate) fn assert_flit_conservation(&self) {
         let in_ready: usize = self.ready.iter().map(Frame::txn_count).sum();
         let retained = self.replay.txn_count();
         let accounted = self.staging.len() + in_ready + retained + self.txns_acked;
@@ -340,8 +334,6 @@ pub struct LlcRx<T> {
     discards_since_request: u32,
     awaiting_replay: bool,
     frames_delivered: u64,
-    duplicates: u64,
-    gaps: u64,
     corrupt: u64,
     /// Arriving frames queue here (with their CRC verdict) before the
     /// state machine drains them. Sized by the credit discipline: the
@@ -359,8 +351,6 @@ impl<T: FlitSized + Clone> LlcRx<T> {
             discards_since_request: 0,
             awaiting_replay: false,
             frames_delivered: 0,
-            duplicates: 0,
-            gaps: 0,
             corrupt: 0,
             ingress: BoundedFifo::new(config.rx_queue_frames),
         }
@@ -381,7 +371,7 @@ impl<T: FlitSized + Clone> LlcRx<T> {
     ///
     /// [`LlcError::ControlFrameInDataPath`] when a control frame reaches
     /// the receiver — the link layer must route those to the Tx.
-    pub fn on_frame(&mut self, frame: Frame<T>, intact: bool) -> Result<RxAction<T>, LlcError> {
+    pub(crate) fn on_frame(&mut self, frame: Frame<T>, intact: bool) -> Result<RxAction<T>, LlcError> {
         let mut action = RxAction::default();
         self.accept(&frame, intact, &mut action)?;
         Ok(action)
@@ -420,14 +410,12 @@ impl<T: FlitSized + Clone> LlcRx<T> {
         if id.seq_lt(self.expected) {
             // Duplicate from an over-eager replay: discard, but re-ack so
             // the transmitter can advance its buffer.
-            self.duplicates += 1;
             out.replies.push(Control::Ack(self.expected.prev()));
             return Ok(());
         }
         if id.seq_gt(self.expected) {
             // Gap: an earlier frame was lost. The design replays strictly
             // in order, so this frame is discarded and replay requested.
-            self.gaps += 1;
             self.discards_since_request += 1;
             self.request_replay(&mut out.replies);
             return Ok(());
@@ -440,7 +428,7 @@ impl<T: FlitSized + Clone> LlcRx<T> {
         out.delivered.extend(entries.txns().cloned());
         // Cumulative acks coalesce: every Nth frame carries the ack for
         // everything before it.
-        if self.frames_delivered % self.ack_every == 0 {
+        if self.frames_delivered.is_multiple_of(self.ack_every) {
             out.replies.push(Control::Ack(id));
         }
         Ok(())
@@ -500,16 +488,6 @@ impl<T: FlitSized + Clone> LlcRx<T> {
         self.frames_delivered
     }
 
-    /// Duplicates discarded.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
-    }
-
-    /// Sequence gaps observed.
-    pub fn gaps(&self) -> u64 {
-        self.gaps
-    }
-
     /// Corrupt frames discarded.
     pub fn corrupt(&self) -> u64 {
         self.corrupt
@@ -548,7 +526,6 @@ mod tests {
         }
         assert_eq!(delivered, (0..40).map(|i| (i, 3)).collect::<Vec<_>>());
         assert!(tx.all_acked());
-        assert_eq!(rx.gaps(), 0);
         assert_eq!(tx.txns_offered(), 40);
         assert_eq!(tx.txns_acked(), 40);
     }
@@ -635,7 +612,6 @@ mod tests {
         assert_eq!(a1.delivered.len(), 1);
         let a2 = rx.on_frame(f, true).unwrap();
         assert!(a2.delivered.is_empty());
-        assert_eq!(rx.duplicates(), 1);
         assert!(a2.replies.contains(&Control::Ack(FrameId(0))));
     }
 
@@ -653,22 +629,6 @@ mod tests {
         // ignored (no doubling).
         tx.on_control(Control::ReplayRequest(FrameId(0))).unwrap();
         assert_eq!(tx.backlog(), 4);
-    }
-
-    #[test]
-    fn piggybacked_credits_ride_first_frame() {
-        let mut tx = LlcTx::new(cfg());
-        tx.stage_credit_return(5);
-        tx.offer((0, 1));
-        tx.offer((1, 1));
-        tx.seal();
-        let f = tx.next_transmittable().unwrap().unwrap();
-        match f {
-            Frame::Data {
-                piggyback_credits, ..
-            } => assert_eq!(piggyback_credits, 5),
-            _ => panic!("expected data frame"),
-        }
     }
 
     #[test]
@@ -763,7 +723,7 @@ mod tests {
         // exchange rolls straight through u64::MAX → 0.
         let mut config = cfg();
         config.initial_frame_id = u64::MAX - 1;
-        let mut tx = LlcTx::new(config.clone());
+        let mut tx = LlcTx::new(config);
         let mut rx: LlcRx<Msg> = LlcRx::new(config);
         for i in 0..6 {
             tx.offer((i, 7));
@@ -795,7 +755,6 @@ mod tests {
         }
         assert_eq!(delivered, (0..6).map(|i| (i, 7)).collect::<Vec<_>>());
         assert!(tx.all_acked());
-        assert_eq!(rx.duplicates(), 0, "wraparound produced duplicates");
     }
 
     #[test]

@@ -23,28 +23,9 @@ impl<T> FlitSized for (T, usize) {
     }
 }
 
-/// Bytes occupied by `n` flits.
-pub const fn flits_to_bytes(n: usize) -> usize {
-    n * FLIT_BYTES
-}
-
-/// Flits needed to carry `bytes` of payload (rounded up).
-pub const fn bytes_to_flits(bytes: usize) -> usize {
-    bytes.div_ceil(FLIT_BYTES)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn conversions() {
-        assert_eq!(flits_to_bytes(4), 128);
-        assert_eq!(bytes_to_flits(128), 4);
-        assert_eq!(bytes_to_flits(129), 5);
-        assert_eq!(bytes_to_flits(1), 1);
-        assert_eq!(bytes_to_flits(0), 0);
-    }
 
     #[test]
     fn tuple_is_flit_sized() {

@@ -39,7 +39,7 @@ impl FrameId {
     /// `Ord`, which breaks across the `u64::MAX → 0` wrap. The window of
     /// outstanding ids is bounded by the replay buffer (≪ 2⁶³), so the
     /// half-space rule is always unambiguous.
-    pub fn seq_cmp(self, other: FrameId) -> std::cmp::Ordering {
+    pub(crate) fn seq_cmp(self, other: FrameId) -> std::cmp::Ordering {
         if self.0 == other.0 {
             std::cmp::Ordering::Equal
         } else if other.0.wrapping_sub(self.0) < (1 << 63) {
@@ -50,22 +50,22 @@ impl FrameId {
     }
 
     /// Serial `self < other`.
-    pub fn seq_lt(self, other: FrameId) -> bool {
+    pub(crate) fn seq_lt(self, other: FrameId) -> bool {
         self.seq_cmp(other) == std::cmp::Ordering::Less
     }
 
     /// Serial `self <= other`.
-    pub fn seq_le(self, other: FrameId) -> bool {
+    pub(crate) fn seq_le(self, other: FrameId) -> bool {
         self.seq_cmp(other) != std::cmp::Ordering::Greater
     }
 
     /// Serial `self > other`.
-    pub fn seq_gt(self, other: FrameId) -> bool {
+    pub(crate) fn seq_gt(self, other: FrameId) -> bool {
         self.seq_cmp(other) == std::cmp::Ordering::Greater
     }
 
     /// Serial `self >= other`.
-    pub fn seq_ge(self, other: FrameId) -> bool {
+    pub(crate) fn seq_ge(self, other: FrameId) -> bool {
         self.seq_cmp(other) != std::cmp::Ordering::Less
     }
 }
@@ -216,26 +216,13 @@ impl<T> Frame<T> {
     }
 
     /// Number of transaction entries carried (excluding nop padding).
-    pub fn txn_count(&self) -> usize {
+    pub(crate) fn txn_count(&self) -> usize {
         match self {
             Frame::Data { entries, .. } => entries
                 .iter()
                 .filter(|e| matches!(e, Entry::Txn(_)))
                 .count(),
             Frame::Control(_) => 0,
-        }
-    }
-
-    /// The transactions carried, dropping nop padding. The payload is
-    /// shared with any retained replay copy, so the transactions are
-    /// cloned out of it.
-    pub fn into_txns(self) -> Vec<T>
-    where
-        T: Clone,
-    {
-        match self {
-            Frame::Data { entries, .. } => entries.txns().cloned().collect(),
-            Frame::Control(_) => Vec::new(),
         }
     }
 }
@@ -336,6 +323,14 @@ mod tests {
 
     type Msg = (u32, usize);
 
+    /// The transactions a frame carries, without nop padding.
+    fn txns(f: &Frame<Msg>) -> Vec<Msg> {
+        match f {
+            Frame::Data { entries, .. } => entries.txns().cloned().collect(),
+            Frame::Control(_) => Vec::new(),
+        }
+    }
+
     #[test]
     fn crc32_golden_values() {
         // Standard check value for "123456789".
@@ -365,13 +360,12 @@ mod tests {
     fn messages_never_split_across_frames() {
         // 7 payload flits; a 5-flit then a 4-flit message must occupy two
         // frames (4 doesn't fit after 5).
-        let txns: Vec<Msg> = vec![(1, 5), (2, 4)];
-        let (frames, _) = assemble(txns, 8, FrameId(10), 0);
+        let (frames, _) = assemble(vec![(1, 5), (2, 4)], 8, FrameId(10), 0);
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0].id(), Some(FrameId(10)));
         assert_eq!(frames[1].id(), Some(FrameId(11)));
-        assert_eq!(frames[0].clone().into_txns(), vec![(1, 5)]);
-        assert_eq!(frames[1].clone().into_txns(), vec![(2, 4)]);
+        assert_eq!(txns(&frames[0]), vec![(1, 5)]);
+        assert_eq!(txns(&frames[1]), vec![(2, 4)]);
     }
 
     #[test]
@@ -421,7 +415,7 @@ mod tests {
         assert_eq!(f.flits(), 1);
         assert_eq!(f.wire_bytes(), 32);
         assert!(f.id().is_none());
-        assert!(f.into_txns().is_empty());
+        assert!(txns(&f).is_empty());
     }
 
     #[test]
@@ -441,8 +435,5 @@ mod tests {
             }
             _ => panic!("expected data frames"),
         }
-        // A sole owner moves entries out without cloning; a shared one
-        // clones — either way the transactions are identical.
-        assert_eq!(copy.into_txns(), frames[0].clone().into_txns());
     }
 }

@@ -101,15 +101,9 @@ impl LlcConfig {
         }
     }
 
-    /// Frame payload size in bytes (`frame_flits × 32 B`).
-    pub fn frame_bytes(&self) -> u64 {
-        // tflint::allow(TF005): usize → u64 widens on every supported target.
-        (self.frame_flits * flit::FLIT_BYTES) as u64
-    }
-
     /// The initial credit pool: one credit per Rx ingress slot, clamped
     /// to the `u32` credit space the wire format carries.
-    pub fn rx_queue_credits(&self) -> u32 {
+    pub(crate) fn rx_queue_credits(&self) -> u32 {
         u32::try_from(self.rx_queue_frames).unwrap_or(u32::MAX)
     }
 
@@ -147,7 +141,6 @@ mod config_tests {
         let c = LlcConfig::datapath_default();
         c.validate();
         assert_eq!(c.frame_flits, 9);
-        assert_eq!(c.frame_bytes(), 9 * 32);
         assert!(c.replay_window >= c.rx_queue_frames);
         assert!(c.ack_every < c.rx_queue_frames as u64);
     }

@@ -92,7 +92,7 @@ impl<T: FlitSized + Clone> LlcLink<T> {
 
     /// Builds a link over caller-provided channels (e.g. bonded or
     /// switch-traversing ones).
-    pub fn with_channels(config: LlcConfig, chan_ab: Channel, chan_ba: Channel) -> Self {
+    pub(crate) fn with_channels(config: LlcConfig, chan_ab: Channel, chan_ba: Channel) -> Self {
         LlcLink {
             tx_a: LlcTx::new(config),
             rx_a: LlcRx::new(config),
@@ -273,11 +273,6 @@ impl<T: FlitSized + Clone> LlcLink<T> {
     /// Statistics of the A-side transmitter.
     pub fn tx_a(&self) -> &LlcTx<T> {
         &self.tx_a
-    }
-
-    /// Statistics of the B-side receiver.
-    pub fn rx_b(&self) -> &LlcRx<T> {
-        &self.rx_b
     }
 
     /// Asserts flit conservation on both transmitters and credit

@@ -33,7 +33,6 @@ use crate::frame::{Frame, FrameId};
 pub struct ReplayBuffer<T> {
     frames: VecDeque<Frame<T>>,
     capacity: usize,
-    replays_served: u64,
 }
 
 impl<T: Clone> ReplayBuffer<T> {
@@ -47,12 +46,11 @@ impl<T: Clone> ReplayBuffer<T> {
         ReplayBuffer {
             frames: VecDeque::new(),
             capacity,
-            replays_served: 0,
         }
     }
 
     /// Whether another frame can be retained.
-    pub fn has_room(&self) -> bool {
+    pub(crate) fn has_room(&self) -> bool {
         self.frames.len() < self.capacity
     }
 
@@ -61,7 +59,7 @@ impl<T: Clone> ReplayBuffer<T> {
     /// # Errors
     ///
     /// [`LlcError::ReplayOverflow`] if the buffer is full (the Tx must
-    /// check [`Self::has_room`] before transmitting),
+    /// check for room before transmitting),
     /// [`LlcError::ControlFrameInDataPath`] if the frame is not a data
     /// frame, and [`LlcError::NonSequentialRetention`] if the frame id is
     /// not the successor of the last retained frame.
@@ -106,8 +104,7 @@ impl<T: Clone> ReplayBuffer<T> {
     /// Returns clones of every retained frame with id serially ≥ `from`,
     /// in order. Frames older than `from` were already received and are
     /// skipped.
-    pub fn frames_from(&mut self, from: FrameId) -> Vec<Frame<T>> {
-        self.replays_served += 1;
+    pub fn frames_from(&self, from: FrameId) -> Vec<Frame<T>> {
         self.frames
             .iter()
             .filter(|f| f.id().is_some_and(|id| id.seq_ge(from)))
@@ -126,7 +123,8 @@ impl<T: Clone> ReplayBuffer<T> {
     }
 
     /// Total transactions carried by the retained frames.
-    pub fn txn_count(&self) -> usize {
+    #[cfg(feature = "sanitize")]
+    pub(crate) fn txn_count(&self) -> usize {
         self.frames.iter().map(Frame::txn_count).sum()
     }
 
@@ -135,16 +133,11 @@ impl<T: Clone> ReplayBuffer<T> {
         self.frames.is_empty()
     }
 
-    /// Replay requests served so far.
-    pub fn replays_served(&self) -> u64 {
-        self.replays_served
-    }
-
     /// Sanitizer test hook: silently discards the oldest retained frame
     /// *without* accounting for its transactions, deliberately violating
     /// flit conservation so tests can prove the checker catches leaks.
     #[cfg(feature = "sanitize")]
-    pub fn leak_one(&mut self) -> Option<Frame<T>> {
+    pub(crate) fn leak_one(&mut self) -> Option<Frame<T>> {
         self.frames.pop_front()
     }
 }
@@ -181,7 +174,6 @@ mod tests {
         let frames = rb.frames_from(FrameId(3));
         let ids: Vec<u64> = frames.iter().map(|f| f.id().unwrap().0).collect();
         assert_eq!(ids, vec![3, 4]);
-        assert_eq!(rb.replays_served(), 1);
     }
 
     #[test]

@@ -163,7 +163,7 @@ pub fn encode<T: WireCodec>(frame: &Frame<T>) -> Vec<u8> {
 ///
 /// Returns the reason the frame must be discarded (and replayed).
 pub fn decode<T: WireCodec>(bytes: &[u8]) -> Result<Frame<T>, WireError> {
-    if bytes.len() < FLIT_BYTES || bytes.len() % FLIT_BYTES != 0 {
+    if bytes.len() < FLIT_BYTES || !bytes.len().is_multiple_of(FLIT_BYTES) {
         return Err(WireError::BadLength(bytes.len()));
     }
     if &bytes[0..2] != b"TF" {

@@ -47,11 +47,6 @@ impl DirectAttachCable {
         Self::metres(5.25)
     }
 
-    /// Cable length in metres.
-    pub fn length_m(&self) -> f64 {
-        self.length_dm as f64 / 10.0
-    }
-
     /// One-way propagation delay.
     pub fn propagation_delay(&self) -> SimTime {
         SimTime::from_ps(self.length_dm as u64 * PS_PER_METRE / 10)

@@ -54,11 +54,6 @@ impl Channel {
         self.line.rate()
     }
 
-    /// Number of currently-working bonded lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
     /// Number of lanes lost to [`Channel::fail_lane`] so far.
     pub fn lanes_failed(&self) -> usize {
         self.lanes_failed
@@ -168,11 +163,6 @@ impl Channel {
         self.faults.drops() + self.down_drops
     }
 
-    /// Frames swallowed while the channel was hard-down.
-    pub fn down_drops(&self) -> u64 {
-        self.down_drops
-    }
-
     /// Frames corrupted by injected faults so far.
     pub fn frames_corrupted(&self) -> u64 {
         self.faults.corruptions()
@@ -207,17 +197,6 @@ impl ChannelBuilder {
     /// Overrides the lane type.
     pub fn lane(mut self, lane: SerdesLane) -> Self {
         self.lane = lane;
-        self
-    }
-
-    /// Overrides the number of bonded lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        assert!(lanes > 0, "a channel needs at least one lane");
-        self.lanes = lanes;
         self
     }
 
@@ -342,7 +321,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(ch.transmit(SimTime::ZERO, 64), Delivery::Dropped);
         }
-        assert_eq!(ch.down_drops(), 10);
         assert_eq!(ch.frames_dropped(), 10);
         // A restored link delivers again (link flap round trip).
         ch.set_down(false);
@@ -357,7 +335,6 @@ mod tests {
         let mut ch = ChannelBuilder::thymesisflow_default().build();
         let four_lane = ch.payload_rate().bytes_per_sec();
         assert_eq!(ch.fail_lane(), 3);
-        assert_eq!(ch.lanes(), 3);
         assert_eq!(ch.lanes_failed(), 1);
         let three_lane = ch.payload_rate().bytes_per_sec();
         assert!((three_lane / four_lane - 0.75).abs() < 1e-9);
@@ -370,7 +347,10 @@ mod tests {
 
     #[test]
     fn failing_the_last_lane_takes_the_channel_down() {
-        let mut ch = ChannelBuilder::thymesisflow_default().lanes(1).build();
+        let mut ch = ChannelBuilder::thymesisflow_default().build();
+        for left in [3, 2, 1] {
+            assert_eq!(ch.fail_lane(), left);
+        }
         let one_lane = ch.payload_rate();
         assert_eq!(ch.fail_lane(), 0);
         assert!(ch.is_down());
@@ -379,13 +359,5 @@ mod tests {
         assert_eq!(ch.transmit(SimTime::ZERO, 64), Delivery::Dropped);
         // Further fail_lane calls are harmless no-ops.
         assert_eq!(ch.fail_lane(), 0);
-    }
-
-    #[test]
-    fn single_lane_is_quarter_rate() {
-        let one = ChannelBuilder::thymesisflow_default().lanes(1).build();
-        let four = ChannelBuilder::thymesisflow_default().build();
-        let ratio = four.payload_rate().bytes_per_sec() / one.payload_rate().bytes_per_sec();
-        assert!((ratio - 4.0).abs() < 1e-9);
     }
 }

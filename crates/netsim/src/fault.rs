@@ -44,25 +44,8 @@ impl FaultSpec {
         }
     }
 
-    /// Converts a bit-error rate into a per-frame corruption probability
-    /// for frames of `frame_bits` bits: `1 - (1 - ber)^bits`.
-    ///
-    /// Evaluated as `-expm1(bits * ln1p(-ber))`: the naive form computes
-    /// `1.0 - ber` first, which rounds to exactly `1.0` for `ber ≲ 1e-16`
-    /// and silently turns realistic serDES error rates into a lossless
-    /// link. `ln_1p`/`exp_m1` keep the result accurate down to
-    /// subnormal BERs.
-    pub fn from_ber(ber: f64, frame_bits: u64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&ber),
-            "bit-error rate must be in [0, 1]"
-        );
-        let p = -(frame_bits as f64 * (-ber).ln_1p()).exp_m1();
-        Self::new(0.0, p.clamp(0.0, 1.0))
-    }
-
     /// Whether any fault can occur.
-    pub fn is_lossless(&self) -> bool {
+    pub(crate) fn is_lossless(&self) -> bool {
         // Probabilities are validated non-negative, so ≤ 0 means exactly 0
         // without an exact float comparison.
         self.drop_prob <= 0.0 && self.corrupt_prob <= 0.0
@@ -141,12 +124,12 @@ impl FaultInjector {
     }
 
     /// Frames lost so far.
-    pub fn drops(&self) -> u64 {
+    pub(crate) fn drops(&self) -> u64 {
         self.drops
     }
 
     /// Frames corrupted so far.
-    pub fn corruptions(&self) -> u64 {
+    pub(crate) fn corruptions(&self) -> u64 {
         self.corruptions
     }
 
@@ -190,33 +173,6 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(a.roll(), b.roll());
         }
-    }
-
-    #[test]
-    fn ber_conversion() {
-        // 1e-12 BER over a 2048-bit frame: ~2e-9 corruption probability.
-        let spec = FaultSpec::from_ber(1e-12, 2048);
-        assert!(spec.corrupt_prob > 1.9e-9 && spec.corrupt_prob < 2.1e-9);
-        assert_eq!(spec.drop_prob, 0.0);
-    }
-
-    #[test]
-    fn ber_conversion_survives_tiny_rates() {
-        // Regression: the naive `1 - (1 - ber)^bits` form rounds
-        // `1.0 - 1e-18` to exactly 1.0 in f64 and reported a lossless
-        // link. For p ≪ 1 the exact answer is ≈ ber × bits.
-        let spec = FaultSpec::from_ber(1e-18, 2048);
-        let expect = 1e-18 * 2048.0;
-        assert!(
-            spec.corrupt_prob > expect * 0.999 && spec.corrupt_prob < expect * 1.001,
-            "corrupt_prob {} vs expected {expect}",
-            spec.corrupt_prob
-        );
-        // And the stable form still agrees with the naive one where the
-        // naive one is accurate.
-        let spec = FaultSpec::from_ber(1e-6, 4096);
-        let naive = 1.0 - (1.0 - 1e-6f64).powf(4096.0);
-        assert!((spec.corrupt_prob - naive).abs() < 1e-12);
     }
 
     #[test]

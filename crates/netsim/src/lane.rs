@@ -62,11 +62,6 @@ impl SerdesLane {
         }
     }
 
-    /// Raw line rate in Gbit/s.
-    pub fn raw_gbit(&self) -> f64 {
-        self.raw_gbit
-    }
-
     /// Payload rate after encoding overhead.
     pub fn payload_rate(&self) -> Rate {
         Rate::from_gbit_per_sec(self.raw_gbit * self.encoding_num as f64 / self.encoding_den as f64)
@@ -98,7 +93,6 @@ mod tests {
     #[test]
     fn default_matches_prototype() {
         let lane = SerdesLane::default();
-        assert_eq!(lane.raw_gbit(), 25.0);
         assert_eq!(lane.crossing_latency(), SimTime::from_ns(75));
     }
 
@@ -114,7 +108,6 @@ mod tests {
     fn asic_variant_shrinks_crossing() {
         let asic = SerdesLane::gty_25g().with_crossing(SimTime::from_ns(25));
         assert_eq!(asic.crossing_latency().as_ns(), 25);
-        assert_eq!(asic.raw_gbit(), 25.0);
     }
 
     #[test]

@@ -61,8 +61,8 @@ impl std::error::Error for SwitchError {}
 /// A non-blocking circuit switch with a fixed port count.
 ///
 /// Circuits are bidirectional port pairs. Establishing or tearing down a
-/// circuit costs [`CircuitSwitch::reconfiguration_latency`]; traversal
-/// costs [`CircuitSwitch::traversal_latency`].
+/// circuit costs one reconfiguration latency; traversal costs
+/// [`CircuitSwitch::traversal_latency`].
 ///
 /// # Example
 ///
@@ -110,16 +110,6 @@ impl CircuitSwitch {
         Self::new(ports, SimTime::from_us(25), SimTime::from_ns(30))
     }
 
-    /// Number of ports.
-    pub fn port_count(&self) -> u32 {
-        self.ports
-    }
-
-    /// Latency to (re)configure a circuit.
-    pub fn reconfiguration_latency(&self) -> SimTime {
-        self.reconfig
-    }
-
     /// Per-frame traversal latency of an established circuit.
     pub fn traversal_latency(&self) -> SimTime {
         self.traversal
@@ -143,9 +133,8 @@ impl CircuitSwitch {
     }
 
     /// Marks a port failed: any circuit through it is torn down (one
-    /// reconfiguration) and the port is excluded from future circuits
-    /// until [`CircuitSwitch::repair_port`]. Returns the orphaned peer
-    /// port, if a circuit was cut.
+    /// reconfiguration) and the port is excluded from future circuits.
+    /// Returns the orphaned peer port, if a circuit was cut.
     ///
     /// # Errors
     ///
@@ -161,25 +150,9 @@ impl CircuitSwitch {
         Ok(peer)
     }
 
-    /// Returns a failed port to service.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the port is unknown.
-    pub fn repair_port(&mut self, p: PortId) -> Result<(), SwitchError> {
-        self.check_port(p)?;
-        self.failed.remove(&p);
-        Ok(())
-    }
-
     /// Whether a port is currently marked failed.
     pub fn is_port_failed(&self, p: PortId) -> bool {
         self.failed.contains(&p)
-    }
-
-    /// Ports currently marked failed, in ascending order.
-    pub fn failed_ports(&self) -> Vec<PortId> {
-        self.failed.iter().copied().collect()
     }
 
     /// Establishes a bidirectional circuit; returns the instant it is
@@ -346,7 +319,6 @@ mod tests {
         assert_eq!(s.peer(PortId(1)), None);
         assert_eq!(s.circuit_count(), 0);
         assert!(s.is_port_failed(PortId(0)));
-        assert_eq!(s.failed_ports(), vec![PortId(0)]);
         // The failed port rejects new circuits; allocation routes around.
         assert_eq!(
             s.connect(PortId(0), PortId(2), SimTime::ZERO),
@@ -355,10 +327,6 @@ mod tests {
         let (a, b, _) = s.alloc_circuit(SimTime::ZERO).unwrap();
         assert_eq!((a, b), (PortId(1), PortId(2)));
         assert_eq!(s.free_ports(), vec![PortId(3)]);
-        // Repair returns it to the free pool.
-        s.repair_port(PortId(0)).unwrap();
-        assert!(!s.is_port_failed(PortId(0)));
-        assert_eq!(s.free_ports(), vec![PortId(0), PortId(3)]);
     }
 
     #[test]

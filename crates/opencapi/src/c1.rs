@@ -114,20 +114,6 @@ impl C1Port {
         self.pasids.register(pasid, region)
     }
 
-    /// Revokes a registration.
-    ///
-    /// # Errors
-    ///
-    /// See [`PasidTable::unregister`].
-    pub fn unregister(&mut self, pasid: Pasid) -> Result<Region, PasidError> {
-        self.pasids.unregister(pasid)
-    }
-
-    /// The PASID table (for inspection).
-    pub fn pasids(&self) -> &PasidTable {
-        &self.pasids
-    }
-
     /// Masters one transaction into host memory; returns the instant the
     /// port completes it (excluding DRAM service, which the host model
     /// adds).
@@ -179,11 +165,6 @@ impl C1Port {
     /// Transactions rejected so far.
     pub fn faulted(&self) -> u64 {
         self.faulted
-    }
-
-    /// Bytes moved through the engine.
-    pub fn bytes_moved(&self) -> u64 {
-        self.engine.bytes_sent()
     }
 }
 
@@ -251,14 +232,5 @@ mod tests {
         }
         let gib = (n * 128) as f64 / now.as_secs_f64() / (1u64 << 30) as f64;
         assert!((gib - 16.0).abs() < 1.0, "sustained {gib} GiB/s");
-    }
-
-    #[test]
-    fn unregister_revokes() {
-        let mut c1 = port_with_region();
-        c1.unregister(Pasid(7)).unwrap();
-        assert!(c1
-            .master(SimTime::ZERO, &MemRequest::read(0, 0x100_0000), Pasid(7))
-            .is_err());
     }
 }

@@ -101,7 +101,7 @@ impl M1Endpoint {
     pub fn new(window_base: u64, window_len: u64) -> Self {
         assert!(window_len > 0, "empty M1 window");
         assert!(
-            window_base % 128 == 0 && window_len % 128 == 0,
+            window_base.is_multiple_of(128) && window_len.is_multiple_of(128),
             "M1 window must be cacheline aligned"
         );
         M1Endpoint {
@@ -117,13 +117,8 @@ impl M1Endpoint {
         self.window_base
     }
 
-    /// Length of the assigned window in bytes.
-    pub fn window_len(&self) -> u64 {
-        self.window_len
-    }
-
     /// Whether a real address falls inside the window.
-    pub fn covers(&self, addr: u64) -> bool {
+    pub(crate) fn covers(&self, addr: u64) -> bool {
         addr >= self.window_base && addr - self.window_base < self.window_len
     }
 

@@ -94,7 +94,7 @@ impl PasidTable {
     /// Fails if the PASID is taken or the region is not cacheline
     /// aligned and sized.
     pub fn register(&mut self, pasid: Pasid, region: Region) -> Result<(), PasidError> {
-        if region.ea_base % 128 != 0 || region.len % 128 != 0 || region.len == 0 {
+        if !region.ea_base.is_multiple_of(128) || !region.len.is_multiple_of(128) || region.len == 0 {
             return Err(PasidError::Misaligned);
         }
         if self.entries.contains_key(&pasid) {
@@ -102,17 +102,6 @@ impl PasidTable {
         }
         self.entries.insert(pasid, region);
         Ok(())
-    }
-
-    /// Removes a registration, returning its region.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the PASID is unknown.
-    pub fn unregister(&mut self, pasid: Pasid) -> Result<Region, PasidError> {
-        self.entries
-            .remove(&pasid)
-            .ok_or(PasidError::Unknown(pasid))
     }
 
     /// Whether an access is authorized under the given PASID.
@@ -202,15 +191,5 @@ mod tests {
             ),
             Err(PasidError::Misaligned)
         );
-    }
-
-    #[test]
-    fn unregister_revokes_access() {
-        let mut t = PasidTable::new();
-        t.register(Pasid(9), region()).unwrap();
-        let r = t.unregister(Pasid(9)).unwrap();
-        assert_eq!(r, region());
-        assert!(!t.authorizes(Pasid(9), 0x1000, 128));
-        assert_eq!(t.unregister(Pasid(9)), Err(PasidError::Unknown(Pasid(9))));
     }
 }

@@ -12,9 +12,6 @@ use llc::flit::FlitSized;
 /// POWER9 cacheline size: every ld/st transaction moves 128 bytes.
 pub const CACHELINE_BYTES: u32 = 128;
 
-/// Payload flits for one cacheline on the 32 B datapath.
-pub const CACHELINE_FLITS: usize = (CACHELINE_BYTES as usize) / llc::flit::FLIT_BYTES;
-
 /// Transaction tag correlating requests and responses.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
@@ -70,8 +67,8 @@ impl MemRequest {
     }
 
     /// Whether the address is aligned to the transaction size.
-    pub fn is_aligned(&self) -> bool {
-        self.bytes.is_power_of_two() && self.addr % self.bytes as u64 == 0
+    pub(crate) fn is_aligned(&self) -> bool {
+        self.bytes.is_power_of_two() && self.addr.is_multiple_of(self.bytes as u64)
     }
 
     /// The matching response.
@@ -125,7 +122,6 @@ mod tests {
 
     #[test]
     fn cacheline_geometry() {
-        assert_eq!(CACHELINE_FLITS, 4);
         let r = MemRequest::read(1, 0x1000);
         assert_eq!(r.bytes, 128);
         assert!(r.is_aligned());

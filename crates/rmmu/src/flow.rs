@@ -39,57 +39,9 @@ impl fmt::Display for FlowId {
     }
 }
 
-/// Allocates unique network identifiers.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct NetworkIdAllocator {
-    next: u32,
-    released: Vec<u32>,
-}
-
-impl NetworkIdAllocator {
-    /// Creates an allocator starting at id 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Allocates a fresh (or recycled) identifier.
-    pub fn allocate(&mut self) -> NetworkId {
-        if let Some(id) = self.released.pop() {
-            return NetworkId(id);
-        }
-        let id = self.next;
-        self.next += 1;
-        NetworkId(id)
-    }
-
-    /// Returns an identifier to the pool.
-    pub fn release(&mut self, id: NetworkId) {
-        debug_assert!(!self.released.contains(&id.0), "double release of {id}");
-        self.released.push(id.0);
-    }
-
-    /// Identifiers currently outstanding.
-    pub fn outstanding(&self) -> usize {
-        self.next as usize - self.released.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ids_are_unique_until_released() {
-        let mut alloc = NetworkIdAllocator::new();
-        let a = alloc.allocate();
-        let b = alloc.allocate();
-        assert_ne!(a, b);
-        assert_eq!(alloc.outstanding(), 2);
-        alloc.release(a);
-        assert_eq!(alloc.outstanding(), 1);
-        let c = alloc.allocate();
-        assert_eq!(c, a); // recycled
-    }
 
     #[test]
     fn display_formats() {

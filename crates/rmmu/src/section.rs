@@ -254,7 +254,7 @@ impl SectionTable {
         if index >= self.sections {
             return Err(RmmuError::BadIndex(index));
         }
-        if entry.remote_ea_base % 128 != 0 {
+        if !entry.remote_ea_base.is_multiple_of(128) {
             return Err(RmmuError::Misaligned(entry.remote_ea_base));
         }
         if lookup(&self.roots, index).is_some() {
@@ -430,8 +430,8 @@ mod tests {
         t.program(1, SectionEntry::new(0xA000_0000, NetworkId(9)).bonded())
             .unwrap();
         let size = t.section_size();
-        let got = t.translate(DeviceAddress::new(size + 0x420_00)).unwrap();
-        assert_eq!(got.remote_ea.as_u64(), 0xA000_0000 + 0x420_00);
+        let got = t.translate(DeviceAddress::new(size + 0x4_2000)).unwrap();
+        assert_eq!(got.remote_ea.as_u64(), 0xA000_0000 + 0x4_2000);
         assert_eq!(got.network, NetworkId(9));
         assert!(got.bonded);
         assert_eq!(got.section, 1);

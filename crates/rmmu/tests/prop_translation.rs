@@ -57,7 +57,7 @@ impl Reference {
             .entries
             .get(index as usize)
             .ok_or(RmmuError::BadIndex(index))?;
-        if entry.remote_ea_base % 128 != 0 {
+        if !entry.remote_ea_base.is_multiple_of(128) {
             return Err(RmmuError::Misaligned(entry.remote_ea_base));
         }
         if slot.is_some() {

@@ -66,8 +66,6 @@ pub enum RouteError {
     EmptyChannelSet,
     /// A route for this flow already exists.
     DuplicateRoute(NetworkId),
-    /// The channel is already part of the flow's route.
-    DuplicateChannel(ChannelId),
 }
 
 impl fmt::Display for RouteError {
@@ -76,7 +74,6 @@ impl fmt::Display for RouteError {
             RouteError::NoRoute(n) => write!(f, "no route installed for {n}"),
             RouteError::EmptyChannelSet => write!(f, "route needs at least one channel"),
             RouteError::DuplicateRoute(n) => write!(f, "route for {n} already installed"),
-            RouteError::DuplicateChannel(c) => write!(f, "channel {c} already in the route"),
         }
     }
 }
@@ -87,14 +84,12 @@ impl std::error::Error for RouteError {}
 struct RouteEntry {
     channels: Vec<ChannelId>,
     cursor: usize,
-    forwarded: u64,
 }
 
-/// The per-endpoint routing table.
+/// The per-endpoint routing table: each flow's channels, by network id.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct Router {
     routes: BTreeMap<NetworkId, RouteEntry>,
-    per_channel: BTreeMap<ChannelId, u64>,
 }
 
 impl Router {
@@ -125,7 +120,6 @@ impl Router {
             RouteEntry {
                 channels,
                 cursor: 0,
-                forwarded: 0,
             },
         );
         Ok(())
@@ -156,67 +150,17 @@ impl Router {
             .routes
             .get_mut(&network)
             .ok_or(RouteError::NoRoute(network))?;
-        let ch = if bonded {
-            let ch = route.channels[route.cursor % route.channels.len()];
-            route.cursor = (route.cursor + 1) % route.channels.len();
-            ch
-        } else {
-            route.channels[0]
-        };
-        route.forwarded += 1;
-        *self.per_channel.entry(ch).or_insert(0) += 1;
+        if !bonded {
+            return Ok(route.channels[0]);
+        }
+        let ch = route.channels[route.cursor % route.channels.len()];
+        route.cursor = (route.cursor + 1) % route.channels.len();
         Ok(ch)
     }
 
-    /// Grows an installed route by one channel (multi-endpoint fan-out:
-    /// a flow upgraded to bonding, or a fabric adding capacity to a live
-    /// lease). Round-robin resumes over the widened set.
-    ///
-    /// # Errors
-    ///
-    /// Fails if no route exists for the flow or the channel is already
-    /// part of it.
-    pub fn add_channel(
-        &mut self,
-        network: NetworkId,
-        channel: ChannelId,
-    ) -> Result<(), RouteError> {
-        let route = self
-            .routes
-            .get_mut(&network)
-            .ok_or(RouteError::NoRoute(network))?;
-        if route.channels.contains(&channel) {
-            return Err(RouteError::DuplicateChannel(channel));
-        }
-        route.channels.push(channel);
-        Ok(())
-    }
-
-    /// Channels a flow may use.
+    /// The channels a flow may use, in route order.
     pub fn channels_of(&self, network: NetworkId) -> Option<&[ChannelId]> {
         self.routes.get(&network).map(|r| r.channels.as_slice())
-    }
-
-    /// The installed flows, sorted (fabric introspection and teardown).
-    pub fn networks(&self) -> Vec<NetworkId> {
-        let mut out: Vec<NetworkId> = self.routes.keys().copied().collect();
-        out.sort();
-        out
-    }
-
-    /// Transactions forwarded for a flow.
-    pub fn forwarded(&self, network: NetworkId) -> u64 {
-        self.routes.get(&network).map_or(0, |r| r.forwarded)
-    }
-
-    /// Transactions forwarded on a channel (across all flows).
-    pub fn channel_load(&self, ch: ChannelId) -> u64 {
-        self.per_channel.get(&ch).copied().unwrap_or(0)
-    }
-
-    /// Installed flow count.
-    pub fn route_count(&self) -> usize {
-        self.routes.len()
     }
 }
 
@@ -241,8 +185,6 @@ mod tests {
                 ChannelId(1)
             ]
         );
-        assert_eq!(r.channel_load(ChannelId(0)), 3);
-        assert_eq!(r.channel_load(ChannelId(1)), 3);
     }
 
     #[test]
@@ -253,7 +195,6 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(r.forward(NetworkId(2), false).unwrap(), ChannelId(3));
         }
-        assert_eq!(r.channel_load(ChannelId(4)), 0);
     }
 
     #[test]
@@ -265,43 +206,11 @@ mod tests {
         r.add_route(NetworkId(1), vec![ChannelId(0), ChannelId(1)])
             .unwrap();
         r.add_route(NetworkId(2), vec![ChannelId(0)]).unwrap();
-        r.forward(NetworkId(1), true).unwrap();
-        r.forward(NetworkId(2), false).unwrap();
-        r.forward(NetworkId(1), true).unwrap();
-        r.forward(NetworkId(2), false).unwrap();
-        assert_eq!(r.channel_load(ChannelId(0)), 3);
-        assert_eq!(r.channel_load(ChannelId(1)), 1);
-    }
-
-    #[test]
-    fn route_grows_one_channel_at_a_time() {
-        let mut r = Router::new();
-        r.add_route(NetworkId(1), vec![ChannelId(0)]).unwrap();
-        // Unbonded traffic sticks to the first channel even after growth.
-        r.add_channel(NetworkId(1), ChannelId(1)).unwrap();
-        assert_eq!(r.channels_of(NetworkId(1)).unwrap().len(), 2);
-        assert_eq!(r.forward(NetworkId(1), false).unwrap(), ChannelId(0));
-        // Bonded traffic round-robins over the widened set.
-        let picks: Vec<ChannelId> =
-            (0..4).map(|_| r.forward(NetworkId(1), true).unwrap()).collect();
-        assert!(picks.contains(&ChannelId(1)));
-        assert_eq!(
-            r.add_channel(NetworkId(1), ChannelId(1)),
-            Err(RouteError::DuplicateChannel(ChannelId(1)))
-        );
-        assert_eq!(
-            r.add_channel(NetworkId(9), ChannelId(0)),
-            Err(RouteError::NoRoute(NetworkId(9)))
-        );
-    }
-
-    #[test]
-    fn networks_lists_installed_flows_sorted() {
-        let mut r = Router::new();
-        assert!(r.networks().is_empty());
-        r.add_route(NetworkId(5), vec![ChannelId(0)]).unwrap();
-        r.add_route(NetworkId(2), vec![ChannelId(1)]).unwrap();
-        assert_eq!(r.networks(), vec![NetworkId(2), NetworkId(5)]);
+        let picks: Vec<ChannelId> = [(1, true), (2, false), (1, true), (2, false)]
+            .into_iter()
+            .map(|(n, bonded)| r.forward(NetworkId(n), bonded).unwrap())
+            .collect();
+        assert_eq!(picks, [ChannelId(0), ChannelId(0), ChannelId(1), ChannelId(0)]);
     }
 
     #[test]
@@ -327,6 +236,6 @@ mod tests {
             r.remove_route(NetworkId(1)),
             Err(RouteError::NoRoute(NetworkId(1)))
         );
-        assert_eq!(r.route_count(), 0);
+        assert_eq!(r.channels_of(NetworkId(1)), None);
     }
 }

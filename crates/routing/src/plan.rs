@@ -15,11 +15,11 @@ use opencapi::pasid::Pasid;
 use rmmu::flow::NetworkId;
 
 /// The donor-side effective address every plan is based at.
-pub const DONOR_EA_BASE: u64 = 0x7000_0000_0000;
+pub(crate) const DONOR_EA_BASE: u64 = 0x7000_0000_0000;
 
 /// Address-space stride between donors: 1 TiB apart, so donor windows
 /// can never alias whatever share size a rack hands out.
-pub const DONOR_EA_STRIDE: u64 = 0x0100_0000_0000;
+pub(crate) const DONOR_EA_STRIDE: u64 = 0x0100_0000_0000;
 
 /// The identity of one software-defined flow: the network it is routed
 /// on, the PASID its translations are tagged with, where in the
@@ -38,7 +38,7 @@ pub struct FlowPlan {
 
 impl FlowPlan {
     /// The reference point-to-point flow: network 1, PASID 42, donor EA
-    /// [`DONOR_EA_BASE`] — the constants the monolithic `Datapath`
+    /// `0x7000_0000_0000` — the constants the monolithic `Datapath`
     /// hardwired before the fabric existed.
     pub fn reference() -> Self {
         FlowPlan {
@@ -50,8 +50,8 @@ impl FlowPlan {
     }
 
     /// The plan for fan-out donor `d`: network `d+1` (networks are
-    /// 1-based), PASID `100+d`, donor EA staggered by
-    /// [`DONOR_EA_STRIDE`], labelled `donor{d}`.
+    /// 1-based), PASID `100+d`, donor EA staggered 1 TiB apart from
+    /// `0x7000_0000_0000`, labelled `donor{d}`.
     pub fn donor(d: usize) -> Self {
         // Donor counts are rack-scale; u32 is never exceeded.
         let dn = d as u32;

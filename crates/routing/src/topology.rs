@@ -307,7 +307,7 @@ impl Mesh {
     }
 
     /// Adds a switch node named `name`, returning its id.
-    pub fn add_switch(&mut self, name: &str) -> NodeId {
+    pub(crate) fn add_switch(&mut self, name: &str) -> NodeId {
         self.add_node(name, NodeKind::Switch)
     }
 
@@ -349,7 +349,7 @@ impl Mesh {
     }
 
     /// Marks `hub` as the degenerate fan-out hub (see [`Mesh`] docs).
-    pub fn set_hub(&mut self, hub: NodeId) {
+    pub(crate) fn set_hub(&mut self, hub: NodeId) {
         self.hub = Some(hub);
     }
 

@@ -65,15 +65,6 @@ impl Rate {
             (bytes as f64 / self.bytes_per_sec * 1e12).round(),
         ))
     }
-
-    /// Scales the rate by a factor (e.g. encoding overhead).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is non-positive.
-    pub fn scaled(self, factor: f64) -> Rate {
-        Self::from_bytes_per_sec(self.bytes_per_sec * factor)
-    }
 }
 
 /// A serialized transmission resource (one link direction, one memory
@@ -176,26 +167,6 @@ impl SerializedLine {
     }
 }
 
-/// Fair bandwidth sharing: given `n` concurrent streams on a resource of
-/// capacity `cap`, each stream gets `cap/n` but never more than its own
-/// demand. Returns the per-stream achieved rate.
-///
-/// ```
-/// use simkit::bandwidth::{fair_share, Rate};
-/// let cap = Rate::from_gib_per_sec(12.5);
-/// let got = fair_share(cap, 4, Rate::from_gib_per_sec(2.0));
-/// assert!((got.as_gib_per_sec() - 2.0).abs() < 1e-9); // demand-limited
-/// let got = fair_share(cap, 4, Rate::from_gib_per_sec(5.0));
-/// assert!((got.as_gib_per_sec() - 3.125).abs() < 1e-9); // capacity-limited
-/// ```
-pub fn fair_share(capacity: Rate, streams: usize, demand: Rate) -> Rate {
-    if streams == 0 {
-        return demand;
-    }
-    let share = capacity.bytes_per_sec() / streams as f64;
-    Rate::from_bytes_per_sec(share.min(demand.bytes_per_sec()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,14 +206,6 @@ mod tests {
         let horizon = SimTime::from_ns(1000);
         assert!((line.utilization(horizon) - 0.5).abs() < 1e-9);
         assert!((line.throughput(horizon) - 500.0 / 1e-6).abs() < 1.0);
-    }
-
-    #[test]
-    fn encoding_overhead_via_scaled() {
-        // 64b/66b encoding leaves 64/66 of the raw lane rate for payload.
-        let raw = Rate::from_gbit_per_sec(25.0);
-        let payload = raw.scaled(64.0 / 66.0);
-        assert!((payload.bytes_per_sec() - 25e9 / 8.0 * 64.0 / 66.0).abs() < 1.0);
     }
 
     #[test]

@@ -382,7 +382,7 @@ impl<E> EventQueue<E> {
         self.in_buckets -= self.drain.len();
         // Only the keys move; the payloads stay put in the slab.
         self.drain
-            .sort_unstable_by(|a, b| (b.0, b.1).cmp(&(a.0, a.1)));
+            .sort_unstable_by_key(|&(at, seq, _)| std::cmp::Reverse((at, seq)));
         self.cursor_slot = self.cursor_slot + delta + 1;
     }
 
@@ -495,27 +495,6 @@ impl<E> EventQueue<E> {
     fn slab_nodes(&self) -> usize {
         self.slab.nodes.len()
     }
-
-    /// Drains events while `cond(next_event_time)` holds, applying `f`.
-    ///
-    /// Runs the classic event loop "until time T" pattern without the
-    /// caller owning the loop. Returns the number of events processed.
-    pub fn run_while<F, C>(&mut self, mut cond: C, mut f: F) -> u64
-    where
-        F: FnMut(&mut Self, SimTime, E),
-        C: FnMut(SimTime) -> bool,
-    {
-        let mut n = 0;
-        while let Some(t) = self.peek_time() {
-            if !cond(t) {
-                break;
-            }
-            let (t, ev) = self.pop().expect("peeked event exists");
-            f(self, t, ev);
-            n += 1;
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -580,35 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn run_while_stops_at_horizon() {
-        let mut q = EventQueue::new();
-        for i in 1..=10u64 {
-            q.schedule(SimTime::from_ns(i), i);
-        }
-        let mut seen = Vec::new();
-        let horizon = SimTime::from_ns(5);
-        let n = q.run_while(|t| t <= horizon, |_, _, e| seen.push(e));
-        assert_eq!(n, 5);
-        assert_eq!(seen, vec![1, 2, 3, 4, 5]);
-        assert_eq!(q.len(), 5);
-    }
-
-    #[test]
-    fn run_while_can_reschedule() {
-        // A self-perpetuating ticker: each event schedules the next.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(1), ());
-        let horizon = SimTime::from_ns(100);
-        let n = q.run_while(
-            |t| t <= horizon,
-            |q, _, ()| {
-                q.schedule_in(SimTime::from_ns(1), ());
-            },
-        );
-        assert_eq!(n, 100);
-    }
-
-    #[test]
     fn engines_agree_on_a_mixed_schedule() {
         // Near ticks, far timers, same-instant bursts and late merges —
         // the pop order must be identical event for event.
@@ -662,11 +612,11 @@ mod tests {
     fn far_future_events_cross_the_calendar_horizon() {
         let mut q = EventQueue::new();
         // Beyond the ~4.2 µs calendar window: takes the heap path.
-        q.schedule(SimTime::from_ms(50), "far");
+        q.schedule(SimTime::from_us(50_000), "far");
         q.schedule(SimTime::from_ns(3), "near");
         assert_eq!(q.pop().unwrap().1, "near");
         assert_eq!(q.pop().unwrap().1, "far");
-        assert_eq!(q.now(), SimTime::from_ms(50));
+        assert_eq!(q.now(), SimTime::from_us(50_000));
         // After the jump the calendar re-anchors at the present.
         q.schedule_in(SimTime::from_ns(1), "tail");
         assert_eq!(q.pop().unwrap().1, "tail");

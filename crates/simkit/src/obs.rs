@@ -203,7 +203,7 @@ impl Recorder {
         // snapshot doesn't trigger an immediate catch-up burst. A zero
         // period leaves `next_due` at zero: every poll stays due.
         while !self.period.is_zero() && self.next_due <= self.last_end {
-            self.next_due = self.next_due + self.period;
+            self.next_due += self.period;
         }
     }
 
@@ -213,7 +213,7 @@ impl Recorder {
     }
 
     /// The most recently closed window.
-    pub fn latest(&self) -> Option<&Window> {
+    pub(crate) fn latest(&self) -> Option<&Window> {
         self.windows.back()
     }
 
@@ -306,7 +306,7 @@ impl PhaseClock {
                 continue;
             }
             let start = cursor;
-            cursor = cursor + duration;
+            cursor += duration;
             phases.push(Phase {
                 name: name.into(),
                 start,
@@ -334,15 +334,6 @@ impl PhaseClock {
     /// Total ladder length (the last phase's end).
     pub fn total(&self) -> SimTime {
         self.phases.last().map(|p| p.end).unwrap_or(SimTime::ZERO)
-    }
-
-    /// The phase owning instant `now`, with its index — `None` once the
-    /// ladder is over (or before it exists).
-    pub fn phase_at(&self, now: SimTime) -> Option<(usize, &Phase)> {
-        self.phases
-            .iter()
-            .enumerate()
-            .find(|(_, p)| p.start <= now && now < p.end)
     }
 }
 
@@ -518,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn phase_clock_segments_the_ladder_half_open() {
+    fn phase_clock_lays_phases_end_to_end() {
         let clock = PhaseClock::new([
             ("steady", SimTime::from_us(100)),
             ("idle", SimTime::ZERO), // dropped
@@ -527,16 +518,14 @@ mod tests {
         ]);
         assert_eq!(clock.len(), 3);
         assert_eq!(clock.total(), SimTime::from_us(400));
-        let (i, p) = clock.phase_at(SimTime::ZERO).unwrap();
-        assert_eq!((i, p.name.as_str()), (0, "steady"));
-        // Boundaries belong to the opening phase.
-        let (i, p) = clock.phase_at(SimTime::from_us(100)).unwrap();
-        assert_eq!((i, p.name.as_str()), (1, "peak"));
-        assert_eq!(p.span(), SimTime::from_us(200));
-        let (i, _) = clock.phase_at(SimTime::from_ns(399_999)).unwrap();
-        assert_eq!(i, 2);
-        // The ladder's end belongs to no phase.
-        assert!(clock.phase_at(SimTime::from_us(400)).is_none());
+        // Each phase opens where the last one ends.
+        let spans: Vec<(&str, u64, u64)> = clock
+            .phases()
+            .iter()
+            .map(|p| (p.name.as_str(), p.start.as_us(), p.end.as_us()))
+            .collect();
+        assert_eq!(spans, [("steady", 0, 100), ("peak", 100, 300), ("recovery", 300, 400)]);
+        assert_eq!(clock.phases()[1].span(), SimTime::from_us(200));
         assert!(PhaseClock::new(Vec::<(String, SimTime)>::new()).is_empty());
     }
 

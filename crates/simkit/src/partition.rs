@@ -239,20 +239,6 @@ impl RunStats {
     pub fn critical_path(&self) -> u64 {
         self.busy.iter().copied().max().unwrap_or(0)
     }
-
-    /// The longest per-worker barrier stall in [`WindowClock`] units.
-    pub fn max_barrier_stall(&self) -> u64 {
-        self.barrier_stall.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Fraction of windows partition `i` had work in (1.0 = saturated),
-    /// or 0.0 before any window closed.
-    pub fn occupancy_frac(&self, i: usize) -> f64 {
-        if self.windows == 0 {
-            return 0.0;
-        }
-        self.occupancy.get(i).map_or(0.0, |&o| o as f64 / self.windows as f64)
-    }
 }
 
 /// The conservative window bound for one round: the earliest pending
@@ -403,6 +389,10 @@ where
     }
 }
 
+/// One worker's share of the partitions, each with its global index and
+/// its outbox.
+type Share<'a, P> = Vec<(usize, &'a mut P, Outbox<<P as Partition>::Msg>)>;
+
 /// The threaded execution: partitions are dealt round-robin onto
 /// `workers` persistent scoped threads that advance in lockstep through
 /// three barriers per round — publish local minima, exchange mail,
@@ -421,8 +411,7 @@ where
     let n = parts.len();
     // Deal partitions (with their outboxes and global indices) onto
     // workers round-robin; each worker owns its slice exclusively.
-    let mut owned: Vec<Vec<(usize, &mut P, Outbox<P::Msg>)>> =
-        (0..workers).map(|_| Vec::new()).collect();
+    let mut owned: Vec<Share<'_, P>> = (0..workers).map(|_| Vec::new()).collect();
     for (i, part) in parts.iter_mut().enumerate() {
         owned[i % workers].push((i, part, Outbox::new(i)));
     }
@@ -641,7 +630,10 @@ mod tests {
         (0..n).map(|i| Node::new(i, n, hop, 4, budget)).collect()
     }
 
-    fn digest(parts: &[Node]) -> Vec<(usize, Vec<(SimTime, u64)>, u64)> {
+    /// Per node: its id, its event log and its popped-event count.
+    type Digest = Vec<(usize, Vec<(SimTime, u64)>, u64)>;
+
+    fn digest(parts: &[Node]) -> Digest {
         parts
             .iter()
             .map(|p| (p.id, p.log.clone(), p.queue.popped()))
@@ -676,12 +668,10 @@ mod tests {
         for (i, &o) in stats.occupancy.iter().enumerate() {
             assert!(o >= 1, "partition {i} never occupied a window");
             assert!(o <= stats.windows);
-            assert!(stats.occupancy_frac(i) > 0.0);
         }
         // NullClock: busy and barrier-stall sums must all read zero.
         assert!(stats.busy.iter().all(|&b| b == 0));
         assert!(stats.barrier_stall.iter().all(|&s| s == 0));
-        assert_eq!(stats.max_barrier_stall(), 0);
     }
 
     #[test]

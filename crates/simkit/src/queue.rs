@@ -40,13 +40,11 @@ pub struct BoundedFifo<T> {
 struct FifoStats {
     rejected: u64,
     high_water: usize,
-    total_pushed: u64,
 }
 
 impl FifoStats {
     #[inline]
     fn record_push(&mut self, occupancy: usize) {
-        self.total_pushed += 1;
         if occupancy > self.high_water {
             self.high_water = occupancy;
         }
@@ -106,7 +104,6 @@ impl<T> BoundedFifo<T> {
             return 0;
         }
         self.items.extend(pending.drain(..take));
-        self.stats.total_pushed += take as u64;
         if self.items.len() > self.stats.high_water {
             self.stats.high_water = self.items.len();
         }
@@ -133,13 +130,8 @@ impl<T> BoundedFifo<T> {
         self.items.is_empty()
     }
 
-    /// Whether the queue is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.items.len() >= self.capacity
-    }
-
     /// Remaining free slots.
-    pub fn free_slots(&self) -> usize {
+    pub(crate) fn free_slots(&self) -> usize {
         self.capacity - self.items.len()
     }
 
@@ -156,11 +148,6 @@ impl<T> BoundedFifo<T> {
     /// Highest occupancy ever observed.
     pub fn high_water(&self) -> usize {
         self.stats.high_water
-    }
-
-    /// Total successful pushes.
-    pub fn total_pushed(&self) -> u64 {
-        self.stats.total_pushed
     }
 
     /// Iterates over queued items front-to-back.
@@ -189,7 +176,6 @@ mod tests {
         for i in 0..3 {
             q.push(i).unwrap();
         }
-        assert!(q.is_full());
         assert_eq!(q.free_slots(), 0);
         assert_eq!(q.push(99), Err(99));
         assert_eq!(q.push(100), Err(100));
@@ -206,7 +192,6 @@ mod tests {
         q.pop();
         q.push(3).unwrap();
         assert_eq!(q.high_water(), 2);
-        assert_eq!(q.total_pushed(), 3);
     }
 
     #[test]
@@ -222,9 +207,8 @@ mod tests {
         let mut pending = vec![1, 2, 3, 4, 5];
         assert_eq!(q.extend_while_free(&mut pending), 3);
         assert_eq!(pending, vec![4, 5]); // remainder stays, in order
-        assert!(q.is_full());
+        assert_eq!(q.free_slots(), 0);
         assert_eq!(q.rejected(), 0); // deferral is not a drop
-        assert_eq!(q.total_pushed(), 4);
         assert_eq!(q.high_water(), 4);
         let out: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(out, vec![0, 1, 2, 3]);

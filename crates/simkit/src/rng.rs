@@ -34,12 +34,6 @@ impl DetRng {
         }
     }
 
-    /// Derives an independent child generator; useful for giving each
-    /// simulated component its own stream without cross-coupling.
-    pub fn fork(&mut self, salt: u64) -> DetRng {
-        DetRng::new(self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Derives the `stream`-th independent generator from a master seed
     /// **without** consuming state from any live generator.
     ///
@@ -112,7 +106,7 @@ impl DetRng {
     }
 
     /// Standard normal via Box–Muller.
-    pub fn normal(&mut self, mu: f64, sigma: f64) -> f64 {
+    pub(crate) fn normal(&mut self, mu: f64, sigma: f64) -> f64 {
         let u1 = 1.0 - self.f64();
         let u2 = self.f64();
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
@@ -122,35 +116,6 @@ impl DetRng {
     /// Log-normal: `exp(N(mu, sigma))`.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
-    }
-
-    /// Picks an index according to a weight vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(
-            !weights.is_empty() && total > 0.0,
-            "weights must be non-empty with positive sum"
-        );
-        let mut x = self.f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if x < *w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
     }
 }
 
@@ -199,16 +164,6 @@ impl ZipfSampler {
         ZipfSampler { n, theta }
     }
 
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> u64 {
-        self.n
-    }
-
-    /// The skew exponent.
-    pub fn exponent(&self) -> f64 {
-        self.theta
-    }
-
     /// Draws a key in `[0, n)`; key 0 is the most popular.
     pub fn sample(&self, rng: &mut DetRng) -> u64 {
         let u = rng.f64();
@@ -237,14 +192,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn fork_streams_differ() {
-        let mut root = DetRng::new(5);
-        let mut c1 = root.fork(1);
-        let mut c2 = root.fork(2);
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]
@@ -301,18 +248,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.1);
         assert!((var - 4.0).abs() < 0.3);
-    }
-
-    #[test]
-    fn weighted_respects_weights() {
-        let mut rng = DetRng::new(6);
-        let mut counts = [0u32; 3];
-        for _ in 0..30_000 {
-            counts[rng.weighted(&[1.0, 2.0, 7.0])] += 1;
-        }
-        assert!(counts[2] > counts[1] && counts[1] > counts[0]);
-        let frac2 = counts[2] as f64 / 30_000.0;
-        assert!((frac2 - 0.7).abs() < 0.03);
     }
 
     #[test]
@@ -394,16 +329,6 @@ mod tests {
         // theta=2 concentrates roughly half the mass on the first key
         // (continuous approximation: P(x < 2) = (1 - 1/2)/(1 - 1/n)).
         assert!(zero > 400, "zero draws: {zero}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = DetRng::new(10);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Statistics collection: log-bucketed histograms, CDFs and online moments.
+//! Statistics collection: log-bucketed histograms and CDFs.
 //!
 //! The benchmark harnesses use [`Histogram`] for request latencies (paper
-//! Fig. 8 is a latency CDF) and [`Welford`] for cheap mean/variance of
-//! throughput series.
+//! Fig. 8 is a latency CDF).
 
 use std::fmt;
 
@@ -110,7 +109,7 @@ impl Histogram {
     }
 
     /// Records `n` identical observations.
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -342,75 +341,12 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// Online mean/variance accumulator (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use simkit::stats::Welford;
-///
-/// let mut w = Welford::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     w.add(x);
-/// }
-/// assert!((w.mean() - 5.0).abs() < 1e-12);
-/// assert!((w.population_variance() - 4.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 with fewer than one observation).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Sample standard deviation (0 with fewer than two observations).
-    pub fn stddev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64).sqrt()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    #[allow(clippy::float_cmp)] // exact: an empty histogram's mean is the literal 0
     fn empty_histogram() {
         let h = Histogram::new();
         assert!(h.is_empty());
@@ -591,14 +527,5 @@ mod tests {
     #[should_panic(expected = "quantile out of range")]
     fn bad_quantile_panics() {
         Histogram::new().quantile(1.5);
-    }
-
-    #[test]
-    fn welford_counts() {
-        let mut w = Welford::new();
-        assert_eq!(w.count(), 0);
-        w.add(1.0);
-        assert_eq!(w.count(), 1);
-        assert_eq!(w.stddev(), 0.0);
     }
 }

@@ -412,21 +412,6 @@ impl Registry {
         }
     }
 
-    /// Current value of a counter (readable even when disabled).
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0]
-    }
-
-    /// Current level of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> u64 {
-        self.gauges[id.0]
-    }
-
-    /// The histogram behind a timer.
-    pub fn timer_histogram(&self, id: TimerId) -> &Histogram {
-        &self.timers[id.0]
-    }
-
     /// Captures every registered metric at simulated time `at`: three
     /// column copies and a shared schema.
     pub fn snapshot(&self, at: SimTime) -> Snapshot {
@@ -828,7 +813,7 @@ mod tests {
         reg.inc(c);
         reg.set_enabled(false);
         reg.inc(c);
-        assert_eq!(reg.counter_value(c), 2);
+        assert_eq!(reg.snapshot(SimTime::ZERO).counter("c"), Some(2));
     }
 
     #[test]

@@ -48,26 +48,6 @@ impl SimTime {
         SimTime(us * 1_000_000)
     }
 
-    /// Creates a `SimTime` from milliseconds.
-    pub const fn from_ms(ms: u64) -> Self {
-        SimTime(ms * 1_000_000_000)
-    }
-
-    /// Creates a `SimTime` from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000_000)
-    }
-
-    /// Creates a `SimTime` from fractional seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative or not finite.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        SimTime(crate::units::f64_to_u64_saturating((s * 1e12).round()))
-    }
-
     /// Creates a `SimTime` from fractional nanoseconds.
     ///
     /// # Panics
@@ -231,9 +211,7 @@ mod tests {
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_ns(950).as_ps(), 950_000);
         assert_eq!(SimTime::from_us(3).as_ns(), 3_000);
-        assert_eq!(SimTime::from_ms(2).as_us(), 2_000);
-        assert_eq!(SimTime::from_secs(1).as_ns(), 1_000_000_000);
-        assert!((SimTime::from_secs_f64(0.5).as_secs_f64() - 0.5).abs() < 1e-12);
+        assert!((SimTime::from_us(500_000).as_secs_f64() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -272,7 +250,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "invalid duration")]
-    fn negative_seconds_panic() {
-        let _ = SimTime::from_secs_f64(-1.0);
+    fn negative_duration_panics() {
+        let _ = SimTime::from_ns_f64(-1.0);
     }
 }

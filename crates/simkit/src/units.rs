@@ -1,4 +1,4 @@
-//! Size, rate and frequency constants shared by the whole workspace.
+//! Size constants and the float-to-integer gate shared by the whole workspace.
 
 /// One kibibyte (2^10 bytes).
 pub const KIB: u64 = 1 << 10;
@@ -6,31 +6,6 @@ pub const KIB: u64 = 1 << 10;
 pub const MIB: u64 = 1 << 20;
 /// One gibibyte (2^30 bytes).
 pub const GIB: u64 = 1 << 30;
-/// One tebibyte (2^40 bytes).
-pub const TIB: u64 = 1 << 40;
-
-/// One gigabit per second expressed in bytes per second.
-pub const GBIT_PER_SEC_IN_BYTES: f64 = 1e9 / 8.0;
-
-/// Converts a rate in Gbit/s to bytes per second.
-///
-/// ```
-/// use simkit::units::gbit_to_bytes_per_sec;
-/// assert_eq!(gbit_to_bytes_per_sec(100.0), 12.5e9);
-/// ```
-pub fn gbit_to_bytes_per_sec(gbit: f64) -> f64 {
-    gbit * GBIT_PER_SEC_IN_BYTES
-}
-
-/// Converts bytes per second to GiB/s (the unit the paper's Fig. 5 uses).
-///
-/// ```
-/// use simkit::units::bytes_per_sec_to_gib;
-/// assert!((bytes_per_sec_to_gib(12.5e9) - 11.64).abs() < 0.01);
-/// ```
-pub fn bytes_per_sec_to_gib(bps: f64) -> f64 {
-    bps / GIB as f64
-}
 
 /// Saturating conversion from `f64` to `u64`: negative and NaN inputs
 /// map to 0, values beyond `u64::MAX` map to `u64::MAX`.
@@ -53,17 +28,6 @@ pub fn f64_to_u64_saturating(x: f64) -> u64 {
     x as u64
 }
 
-/// Picoseconds per cycle at a given frequency in MHz.
-///
-/// ```
-/// use simkit::units::ps_per_cycle_mhz;
-/// // The ThymesisFlow prototype clocks its three domains at 401 MHz.
-/// assert_eq!(ps_per_cycle_mhz(401.0), 2494);
-/// ```
-pub fn ps_per_cycle_mhz(mhz: f64) -> u64 {
-    f64_to_u64_saturating((1e6 / mhz).round())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,19 +37,5 @@ mod tests {
         assert_eq!(KIB, 1024);
         assert_eq!(MIB, 1024 * KIB);
         assert_eq!(GIB, 1024 * MIB);
-        assert_eq!(TIB, 1024 * GIB);
-    }
-
-    #[test]
-    fn rate_conversions() {
-        assert_eq!(gbit_to_bytes_per_sec(25.0), 3.125e9);
-        let gib = bytes_per_sec_to_gib(gbit_to_bytes_per_sec(100.0));
-        assert!((gib - 11.6415).abs() < 1e-3);
-    }
-
-    #[test]
-    fn cycle_time() {
-        // 250 MHz -> 4000 ps.
-        assert_eq!(ps_per_cycle_mhz(250.0), 4000);
     }
 }

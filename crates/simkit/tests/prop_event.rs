@@ -73,7 +73,7 @@ proptest! {
                     }
                 }
                 Op::PopCoincident { n, even } => {
-                    let accept = |e: &u64| (e % 2 == 0) == even;
+                    let accept = |e: &u64| e.is_multiple_of(2) == even;
                     for _ in 0..n {
                         let a = hybrid.pop_coincident(accept);
                         let b = heap.pop_coincident(accept);

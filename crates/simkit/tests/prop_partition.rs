@@ -87,8 +87,11 @@ impl Partition for Node {
     }
 }
 
-/// Everything observable about a finished run, for bit-identity checks.
-fn digest(parts: &[Node]) -> Vec<(usize, Vec<(SimTime, u64)>, u64)> {
+/// Everything observable about a finished run, for bit-identity checks:
+/// per node, its id, its event log and its popped-event count.
+type Digest = Vec<(usize, Vec<(SimTime, u64)>, u64)>;
+
+fn digest(parts: &[Node]) -> Digest {
     parts
         .iter()
         .map(|p| (p.id, p.log.clone(), p.queue.popped()))

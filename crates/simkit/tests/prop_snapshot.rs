@@ -408,7 +408,7 @@ impl Harness {
     }
 
     fn snapshot_and_check(&mut self, step: u64) -> Result<(), TestCaseError> {
-        self.now = self.now + SimTime::from_ns(step % 3);
+        self.now += SimTime::from_ns(step % 3);
         let (snap, model) = self.snapshot()?;
         self.compare(&snap, &model)?;
         if let Some((earlier, earlier_model)) = &self.prev {

@@ -22,6 +22,7 @@
 //! | TF013 | no public fallible `&mut self` APIs returning bare `bool`/`Option<()>` where the crate has a typed error |
 //! | TF014 | no `println!`/`eprintln!` (or `print!`/`eprint!`) in simulation crate library code |
 //! | TF015 | no file-backed `pub mod` in a crate root that nothing outside its own files names (workspace runs only) |
+//! | TF016 | no library `pub fn` whose name nothing outside its crate's `src/` spells (workspace runs only) |
 //!
 //! A finding is suppressed by a `// tflint::allow(TFnnn): reason`
 //! comment on the same line or the line directly above; the reason is
@@ -44,9 +45,10 @@
 //! (the registry is unavailable; the hand-rolled lexer carries
 //! line:column spans, which is all the rules need).
 //!
-//! TF015 (a dead `pub mod`) needs the whole workspace: only
-//! [`check_workspace`] runs it, and it also lexes `tests/`, `benches/`,
-//! `examples/` and `perfbench/src/` for references.
+//! TF015 (a dead `pub mod`) and TF016 (a `pub fn` nothing outside its
+//! crate names) need the whole workspace: only [`check_workspace`] runs
+//! them, and it also lexes `tests/`, `benches/`, `examples/` and
+//! `perfbench/src/` for references.
 //!
 //! Run it as `cargo run -p tflint -- check [--format json]
 //! [--audit-allows]`, or let the per-crate [`gate!`] tests run it under
@@ -76,11 +78,12 @@ pub const RULES: &[(&str, &str)] = &[
     ("TF013", "no public fallible &mut self API returning bare bool/Option<()> where the crate defines a typed error"),
     ("TF014", "no println!/eprintln!/print!/eprint! in simulation crate library code (examples and benches own the console; observations export through the telemetry registry or the journal)"),
     ("TF015", "no file-backed `pub mod` in a crate root that nothing outside its own files names, by a path through it or a name the root re-exports from it (workspace runs only)"),
+    ("TF016", "no library `pub fn`/`pub const fn` (methods included) whose name no token outside its crate's src/ spells: narrow it to pub(crate), delete it, or allow it with a reason (workspace runs only)"),
 ];
 
 /// Rules only a whole-workspace run can decide: the per-crate gate
 /// neither runs them nor reports their allows as stale.
-const WORKSPACE_RULES: &[&str] = &["TF015"];
+const WORKSPACE_RULES: &[&str] = &["TF015", "TF016"];
 
 /// Allow-audit rule IDs (reported by `--audit-allows` and the gates).
 pub const AUDIT_RULES: &[(&str, &str)] = &[
@@ -95,7 +98,7 @@ pub const JSON_SCHEMA_VERSION: u64 = 1;
 /// One lint finding, anchored to a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule ID (`TF001`..`TF015`, or `ALW001`/`ALW002` from the audit).
+    /// Rule ID (`TF001`..`TF016`, or `ALW001`/`ALW002` from the audit).
     pub rule: &'static str,
     /// Path of the offending file, as given to the checker.
     pub file: String,
@@ -194,6 +197,9 @@ struct Allow {
 struct Lexed {
     toks: Vec<Tok>,
     allows: Vec<Allow>,
+    /// The file's Rust doc examples (fenced blocks in `///` and `//!`
+    /// comments): the line of each closing fence, and the code.
+    doc_blocks: Vec<(u32, String)>,
 }
 
 const TWO_CHAR_OPS: &[&str] = &[
@@ -204,6 +210,9 @@ fn lex(src: &str) -> Lexed {
     let bytes = src.as_bytes();
     let mut toks = Vec::new();
     let mut allows = Vec::new();
+    let mut doc_blocks = Vec::new();
+    // Inside a fenced doc block: whether rustdoc compiles it, and its code.
+    let mut fence: Option<(bool, String)> = None;
     let mut i = 0;
     let mut line: u32 = 1;
     let mut col: u32 = 1;
@@ -239,6 +248,26 @@ fn lex(src: &str) -> Lexed {
             let comment = &src[i..end];
             if let Some(a) = parse_allow(comment, tline, tcol) {
                 allows.push(a);
+            }
+            let doc = comment.strip_prefix("///").or_else(|| comment.strip_prefix("//!"));
+            if let Some(doc) = doc.filter(|_| !comment.starts_with("////")) {
+                if let Some(info) = doc.trim_start().strip_prefix("```") {
+                    match fence.take() {
+                        Some((true, code)) => doc_blocks.push((tline, code)),
+                        Some((false, _)) => {}
+                        None => {
+                            let rust = info.split(',').all(|a| {
+                                let a = a.trim();
+                                matches!(a, "" | "rust" | "no_run" | "should_panic")
+                                    || a.starts_with("edition")
+                            });
+                            fence = Some((rust, String::new()));
+                        }
+                    }
+                } else if let Some((true, code)) = fence.as_mut() {
+                    code.push_str(doc);
+                    code.push('\n');
+                }
             }
             advance!(end - i);
             continue;
@@ -414,7 +443,11 @@ fn lex(src: &str) -> Lexed {
         advance!(1);
     }
 
-    Lexed { toks, allows }
+    Lexed {
+        toks,
+        allows,
+        doc_blocks,
+    }
 }
 
 /// Length of a raw/byte string literal starting at `s`, if one starts
@@ -666,17 +699,44 @@ struct Unit {
     crate_ident: String,
     rel_path: String,
     /// Whether the rules run on this file; the others are lexed only for
-    /// the references TF015 counts.
+    /// the references TF015 and TF016 count.
     lint: bool,
     toks: Vec<Tok>,
     allows: Vec<Allow>,
     test_mask: Vec<bool>,
+    /// The tokens of the file's Rust doc examples, which rustdoc
+    /// compiles as crates of their own (TF016 counts them as outside),
+    /// less the name of the function each example documents.
+    doc_toks: Vec<Tok>,
 }
 
 impl Unit {
     fn new(crate_name: &str, rel_path: &str, source: &str) -> Unit {
-        let Lexed { toks, allows } = lex(source);
+        let Lexed {
+            toks,
+            allows,
+            doc_blocks,
+        } = lex(source);
         let test_mask = test_code_mask(&toks);
+        let mut doc_toks = Vec::new();
+        for (end, code) in doc_blocks {
+            // The item after the example: `[#[..]]* [pub[(..)]] [const] fn f`.
+            let mut item = toks.iter().skip_while(|t| t.line <= end);
+            let mut depth = 0;
+            let documented = loop {
+                let Some(t) = item.next() else { break None };
+                match t.text.as_str() {
+                    "#" | "pub" | "const" if depth == 0 => {}
+                    "[" | "(" => depth += 1,
+                    "]" | ")" => depth -= 1,
+                    "fn" if depth == 0 => break item.next().map(|n| n.text.clone()),
+                    _ if depth > 0 => {}
+                    _ => break None,
+                }
+            };
+            let own = |t: &Tok| Some(&t.text) == documented.as_ref();
+            doc_toks.extend(lex(&code).toks.into_iter().filter(|t| !own(t)));
+        }
         Unit {
             crate_name: crate_name.to_string(),
             crate_ident: crate_name.replace('-', "_"),
@@ -685,6 +745,7 @@ impl Unit {
             toks,
             allows,
             test_mask,
+            doc_toks,
         }
     }
 }
@@ -1001,22 +1062,34 @@ pub fn check_sources(files: &[(&str, &str, &str)]) -> Vec<Diagnostic> {
     diags
 }
 
-/// Lints `files` as a workspace run does, TF015 included; `references`
-/// (`tests/`, `benches/`, `examples/` files) are lexed only for the
-/// names TF015 counts. A linted path runs from the crate's `src/`.
+/// Lints `files` as a workspace run does, TF015 and TF016 included;
+/// `references` (`tests/`, `benches/`, `examples/` files) are lexed only
+/// for the names those rules count. A linted path runs from the crate's `src/`.
 pub fn check_workspace_sources(
     files: &[(&str, &str, &str)],
     references: &[(&str, &str, &str)],
 ) -> Vec<Diagnostic> {
-    let units: Vec<Unit> = files
+    run_units(&workspace_units(files, references), true).0
+}
+
+/// Audits the allow comments of `files` as a workspace run does, so an
+/// allow for TF015 or TF016 that suppresses nothing is stale (ALW001).
+pub fn audit_workspace_sources(
+    files: &[(&str, &str, &str)],
+    references: &[(&str, &str, &str)],
+) -> Vec<Diagnostic> {
+    run_units(&workspace_units(files, references), true).1
+}
+
+fn workspace_units(files: &[(&str, &str, &str)], references: &[(&str, &str, &str)]) -> Vec<Unit> {
+    files
         .iter()
         .map(|(c, p, s)| Unit::new(c, p, s))
         .chain(references.iter().map(|(c, p, s)| Unit {
             lint: false,
             ..Unit::new(c, p, s)
         }))
-        .collect();
-    run_units(&units, true).0
+        .collect()
 }
 
 /// Audits the allow comments of a set of files: stale allows (naming a
@@ -1046,7 +1119,11 @@ pub fn index_sources(files: &[(&str, &str, &str)]) -> WorkspaceIndex {
 /// after allows, allow-audit diagnostics).
 fn run_units(units: &[Unit], workspace: bool) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
     let idx = build_index(units);
-    let cross = if workspace { check_tf015(units) } else { Vec::new() };
+    let cross = if workspace {
+        [check_tf015(units), check_tf016(units)].concat()
+    } else {
+        Vec::new()
+    };
     let mut kept = Vec::new();
     let mut audit = Vec::new();
     for (ui, unit) in units.iter().enumerate().filter(|(_, u)| u.lint) {
@@ -1160,8 +1237,7 @@ fn check_unit(unit: &Unit, idx: &WorkspaceIndex) -> Vec<Diagnostic> {
         // TF002: raw RNG construction outside simkit::rng. Entropy
         // sources break reproducibility outright; ad-hoc `seed_from_u64`
         // calls create streams the sweep harness cannot track, so both
-        // route through `DetRng` (`split_stream` for per-point streams,
-        // `fork` for per-component streams).
+        // route through `DetRng` (`split_stream` for per-point streams).
         if !is_rng_home
             && tok.kind == Kind::Ident
             && matches!(
@@ -1170,7 +1246,7 @@ fn check_unit(unit: &Unit, idx: &WorkspaceIndex) -> Vec<Diagnostic> {
             )
         {
             let message = if tok.text == "seed_from_u64" {
-                "ad-hoc RNG seeding bypasses deterministic stream splitting; use `DetRng::split_stream(master_seed, stream)` (or `DetRng::fork`) instead".to_string()
+                "ad-hoc RNG seeding bypasses deterministic stream splitting; use `DetRng::split_stream(master_seed, stream)` instead".to_string()
             } else {
                 format!(
                     "entropy-seeded RNG `{}` breaks reproducibility; derive a seeded stream from `simkit::rng::DetRng`",
@@ -1532,7 +1608,7 @@ fn check_tf003(toks: &[Tok], test_mask: &[bool], rel_path: &str, diags: &mut Vec
         {
             j += 1;
         }
-        if !toks.get(j).is_some_and(|t| t.text == "fn") {
+        if toks.get(j).is_none_or(|t| t.text != "fn") {
             i += 1;
             continue;
         }
@@ -1551,7 +1627,7 @@ fn check_tf003(toks: &[Tok], test_mask: &[bool], rel_path: &str, diags: &mut Vec
                 j += 1;
             }
         }
-        if !toks.get(j).is_some_and(|t| t.text == "(") {
+        if toks.get(j).is_none_or(|t| t.text != "(") {
             i = j;
             continue;
         }
@@ -1624,7 +1700,7 @@ fn check_tf013(
         {
             j += 1;
         }
-        if !toks.get(j).is_some_and(|t| t.text == "fn") {
+        if toks.get(j).is_none_or(|t| t.text != "fn") {
             i += 1;
             continue;
         }
@@ -1646,7 +1722,7 @@ fn check_tf013(
                 j += 1;
             }
         }
-        if !toks.get(j).is_some_and(|t| t.text == "(") {
+        if toks.get(j).is_none_or(|t| t.text != "(") {
             i = j;
             continue;
         }
@@ -1870,11 +1946,77 @@ fn check_tf015(units: &[Unit]) -> Vec<(usize, Diagnostic)> {
     diags
 }
 
+// ------------------------------------------------------------------ TF016
+
+/// Whether a linted file belongs to its crate's library target: every
+/// `src/` file but a binary's `main.rs` and `bin/`.
+fn in_library(unit: &Unit) -> bool {
+    let rel = src_relative(&unit.rel_path);
+    unit.lint && rel != "main.rs" && !rel.starts_with("bin/")
+}
+
+/// TF016: a library's non-test `pub fn` or `pub const fn` (methods
+/// included) whose name no identifier outside that library's own files
+/// spells — not another crate, not the crate's own `tests/`, `benches/`
+/// or `examples/`, not `perfbench/src/`, not a doc example (rustdoc
+/// compiles each as a crate of its own). Name-based like TF015: a name
+/// any outside item shares hides the function. Findings come with the
+/// index of the unit they sit in.
+fn check_tf016(units: &[Unit]) -> Vec<(usize, Diagnostic)> {
+    // Per identifier, the libraries spelling it (`None`: a file or doc
+    // example outside every library).
+    let mut spelled: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
+    for u in units {
+        let owner = in_library(u).then_some(u.crate_name.as_str());
+        let toks = u.toks.iter().map(|t| (t, owner));
+        for (t, o) in toks.chain(u.doc_toks.iter().map(|t| (t, None))) {
+            if t.kind == Kind::Ident {
+                spelled.entry(&t.text).or_default().insert(o);
+            }
+        }
+    }
+    let mut diags = Vec::new();
+    for (ui, u) in units.iter().enumerate().filter(|(_, u)| in_library(u)) {
+        let toks = &u.toks;
+        for (i, t) in toks.iter().enumerate() {
+            if t.text != "pub" || u.test_mask[i] {
+                continue;
+            }
+            let j = i + 1 + usize::from(toks.get(i + 1).is_some_and(|t| t.text == "const"));
+            let (Some(kw), Some(name)) = (toks.get(j), toks.get(j + 1)) else {
+                continue;
+            };
+            if kw.text != "fn" || name.kind != Kind::Ident {
+                continue;
+            }
+            let outside = spelled
+                .get(name.text.as_str())
+                .is_some_and(|o| o.iter().any(|&c| c != Some(u.crate_name.as_str())));
+            if !outside {
+                diags.push((ui, Diagnostic {
+                    rule: "TF016",
+                    file: u.rel_path.clone(),
+                    line: t.line,
+                    col: t.col,
+                    message: format!(
+                        "`pub fn {}`: nothing outside crate `{}`'s `src/` names it; narrow it \
+                         to `pub(crate)` (rustc's `dead_code` then reports it if the crate \
+                         does not call it either), delete it, or keep it public under \
+                         `// tflint::allow(TF016): reason`",
+                        name.text, u.crate_name
+                    ),
+                }));
+            }
+        }
+    }
+    diags
+}
+
 // ------------------------------------------------------------ file walking
 
 /// Collects (crate, rel_path, source) units for one crate directory's
 /// `src/`; with `references`, also its `tests/`, `benches/` and
-/// `examples/`, lexed for TF015 only. Paths reach the crate by its
+/// `examples/`, lexed for TF015 and TF016 only. Paths reach the crate by its
 /// `[package] name`, with `-` as `_`.
 fn collect_crate_units(crate_dir: &Path, references: bool) -> io::Result<Vec<Unit>> {
     let crate_name = if crate_dir.join("crates").is_dir() {
@@ -1932,8 +2074,8 @@ fn collect_dir(
 
 /// Collects units for the whole workspace rooted at `root`: the root
 /// package plus every crate under `crates/`, each with its `tests/`,
-/// `benches/` and `examples/`, and `perfbench/src/` (only TF015 reads
-/// those). `vendor/` (offline dependency stand-ins) and `target/` are
+/// `benches/` and `examples/`, and `perfbench/src/` (only TF015 and
+/// TF016 read those). `vendor/` (offline dependency stand-ins) and `target/` are
 /// never read.
 fn collect_workspace_units(root: &Path) -> io::Result<Vec<Unit>> {
     // A mistyped root would otherwise scan nothing and report a clean
@@ -1969,6 +2111,7 @@ fn collect_workspace_units(root: &Path) -> io::Result<Vec<Unit>> {
 /// covers the crate's own files. This is what the per-crate [`gate!`]
 /// test runs, so allow hygiene fails `cargo test` the same way a rule
 /// violation does.
+// tflint::allow(TF016): the `gate!` expansion in every crate's tests/tflint_gate.rs calls it.
 pub fn gate_crate(crate_dir: &Path) -> io::Result<Vec<Diagnostic>> {
     let units = collect_crate_units(crate_dir, false)?;
     let (mut diags, audit) = run_units(&units, false);
@@ -1977,7 +2120,7 @@ pub fn gate_crate(crate_dir: &Path) -> io::Result<Vec<Diagnostic>> {
 }
 
 /// Lints the whole workspace rooted at `root` with the full cross-crate
-/// index in scope, TF015 included.
+/// index in scope, TF015 and TF016 included.
 pub fn check_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     let units = collect_workspace_units(root)?;
     Ok(run_units(&units, true).0)

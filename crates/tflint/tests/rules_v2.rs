@@ -1,12 +1,14 @@
 //! Fixture tests for the workspace-aware determinism rules TF009–TF014,
-//! the dead-module rule TF015, the allow audit (ALW001/ALW002), the
+//! the dead-module rule TF015, the uncalled-`pub fn` rule TF016, the
+//! allow audit (ALW001/ALW002), the
 //! cross-file index, and the JSON report. Each rule gets a positive
 //! (fires, pinned count), an allowed (suppressed by a reasoned allow),
 //! and a negative (must stay silent) fixture, mirroring the TF001–TF008
 //! suite in `rules.rs`.
 
 use tflint::{
-    audit_sources, check_source, check_sources, check_workspace_sources, index_sources, render,
+    audit_sources, audit_workspace_sources, check_source, check_sources, check_workspace_sources,
+    index_sources, render,
 };
 
 fn rules_of(diags: &[tflint::Diagnostic]) -> Vec<&'static str> {
@@ -497,7 +499,7 @@ fn tf015<'a>(root: &'a str, extra: &[File<'a>]) -> Vec<File<'a>> {
         ("c", "src/lib.rs", root),
         ("c", "src/m.rs", "pub struct X;\n"),
         ("c", "src/used.rs", "pub fn f() {}\n"),
-        ("d", "src/lib.rs", "pub fn g() { c::used::f() }\n"),
+        ("d", "src/lib.rs", "fn g() { c::used::f() }\n"),
     ];
     files.retain(|f| extra.iter().all(|e| (e.0, e.1) != (f.0, f.1)));
     files.extend_from_slice(extra);
@@ -531,7 +533,7 @@ fn tf015_flags_a_module_named_only_by_its_own_tests() {
 fn tf015_counts_grouped_imports_sibling_paths_and_crate_renames() {
     for user in [
         ("d", "src/lib.rs", "use c::{used::f, m::X};\n"),
-        ("d", "src/lib.rs", "use c::{self, used, m};\n"),
+        ("d", "src/lib.rs", "use c::{self, used, m};\nfn g() { used::f(); }\n"),
         ("c", "src/used.rs", "pub fn f(_: crate::m::X) {}\n"),
         ("c", "src/used.rs", "use super::m;\npub fn f() {}\n"),
         ("e", "src/lib.rs", "pub use c as core;\nuse crate::core::{used::f, m::X};\n"),
@@ -575,6 +577,119 @@ pub mod m;
     assert!(diags.is_empty(), "\n{}", render(&diags));
     // The gate never runs TF015, so it does not call that allow stale.
     assert!(audit_sources(&files).is_empty());
+}
+
+// ----------------------------------------------------------------- TF016
+
+/// Crate `c` with `used` (called by crate `d`) and `lonely` (called only
+/// inside `c`, by `pub(crate) fn inner`).
+const C_LIB: &str = "\
+pub fn used() {}
+pub fn lonely() {}
+pub const fn lonely_const() -> u8 { 0 }
+pub(crate) fn inner() { lonely(); let _ = lonely_const(); }
+pub struct S;
+impl S {
+    pub fn method(&self) {}
+}
+#[cfg(test)]
+mod tests {
+    pub fn helper() {}
+}
+";
+
+fn tf016<'a>(extra: &[File<'a>]) -> Vec<File<'a>> {
+    let mut files = vec![
+        ("c", "src/lib.rs", C_LIB),
+        ("c", "src/main.rs", "fn main() {}\n"),
+        ("d", "src/lib.rs", "fn g() { c::used(); }\n"),
+    ];
+    files.retain(|f| extra.iter().all(|e| (e.0, e.1) != (f.0, f.1)));
+    files.extend_from_slice(extra);
+    files
+}
+
+#[test]
+fn tf016_flags_a_function_named_only_inside_its_own_crate() {
+    let diags = check_workspace_sources(&tf016(&[]), &[]);
+    let named: Vec<(&str, u32)> = diags.iter().map(|d| (d.rule, d.line)).collect();
+    // `lonely`, `lonely_const` and the method; not `used`, not `inner`,
+    // not the test module's helper.
+    assert_eq!(named, [("TF016", 2), ("TF016", 3), ("TF016", 7)], "\n{}", render(&diags));
+    assert!(diags[0].message.contains("`pub fn lonely`") && diags[0].message.contains("pub(crate)"));
+    // The per-crate entry points cannot see other crates: no TF016.
+    assert!(check_sources(&tf016(&[])).is_empty());
+}
+
+#[test]
+fn tf016_counts_other_crates_tests_examples_perfbench_and_the_crates_binary() {
+    let call = "fn main() { c::lonely(); c::lonely_const(); c::S.method(); }\n";
+    for (krate, path, refs) in [
+        ("d", "src/lib.rs", false),
+        ("c", "src/main.rs", false),
+        ("c", "tests/t.rs", true),
+        ("c", "examples/e.rs", true),
+        ("perfbench", "perfbench/src/main.rs", true),
+    ] {
+        let user = [(krate, path, call)];
+        let (files, refs) = if refs {
+            (tf016(&[]), &user[..])
+        } else {
+            (tf016(&user), &[][..])
+        };
+        let diags = check_workspace_sources(&files, refs);
+        let rest: Vec<_> = diags.iter().filter(|d| d.message.contains("lonely")).collect();
+        assert!(rest.is_empty(), "{path}\n{}", render(&diags));
+        assert!(diags.iter().all(|d| !d.message.contains("method")), "{path}");
+    }
+}
+
+#[test]
+fn tf016_counts_doc_examples_but_not_the_example_of_the_function_itself() {
+    let lib = "\
+/// ```
+/// c::lonely();
+/// let _ = c::lonely_const();
+/// ```
+pub fn used() {}
+/// ```
+/// c::lonely();
+/// ```
+pub fn lonely() {}
+/// ```text
+/// c::method();
+/// ```
+pub fn lonely_const() {}
+pub struct S;
+impl S {
+    pub fn method(&self) {}
+}
+";
+    let diags = check_workspace_sources(&tf016(&[("c", "src/lib.rs", lib)]), &[]);
+    let named: Vec<u32> = diags.iter().map(|d| d.line).collect();
+    // `used`'s example calls `lonely` and `lonely_const`; `lonely`'s
+    // example of itself calls nothing else; a `text` block is prose.
+    assert_eq!(named, [16], "\n{}", render(&diags));
+}
+
+#[test]
+fn tf016_allow_suppresses_and_goes_stale_once_an_outside_caller_appears() {
+    let lib = "\
+pub fn used() {}
+// tflint::allow(TF016): the only model of the paper's lonely mechanism.
+pub fn lonely() {}
+pub(crate) fn lonely_const() {}
+";
+    let files = tf016(&[("c", "src/lib.rs", lib)]);
+    let diags = check_workspace_sources(&files, &[]);
+    assert!(diags.is_empty(), "\n{}", render(&diags));
+    // The gate never runs TF016, so it does not call that allow stale.
+    assert!(audit_sources(&files).is_empty());
+    // With an outside caller the allow suppresses nothing: ALW001.
+    let refs = [("c", "tests/t.rs", "fn t() { c::lonely(); }\n")];
+    let audit = audit_workspace_sources(&files, &refs);
+    assert_eq!(rules_of(&audit), ["ALW001"], "\n{}", render(&audit));
+    assert!(audit[0].message.contains("TF016"));
 }
 
 // ------------------------------------------------------------ allow audit

@@ -68,7 +68,7 @@ const CHAOS_LEAD: SimTime = SimTime::from_us(5);
 /// The traffic shape a lease serves — the paper's application classes
 /// reduced to their closed-loop fingerprints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrafficClass {
+pub(crate) enum TrafficClass {
     /// YCSB/VoltDB-shaped: moderate outstanding window per client.
     Ycsb,
     /// Memcached-shaped: many small GET-sized requests in flight.
@@ -157,7 +157,7 @@ impl FleetPhase {
     }
 
     /// Adds a chaos rung to the phase's opening.
-    pub fn with_chaos(mut self, chaos: FleetChaos) -> Self {
+    pub(crate) fn with_chaos(mut self, chaos: FleetChaos) -> Self {
         self.chaos.push(chaos);
         self
     }
@@ -344,7 +344,7 @@ impl FleetScenario {
                 let loads = stream_loads(&leases, &churn, phase.load);
                 if !loads.is_empty() {
                     rack.run_fleet_streams_undrained(&loads, slice, workers)?;
-                    cursor = cursor + slice;
+                    cursor += slice;
                     windows += 1;
                 }
                 for rung in crashes {
@@ -365,7 +365,7 @@ impl FleetScenario {
                     break;
                 }
                 rack.run_fleet_streams(&loads, slice, workers)?;
-                cursor = cursor + slice;
+                cursor += slice;
                 windows += 1;
                 if let Some(fabric) = rack.fabric_mut(&hot_borrower) {
                     if recorder.due(fabric.now()) {
@@ -413,7 +413,7 @@ impl FleetScenario {
             leases: lease_rows,
             phases: phase_rows,
             breaches: ledger,
-            hottest: hottest,
+            hottest,
             churn: churn_stats,
             hot_lease_retired_per_window: retired_per_window,
         })
@@ -555,7 +555,7 @@ pub struct FleetReport {
 
 impl FleetReport {
     /// Schema version of [`FleetReport::to_value`].
-    pub const SCHEMA: u64 = 1;
+    pub(crate) const SCHEMA: u64 = 1;
 
     /// Breach entries judged in phase `phase`.
     pub fn breaches_in(&self, phase: &str) -> Vec<&BreachEntry> {

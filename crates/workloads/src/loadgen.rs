@@ -119,12 +119,6 @@ impl ClosedLoopSim {
         }
     }
 
-    /// Sets the exponential jitter fraction applied to the network RTT.
-    pub fn rtt_jitter(mut self, frac: f64) -> Self {
-        self.rtt_jitter_frac = frac;
-        self
-    }
-
     fn sample_rtt(&mut self) -> SimTime {
         let jitter = self.rng.exp(self.rtt_jitter_frac);
         self.network_rtt * (1.0 + jitter)
@@ -142,7 +136,6 @@ impl ClosedLoopSim {
 
         // Kick every client.
         for c in 0..self.clients {
-            issued_at[c] = SimTime::ZERO;
             let half = self.sample_rtt() / 2;
             queue.schedule(half, Ev::ArriveAtServer { client: c });
         }
@@ -200,7 +193,8 @@ mod tests {
 
     #[test]
     fn uncontended_latency_is_rtt_plus_service() {
-        let mut sim = ClosedLoopSim::new(1, 4, SimTime::from_us(100), 1).rtt_jitter(0.0);
+        let mut sim = ClosedLoopSim::new(1, 4, SimTime::from_us(100), 1);
+        sim.rtt_jitter_frac = 0.0;
         let stats = sim.run(&mut fixed(20), 100);
         assert_eq!(stats.completed, 100);
         let mean = stats.mean_us();
@@ -233,6 +227,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::float_cmp)] // exact: one seed replays bit-identically
     fn determinism() {
         let run = |seed| {
             let mut sim = ClosedLoopSim::new(8, 4, SimTime::from_us(80), seed);

@@ -51,7 +51,6 @@ pub struct SlabCache {
     clock: u64,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 impl SlabCache {
@@ -70,7 +69,6 @@ impl SlabCache {
             clock: 0,
             hits: 0,
             misses: 0,
-            evictions: 0,
         }
     }
 
@@ -112,7 +110,6 @@ impl SlabCache {
             self.lru.remove(&stamp);
             let (vsize, _) = self.entries.remove(&victim).expect("lru entry");
             self.used -= vsize as u64;
-            self.evictions += 1;
         }
         self.clock += 1;
         self.entries.insert(key, (size, self.clock));
@@ -131,7 +128,7 @@ impl SlabCache {
     }
 
     /// Bytes in use.
-    pub fn used_bytes(&self) -> u64 {
+    pub(crate) fn used_bytes(&self) -> u64 {
         self.used
     }
 
@@ -143,11 +140,6 @@ impl SlabCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Evictions performed.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 }
 
@@ -184,14 +176,14 @@ impl Default for EtcParams {
 
 impl EtcParams {
     /// Samples a value size in bytes.
-    pub fn value_size(&self, rng: &mut DetRng) -> u32 {
+    pub(crate) fn value_size(&self, rng: &mut DetRng) -> u32 {
         rng.lognormal(self.value_mu, self.value_sigma).clamp(16.0, 65_536.0) as u32
     }
 }
 
 /// Service-model parameters for one GET/SET.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MemcachedCost {
+pub(crate) struct MemcachedCost {
     /// Base server processing per request, µs (event loop, TCP, parse).
     pub base_us: f64,
     /// Cache lines touched per request (hash chain, item header, value
@@ -229,7 +221,6 @@ pub struct MemcachedService {
     model: MemoryModel,
     zipf: ZipfSampler,
     rng: DetRng,
-    gets: u64,
     sets: u64,
 }
 
@@ -244,7 +235,6 @@ impl MemcachedService {
             cost: MemcachedCost::default(),
             etc,
             model,
-            gets: 0,
             sets: 0,
         };
         svc.warm_up();
@@ -266,11 +256,6 @@ impl MemcachedService {
     /// The cache (for hit-ratio inspection).
     pub fn cache(&self) -> &SlabCache {
         &self.cache
-    }
-
-    /// GETs served.
-    pub fn gets(&self) -> u64 {
-        self.gets
     }
 
     /// SETs served.
@@ -298,7 +283,6 @@ impl Service for MemcachedService {
         let key = self.zipf.sample(&mut self.rng);
         let is_get = self.rng.f64() < self.etc.get_to_set / (1.0 + self.etc.get_to_set);
         let us = if is_get {
-            self.gets += 1;
             let hit = self.cache.get(key);
             let value_lines = if hit {
                 let size = self.etc.value_size(&mut self.rng);
@@ -392,7 +376,6 @@ mod tests {
         assert!(c.get(1));
         assert!(!c.get(2));
         assert!(c.get(3));
-        assert_eq!(c.evictions(), 1);
         assert!(c.used_bytes() <= 1000);
     }
 
@@ -449,7 +432,9 @@ mod tests {
     #[test]
     fn get_set_ratio_respected() {
         let (_, svc) = quick().run(model(SystemConfig::Local), 31);
-        let ratio = svc.gets() as f64 / svc.sets().max(1) as f64;
+        // Every GET is one cache lookup.
+        let gets = svc.cache.hits + svc.cache.misses;
+        let ratio = gets as f64 / svc.sets().max(1) as f64;
         assert!((24.0..=37.0).contains(&ratio), "GET:SET {ratio}");
     }
 

@@ -25,11 +25,6 @@ impl WorkloadRunner {
         }
     }
 
-    /// A runner with custom calibration.
-    pub fn with_params(params: DatapathParams) -> Self {
-        WorkloadRunner { params }
-    }
-
     /// The calibration in use.
     pub fn params(&self) -> &DatapathParams {
         &self.params

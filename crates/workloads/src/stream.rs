@@ -26,16 +26,8 @@ impl Kernel {
     /// All four kernels in STREAM's reporting order.
     pub const ALL: [Kernel; 4] = [Kernel::Copy, Kernel::Scale, Kernel::Add, Kernel::Triad];
 
-    /// Bytes moved per loop iteration.
-    pub fn bytes_per_iter(self) -> u32 {
-        match self {
-            Kernel::Copy | Kernel::Scale => 16,
-            Kernel::Add | Kernel::Triad => 24,
-        }
-    }
-
     /// Floating-point operations per iteration.
-    pub fn flops_per_iter(self) -> u32 {
+    pub(crate) fn flops_per_iter(self) -> u32 {
         match self {
             Kernel::Copy => 0,
             Kernel::Scale | Kernel::Add => 1,
@@ -44,7 +36,7 @@ impl Kernel {
     }
 
     /// Read streams feeding the prefetcher.
-    pub fn read_streams(self) -> u32 {
+    pub(crate) fn read_streams(self) -> u32 {
         match self {
             Kernel::Copy | Kernel::Scale => 1,
             Kernel::Add | Kernel::Triad => 2,
@@ -101,7 +93,7 @@ impl StreamBench {
     }
 
     /// Total working-set bytes (three arrays of f64).
-    pub fn working_set_bytes(&self) -> u64 {
+    pub(crate) fn working_set_bytes(&self) -> u64 {
         self.elements * 8 * 3
     }
 

@@ -114,12 +114,6 @@ impl VoltDb {
         }
     }
 
-    /// Overrides the calibration.
-    pub fn with_params(mut self, params: VoltDbParams) -> Self {
-        self.params = params;
-        self
-    }
-
     /// Partition count.
     pub fn partitions(&self) -> u32 {
         self.partitions

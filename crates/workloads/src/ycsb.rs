@@ -43,15 +43,6 @@ impl YcsbWorkload {
         YcsbWorkload::F,
     ];
 
-    /// Whether >95% of operations are reads or scans ("read intensive"
-    /// in the paper's grouping: B, C, D, E; A and F are "mixed").
-    pub fn is_read_intensive(self) -> bool {
-        matches!(
-            self,
-            YcsbWorkload::B | YcsbWorkload::C | YcsbWorkload::D | YcsbWorkload::E
-        )
-    }
-
     /// The figure label.
     pub fn label(self) -> &'static str {
         match self {
@@ -92,11 +83,6 @@ impl Op {
         }
     }
 
-    /// Whether the operation mutates state.
-    pub fn is_write(self) -> bool {
-        !matches!(self, Op::Read(_) | Op::Scan(_, _))
-    }
-
     /// Records touched.
     pub fn records(self) -> u32 {
         match self {
@@ -120,7 +106,7 @@ pub struct YcsbGenerator {
 
 impl YcsbGenerator {
     /// YCSB's default zipfian constant.
-    pub const ZIPF_THETA: f64 = 0.99;
+    pub(crate) const ZIPF_THETA: f64 = 0.99;
 
     /// Creates a generator over `record_count` pre-loaded records.
     ///
@@ -205,26 +191,6 @@ impl YcsbGenerator {
                     Op::ReadModifyWrite(k)
                 }
             }
-        }
-    }
-
-    /// Average records touched per operation for this workload
-    /// (analytic; scans average `(1 + max)/2`).
-    pub fn mean_records_per_op(&self) -> f64 {
-        match self.workload {
-            YcsbWorkload::E => 0.95 * (1.0 + self.max_scan_len as f64) / 2.0 + 0.05,
-            YcsbWorkload::F => 0.5 + 0.5 * 2.0,
-            _ => 1.0,
-        }
-    }
-
-    /// Fraction of operations that write.
-    pub fn write_fraction(&self) -> f64 {
-        match self.workload {
-            YcsbWorkload::A | YcsbWorkload::F => 0.5,
-            YcsbWorkload::B => 0.05,
-            YcsbWorkload::C => 0.0,
-            YcsbWorkload::D | YcsbWorkload::E => 0.05,
         }
     }
 }
@@ -312,14 +278,5 @@ mod tests {
                 assert!((1..=100).contains(&len));
             }
         }
-        assert!(g.mean_records_per_op() > 40.0);
-    }
-
-    #[test]
-    fn read_intensive_grouping() {
-        assert!(!YcsbWorkload::A.is_read_intensive());
-        assert!(YcsbWorkload::B.is_read_intensive());
-        assert!(YcsbWorkload::E.is_read_intensive());
-        assert!(!YcsbWorkload::F.is_read_intensive());
     }
 }

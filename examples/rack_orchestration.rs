@@ -1,8 +1,7 @@
 //! Software-defined orchestration, end to end: compose a logical server
 //! from two donors' memory, watch every lease materialise as a
 //! flit-level fabric path (section tables, router routes, LLC channels),
-//! measure the paths, exercise access control, retry a transient
-//! refusal, inspect the audit trail.
+//! measure the paths, exercise access control, inspect the audit trail.
 //!
 //! ```text
 //! cargo run --example rack_orchestration
@@ -12,7 +11,6 @@ use thymesisflow::core::attach::AttachRequest;
 use thymesisflow::core::rack::{NodeConfig, RackBuilder};
 use thymesisflow::ctrlplane::api::{AttachSpec, Request};
 use thymesisflow::ctrlplane::auth::Role;
-use thymesisflow::ctrlplane::retry::{attach_with_retry, RetryPolicy};
 use thymesisflow::simkit::time::SimTime;
 use thymesisflow::simkit::units::GIB;
 
@@ -48,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "node-a fabric: {} components, {} routed networks, live paths {:?}",
         fabric.components().len(),
-        fabric.router_stage().router().networks().len(),
+        fabric.path_ids().len(),
         fabric.path_ids(),
     );
 
@@ -88,40 +86,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "tenant POST /flows (node-c) -> {}",
         rack.control_plane_mut().handle_json(&req)
     );
-
-    // A refusal for lack of capacity is transient: the control plane's
-    // retry loop backs off and tries again, and between attempts its
-    // hook may change the state it retries against. Here another flow
-    // holds the rest of node-c's memory and leaves during the first
-    // backoff.
-    let admin = rack.control_plane_mut().auth_mut().issue_token(Role::Admin);
-    let spec = |bytes| AttachSpec {
-        compute_host: "node-a".into(),
-        memory_host: "node-c".into(),
-        bytes,
-        bonded: false,
-    };
-    let cp = rack.control_plane_mut();
-    let hog = cp.attach(&admin, spec(496 * GIB))?;
-    let (grant, stats) = attach_with_retry(
-        cp,
-        &admin,
-        spec(8 * GIB),
-        &RetryPolicy::default(),
-        |cp, attempt, _| {
-            if attempt == 1 {
-                cp.detach(&admin, hog.flow).expect("the other flow is live");
-            }
-        },
-    )
-    .map_err(|(e, _)| e)?;
-    assert_eq!(stats.attempts, 2);
-    println!(
-        "retried attach (node-c) -> {}: {}",
-        grant.flow,
-        stats.summary()
-    );
-    cp.detach(&admin, grant.flow)?;
 
     // Detach tears the fabric paths back down with the leases.
     rack.detach(l1.id())?;

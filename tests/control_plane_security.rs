@@ -55,7 +55,7 @@ fn unauthorized_and_forbidden_flows_are_rejected() {
     let spec = AttachSpec {
         compute_host: "c1".into(),
         memory_host: "m1".into(),
-        bytes: 1 * GIB,
+        bytes: GIB,
         bonded: false,
     };
     // Observer may read status but never attach.
@@ -84,7 +84,7 @@ fn agents_refuse_configs_not_signed_by_the_control_plane() {
             AttachSpec {
                 compute_host: "c1".into(),
                 memory_host: "m1".into(),
-                bytes: 1 * GIB,
+                bytes: GIB,
                 bonded: false,
             },
         )
@@ -125,7 +125,7 @@ fn audit_trail_covers_the_whole_lifecycle() {
             AttachSpec {
                 compute_host: "c1".into(),
                 memory_host: "m1".into(),
-                bytes: 1 * GIB,
+                bytes: GIB,
                 bonded: false,
             },
         )
@@ -155,7 +155,7 @@ fn donor_capacity_is_a_hard_limit_through_the_api() {
     cp.attach(&admin, spec(512 * GIB)).unwrap();
     let resp = cp.handle(Request::Attach {
         token: admin,
-        spec: spec(1 * GIB),
+        spec: spec(GIB),
     });
     assert!(matches!(resp, Response::Error { ref code, .. } if code == "donor_exhausted"));
 }

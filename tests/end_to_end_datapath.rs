@@ -4,17 +4,17 @@
 //! pipeline stages every load crosses.
 
 use thymesisflow::core::fabric::{
-    C1MasterDram, Fabric, FabricBuilder, FabricError, M1Capture, PathId, RmmuTranslate,
-    RouterStage, StageKind, WindowSpec,
+    C1MasterDram, Fabric, FabricBuilder, FabricError, PathId, StageKind,
 };
 use thymesisflow::core::params::DatapathParams;
 use thymesisflow::opencapi::c1::C1Error;
+use thymesisflow::opencapi::m1::M1Endpoint;
 use thymesisflow::opencapi::pasid::{Pasid, Region};
 use thymesisflow::opencapi::transaction::MemRequest;
 use thymesisflow::rmmu::flow::NetworkId;
-use thymesisflow::rmmu::section::SectionEntry;
+use thymesisflow::rmmu::section::{SectionEntry, SectionTable};
 use thymesisflow::rmmu::RoutedRequest;
-use thymesisflow::routing::ChannelId;
+use thymesisflow::routing::{ChannelId, Router};
 use thymesisflow::simkit::time::SimTime;
 
 const WINDOW: u64 = 0x1000_0000_0000;
@@ -123,14 +123,11 @@ fn full_pipeline_enforces_legality_end_to_end() {
     // The §IV-C security property: "compute endpoint configurations
     // allow memory transactions forwarding only towards legal
     // destinations, and fail otherwise" — at every stage a load crosses
-    // in `Fabric::issue_read`, and at the donor.
-    let window = WindowSpec {
-        base: WINDOW,
-        bytes: 2 * SECTION,
-    };
-    let mut capture = M1Capture::new(window);
-    let mut translate = RmmuTranslate::new(window);
-    let mut route = RouterStage::new();
+    // in `Fabric::issue_read`, and at the donor. The blocks are the
+    // ones the fabric engine holds.
+    let mut capture = M1Endpoint::new(WINDOW, 2 * SECTION);
+    let mut translate = SectionTable::with_default_sections(2 * SECTION);
+    let mut route = Router::new();
     translate
         .program(0, SectionEntry::new(DONOR, NetworkId(1)))
         .unwrap();

@@ -57,9 +57,9 @@ proptest! {
                     if bonded {
                         req = req.bonded();
                     }
-                    match rack.attach(req) {
-                        Ok(lease) => live.push(lease),
-                        Err(_) => {} // capacity/path exhaustion is legal
+                    // Capacity/path exhaustion is legal.
+                    if let Ok(lease) = rack.attach(req) {
+                        live.push(lease);
                     }
                 }
                 Action::DetachOldest => {
