@@ -41,6 +41,15 @@ cargo run -q -p tflint -- rules > /dev/null
 echo "==> sanitize feature (runtime conservation checkers)"
 cargo test --features sanitize -p llc -p simkit -q
 
+echo "==> figure harnesses (paper tables + shape assertions, release)"
+# `cargo test` skips the harness = false benches and the check step
+# above only compiles them, so their shape assertions run here: a change
+# that moves a figure past the paper's shape fails the pipeline.
+for harness in proto_datapath fig5_stream fig6_voltdb_profile fig7_ycsb_throughput fig8_memcached_cdf fig9_elasticsearch ablation_numa; do
+    echo "--> bench: ${harness}"
+    cargo bench -q -p bench --bench "${harness}" > /dev/null
+done
+
 echo "==> example smoke loop (release)"
 for example in quickstart rack_orchestration failure_injection chaos_recovery cloud_workloads datacentre_motivation latency_breakdown rack_topologies observatory fleet_slo; do
     echo "--> example: ${example}"

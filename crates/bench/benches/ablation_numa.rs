@@ -14,8 +14,7 @@ use hostsim::numa::{AllocPolicy, NumaNodeId, NumaTopology};
 use simkit::rng::{DetRng, ZipfSampler};
 use simkit::sweep::sweep;
 use thymesisflow_core::config::SystemConfig;
-use thymesisflow_core::memmodel::MemoryModel;
-use thymesisflow_core::params::DatapathParams;
+use workloads::runner::WorkloadRunner;
 
 fn interleave_sweep() {
     println!("streaming bandwidth vs remote page fraction (8 threads):");
@@ -23,13 +22,14 @@ fn interleave_sweep() {
     // Each placement fraction evaluates independently via the sweep
     // harness; results return in grid order for printing.
     let pcts = [0u32, 25, 50, 75, 100];
+    let runner = WorkloadRunner::new();
     let gibs = sweep(0xAB3, pcts.to_vec(), |_i, pct, _rng| {
         // Build a model with a custom placement fraction by blending
         // the two pure configurations' latencies.
-        let params = DatapathParams::prototype();
+        let params = runner.params();
         let f = pct as f64 / 100.0;
-        let local = MemoryModel::new(params.clone(), SystemConfig::Local);
-        let remote = MemoryModel::new(params.clone(), SystemConfig::SingleDisaggregated);
+        let local = runner.model(SystemConfig::Local);
+        let remote = runner.model(SystemConfig::SingleDisaggregated);
         // Little's-law blend with the remote-half channel cap.
         let lat = (1.0 - f) * local.avg_load_latency_ns() + f * remote.avg_load_latency_ns();
         let raw = 8.0 * params.stream_mlp * 128.0 / (lat * 1e-9);

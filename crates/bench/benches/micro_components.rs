@@ -38,7 +38,7 @@ fn reproduce() {
         "frame_assemble" => {
             let msgs: Vec<(u32, usize)> =
                 (0..64).map(|i| (i, 1 + (i as usize % 5))).collect();
-            assemble(msgs, 8, FrameId(0), 0).0.len() as u64
+            assemble(msgs, 8, FrameId(0)).0.len() as u64
         }
         "crc32" => {
             let data: Vec<u8> = (0..256).map(|_| (rng.range(0, 256)) as u8).collect();
@@ -75,7 +75,7 @@ fn criterion_benches(c: &mut Criterion) {
     c.bench_function("micro/llc_frame_assemble_64", |b| {
         b.iter(|| {
             let msgs: Vec<(u32, usize)> = (0..64).map(|i| (i, 1 + (i as usize % 5))).collect();
-            std::hint::black_box(assemble(msgs, 8, FrameId(0), 0))
+            std::hint::black_box(assemble(msgs, 8, FrameId(0)))
         })
     });
 

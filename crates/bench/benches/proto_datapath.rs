@@ -11,16 +11,15 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use simkit::sweep::sweep;
 use simkit::time::SimTime;
 use thymesisflow_core::fabric::FabricBuilder;
+use thymesisflow_core::memmodel::Calibration;
 use thymesisflow_core::params::DatapathParams;
 
 /// One uncontended load's round trip on the reference point-to-point
 /// fabric.
 fn load_latency(params: DatapathParams) -> SimTime {
-    let (mut fabric, path) =
-        FabricBuilder::point_to_point(params, 1, 256 << 20).expect("reference topology assembles");
-    fabric
-        .measure_load_latency(path)
-        .expect("lossless probe completes")
+    Calibration::measure(params)
+        .expect("reference topology serves its probe")
+        .remote_load_latency()
 }
 
 fn reproduce() {

@@ -49,7 +49,6 @@ use simkit::telemetry::{
 };
 use simkit::time::SimTime;
 
-use crate::fabric::builder::FabricBuilder;
 use crate::fabric::chaos::{
     ChaosEvent, ChaosPlan, FaultKind, LinkRef, LoadFault, DEAD_AFTER, WATCHDOG_PERIOD,
 };
@@ -2725,24 +2724,6 @@ impl Fabric {
             .ok_or(FabricError::UnknownPath(path))
     }
 
-    /// The round trip of one section-sized
-    /// [`FabricBuilder::point_to_point`] path — what
-    /// [`crate::memmodel::MemoryModel`] calibrates its remote load
-    /// latency from instead of trusting the closed-form budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fabric failures (never expected for the reference
-    /// topology).
-    pub(crate) fn reference_load_latency(
-        params: &DatapathParams,
-        channels: usize,
-    ) -> Result<SimTime, FabricError> {
-        let (mut fabric, path) =
-            FabricBuilder::point_to_point(params.clone(), channels, 256 << 20)?;
-        fabric.measure_load_latency(path)
-    }
-
     /// Latency distribution of the path's completed loads (ns).
     ///
     /// # Errors
@@ -3199,7 +3180,9 @@ impl Fabric {
 mod tests {
     use super::*;
 
+    use crate::fabric::builder::FabricBuilder;
     use crate::fabric::chaos::DETECTION_WINDOW;
+    use crate::memmodel::Calibration;
     use netsim::switch::CircuitSwitch;
     use routing::topology::Line;
 
@@ -3580,7 +3563,7 @@ mod tests {
         let completed = run_exactly_once(&mut f, p, 8);
         assert_eq!(completed.len(), 8, "a lane failure is graceful degradation");
         assert!(f.faults().is_empty());
-        let healthy = Fabric::reference_load_latency(&params(), 1).unwrap();
+        let healthy = Calibration::measure(params()).unwrap().remote_load_latency();
         let degraded = f.completions(p).unwrap().max();
         assert!(
             degraded > healthy.as_ns(),

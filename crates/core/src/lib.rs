@@ -18,8 +18,10 @@
 //!   ([`FabricBuilder::point_to_point`]) *measures* the prototype numbers
 //!   (≈950 ns flit RTT, channel saturation, the 16 GiB/s C1 cap under
 //!   bonding).
-//! * [`memmodel`] — the application-level memory model calibrated
-//!   against the fabric, used by the `workloads` crate.
+//! * [`memmodel`] — the application-level memory model, used by the
+//!   `workloads` crate. It prices a remote load at one
+//!   [`memmodel::Calibration`]: an idle load measured on that reference
+//!   fabric.
 //! * [`rack`] / [`attach`] — rack assembly: control plane + node agents
 //!   + hosts, with the full attach/detach lifecycle.
 //!

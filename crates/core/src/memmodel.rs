@@ -4,7 +4,9 @@
 //! answers the two questions every workload asks:
 //!
 //! 1. *What does one memory access cost?* — a latency drawn from the
-//!    placement mix of the configuration (local vs disaggregated pages).
+//!    placement mix of the configuration (local vs disaggregated pages),
+//!    with the remote arm taken from one [`Calibration`]: an idle load
+//!    measured on the reference fabric.
 //! 2. *What streaming bandwidth can `t` threads sustain?* — a
 //!    Little's-law throughput bound (`threads × MLP × line / average
 //!    latency`) clipped by each component's capacity (channel payload
@@ -13,57 +15,75 @@
 //!    decline "because the network facing stack gets closer to the
 //!    saturation threshold" (§VI-C).
 
-use serde::{Deserialize, Serialize};
+use simkit::time::SimTime;
 
 use crate::config::SystemConfig;
+use crate::fabric::{FabricBuilder, FabricError};
 use crate::params::DatapathParams;
 
 /// Cache line size (and OpenCAPI transaction payload).
 const LINE_BYTES: f64 = 128.0;
+
+/// Window of the reference path the calibration load crosses.
+const REFERENCE_BYTES: u64 = 256 << 20;
 
 /// Saturation penalty slope: throughput efficiency decays once offered
 /// load exceeds 1.5× the bottleneck capacity.
 const SATURATION_KNEE: f64 = 1.5;
 const SATURATION_SLOPE: f64 = 0.05;
 
-/// A memory access's service class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Placement {
-    /// The line lives in socket-local DRAM.
-    Local,
-    /// The line lives in donor memory across ThymesisFlow.
-    Remote,
+/// The datapath calibration and the remote load-to-use latency measured
+/// on it: the one answer to "what does a remote load cost?".
+#[derive(Debug, Clone, PartialEq)]
+pub struct Calibration {
+    params: DatapathParams,
+    remote_load_latency: SimTime,
+}
+
+impl Calibration {
+    /// Measures one idle load on the reference point-to-point fabric
+    /// ([`FabricBuilder::point_to_point`], one channel). An idle load
+    /// crosses one channel whether or not its path is bonded, so the one
+    /// measurement prices every configuration.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fabric failures (never expected for the reference
+    /// topology).
+    pub fn measure(params: DatapathParams) -> Result<Calibration, FabricError> {
+        let (mut fabric, path) = FabricBuilder::point_to_point(params.clone(), 1, REFERENCE_BYTES)?;
+        let remote_load_latency = fabric.measure_load_latency(path)?;
+        Ok(Calibration {
+            params,
+            remote_load_latency,
+        })
+    }
+
+    /// The calibration constants the fabric was built from.
+    pub fn params(&self) -> &DatapathParams {
+        &self.params
+    }
+
+    /// The measured remote load-to-use latency.
+    pub fn remote_load_latency(&self) -> SimTime {
+        self.remote_load_latency
+    }
 }
 
 /// The calibrated model for one system configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryModel {
-    params: DatapathParams,
+    calibration: Calibration,
     config: SystemConfig,
-    /// Remote load-to-use latency measured on the flit-level fabric, ns;
-    /// overrides the closed-form budget when present (see
-    /// [`crate::rack::Rack::memory_model`]).
-    #[serde(default)]
-    measured_remote_ns: Option<f64>,
 }
 
 impl MemoryModel {
-    /// Builds the model for a configuration, with the closed-form remote
-    /// latency budget.
-    pub fn new(params: DatapathParams, config: SystemConfig) -> Self {
+    /// Builds the model for a configuration from a fabric calibration.
+    pub fn new(calibration: &Calibration, config: SystemConfig) -> Self {
         MemoryModel {
-            params,
+            calibration: calibration.clone(),
             config,
-            measured_remote_ns: None,
         }
-    }
-
-    /// Calibrates the remote load latency from a fabric measurement
-    /// (e.g. [`crate::fabric::Fabric::reference_load_latency`]) instead
-    /// of the analytic budget.
-    pub(crate) fn with_measured_remote(mut self, rtt: simkit::time::SimTime) -> Self {
-        self.measured_remote_ns = Some(rtt.as_ns_f64());
-        self
     }
 
     /// The configuration modelled.
@@ -73,7 +93,7 @@ impl MemoryModel {
 
     /// The calibration constants.
     pub fn params(&self) -> &DatapathParams {
-        &self.params
+        self.calibration.params()
     }
 
     /// Fraction of memory accesses that cross the interconnect.
@@ -81,22 +101,13 @@ impl MemoryModel {
         self.config.remote_fraction()
     }
 
-    /// Latency of one cache-line access of the given placement, ns.
-    pub(crate) fn load_latency_ns(&self, placement: Placement) -> f64 {
-        match placement {
-            Placement::Local => self.params.local_load_latency().as_ns_f64(),
-            Placement::Remote => self
-                .measured_remote_ns
-                .unwrap_or_else(|| self.params.remote_load_latency().as_ns_f64()),
-        }
-    }
-
     /// Average memory-access latency under this configuration's page
-    /// placement, ns.
+    /// placement, ns: the measured remote load for the remote fraction,
+    /// DRAM for the rest.
     pub fn avg_load_latency_ns(&self) -> f64 {
         let f = self.remote_fraction();
-        f * self.load_latency_ns(Placement::Remote)
-            + (1.0 - f) * self.load_latency_ns(Placement::Local)
+        f * self.calibration.remote_load_latency().as_ns_f64()
+            + (1.0 - f) * self.params().local_load_latency().as_ns_f64()
     }
 
     /// The interconnect-side capacity in bytes/s: one channel's payload
@@ -106,29 +117,29 @@ impl MemoryModel {
     pub fn remote_capacity_bytes(&self) -> f64 {
         match self.config.channels() {
             0 => 0.0,
-            1 => self.params.channel_payload_rate().bytes_per_sec(),
+            1 => self.params().channel_payload_rate().bytes_per_sec(),
             n => {
                 let channels =
-                    self.params.channel_payload_rate().bytes_per_sec() * n as f64;
-                channels.min(self.params.c1_sustained_rate().bytes_per_sec())
+                    self.params().channel_payload_rate().bytes_per_sec() * n as f64;
+                channels.min(self.params().c1_sustained_rate().bytes_per_sec())
             }
         }
     }
 
     /// Local DRAM capacity in bytes/s (one socket streams the server).
     pub(crate) fn local_capacity_bytes(&self) -> f64 {
-        self.params.local_bw_gib * (1u64 << 30) as f64
+        self.params().local_bw_gib * (1u64 << 30) as f64
     }
 
     /// Sustainable streaming bandwidth for `threads` hardware threads,
-    /// in bytes/s. `mlp_scale` lets kernels with more arithmetic per
-    /// byte (STREAM scale/triad) shave effective memory-level
-    /// parallelism.
-    pub(crate) fn stream_bandwidth_bytes(&self, threads: u32, mlp_scale: f64) -> f64 {
+    /// in GiB/s (the unit of the paper's Fig. 5). `mlp_scale` lets
+    /// kernels with more arithmetic per byte (STREAM scale/triad) shave
+    /// effective memory-level parallelism.
+    pub fn stream_bandwidth_gib(&self, threads: u32, mlp_scale: f64) -> f64 {
         assert!(threads > 0, "need at least one thread");
         let f_remote = self.remote_fraction();
         let f_local = 1.0 - f_remote;
-        let mlp = self.params.stream_mlp * mlp_scale;
+        let mlp = self.params().stream_mlp * mlp_scale;
         let avg_lat_s = self.avg_load_latency_ns() * 1e-9;
         let raw = threads as f64 * mlp * LINE_BYTES / avg_lat_s;
         // Component capacity limits.
@@ -150,15 +161,7 @@ impl MemoryModel {
         } else {
             1.0
         };
-        base * eff
-    }
-
-    /// Sustainable streaming bandwidth for `threads` hardware threads,
-    /// in GiB/s (the unit of the paper's Fig. 5). `mlp_scale` lets
-    /// kernels with more arithmetic per byte (STREAM scale/triad) shave
-    /// effective memory-level parallelism.
-    pub fn stream_bandwidth_gib(&self, threads: u32, mlp_scale: f64) -> f64 {
-        self.stream_bandwidth_bytes(threads, mlp_scale) / (1u64 << 30) as f64
+        base * eff / (1u64 << 30) as f64
     }
 
     /// Fraction of cycles stalled on memory for an instruction stream
@@ -180,7 +183,7 @@ impl MemoryModel {
         // core truly stalls), so the effective overlap grows sublinearly
         // with the latency ratio.
         let lat = self.avg_load_latency_ns();
-        let local = self.params.local_load_latency().as_ns_f64();
+        let local = self.params().local_load_latency().as_ns_f64();
         let eff_overlap = overlap * (lat / local).max(1.0).powf(0.45);
         let stall_cycles = miss_ratio * lat * ghz / eff_overlap.max(1.0);
         stall_cycles / (compute_cycles + stall_cycles)
@@ -191,19 +194,42 @@ impl MemoryModel {
 mod tests {
     use super::*;
 
+    fn calibration() -> Calibration {
+        Calibration::measure(DatapathParams::prototype()).unwrap()
+    }
+
     fn model(c: SystemConfig) -> MemoryModel {
-        MemoryModel::new(DatapathParams::prototype(), c)
+        MemoryModel::new(&calibration(), c)
     }
 
     #[test]
+    #[allow(clippy::float_cmp)] // exact: the remote arm is the measurement itself
     fn latency_ordering() {
         let local = model(SystemConfig::Local).avg_load_latency_ns();
         let inter = model(SystemConfig::Interleaved).avg_load_latency_ns();
         let remote = model(SystemConfig::SingleDisaggregated).avg_load_latency_ns();
         assert!(local < inter && inter < remote);
         assert!((local - 105.0).abs() < 1.0);
-        assert!(remote > 1000.0 && remote < 1150.0);
+        assert_eq!(remote, calibration().remote_load_latency().as_ns_f64());
         assert!((inter - (local + remote) / 2.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn one_measurement_serves_every_channel_count() {
+        // An idle load crosses one channel whether or not its path is
+        // bonded, so the bonded reference fabric measures the same load.
+        for params in [
+            DatapathParams::prototype(),
+            DatapathParams::asic_integrated(),
+        ] {
+            let one = Calibration::measure(params.clone()).unwrap();
+            let (mut fabric, path) =
+                FabricBuilder::point_to_point(params, 2, REFERENCE_BYTES).unwrap();
+            assert_eq!(
+                fabric.measure_load_latency(path).unwrap(),
+                one.remote_load_latency()
+            );
+        }
     }
 
     #[test]
@@ -269,24 +295,5 @@ mod tests {
         assert!((0.45..=0.65).contains(&local), "local stalls {local}");
         assert!((0.72..=0.90).contains(&remote), "remote stalls {remote}");
         assert!(remote > local + 0.15);
-    }
-
-    #[test]
-    #[allow(clippy::float_cmp)] // exact: an override is returned as given, local latency untouched
-    fn measured_remote_overrides_the_budget() {
-        use simkit::time::SimTime;
-        let analytic = model(SystemConfig::SingleDisaggregated);
-        let measured = model(SystemConfig::SingleDisaggregated)
-            .with_measured_remote(SimTime::from_ns(1100));
-        assert_eq!(measured.load_latency_ns(Placement::Remote), 1100.0);
-        assert_ne!(
-            measured.avg_load_latency_ns(),
-            analytic.avg_load_latency_ns()
-        );
-        // Local latency is untouched by the remote calibration.
-        assert_eq!(
-            measured.load_latency_ns(Placement::Local),
-            analytic.load_latency_ns(Placement::Local)
-        );
     }
 }

@@ -104,12 +104,6 @@ impl DatapathParams {
         SimTime::from_ns(self.serdes_crossing_ns + self.stack_crossing_ns)
     }
 
-    /// Remote load-to-use latency: flit RTT plus the donor's DRAM
-    /// service and the C1 engine overhead. ≈ 1.06 µs on the prototype.
-    pub fn remote_load_latency(&self) -> SimTime {
-        self.flit_rtt() + SimTime::from_ns(self.dram_latency_ns) + SimTime::from_ps(2_980)
-    }
-
     /// Local load-to-use latency.
     pub fn local_load_latency(&self) -> SimTime {
         SimTime::from_ns(self.dram_latency_ns)
@@ -143,13 +137,6 @@ mod tests {
         let p = DatapathParams::prototype();
         let rtt = p.flit_rtt().as_ns();
         assert!((930..=970).contains(&rtt), "RTT {rtt} ns, paper: ~950 ns");
-    }
-
-    #[test]
-    fn remote_load_latency_near_1_1us() {
-        let p = DatapathParams::prototype();
-        let lat = p.remote_load_latency().as_ns();
-        assert!((1000..=1150).contains(&lat), "load-to-use {lat} ns");
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! instantiates the flit-level fabric path for the lease: section-table
 //! entries, a router route, LLC link pairs and channels on the
 //! borrower's [`Fabric`], torn back down on [`Rack::detach`]. Leased
-//! memory is thereby exercised end to end at flit granularity via
-//! [`Rack::measure_lease_rtt`] / [`Rack::run_lease_streams`].
+//! memory is thereby exercised end to end at flit granularity: a
+//! lease's probes run on the fabric and path [`Rack::lease_fabric`]
+//! hands out, and [`Rack::run_lease_streams`] streams leases together.
 //!
 //! The control plane is the one route authority: it routes every lease
 //! on the rack's cable mesh, around cabled pairs without free channels
@@ -32,17 +33,13 @@ use rmmu::flow::NetworkId;
 use simkit::bandwidth::Rate;
 use simkit::stats::Histogram;
 use simkit::sweep::sweep_with_workers;
-use simkit::telemetry::Snapshot;
 use simkit::time::SimTime;
 
 use crate::attach::{AttachRequest, Lease, LeaseId};
-use crate::config::SystemConfig;
 use crate::fabric::{
     ChaosPlan, CongestionReport, Fabric, FabricBuilder, FabricError, Journal, JournalKind,
-    JournalRecord, LatencyBreakdown, LinkCongestion, PathId, PathSpec, SloBreach, SloSpec,
-    StreamLoad,
+    JournalRecord, LinkCongestion, PathId, PathSpec, SloBreach, SloSpec, StreamLoad,
 };
-use crate::memmodel::MemoryModel;
 use crate::params::DatapathParams;
 
 /// Per-node rack configuration.
@@ -838,7 +835,17 @@ impl Rack {
         self.lease_paths.get(&id).map(|(_, p)| *p)
     }
 
-    fn lease_fabric(&mut self, id: LeaseId) -> Result<(&mut Fabric, PathId), RackError> {
+    /// The borrower fabric serving a lease, and the lease's path on it:
+    /// every per-lease probe is a [`Fabric`] call on this pair
+    /// ([`Fabric::measure_load_latency`],
+    /// [`Fabric::measure_stream_bandwidth`],
+    /// [`Fabric::measure_traced_load`] then [`Fabric::path_breakdown`],
+    /// [`Fabric::set_telemetry`], [`Fabric::telemetry_snapshot`]).
+    ///
+    /// # Errors
+    ///
+    /// [`RackError::UnknownLease`] for a lease that is not live.
+    pub fn lease_fabric(&mut self, id: LeaseId) -> Result<(&mut Fabric, PathId), RackError> {
         let (host, path) = self
             .lease_paths
             .get(&id)
@@ -849,75 +856,6 @@ impl Rack {
             .get_mut(&host)
             .ok_or(RackError::UnknownLease(id))?;
         Ok((fabric, path))
-    }
-
-    /// Measures one uncontended cacheline load over the lease's
-    /// flit-level path (load-to-use RTT).
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown leases or fabric protocol violations.
-    pub fn measure_lease_rtt(&mut self, id: LeaseId) -> Result<SimTime, RackError> {
-        let (fabric, path) = self.lease_fabric(id)?;
-        Ok(fabric.measure_load_latency(path)?)
-    }
-
-    /// Enables or disables telemetry (metrics registry + flit span
-    /// tracing) on the fabric serving the lease. Observation only:
-    /// toggling never changes event trajectories.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown leases.
-    pub fn set_lease_telemetry(&mut self, id: LeaseId, enabled: bool) -> Result<(), RackError> {
-        let (fabric, _) = self.lease_fabric(id)?;
-        fabric.set_telemetry(enabled);
-        Ok(())
-    }
-
-    /// A snapshot of the serving fabric's telemetry at its current
-    /// instant: the fabric-wide registry metrics, each live link's
-    /// statistics and each attached path's RTT timer, the lease's among
-    /// them ([`Fabric::telemetry_snapshot`]). Links and paths of
-    /// detached leases are absent.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown leases.
-    pub fn lease_telemetry(&mut self, id: LeaseId) -> Result<Snapshot, RackError> {
-        let (fabric, _) = self.lease_fabric(id)?;
-        Ok(fabric.telemetry_snapshot())
-    }
-
-    /// Measures one traced load over the lease's path and returns the
-    /// per-hop latency attribution of every finished trace on that
-    /// path — the paper's 950 ns-style breakdown, whose spans sum
-    /// exactly to the measured RTT.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown leases or fabric protocol violations.
-    pub fn lease_breakdown(&mut self, id: LeaseId) -> Result<LatencyBreakdown, RackError> {
-        let (fabric, path) = self.lease_fabric(id)?;
-        fabric.measure_traced_load(path)?;
-        Ok(fabric.path_breakdown(path)?)
-    }
-
-    /// Runs a closed-loop read stream over the lease's flit-level path
-    /// and returns the sustained rate.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown leases or fabric protocol violations.
-    pub fn measure_lease_bandwidth(
-        &mut self,
-        id: LeaseId,
-        threads: u32,
-        window: u32,
-        duration: SimTime,
-    ) -> Result<Rate, RackError> {
-        let (fabric, path) = self.lease_fabric(id)?;
-        Ok(fabric.measure_stream_bandwidth(path, threads, window, duration)?)
     }
 
     /// Runs concurrent closed-loop streams — `(lease, threads, window)`
@@ -1136,28 +1074,11 @@ impl Rack {
         }
         best
     }
-
-    /// The calibrated memory model for a system configuration. The
-    /// remote load latency is *measured* on a reference point-to-point
-    /// fabric rather than taken from the closed-form budget, so the
-    /// application model and the flit-level simulation cannot drift
-    /// apart.
-    pub fn memory_model(&self, config: SystemConfig) -> MemoryModel {
-        let model = MemoryModel::new(self.params.clone(), config);
-        match config.channels() {
-            0 => model,
-            n => match Fabric::reference_load_latency(&self.params, n as usize) {
-                Ok(rtt) => model.with_measured_remote(rtt),
-                Err(_) => model,
-            },
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memmodel::Placement;
     use simkit::units::GIB;
 
     fn rack() -> Rack {
@@ -1167,6 +1088,12 @@ mod tests {
             .cable("borrower", "donor")
             .build()
             .unwrap()
+    }
+
+    /// One uncontended load over the lease's path.
+    fn lease_rtt(r: &mut Rack, id: LeaseId) -> SimTime {
+        let (fabric, path) = r.lease_fabric(id).unwrap();
+        fabric.measure_load_latency(path).unwrap()
     }
 
     #[test]
@@ -1295,20 +1222,21 @@ mod tests {
         let lease = r
             .attach(AttachRequest::new("borrower", "donor", 4 * GIB))
             .unwrap();
-        let rtt = r.measure_lease_rtt(lease.id()).unwrap();
+        let rtt = lease_rtt(&mut r, lease.id());
         assert!(
             (1000..=1200).contains(&rtt.as_ns()),
             "lease RTT {rtt} off the reference envelope"
         );
-        let rate = r
-            .measure_lease_bandwidth(lease.id(), 8, 32, simkit::time::SimTime::from_us(100))
+        let (fabric, path) = r.lease_fabric(lease.id()).unwrap();
+        let rate = fabric
+            .measure_stream_bandwidth(path, 8, 32, SimTime::from_us(100))
             .unwrap();
         let gib = rate.as_gib_per_sec();
         assert!((8.5..=11.64).contains(&gib), "lease stream {gib} GiB/s");
         r.detach(lease.id()).unwrap();
         assert!(r.lease_path(lease.id()).is_none());
         assert!(matches!(
-            r.measure_lease_rtt(lease.id()),
+            r.lease_fabric(lease.id()),
             Err(RackError::UnknownLease(_))
         ));
     }
@@ -1326,33 +1254,13 @@ mod tests {
         let fabric = r.fabric("borrower").unwrap();
         assert_eq!(fabric.path_ids().len(), 1);
         // The survivor still serves traffic.
-        let rtt = r.measure_lease_rtt(b.id()).unwrap();
+        let rtt = lease_rtt(&mut r, b.id());
         assert!((1000..=1200).contains(&rtt.as_ns()), "{rtt}");
         // And a fresh lease can reuse the freed window space.
         let c = r
             .attach(AttachRequest::new("borrower", "donor", 4 * GIB))
             .unwrap();
         assert_eq!(c.window_base(), a.window_base());
-    }
-
-    #[test]
-    fn memory_model_is_fabric_calibrated() {
-        let r = rack();
-        let m = r.memory_model(SystemConfig::SingleDisaggregated);
-        let measured = m.load_latency_ns(Placement::Remote);
-        let analytic = r.params().remote_load_latency().as_ns_f64();
-        #[allow(clippy::float_cmp)] // exact: an uncalibrated model returns the budget itself
-        let calibrated = measured != analytic;
-        assert!(calibrated, "not calibrated");
-        assert!(
-            (measured - analytic).abs() < 130.0,
-            "measured {measured} vs analytic {analytic}"
-        );
-        // Local configurations never cross the fabric: no calibration.
-        let local = r.memory_model(SystemConfig::Local);
-        #[allow(clippy::float_cmp)] // exact: the budget itself, not a measurement
-        let uncalibrated = local.load_latency_ns(Placement::Remote) == analytic;
-        assert!(uncalibrated);
     }
 
     #[test]
@@ -1391,7 +1299,7 @@ mod tests {
         // The replacement lease serves traffic; the borrower never lost
         // its remote capacity.
         assert_eq!(r.host("n1").unwrap().remote_bytes(), 8 * GIB);
-        let rtt = r.measure_lease_rtt(*new).unwrap();
+        let rtt = lease_rtt(&mut r, *new);
         assert!((1000..=1200).contains(&rtt.as_ns()), "{rtt}");
         assert_eq!(r.leases().count(), 1);
         // The dead host refuses new business.
@@ -1435,7 +1343,7 @@ mod tests {
         // n3's lease rides through on the shared borrower fabric. (The
         // migration target for the doomed lease is also n3, so n1 now
         // holds two leases there.)
-        let rtt = r.measure_lease_rtt(safe.id()).unwrap();
+        let rtt = lease_rtt(&mut r, safe.id());
         assert!((1000..=1200).contains(&rtt.as_ns()), "{rtt}");
         assert_eq!(r.host("n1").unwrap().remote_bytes(), 12 * GIB);
     }
@@ -1604,7 +1512,7 @@ mod tests {
             .unwrap();
         let path = r.lease_path(lease.id()).unwrap();
         // The new contract's budget: twice the uncontended load-to-use.
-        let budget = SimTime::from_ns(2 * r.measure_lease_rtt(lease.id()).unwrap().as_ns());
+        let budget = SimTime::from_ns(2 * lease_rtt(&mut r, lease.id()).as_ns());
         // A slow history: a deep closed loop queues loads behind each
         // other, under a contract with no latency budget.
         let slow = [(lease.id(), 16, 32)];

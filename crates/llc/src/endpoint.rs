@@ -8,9 +8,12 @@
 //!
 //! Credit discipline: every *first* transmission of a data frame consumes
 //! one credit (one Rx ingress slot); the receiver returns the credit when
-//! the frame is delivered to the endpoint attachment. Replayed frames
-//! reuse the credit consumed by their original transmission, so recovery
-//! can never deadlock on an empty credit pool.
+//! the frame is delivered to the endpoint attachment, through the
+//! cumulative ack that retires the frame (or an explicit
+//! [`Control::CreditReturn`]). The paper's piggy-backing of credits on
+//! transaction headers is not modelled. Replayed frames reuse the credit
+//! consumed by their original transmission, so recovery can never
+//! deadlock on an empty credit pool.
 
 use std::collections::VecDeque;
 
@@ -40,7 +43,6 @@ pub struct LlcTx<T> {
     retransmit: VecDeque<Frame<T>>,
     credits: CreditCounter,
     replay: ReplayBuffer<T>,
-    credit_return_pool: u32,
     last_replay_request: Option<FrameId>,
     frames_sent: u64,
     frames_replayed: u64,
@@ -65,7 +67,6 @@ impl<T: FlitSized + Clone> LlcTx<T> {
             retransmit: VecDeque::new(),
             credits: CreditCounter::new(config.rx_queue_credits()),
             replay: ReplayBuffer::new(config.replay_window),
-            credit_return_pool: 0,
             last_replay_request: None,
             frames_sent: 0,
             frames_replayed: 0,
@@ -101,34 +102,16 @@ impl<T: FlitSized + Clone> LlcTx<T> {
         if self.staging.is_empty() {
             return;
         }
-        let piggyback = self.take_credit_returns();
-        let first = self.ready.len();
         let ready = &mut self.ready;
         self.next_id = assemble_into(
             self.staging.drain(..),
             self.config.frame_flits,
             self.next_id,
-            0,
             &mut self.entries,
             |f| ready.push_back(f),
         );
-        // Piggy-back accumulated credit returns on the first frame's header.
-        if piggyback > 0 {
-            if let Some(Frame::Data {
-                piggyback_credits, ..
-            }) = self.ready.get_mut(first)
-            {
-                *piggyback_credits = piggyback;
-            }
-        }
         #[cfg(feature = "sanitize")]
         self.assert_flit_conservation();
-    }
-
-    /// Drains the accumulated credit returns (used when an explicit
-    /// [`Control::CreditReturn`] frame must be emitted on an idle link).
-    pub(crate) fn take_credit_returns(&mut self) -> u32 {
-        std::mem::take(&mut self.credit_return_pool)
     }
 
     /// The next frame to put on the wire, if the protocol allows one:
@@ -303,8 +286,6 @@ pub struct RxAction<T> {
     pub delivered: Vec<T>,
     /// Control messages to send back to the peer's transmitter.
     pub replies: Vec<Control>,
-    /// Credits the peer piggy-backed for the co-located transmitter.
-    pub piggyback_credits: u32,
 }
 
 impl<T> Default for RxAction<T> {
@@ -312,7 +293,6 @@ impl<T> Default for RxAction<T> {
         RxAction {
             delivered: Vec::new(),
             replies: Vec::new(),
-            piggyback_credits: 0,
         }
     }
 }
@@ -322,7 +302,6 @@ impl<T> RxAction<T> {
     pub fn clear(&mut self) {
         self.delivered.clear();
         self.replies.clear();
-        self.piggyback_credits = 0;
     }
 }
 
@@ -378,7 +357,7 @@ impl<T: FlitSized + Clone> LlcRx<T> {
     }
 
     /// The state machine behind [`LlcRx::on_frame`]: appends the frame's
-    /// deliveries and replies to `out` and adds its piggy-backed credits.
+    /// deliveries and replies to `out`.
     /// Delivered transactions are cloned out of the payload, which the
     /// peer's replay buffer still shares.
     fn accept(
@@ -387,19 +366,14 @@ impl<T: FlitSized + Clone> LlcRx<T> {
         intact: bool,
         out: &mut RxAction<T>,
     ) -> Result<(), LlcError> {
-        let (id, entries, piggyback) = match frame {
-            Frame::Data {
-                id,
-                entries,
-                piggyback_credits,
-            } => (*id, entries, *piggyback_credits),
+        let (id, entries) = match frame {
+            Frame::Data { id, entries } => (*id, entries),
             Frame::Control(_) => {
                 // Control frames are routed to the Tx by the link layer;
                 // reaching here is a wiring bug.
                 return Err(LlcError::ControlFrameInDataPath);
             }
         };
-        out.piggyback_credits += piggyback;
         if !intact {
             // Header cannot be trusted; ask for in-order replay.
             self.corrupt += 1;
@@ -458,7 +432,7 @@ impl<T: FlitSized + Clone> LlcRx<T> {
 
     /// Drains every queued arrival through the state machine, appending
     /// each frame's outcome to the caller-owned `out` (deliveries in
-    /// order, replies in order, piggy-backed credits summed). `out` is
+    /// order, replies in order). `out` is
     /// not cleared first, so a caller can keep one action across bursts
     /// and [`RxAction::clear`] it between uses.
     ///
@@ -700,7 +674,6 @@ mod tests {
                     Frame::Data {
                         id: FrameId(i),
                         entries: vec![crate::frame::Entry::Txn((0u32, 1usize))].into(),
-                        piggyback_credits: 0,
                     },
                     true,
                 )

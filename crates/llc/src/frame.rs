@@ -162,8 +162,7 @@ impl<T: Deserialize> Deserialize for Payload<T> {
 }
 
 /// A frame on the wire: either a data frame of flit entries or a
-/// single-flit in-band control message. Data frames piggy-back a credit
-/// return field on their header.
+/// single-flit in-band control message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Frame<T> {
     /// A data frame.
@@ -172,9 +171,6 @@ pub enum Frame<T> {
         id: FrameId,
         /// Transactions plus nop padding, shared across retained copies.
         entries: Payload<T>,
-        /// Credits piggy-backed on the header ("exchanged by
-        /// piggy-backing them on the transaction headers").
-        piggyback_credits: u32,
     },
     /// A single-flit in-band control frame.
     Control(Control),
@@ -255,17 +251,11 @@ pub fn assemble<T: FlitSized>(
     txns: Vec<T>,
     frame_flits: usize,
     next_id: FrameId,
-    credits_each: u32,
 ) -> (Vec<Frame<T>>, FrameId) {
     let mut frames = Vec::new();
-    let next = assemble_into(
-        txns,
-        frame_flits,
-        next_id,
-        credits_each,
-        &mut Vec::new(),
-        |f| frames.push(f),
-    );
+    let next = assemble_into(txns, frame_flits, next_id, &mut Vec::new(), |f| {
+        frames.push(f)
+    });
     (frames, next)
 }
 
@@ -281,7 +271,6 @@ pub(crate) fn assemble_into<T: FlitSized>(
     txns: impl IntoIterator<Item = T>,
     frame_flits: usize,
     mut next_id: FrameId,
-    credits_each: u32,
     entries: &mut Vec<Entry<T>>,
     mut emit: impl FnMut(Frame<T>),
 ) -> FrameId {
@@ -293,7 +282,6 @@ pub(crate) fn assemble_into<T: FlitSized>(
         emit(Frame::Data {
             id,
             entries: entries.drain(..).collect(),
-            piggyback_credits: credits_each,
         });
     };
     for t in txns {
@@ -343,7 +331,7 @@ mod tests {
         // Frame of 8 flits -> 7 payload flits. Three 2-flit messages fill
         // 6 flits; one nop pads the 7th.
         let txns: Vec<Msg> = vec![(1, 2), (2, 2), (3, 2)];
-        let (frames, next) = assemble(txns, 8, FrameId(0), 0);
+        let (frames, next) = assemble(txns, 8, FrameId(0));
         assert_eq!(frames.len(), 1);
         assert_eq!(next, FrameId(1));
         assert_eq!(frames[0].flits(), 8);
@@ -360,7 +348,7 @@ mod tests {
     fn messages_never_split_across_frames() {
         // 7 payload flits; a 5-flit then a 4-flit message must occupy two
         // frames (4 doesn't fit after 5).
-        let (frames, _) = assemble(vec![(1, 5), (2, 4)], 8, FrameId(10), 0);
+        let (frames, _) = assemble(vec![(1, 5), (2, 4)], 8, FrameId(10));
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0].id(), Some(FrameId(10)));
         assert_eq!(frames[1].id(), Some(FrameId(11)));
@@ -371,7 +359,7 @@ mod tests {
     #[test]
     fn every_assembled_frame_is_exactly_full() {
         let txns: Vec<Msg> = (0..57).map(|i| (i, 1 + (i as usize % 5))).collect();
-        let (frames, _) = assemble(txns, 8, FrameId(0), 0);
+        let (frames, _) = assemble(txns, 8, FrameId(0));
         for f in &frames {
             assert_eq!(f.flits(), 8, "{f:?}");
             assert_eq!(f.wire_bytes(), 256);
@@ -381,7 +369,7 @@ mod tests {
     #[test]
     fn ids_are_sequential() {
         let txns: Vec<Msg> = (0..20).map(|i| (i, 7)).collect();
-        let (frames, next) = assemble(txns, 8, FrameId(5), 0);
+        let (frames, next) = assemble(txns, 8, FrameId(5));
         assert_eq!(frames.len(), 20);
         assert_eq!(next, FrameId(25));
         for (i, f) in frames.iter().enumerate() {
@@ -403,7 +391,7 @@ mod tests {
         assert_eq!(last.seq_cmp(last), std::cmp::Ordering::Equal);
         // Assembly rolls straight through the wrap with sequential ids.
         let txns: Vec<Msg> = (0..4).map(|i| (i, 7)).collect();
-        let (frames, next) = assemble(txns, 8, FrameId(u64::MAX - 1), 0);
+        let (frames, next) = assemble(txns, 8, FrameId(u64::MAX - 1));
         let ids: Vec<u64> = frames.iter().map(|f| f.id().unwrap().0).collect();
         assert_eq!(ids, vec![u64::MAX - 1, u64::MAX, 0, 1]);
         assert_eq!(next, FrameId(2));
@@ -421,12 +409,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds frame payload")]
     fn oversized_message_panics() {
-        let _ = assemble(vec![(0u32, 9usize)], 8, FrameId(0), 0);
+        let _ = assemble(vec![(0u32, 9usize)], 8, FrameId(0));
     }
 
     #[test]
     fn cloned_frames_share_payload() {
-        let (frames, _) = assemble::<Msg>(vec![(1, 2), (2, 2)], 8, FrameId(0), 0);
+        let (frames, _) = assemble::<Msg>(vec![(1, 2), (2, 2)], 8, FrameId(0));
         let copy = frames[0].clone();
         match (&frames[0], &copy) {
             (Frame::Data { entries: a, .. }, Frame::Data { entries: b, .. }) => {

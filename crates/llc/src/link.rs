@@ -190,12 +190,6 @@ impl<T: FlitSized + Clone> LlcLink<T> {
                     Side::A => self.rx_a.on_frame(data, intact)?,
                     Side::B => self.rx_b.on_frame(data, intact)?,
                 };
-                if action.piggyback_credits > 0 {
-                    self.tx_mut(to)
-                        .on_control(crate::frame::Control::CreditReturn(
-                            action.piggyback_credits,
-                        ))?;
-                }
                 for msg in action.delivered {
                     self.delivered.push(Delivered { to, msg, at });
                 }

@@ -22,8 +22,8 @@ use crate::frame::{Frame, FrameId};
 /// use llc::replay::ReplayBuffer;
 ///
 /// let mut rb: ReplayBuffer<(u32, usize)> = ReplayBuffer::new(8);
-/// rb.retain(Frame::Data { id: FrameId(0), entries: vec![].into(), piggyback_credits: 0 }).unwrap();
-/// rb.retain(Frame::Data { id: FrameId(1), entries: vec![].into(), piggyback_credits: 0 }).unwrap();
+/// rb.retain(Frame::Data { id: FrameId(0), entries: vec![].into() }).unwrap();
+/// rb.retain(Frame::Data { id: FrameId(1), entries: vec![].into() }).unwrap();
 /// let replayed = rb.frames_from(FrameId(0));
 /// assert_eq!(replayed.len(), 2);
 /// rb.ack_through(FrameId(1));
@@ -150,7 +150,6 @@ mod tests {
         Frame::Data {
             id: FrameId(id),
             entries: vec![].into(),
-            piggyback_credits: 0,
         }
     }
 
@@ -217,7 +216,6 @@ mod tests {
                 crate::frame::Entry::Nop,
             ]
             .into(),
-            piggyback_credits: 0,
         })
         .unwrap();
         assert_eq!(rb.ack_through(FrameId(0)), 2);

@@ -7,11 +7,10 @@
 //!
 //! ```text
 //! header flit (32 B):
-//!   0..2   magic  "TF"            18..26  reserved
+//!   0..2   magic  "TF"            12..26  reserved (zero)
 //!   2..3   kind   (0 data, 1..=3 control)
 //!   3..4   entry count            26..28  payload flit count
 //!   4..12  frame id / ctrl arg    28..32  CRC32 over everything else
-//!   12..16 piggyback credits
 //! entry flits: per entry, 1 descriptor flit
 //!   0..1   kind (0 txn, 1 nop)    8..16   payload word a
 //!   1..8   reserved               16..24  payload word b
@@ -111,11 +110,7 @@ pub fn encode<T: WireCodec>(frame: &Frame<T>) -> Vec<u8> {
             flit[28..32].copy_from_slice(&crc.to_le_bytes());
             flit
         }
-        Frame::Data {
-            id,
-            entries,
-            piggyback_credits,
-        } => {
+        Frame::Data { id, entries } => {
             let mut buf = vec![0u8; FLIT_BYTES * (1 + entries.len())];
             buf[0] = b'T';
             buf[1] = b'F';
@@ -124,7 +119,6 @@ pub fn encode<T: WireCodec>(frame: &Frame<T>) -> Vec<u8> {
             // entry count always fits the header byte.
             buf[3] = u8::try_from(entries.len()).unwrap_or(u8::MAX);
             put_u64(&mut buf, 4, id.0);
-            buf[12..16].copy_from_slice(&piggyback_credits.to_le_bytes());
             let payload_flits: usize = entries
                 .iter()
                 .map(|e| match e {
@@ -196,7 +190,6 @@ pub fn decode<T: WireCodec>(bytes: &[u8]) -> Result<Frame<T>, WireError> {
                 return Err(WireError::BadLength(bytes.len()));
             }
             let id = FrameId(get_u64(bytes, 4));
-            let piggyback = get_u32(bytes, 12);
             let mut entries = Vec::with_capacity(count);
             for i in 0..count {
                 let off = FLIT_BYTES * (1 + i);
@@ -212,7 +205,6 @@ pub fn decode<T: WireCodec>(bytes: &[u8]) -> Result<Frame<T>, WireError> {
             Ok(Frame::Data {
                 id,
                 entries: entries.into(),
-                piggyback_credits: piggyback,
             })
         }
         _ => Err(WireError::Malformed),
@@ -228,7 +220,7 @@ mod tests {
 
     #[test]
     fn data_frame_round_trips() {
-        let (frames, _) = assemble(vec![(7u32, 3usize), (9, 2)], 8, FrameId(5), 0);
+        let (frames, _) = assemble(vec![(7u32, 3usize), (9, 2)], 8, FrameId(5));
         for f in frames {
             let bytes = encode(&f);
             let back: Frame<Msg> = decode(&bytes).expect("clean decode");
@@ -253,7 +245,7 @@ mod tests {
 
     #[test]
     fn single_bit_damage_is_caught() {
-        let (frames, _) = assemble(vec![(1u32, 2usize)], 8, FrameId(0), 3);
+        let (frames, _) = assemble(vec![(1u32, 2usize)], 8, FrameId(0));
         let clean = encode(&frames[0]);
         for bit in 0..clean.len() * 8 {
             let mut damaged = clean.clone();
@@ -280,7 +272,7 @@ mod tests {
         // bytes trip BadMagic, every other bit (header, payload, and the
         // CRC field itself) trips BadCrc. A clean decode or any other
         // error kind is a detector hole.
-        let (frames, _) = assemble(vec![(7u32, 3usize), (9, 2)], 8, FrameId(0), 3);
+        let (frames, _) = assemble(vec![(7u32, 3usize), (9, 2)], 8, FrameId(0));
         let control: Frame<Msg> = Frame::Control(Control::ReplayRequest(FrameId(99)));
         for clean in [encode(&frames[0]), encode(&control)] {
             let total = clean.len() * 8;
@@ -316,21 +308,5 @@ mod tests {
         let mut flit = vec![0u8; 32];
         flit[0] = b'X';
         assert_eq!(decode::<Msg>(&flit), Err(WireError::BadMagic));
-    }
-
-    #[test]
-    fn piggyback_credits_survive() {
-        let f: Frame<Msg> = Frame::Data {
-            id: FrameId(3),
-            entries: vec![Entry::Txn((1, 1)), Entry::Nop].into(),
-            piggyback_credits: 17,
-        };
-        let back: Frame<Msg> = decode(&encode(&f)).unwrap();
-        match back {
-            Frame::Data {
-                piggyback_credits, ..
-            } => assert_eq!(piggyback_credits, 17),
-            _ => panic!("expected data frame"),
-        }
     }
 }

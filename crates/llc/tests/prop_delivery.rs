@@ -41,7 +41,7 @@ proptest! {
             .enumerate()
             .map(|(i, &s)| (i as u32, s))
             .collect();
-        let (frames, _) = llc::frame::assemble(msgs, 8, llc::FrameId(0), 0);
+        let (frames, _) = llc::frame::assemble(msgs, 8, llc::FrameId(0));
         for f in frames {
             prop_assert_eq!(f.flits(), 8);
         }

@@ -256,7 +256,7 @@ impl FleetScenario {
         let mut leases = base_leases(&mut rack, self.availability_floor)?;
         deal_clients(&mut leases, self.seed, self.clients, self.hot_theta);
         let hot = 0usize; // zipf key 0 is the most popular by construction
-        rack.set_lease_telemetry(leases[hot].id, true)?;
+        rack.lease_fabric(leases[hot].id)?.0.set_telemetry(true);
         let mut recorder = Recorder::new(self.window, 64);
         let hot_borrower = leases[hot].borrower.clone();
 

@@ -352,10 +352,10 @@ impl MemcachedBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use thymesisflow_core::params::DatapathParams;
+    use crate::runner::WorkloadRunner;
 
     fn model(c: SystemConfig) -> MemoryModel {
-        MemoryModel::new(DatapathParams::prototype(), c)
+        WorkloadRunner::new().model(c)
     }
 
     fn quick() -> MemcachedBench {

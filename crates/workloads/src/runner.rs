@@ -2,13 +2,13 @@
 //! against any configuration.
 
 use thymesisflow_core::config::SystemConfig;
-use thymesisflow_core::memmodel::MemoryModel;
+use thymesisflow_core::memmodel::{Calibration, MemoryModel};
 use thymesisflow_core::params::DatapathParams;
 
 /// Runs workloads across the paper's system configurations.
 #[derive(Debug, Clone)]
 pub struct WorkloadRunner {
-    params: DatapathParams,
+    calibration: Calibration,
 }
 
 impl Default for WorkloadRunner {
@@ -18,21 +18,22 @@ impl Default for WorkloadRunner {
 }
 
 impl WorkloadRunner {
-    /// A runner with the prototype calibration.
+    /// A runner with the prototype calibration, measured once on the
+    /// reference fabric.
     pub fn new() -> Self {
-        WorkloadRunner {
-            params: DatapathParams::prototype(),
-        }
+        let calibration = Calibration::measure(DatapathParams::prototype())
+            .expect("the prototype's reference fabric builds and serves an idle load");
+        WorkloadRunner { calibration }
     }
 
-    /// The calibration in use.
+    /// The calibration constants in use.
     pub fn params(&self) -> &DatapathParams {
-        &self.params
+        self.calibration.params()
     }
 
     /// The memory model for a configuration.
     pub fn model(&self, config: SystemConfig) -> MemoryModel {
-        MemoryModel::new(self.params.clone(), config)
+        MemoryModel::new(&self.calibration, config)
     }
 
     /// STREAM across every configuration (Fig. 5 rows).

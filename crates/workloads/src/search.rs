@@ -207,22 +207,20 @@ pub(crate) struct SearchParams {
     pub overlap_exponent: f64,
 }
 
-impl Default for SearchParams {
-    fn default() -> Self {
-        SearchParams {
-            pool_threads: 32,
-            ghz: 3.8,
-            miss_ratio: 0.6,
-            overlap: 3.0,
-            overlap_exponent: 0.2,
-        }
-    }
+impl SearchParams {
+    /// The calibration every engine model runs with.
+    const PAPER: SearchParams = SearchParams {
+        pool_threads: 32,
+        ghz: 3.8,
+        miss_ratio: 0.6,
+        overlap: 3.0,
+        overlap_exponent: 0.2,
+    };
 }
 
 /// The Fig. 9 throughput model.
 #[derive(Debug, Clone)]
 pub struct Elasticsearch {
-    params: SearchParams,
     model: MemoryModel,
     shards: u32,
 }
@@ -236,7 +234,6 @@ impl Elasticsearch {
     pub fn new(model: MemoryModel, shards: u32) -> Self {
         assert!(shards > 0, "need at least one shard");
         Elasticsearch {
-            params: SearchParams::default(),
             model,
             shards,
         }
@@ -245,7 +242,7 @@ impl Elasticsearch {
     /// Per-touched-line memory cost in nanoseconds for this
     /// configuration.
     fn line_ns(&self) -> f64 {
-        let p = &self.params;
+        let p = &SearchParams::PAPER;
         let lat = self.model.avg_load_latency_ns();
         let local = self.model.params().local_load_latency().as_ns_f64();
         let eff_overlap = p.overlap * (lat / local).max(1.0).powf(p.overlap_exponent);
@@ -287,13 +284,11 @@ impl Elasticsearch {
     /// Challenge throughput, operations per second (Fig. 9 bars).
     pub fn throughput_ops(&self, c: Challenge) -> f64 {
         let cost = c.cost();
+        let pool = SearchParams::PAPER.pool_threads;
         let (threads, eff) = if self.model.config().is_scale_out() {
-            (
-                self.params.pool_threads * 2,
-                cost.scale_out_efficiency,
-            )
+            (pool * 2, cost.scale_out_efficiency)
         } else {
-            (self.params.pool_threads, 1.0)
+            (pool, 1.0)
         };
         let worker_bound = threads as f64 * eff / (self.busy_ms(c) * 1e-3);
         worker_bound.min(self.bandwidth_cap(c))
@@ -303,10 +298,10 @@ impl Elasticsearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use thymesisflow_core::params::DatapathParams;
+    use crate::runner::WorkloadRunner;
 
     fn es(c: SystemConfig, shards: u32) -> Elasticsearch {
-        Elasticsearch::new(MemoryModel::new(DatapathParams::prototype(), c), shards)
+        Elasticsearch::new(WorkloadRunner::new().model(c), shards)
     }
 
     #[test]

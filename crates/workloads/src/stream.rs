@@ -122,11 +122,11 @@ impl StreamBench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::WorkloadRunner;
     use thymesisflow_core::config::SystemConfig;
-    use thymesisflow_core::params::DatapathParams;
 
     fn model(c: SystemConfig) -> MemoryModel {
-        MemoryModel::new(DatapathParams::prototype(), c)
+        WorkloadRunner::new().model(c)
     }
 
     #[test]

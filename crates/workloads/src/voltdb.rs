@@ -61,19 +61,18 @@ pub struct VoltDbParams {
     pub bonding_penalty: f64,
 }
 
-impl Default for VoltDbParams {
-    fn default() -> Self {
-        VoltDbParams {
-            ghz: 3.8,
-            ipc0: 2.2,
-            overlap: 3.0,
-            miss_ratio: 0.6,
-            dispatch_us_per_partition: 6.5,
-            mp_coordination_us: 85.0,
-            scale_out_remote_fraction: 0.5,
-            bonding_penalty: 0.03,
-        }
-    }
+impl VoltDbParams {
+    /// The §VI-D calibration every model runs with.
+    pub const PAPER: VoltDbParams = VoltDbParams {
+        ghz: 3.8,
+        ipc0: 2.2,
+        overlap: 3.0,
+        miss_ratio: 0.6,
+        dispatch_us_per_partition: 6.5,
+        mp_coordination_us: 85.0,
+        scale_out_remote_fraction: 0.5,
+        bonding_penalty: 0.03,
+    };
 }
 
 /// The §VI-D profiling outputs (the paper's Fig. 6 series).
@@ -94,7 +93,6 @@ pub struct Profile {
 /// The database model for one configuration and partition count.
 #[derive(Debug, Clone)]
 pub struct VoltDb {
-    params: VoltDbParams,
     model: MemoryModel,
     partitions: u32,
 }
@@ -108,7 +106,6 @@ impl VoltDb {
     pub fn new(model: MemoryModel, partitions: u32) -> Self {
         assert!(partitions > 0, "need at least one partition");
         VoltDb {
-            params: VoltDbParams::default(),
             model,
             partitions,
         }
@@ -164,7 +161,7 @@ impl VoltDb {
     /// Memory-stall cycles for `lines` touched lines under this
     /// configuration.
     fn stall_cycles(&self, lines: f64) -> f64 {
-        let p = &self.params;
+        let p = &VoltDbParams::PAPER;
         let lat = self.model.avg_load_latency_ns();
         let local = self.model.params().local_load_latency().as_ns_f64();
         let eff_overlap = p.overlap * (lat / local).max(1.0).powf(0.45);
@@ -177,22 +174,22 @@ impl VoltDb {
 
     /// Busy (on-CPU) microseconds of one single-partition transaction.
     fn busy_us(&self, w: YcsbWorkload) -> f64 {
+        let p = &VoltDbParams::PAPER;
         let cost = self.mix_cost(w);
-        let compute = cost.instructions / self.params.ipc0;
+        let compute = cost.instructions / p.ipc0;
         let stall = self.stall_cycles(cost.lines);
-        let mut us = (compute + stall) / self.params.ghz / 1000.0;
+        let mut us = (compute + stall) / p.ghz / 1000.0;
         if self.model.config().is_scale_out() {
             // Half the single-partition transactions land on the other
             // node: one Ethernet round trip each.
-            us += self.params.scale_out_remote_fraction
-                * self.model.params().ethernet_rtt_us;
+            us += p.scale_out_remote_fraction * self.model.params().ethernet_rtt_us;
         }
         us
     }
 
     /// Per-transaction dispatch/synchronisation microseconds.
     fn dispatch_us(&self) -> f64 {
-        self.params.dispatch_us_per_partition * self.partitions as f64
+        VoltDbParams::PAPER.dispatch_us_per_partition * self.partitions as f64
     }
 
     /// Throughput of a workload, ops/second (Fig. 7).
@@ -210,10 +207,11 @@ impl VoltDb {
         let scan_records = 48.0;
         let instructions = 40_000.0 + 2_500.0 * scan_records;
         let lines = 30.0 * scan_records;
-        let compute_us = instructions / self.params.ipc0 / self.params.ghz / 1000.0;
-        let mem_us = self.stall_cycles(lines) / self.params.ghz / 1000.0;
+        let p = &VoltDbParams::PAPER;
+        let compute_us = instructions / p.ipc0 / p.ghz / 1000.0;
+        let mem_us = self.stall_cycles(lines) / p.ghz / 1000.0;
         let parallel = (compute_us + mem_us) / self.partitions as f64;
-        let mut latency = self.params.mp_coordination_us + parallel;
+        let mut latency = p.mp_coordination_us + parallel;
         if self.model.config().is_scale_out() {
             // Cross-node merge shares the coordination window; only half
             // an Ethernet round trip lands on the critical path.
@@ -224,21 +222,22 @@ impl VoltDb {
 
     /// The full §VI-D profile.
     pub fn profile(&self, w: YcsbWorkload) -> Profile {
+        let p = &VoltDbParams::PAPER;
         let throughput = self.throughput_ops(w);
         let (busy_us, instructions) = if w == YcsbWorkload::E {
             let scan_records = 48.0;
             let instr = 40_000.0 + 2_500.0 * scan_records;
             let lines = 30.0 * scan_records;
-            let cycles = instr / self.params.ipc0 + self.stall_cycles(lines);
-            (cycles / self.params.ghz / 1000.0, instr)
+            let cycles = instr / p.ipc0 + self.stall_cycles(lines);
+            (cycles / p.ghz / 1000.0, instr)
         } else {
             (self.busy_us(w), self.mix_cost(w).instructions)
         };
         // Little's law on the task clock: busy executors.
         let ucc = (throughput * busy_us / 1e6).min(self.partitions as f64);
-        let busy_cycles = busy_us * 1000.0 * self.params.ghz;
+        let busy_cycles = busy_us * 1000.0 * p.ghz;
         let thread_ipc = instructions / busy_cycles;
-        let compute = instructions / self.params.ipc0;
+        let compute = instructions / p.ipc0;
         let stall = busy_cycles - compute;
         Profile {
             throughput_ops: throughput,
@@ -253,13 +252,10 @@ impl VoltDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use thymesisflow_core::params::DatapathParams;
+    use crate::runner::WorkloadRunner;
 
     fn db(c: SystemConfig, partitions: u32) -> VoltDb {
-        VoltDb::new(
-            MemoryModel::new(DatapathParams::prototype(), c),
-            partitions,
-        )
+        VoltDb::new(WorkloadRunner::new().model(c), partitions)
     }
 
     #[test]

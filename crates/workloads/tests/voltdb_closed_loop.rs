@@ -13,7 +13,7 @@ use simkit::stats::Histogram;
 use simkit::time::SimTime;
 use thymesisflow_core::config::SystemConfig;
 use thymesisflow_core::memmodel::MemoryModel;
-use thymesisflow_core::params::DatapathParams;
+use workloads::runner::WorkloadRunner;
 use workloads::voltdb::{OpCost, VoltDb, VoltDbParams};
 use workloads::ycsb::{Op, YcsbGenerator, YcsbWorkload};
 
@@ -35,15 +35,13 @@ enum Ev {
 /// The simulated database server.
 struct VoltDbSim {
     model: MemoryModel,
-    params: VoltDbParams,
     partitions: usize,
 }
 
 impl VoltDbSim {
     fn new(config: SystemConfig, partitions: usize) -> Self {
         VoltDbSim {
-            model: MemoryModel::new(DatapathParams::prototype(), config),
-            params: VoltDbParams::default(),
+            model: WorkloadRunner::new().model(config),
             partitions,
         }
     }
@@ -60,7 +58,7 @@ impl VoltDbSim {
                 lines: 30.0 * *n as f64,
             },
         };
-        let p = &self.params;
+        let p = &VoltDbParams::PAPER;
         let compute = (cost.instructions / p.ipc0) as u64;
         let lat = self.model.avg_load_latency_ns();
         let local = self.model.params().local_load_latency().as_ns_f64();
@@ -81,7 +79,7 @@ impl VoltDbSim {
         // (the analytic model's dispatch term) and occupies the
         // partition while it waits.
         let coordination = SimTime::from_ns_f64(
-            self.params.dispatch_us_per_partition * self.partitions as f64 * 1000.0,
+            VoltDbParams::PAPER.dispatch_us_per_partition * self.partitions as f64 * 1000.0,
         );
         for partition in 0..self.partitions {
             queue.schedule(SimTime::ZERO, Ev::Dispatch { partition });
@@ -132,7 +130,7 @@ fn simulation_agrees_with_the_analytic_model() {
     // the closed-form prediction for non-scan workloads.
     for config in [SystemConfig::Local, SystemConfig::SingleDisaggregated] {
         for parts in [4u32, 32] {
-            let model = MemoryModel::new(DatapathParams::prototype(), config);
+            let model = WorkloadRunner::new().model(config);
             let analytic = VoltDb::new(model, parts).throughput_ops(YcsbWorkload::A);
             let sim = VoltDbSim::new(config, parts as usize)
                 .run(YcsbWorkload::A, 4_000, 2)

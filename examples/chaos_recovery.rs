@@ -135,7 +135,8 @@ fn main() {
         "  {} died serving {}: {} in-flight loads faulted (typed), window re-homed on {donor}",
         f.donor, f.lease, f.loads_faulted,
     );
-    let rtt = rack.measure_lease_rtt(*new).expect("migrated lease serves");
+    let (fabric, path) = rack.lease_fabric(*new).expect("migrated lease is live");
+    let rtt = fabric.measure_load_latency(path).expect("migrated lease serves");
     assert_eq!(
         rack.host("borrower").expect("host").remote_bytes(),
         8 * GIB,

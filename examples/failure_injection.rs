@@ -76,7 +76,7 @@ fn main() {
     println!("every completed load is exactly-once; loss only costs bandwidth\n");
 
     println!("== wire-format CRC vs bit damage ==");
-    let (frames, _) = assemble(vec![(7u32, 3usize), (9, 2)], 8, FrameId(0), 0);
+    let (frames, _) = assemble(vec![(7u32, 3usize), (9, 2)], 8, FrameId(0));
     let clean = encode(&frames[0]);
     let ok: Frame<Msg> = decode(&clean).expect("clean frame decodes");
     println!("clean frame: {} bytes -> {:?}", clean.len(), ok.id());

@@ -101,8 +101,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .cable("borrower", "donor")
         .build()?;
     let lease = rack.attach(AttachRequest::new("borrower", "donor", 32 * GIB))?;
-    rack.set_lease_telemetry(lease.id(), true)?;
-    let bd = rack.lease_breakdown(lease.id())?;
+    let (fabric, path) = rack.lease_fabric(lease.id())?;
+    fabric.set_telemetry(true);
+    fabric.measure_traced_load(path)?;
+    let bd = fabric.path_breakdown(path)?;
     println!();
     println!(
         "rack lease {}: mean load-to-use {:.0} ns over {} traced load(s), {} crossings / {} stack stages",
@@ -112,7 +114,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bd.serdes_crossings_per_load(),
         bd.stack_stages_per_load(),
     );
-    let snap = rack.lease_telemetry(lease.id())?;
+    let snap = fabric.telemetry_snapshot();
     println!(
         "lease telemetry @ {} ns: issued={} retired={} (snapshot exports {} metric paths)",
         snap.at.as_ns(),

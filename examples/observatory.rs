@@ -122,7 +122,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         near_links.join(" + "),
     );
 
-    rack.set_lease_telemetry(victim.id(), true)?;
+    rack.lease_fabric(victim.id())?.0.set_telemetry(true);
     let mut recorder = Recorder::new(WINDOW, 16);
     let loads = [
         (victim.id(), 8, 32),

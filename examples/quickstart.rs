@@ -7,6 +7,7 @@
 
 use thymesisflow::core::attach::AttachRequest;
 use thymesisflow::core::config::SystemConfig;
+use thymesisflow::core::memmodel::{Calibration, MemoryModel};
 use thymesisflow::core::rack::{NodeConfig, RackBuilder};
 use thymesisflow::simkit::units::GIB;
 use thymesisflow::workloads::stream::StreamBench;
@@ -36,9 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         host.local_bytes() / GIB,
         host.remote_bytes() / GIB,
     );
+    // One idle load on the reference fabric prices every configuration.
+    let calibration = Calibration::measure(rack.params().clone())?;
     println!(
         "remote load-to-use latency: {} (local: {})",
-        rack.params().remote_load_latency(),
+        calibration.remote_load_latency(),
         rack.params().local_load_latency(),
     );
 
@@ -47,7 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for threads in [4u32, 8, 16] {
         let mut line = format!("  {threads:>2} threads:");
         for config in SystemConfig::THYMESISFLOW {
-            let gib = StreamBench::paper(threads).run(&rack.memory_model(config))[0].gib_per_sec;
+            let model = MemoryModel::new(&calibration, config);
+            let gib = StreamBench::paper(threads).run(&model)[0].gib_per_sec;
             line.push_str(&format!("  {config}={gib:.1}"));
         }
         println!("{line}");

@@ -51,7 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Leased memory is exercised at flit granularity.
-    let rtt = rack.measure_lease_rtt(l1.id())?;
+    let (fabric, path) = rack.lease_fabric(l1.id())?;
+    let rtt = fabric.measure_load_latency(path)?;
     println!("lease 1 uncontended load-to-use: {rtt}");
     let rates = rack.run_lease_streams(
         &[(l1.id(), 8, 32), (l2.id(), 8, 32)],

@@ -2,7 +2,7 @@
 //! detach lifecycle across rack, control plane, agents and host OS,
 //! down to the flit-level fabric paths leases instantiate.
 
-use thymesisflow::core::attach::AttachRequest;
+use thymesisflow::core::attach::{AttachRequest, LeaseId};
 use thymesisflow::core::rack::{NodeConfig, Rack, RackBuilder};
 use thymesisflow::hostsim::migration::{MigrationDaemon, PagePlacement};
 use thymesisflow::hostsim::mmu::PAGE_BYTES;
@@ -17,6 +17,15 @@ fn two_node_rack() -> Rack {
         .cable("borrower", "donor")
         .build()
         .expect("rack builds")
+}
+
+/// A lease's sustained closed-loop read rate (8 threads × 32 lines).
+fn lease_gib(rack: &mut Rack, id: LeaseId) -> f64 {
+    let (fabric, path) = rack.lease_fabric(id).unwrap();
+    fabric
+        .measure_stream_bandwidth(path, 8, 32, SimTime::from_us(100))
+        .unwrap()
+        .as_gib_per_sec()
 }
 
 #[test]
@@ -145,8 +154,11 @@ fn multi_donor_leases_run_and_detach_at_flit_level() {
     assert_ne!(l1.network_id(), l2.network_id());
     assert!(l1.window_base() + l1.bytes() <= l2.window_base());
     // Uncontended, each lease sees the reference load-to-use RTT.
-    assert!((1000..=1200).contains(&rack.measure_lease_rtt(l1.id()).unwrap().as_ns()));
-    assert!((1000..=1200).contains(&rack.measure_lease_rtt(l2.id()).unwrap().as_ns()));
+    for id in [l1.id(), l2.id()] {
+        let (fabric, path) = rack.lease_fabric(id).unwrap();
+        let rtt = fabric.measure_load_latency(path).unwrap();
+        assert!((1000..=1200).contains(&rtt.as_ns()), "{rtt}");
+    }
 
     // Both donors stream concurrently over one shared event queue.
     let rates = rack
@@ -161,15 +173,9 @@ fn multi_donor_leases_run_and_detach_at_flit_level() {
     }
 
     // Survivor baseline, then detach the other lease mid-life.
-    let before = rack
-        .measure_lease_bandwidth(l2.id(), 8, 32, SimTime::from_us(100))
-        .unwrap()
-        .as_gib_per_sec();
+    let before = lease_gib(&mut rack, l2.id());
     rack.detach(l1.id()).unwrap();
-    let after = rack
-        .measure_lease_bandwidth(l2.id(), 8, 32, SimTime::from_us(100))
-        .unwrap()
-        .as_gib_per_sec();
+    let after = lease_gib(&mut rack, l2.id());
     let drift = (after - before).abs() / before;
     assert!(
         drift < 0.02,

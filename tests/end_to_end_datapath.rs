@@ -6,6 +6,7 @@
 use thymesisflow::core::fabric::{
     C1MasterDram, Fabric, FabricBuilder, FabricError, PathId, StageKind,
 };
+use thymesisflow::core::memmodel::Calibration;
 use thymesisflow::core::params::DatapathParams;
 use thymesisflow::opencapi::c1::C1Error;
 use thymesisflow::opencapi::m1::M1Endpoint;
@@ -29,8 +30,7 @@ fn point_to_point(params: DatapathParams, channels: usize) -> (Fabric, PathId) {
 
 /// One uncontended cacheline load's round trip (flit RTT plus DRAM).
 fn load_latency(params: DatapathParams) -> SimTime {
-    let (mut fabric, path) = point_to_point(params, 1);
-    fabric.measure_load_latency(path).unwrap()
+    Calibration::measure(params).unwrap().remote_load_latency()
 }
 
 /// Sustained closed-loop read rate of `threads × window` loads.
@@ -51,7 +51,7 @@ fn measured_rtt_tracks_the_analytic_budget_across_calibrations() {
         (DatapathParams::prototype(), 130),
         (DatapathParams::asic_integrated(), 150),
     ] {
-        let analytic = params.remote_load_latency();
+        let analytic = params.flit_rtt() + params.local_load_latency();
         let measured = load_latency(params);
         let delta = measured.as_ns() as i64 - analytic.as_ns() as i64;
         assert!(

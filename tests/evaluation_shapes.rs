@@ -3,6 +3,8 @@
 //! end-to-end through the public API.
 
 use thymesisflow::core::config::SystemConfig;
+use thymesisflow::core::fabric::FabricBuilder;
+use thymesisflow::core::params::DatapathParams;
 use thymesisflow::workloads::memcached::MemcachedBench;
 use thymesisflow::workloads::runner::WorkloadRunner;
 use thymesisflow::workloads::search::{Challenge, Elasticsearch};
@@ -105,4 +107,21 @@ fn latency_hierarchy_is_consistent_everywhere() {
     // And the remote/local ratio is the paper's ~10x.
     let ratio = lat(SystemConfig::SingleDisaggregated) / lat(SystemConfig::Local);
     assert!((8.0..=12.0).contains(&ratio), "latency ratio {ratio}");
+}
+
+#[test]
+#[allow(clippy::float_cmp)] // exact: one measurement prices every figure
+fn figures_price_remote_loads_at_the_fabric_measurement() {
+    // One idle load on the reference fabric: the load-to-use every
+    // figure harness prices a remote access at.
+    let params = DatapathParams::prototype();
+    let dram = params.local_load_latency().as_ns_f64();
+    let (mut fabric, path) = FabricBuilder::point_to_point(params, 1, 256 << 20).unwrap();
+    let measured = fabric.measure_load_latency(path).unwrap().as_ns_f64();
+    let runner = WorkloadRunner::new();
+    let single = runner.model(SystemConfig::SingleDisaggregated).avg_load_latency_ns();
+    assert_eq!(single, measured, "figures priced at {single} ns, fabric measures {measured} ns");
+    // Interleaved pages split evenly between the fabric and DRAM.
+    let interleaved = runner.model(SystemConfig::Interleaved).avg_load_latency_ns();
+    assert_eq!(interleaved, (measured + dram) / 2.0);
 }
