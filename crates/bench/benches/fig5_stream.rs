@@ -36,7 +36,7 @@ fn reproduce() {
         }
     }
     let results = sweep(MASTER_SEED, grid, |_i, (threads, config), _rng| {
-        StreamBench::paper(threads).run(&WorkloadRunner::new().model(config))
+        StreamBench::paper(threads).run(&runner.model(config))
     });
     for (t_idx, threads) in THREAD_AXIS.iter().enumerate() {
         println!("\n-- {threads} threads --");

@@ -24,8 +24,9 @@ fn reproduce() {
             }
         }
     }
+    let runner = WorkloadRunner::new();
     let results = sweep(0xF16, grid.clone(), |_i, (config, w, parts), _rng| {
-        VoltDb::new(WorkloadRunner::new().model(config), parts).profile(w)
+        VoltDb::new(runner.model(config), parts).profile(w)
     });
     let mut points = grid.iter().zip(&results);
     for config in [SystemConfig::Local, SystemConfig::SingleDisaggregated] {

@@ -11,15 +11,16 @@ use workloads::ycsb::YcsbWorkload;
 fn reproduce() {
     banner("Fig. 7 — YCSB A and E throughput (ops/sec)");
     // workload × partition grid through the sweep harness; each point
-    // evaluates all five system configurations on its own runner.
+    // evaluates all five system configurations on the one runner.
     let grid = vec![
         (YcsbWorkload::A, 4u32),
         (YcsbWorkload::A, 32),
         (YcsbWorkload::E, 4),
         (YcsbWorkload::E, 32),
     ];
+    let runner = WorkloadRunner::new();
     let results = sweep(0xF17, grid.clone(), |_i, (w, parts), _rng| {
-        WorkloadRunner::new()
+        runner
             .voltdb_throughput(w, parts)
             .into_iter()
             .collect::<std::collections::HashMap<_, _>>()

@@ -26,8 +26,9 @@ fn reproduce() {
     // One sweep point per system configuration (the request-sampling
     // seed stays pinned so the reproduced CDF matches across runs).
     let grid: Vec<SystemConfig> = paper_mean.iter().map(|(c, _)| *c).collect();
+    let runner = WorkloadRunner::new();
     let results = sweep(0xF18, grid, move |_i, config, _rng| {
-        let (stats, svc) = bench.run(WorkloadRunner::new().model(config), 97);
+        let (stats, svc) = bench.run(runner.model(config), 97);
         let picks: Vec<String> = stats
             .cdf_us()
             .iter()

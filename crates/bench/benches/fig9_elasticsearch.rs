@@ -11,15 +11,16 @@ use workloads::search::{Challenge, Elasticsearch, InvertedIndex};
 fn reproduce() {
     banner("Fig. 9 — ESRally nested track throughput (ops/sec)");
     // shards × challenge grid; each sweep point evaluates the five
-    // system configurations on its own index/model instances.
+    // system configurations on its own index/model instances, built
+    // from the one runner.
     let mut grid = Vec::new();
     for shards in [5u32, 32] {
         for ch in Challenge::ALL {
             grid.push((shards, ch));
         }
     }
+    let runner = WorkloadRunner::new();
     let results = sweep(0xF19, grid.clone(), |_i, (shards, ch), _rng| {
-        let runner = WorkloadRunner::new();
         let t =
             |c: SystemConfig| Elasticsearch::new(runner.model(c), shards).throughput_ops(ch);
         [
@@ -40,7 +41,6 @@ fn reproduce() {
         }
     }
     // Headline comparisons at 32 shards.
-    let runner = WorkloadRunner::new();
     let t = |c: SystemConfig, ch| Elasticsearch::new(runner.model(c), 32).throughput_ops(ch);
     let local_rtq = t(SystemConfig::Local, Challenge::Rtq);
     println!("\nRTQ slowdown vs local @32 shards (paper: interleaved 58.33%, bonding 42.65%, single 75.65%):");

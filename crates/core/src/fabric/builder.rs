@@ -111,9 +111,10 @@ impl FabricBuilder {
     ///
     /// # Errors
     ///
-    /// Refuses a builder without a declared topology and a device window
+    /// Refuses a builder without a declared topology, a device window
     /// that is not a whole number of RMMU sections at a 128 B aligned
-    /// base or that wraps past the top of the address space
+    /// base or that wraps past the top of the address space, and an
+    /// LLC calibration (`DatapathParams::llc`) the links cannot run
     /// ([`FabricError::Config`]), and propagates the first failing
     /// attach.
     pub fn build(self) -> Result<(Fabric, Vec<PathId>), FabricError> {

@@ -25,8 +25,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use llc::error::LlcError;
+use llc::flit::FLIT_BYTES;
 use llc::frame::{Entry, Frame};
-use llc::{LlcConfig, RxAction};
+use llc::RxAction;
 use netsim::channel::{Channel, ChannelBuilder};
 use netsim::fault::FaultSpec;
 use netsim::switch::{CircuitSwitch, PortId, SwitchError};
@@ -764,6 +765,7 @@ impl Fabric {
         if mesh.nodes().iter().all(|n| n.id != compute) {
             return Err(FabricError::Topology(TopologyError::UnknownNode(compute)));
         }
+        params.check_llc()?;
         let capture = M1Endpoint::new(window.base, window.bytes);
         let translate = SectionTable::with_default_sections(window.bytes);
         // Telemetry starts disabled: instrumentation is observation only
@@ -928,7 +930,7 @@ impl Fabric {
 
         // Links: LLC pairs + wire channels, through circuits on a
         // switched fabric.
-        let llc_config = LlcConfig::datapath_default();
+        let llc_config = self.params.llc;
         let lane = self.params.lane();
         let cable = self.params.cable;
         let mut chan_ids = Vec::with_capacity(spec.channels);
@@ -1230,7 +1232,8 @@ impl Fabric {
                 // within that window and frames leave full. One pending
                 // flush at a time, or stale timers would fragment batches.
                 slot.flush_pending[di] = true;
-                let two_frames = pace.transfer_time(2 * 9 * 32);
+                let frame_bytes = (self.params.llc.frame_flits * FLIT_BYTES) as u64;
+                let two_frames = pace.transfer_time(2 * frame_bytes);
                 (false, Some(data_free.max(now) + two_frames))
             }
         };

@@ -39,8 +39,6 @@ pub enum JournalKind {
     Attach,
     /// A path or lease was detached.
     Detach,
-    /// A lease's window was resized (re-attached at a new size).
-    Resize,
     /// A scripted chaos event landed on the fabric.
     Chaos,
     /// A multi-hop route detoured around a failed interior link; the
@@ -68,7 +66,6 @@ impl JournalKind {
         match self {
             JournalKind::Attach => "attach",
             JournalKind::Detach => "detach",
-            JournalKind::Resize => "resize",
             JournalKind::Chaos => "chaos",
             JournalKind::Reroute => "reroute",
             JournalKind::RouteLost => "route_lost",

@@ -12,12 +12,17 @@
 //!   side, two for the network and two at the memory stealing endpoint
 //!   side)".
 
+use llc::flit::FlitSized;
+use llc::LlcConfig;
+use opencapi::transaction::MemRequest;
 use serde::{Deserialize, Serialize};
 use simkit::bandwidth::Rate;
 use simkit::time::SimTime;
 
 use netsim::cable::DirectAttachCable;
 use netsim::lane::SerdesLane;
+
+use crate::fabric::FabricError;
 
 /// The model's calibration constants.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -28,6 +33,9 @@ pub struct DatapathParams {
     pub stack_crossing_ns: u64,
     /// The direct-attach cable between neighbouring nodes.
     pub cable: DirectAttachCable,
+    /// The LLC calibration every link direction instantiates (frame
+    /// size, credit and replay depths, ack coalescing).
+    pub llc: LlcConfig,
     /// Loaded DRAM access latency at either end, nanoseconds.
     pub dram_latency_ns: u64,
     /// Local streaming memory bandwidth per socket, GiB/s.
@@ -54,6 +62,7 @@ impl Default for DatapathParams {
             serdes_crossing_ns: 75,
             stack_crossing_ns: 101,
             cable: DirectAttachCable::rack_default(),
+            llc: LlcConfig::default(),
             dram_latency_ns: 105,
             local_bw_gib: 120.0,
             stream_mlp: 24.0,
@@ -78,6 +87,22 @@ impl DatapathParams {
             stack_crossing_ns: 40,
             ..Self::default()
         }
+    }
+
+    /// Refuses an LLC calibration the fabric cannot run: an
+    /// inconsistent one ([`LlcConfig::validate`]), or frames too short
+    /// to carry a cacheline read response.
+    pub(crate) fn check_llc(&self) -> Result<(), FabricError> {
+        let response = MemRequest::read(0, 0).response().flits();
+        let fits = if self.llc.frame_flits > response {
+            Ok(())
+        } else {
+            Err("frames must carry a cacheline read response")
+        };
+        self.llc
+            .validate()
+            .and(fits)
+            .map_err(|why| FabricError::Config(format!("llc {:?}: {why}", self.llc)))
     }
 
     /// The serDES lane the channels are built from.

@@ -190,8 +190,11 @@ impl RackBuilder {
     ///
     /// # Errors
     ///
-    /// Fails on duplicate node names or cables naming unknown nodes.
+    /// Fails on duplicate node names or cables naming unknown nodes,
+    /// and refuses an LLC calibration the links cannot run
+    /// ([`RackError::Fabric`]) before any lease builds a fabric with it.
     pub fn build(self) -> Result<Rack, RackError> {
+        self.params.check_llc()?;
         let mut cp = ControlPlane::new("rack-secret");
         let admin = cp.auth_mut().issue_token(Role::Admin);
         let mut agents = BTreeMap::new();
@@ -261,6 +264,35 @@ fn path_signals(fabric: &Fabric, path: PathId) -> Result<(Histogram, u64), Fabri
     let completions = fabric.completions(path)?.clone();
     let faults = fabric.faults().iter().filter(|f| f.path == path).count() as u64;
     Ok((completions, faults))
+}
+
+impl SloMonitor {
+    /// Judges lease `id`'s window since its last judgement — the deltas
+    /// of its path's completion histogram and fault count — against the
+    /// contract, journals one record per breach, and starts the next
+    /// window.
+    fn judge(
+        &mut self,
+        id: LeaseId,
+        fabric: &Fabric,
+        path: PathId,
+        journal: &mut Journal,
+    ) -> Result<Vec<SloBreach>, FabricError> {
+        let (cumulative, faults) = path_signals(fabric, path)?;
+        let window = cumulative.subtract(&self.seen);
+        let faulted = faults.saturating_sub(self.seen_faults);
+        let breaches = self.spec.evaluate(id.0, fabric.now(), &window, faulted);
+        self.seen = cumulative;
+        self.seen_faults = faults;
+        for b in &breaches {
+            journal.record(
+                JournalRecord::new(b.at, JournalKind::SloBreach, b.kind.to_string())
+                    .lease(id.0)
+                    .path(path),
+            );
+        }
+        Ok(breaches)
+    }
 }
 
 /// A built rack.
@@ -502,22 +534,8 @@ impl Rack {
             let Some(fabric) = self.fabrics.get(&host) else {
                 continue;
             };
-            let (cumulative, faults) = path_signals(fabric, path)?;
-            let at = fabric.now();
             let monitor = self.slos.get_mut(&id).expect("listed above");
-            let window = cumulative.subtract(&monitor.seen);
-            let faulted = faults.saturating_sub(monitor.seen_faults);
-            let breaches = monitor.spec.evaluate(id.0, at, &window, faulted);
-            monitor.seen = cumulative;
-            monitor.seen_faults = faults;
-            for b in &breaches {
-                self.journal.record(
-                    JournalRecord::new(b.at, JournalKind::SloBreach, b.kind.to_string())
-                        .lease(id.0)
-                        .path(path),
-                );
-            }
-            out.extend(breaches);
+            out.extend(monitor.judge(id, fabric, path, &mut self.journal)?);
         }
         Ok(out)
     }
@@ -611,18 +629,7 @@ impl Rack {
                 // launder it. The breaches surface from the next
                 // `evaluate_slos` call.
                 if let Some(monitor) = self.slos.get_mut(&id) {
-                    let (cumulative, faults) = path_signals(fabric, path)?;
-                    let window = cumulative.subtract(&monitor.seen);
-                    let faulted = faults.saturating_sub(monitor.seen_faults);
-                    let breaches =
-                        monitor.spec.evaluate(id.0, fabric.now(), &window, faulted);
-                    for b in &breaches {
-                        self.journal.record(
-                            JournalRecord::new(b.at, JournalKind::SloBreach, b.kind.to_string())
-                                .lease(id.0)
-                                .path(path),
-                        );
-                    }
+                    let breaches = monitor.judge(id, fabric, path, &mut self.journal)?;
                     self.pending_breaches.extend(breaches);
                 }
                 fabric.detach_path(path)?;

@@ -1,7 +1,7 @@
 //! Property test over the public `FabricBuilder` entry points: any
-//! channel count, attachment size, device window, donor count and
-//! address placement yields a fabric or a typed `FabricError`, never a
-//! panic.
+//! channel count, attachment size, device window, donor count, address
+//! placement and LLC calibration yields a fabric or a typed
+//! `FabricError`, never a panic.
 //!
 //! Windows are drawn up to 2^63 bytes. The RMMU section table holds one
 //! root pointer per 256 sections of 256 MiB, so `Fabric::assemble`
@@ -9,11 +9,13 @@
 //! it allocates the table. Windows and donor ranges may also *sit* near
 //! the top of the address space.
 
+use llc::LlcConfig;
 use proptest::prelude::*;
 use rmmu::section::MAX_SECTIONS;
 use routing::topology::{Line, NodeId};
 use thymesisflow_core::fabric::{FabricBuilder, FabricError, PathSpec, WindowSpec};
 use thymesisflow_core::params::DatapathParams;
+use thymesisflow_core::rack::{RackBuilder, RackError};
 
 const SECTION: u64 = 256 << 20;
 
@@ -129,6 +131,58 @@ proptest! {
                 prop_assert!(!fits, "a fitting range was refused: {e:?}");
                 prop_assert!(matches!(e, FabricError::Config(_)), "untyped refusal {e:?}");
             }
+        }
+    }
+
+    /// LLC calibrations across every validity bound: frames from zero
+    /// flits to past the wire header's `u8` (and through the 5 flits a
+    /// cacheline read response needs), credit pools from empty up,
+    /// replay windows either side of the pool, acks from never to past
+    /// the pool, and any initial frame id. A runnable one builds a
+    /// fabric that serves loads in issue order; any other is refused
+    /// with a typed error by the fabric builder and, up front, by the
+    /// rack builder.
+    #[test]
+    fn llc_calibrations_serve_or_refuse(
+        sizes in (0usize..=260, 0usize..=300, 0usize..=300),
+        ack_every in 0u64..=300,
+        initial_frame_id in 0u64..=u64::MAX,
+    ) {
+        let (frame_flits, rx_queue_frames, replay_window) = sizes;
+        let llc = LlcConfig {
+            frame_flits,
+            rx_queue_frames,
+            replay_window,
+            initial_frame_id,
+            ack_every,
+        };
+        let runnable = (5..=256).contains(&frame_flits)
+            && 0 < ack_every
+            && ack_every < rx_queue_frames as u64
+            && rx_queue_frames <= replay_window;
+        let params = DatapathParams { llc, ..DatapathParams::prototype() };
+        match FabricBuilder::point_to_point(params.clone(), 1, SECTION) {
+            Ok((mut fabric, path)) => {
+                prop_assert!(runnable, "{llc:?} built");
+                let tags: Vec<u64> =
+                    (0..24).map(|_| fabric.issue_read(path).expect("issues")).collect();
+                let mut done = Vec::new();
+                while let Some(batch) = fabric.step().expect("drains clean") {
+                    done.extend(batch.iter().map(|c| c.tag));
+                }
+                prop_assert_eq!(done, tags);
+            }
+            Err(e) => {
+                prop_assert!(!runnable, "{llc:?} was refused: {e:?}");
+                prop_assert!(matches!(e, FabricError::Config(_)), "untyped refusal {e:?}");
+            }
+        }
+        match RackBuilder::new().params(params).build() {
+            Ok(_) => prop_assert!(runnable, "the rack took {llc:?}"),
+            Err(e) => prop_assert!(
+                !runnable && matches!(e, RackError::Fabric(FabricError::Config(_))),
+                "{llc:?}: {e:?}"
+            ),
         }
     }
 }

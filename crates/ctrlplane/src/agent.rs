@@ -78,7 +78,6 @@ pub struct NodeAgent {
     host: HostNode,
     secret: String,
     pinned: Vec<PinnedRegion>,
-    attached: Vec<(NumaNodeId, u64)>,
 }
 
 impl NodeAgent {
@@ -89,7 +88,6 @@ impl NodeAgent {
             host,
             secret: secret.to_string(),
             pinned: Vec::new(),
-            attached: Vec::new(),
         }
     }
 
@@ -113,9 +111,7 @@ impl NodeAgent {
         if !verify_config(&self.secret, &config.payload(), config.signature) {
             return Err(AgentError::UntrustedConfig);
         }
-        let node = self.host.hotplug_remote_memory(config.window_bytes)?;
-        self.attached.push((node, config.window_bytes));
-        Ok(node)
+        Ok(self.host.hotplug_remote_memory(config.window_bytes)?)
     }
 
     /// Reverts a compute-side attachment.
@@ -124,9 +120,7 @@ impl NodeAgent {
     ///
     /// Fails if the node has live allocations or is unknown.
     pub fn remove_compute(&mut self, node: NumaNodeId) -> Result<(), AgentError> {
-        self.host.unplug_remote_memory(node)?;
-        self.attached.retain(|(n, _)| *n != node);
-        Ok(())
+        Ok(self.host.unplug_remote_memory(node)?)
     }
 
     /// Applies a memory-side configuration: verifies the signature, then
@@ -175,11 +169,6 @@ impl NodeAgent {
     /// Currently pinned donations.
     pub fn pinned(&self) -> &[PinnedRegion] {
         &self.pinned
-    }
-
-    /// Currently attached remote-memory NUMA nodes.
-    pub fn attached(&self) -> &[(NumaNodeId, u64)] {
-        &self.attached
     }
 }
 

@@ -36,12 +36,6 @@ pub enum LlcError {
         /// The pool ceiling.
         max: u32,
     },
-    /// The link made no progress after repeated idle-timer replay kicks
-    /// (only reachable when the channel drops literally everything).
-    NoProgress {
-        /// Idle-timer kicks attempted before giving up.
-        kicks: u32,
-    },
     /// More frames arrived than the Rx ingress queue has slots — the
     /// peer transmitted without holding a credit.
     RxIngressOverflow {
@@ -67,9 +61,6 @@ impl std::fmt::Display for LlcError {
                 returned,
                 max,
             } => write!(f, "credit overflow: {available} + {returned} > {max}"),
-            LlcError::NoProgress { kicks } => {
-                write!(f, "link cannot make progress after {kicks} replay kicks")
-            }
             LlcError::RxIngressOverflow { capacity } => {
                 write!(
                     f,

@@ -93,8 +93,6 @@ pub enum Control {
     Ack(FrameId),
     /// Request in-order replay starting from the identifier.
     ReplayRequest(FrameId),
-    /// Credit return: the receiver freed `count` ingress slots.
-    CreditReturn(u32),
 }
 
 /// A frame's payload: the entry slice behind an [`Arc`].
@@ -110,9 +108,10 @@ pub enum Control {
 pub struct Payload<T>(Arc<[Entry<T>]>);
 
 impl<T> Payload<T> {
-    /// Whether two payloads share the same backing allocation — the
-    /// sanitize checkers use this to count a shared payload once.
-    pub fn ptr_eq(&self, other: &Payload<T>) -> bool {
+    /// Whether two payloads share the same backing allocation (a
+    /// retransmission is a refcount bump, not a deep copy).
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(&self, other: &Payload<T>) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
 
@@ -356,13 +355,25 @@ mod tests {
         assert_eq!(txns(&frames[1]), vec![(2, 4)]);
     }
 
-    #[test]
-    fn every_assembled_frame_is_exactly_full() {
-        let txns: Vec<Msg> = (0..57).map(|i| (i, 1 + (i as usize % 5))).collect();
-        let (frames, _) = assemble(txns, 8, FrameId(0));
-        for f in &frames {
-            assert_eq!(f.flits(), 8, "{f:?}");
-            assert_eq!(f.wire_bytes(), 256);
+    proptest::proptest! {
+        #[test]
+        fn frame_flit_budget_is_respected(
+            sizes in proptest::collection::vec(1usize..=7, 1..200),
+        ) {
+            // Every assembled frame is exactly `frame_flits` flits:
+            // padding with nops, never splitting a message.
+            let msgs: Vec<Msg> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| (i as u32, s))
+                .collect();
+            let (frames, _) = assemble(msgs.clone(), 8, FrameId(0));
+            let carried: Vec<Msg> = frames.iter().flat_map(txns).collect();
+            proptest::prop_assert_eq!(carried, msgs);
+            for f in frames {
+                proptest::prop_assert_eq!(f.flits(), 8);
+                proptest::prop_assert_eq!(f.wire_bytes(), 256);
+            }
         }
     }
 

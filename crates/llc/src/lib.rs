@@ -20,21 +20,44 @@
 //!
 //! Module map: [`flit`] (flit sizing), [`frame`] (framing + CRC32),
 //! [`credit`] (flow control), [`replay`] (retransmission buffer),
-//! [`endpoint`] (Tx/Rx state machines), [`link`] (a full-duplex link
-//! harness coupling the state machines over lossy channels).
+//! [`endpoint`] (Tx/Rx state machines), [`wire`] (the byte encoding).
+//! The event timing that couples the state machines over lossy channels
+//! lives in the `core` crate's fabric, the one driver of every link.
+//!
+//! In debug builds the state machines check their own invariants after
+//! every state change: flit conservation in the Tx (every offered
+//! transaction is staged, framed, retained or acknowledged) and credit
+//! conservation in every pool. Release builds compile the checks out.
 //!
 //! # Example
 //!
 //! ```
-//! use llc::link::LlcLink;
-//! use llc::LlcConfig;
-//! use netsim::fault::FaultSpec;
+//! use llc::{LlcConfig, LlcRx, LlcTx, RxAction};
 //!
-//! // A lossy link still delivers every message exactly once, in order.
-//! let mut link = LlcLink::new(LlcConfig::default(), FaultSpec::new(0.05, 0.05), 42);
-//! let msgs: Vec<(u32, usize)> = (0..100).map(|i| (i, 1)).collect();
-//! let delivered = link.run_to_completion(msgs.clone()).unwrap();
-//! assert_eq!(delivered, msgs);
+//! // One link direction: frames leave the Tx, queue in the Rx ingress
+//! // (one credit per slot) and deliver in order.
+//! let config = LlcConfig::default();
+//! let mut tx = LlcTx::new(config);
+//! let mut rx = LlcRx::new(config);
+//! let msgs: Vec<(u32, usize)> = (0..20).map(|i| (i, 4)).collect();
+//! for &m in &msgs {
+//!     tx.offer(m);
+//! }
+//! tx.seal();
+//! let mut arrivals = Vec::new();
+//! while let Some(frame) = tx.next_transmittable().unwrap() {
+//!     arrivals.push((frame, true)); // (frame, CRC intact)
+//! }
+//! rx.enqueue_arrivals(&mut arrivals).unwrap();
+//! let mut action = RxAction::default();
+//! rx.drain_ingress(&mut action).unwrap();
+//! assert_eq!(action.delivered, msgs);
+//! // Acks coalesce: the 8th of the 10 frames carries the cumulative
+//! // ack, which retires 8 frames and returns their 8 credits.
+//! for reply in action.replies {
+//!     tx.on_control(reply).unwrap();
+//! }
+//! assert_eq!(tx.credits().available(), tx.credits().max() - 2);
 //! ```
 
 pub mod credit;
@@ -42,7 +65,6 @@ pub mod endpoint;
 pub mod error;
 pub mod flit;
 pub mod frame;
-pub mod link;
 pub mod replay;
 pub mod wire;
 
@@ -73,25 +95,13 @@ pub struct LlcConfig {
 }
 
 impl Default for LlcConfig {
-    fn default() -> Self {
-        LlcConfig {
-            frame_flits: 8,
-            rx_queue_frames: 32,
-            replay_window: 64,
-            initial_frame_id: 0,
-            ack_every: 1,
-        }
-    }
-}
-
-impl LlcConfig {
     /// The calibration the flit-level datapath instantiates per link
     /// direction: 9-flit frames (8 payload = two cacheline responses,
     /// ~89% wire efficiency), deep Rx/replay queues sized for a
     /// bandwidth-delay product of ~950 ns at 100 Gbit/s, and cumulative
     /// acks every 8th frame so the credit pool stays fed without burning
     /// reverse-channel bandwidth.
-    pub fn datapath_default() -> Self {
+    fn default() -> Self {
         LlcConfig {
             frame_flits: 9,
             rx_queue_frames: 128,
@@ -100,35 +110,45 @@ impl LlcConfig {
             ack_every: 8,
         }
     }
+}
 
+impl LlcConfig {
     /// The initial credit pool: one credit per Rx ingress slot, clamped
     /// to the `u32` credit space the wire format carries.
     pub(crate) fn rx_queue_credits(&self) -> u32 {
         u32::try_from(self.rx_queue_frames).unwrap_or(u32::MAX)
     }
 
-    /// Validates internal consistency.
+    /// Checks internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any dimension is zero or the replay window is smaller
-    /// than the credit pool (which could deadlock recovery).
-    pub fn validate(&self) {
-        assert!(self.frame_flits > 0, "frames need at least one flit");
-        assert!(
-            self.frame_flits <= 256,
-            "frame entry count must fit the wire header's u8"
-        );
-        assert!(self.rx_queue_frames > 0, "rx queue cannot be empty");
-        assert!(
-            self.replay_window >= self.rx_queue_frames,
-            "replay window must cover in-flight frames"
-        );
-        assert!(self.ack_every > 0, "ack_every cannot be zero");
-        assert!(
-            self.ack_every < self.rx_queue_frames as u64,
-            "ack coalescing must not starve the credit pool"
-        );
+    /// Names the first violated constraint: a zero dimension, a frame
+    /// longer than the wire header's `u8` entry count, a replay window
+    /// smaller than the credit pool (which could deadlock recovery), or
+    /// ack coalescing that could starve the credit pool.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let checks = [
+            (self.frame_flits > 0, "frames need at least one flit"),
+            (
+                self.frame_flits <= 256,
+                "frame entry count must fit the wire header's u8",
+            ),
+            (self.rx_queue_frames > 0, "rx queue cannot be empty"),
+            (
+                self.replay_window >= self.rx_queue_frames,
+                "replay window must cover in-flight frames",
+            ),
+            (self.ack_every > 0, "ack_every cannot be zero"),
+            (
+                self.ack_every < self.rx_queue_frames as u64,
+                "ack coalescing must not starve the credit pool",
+            ),
+        ];
+        match checks.into_iter().find(|(ok, _)| !ok) {
+            Some((_, why)) => Err(why),
+            None => Ok(()),
+        }
     }
 }
 
@@ -137,11 +157,27 @@ mod config_tests {
     use super::*;
 
     #[test]
-    fn datapath_default_is_valid_and_frame_shaped() {
-        let c = LlcConfig::datapath_default();
-        c.validate();
+    fn default_is_valid_and_frame_shaped() {
+        let c = LlcConfig::default();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.frame_flits, 9);
         assert!(c.replay_window >= c.rx_queue_frames);
         assert!(c.ack_every < c.rx_queue_frames as u64);
+    }
+
+    #[test]
+    fn inconsistent_configs_are_refused() {
+        let breaks: [fn(&mut LlcConfig); 5] = [
+            |c| c.frame_flits = 0,
+            |c| c.frame_flits = 257,
+            |c| c.replay_window = 127,
+            |c| c.ack_every = 0,
+            |c| c.ack_every = 128,
+        ];
+        for break_it in breaks {
+            let mut c = LlcConfig::default();
+            break_it(&mut c);
+            assert!(c.validate().is_err(), "{c:?}");
+        }
     }
 }

@@ -123,7 +123,6 @@ impl<T: Clone> ReplayBuffer<T> {
     }
 
     /// Total transactions carried by the retained frames.
-    #[cfg(feature = "sanitize")]
     pub(crate) fn txn_count(&self) -> usize {
         self.frames.iter().map(Frame::txn_count).sum()
     }
@@ -133,10 +132,11 @@ impl<T: Clone> ReplayBuffer<T> {
         self.frames.is_empty()
     }
 
-    /// Sanitizer test hook: silently discards the oldest retained frame
-    /// *without* accounting for its transactions, deliberately violating
-    /// flit conservation so tests can prove the checker catches leaks.
-    #[cfg(feature = "sanitize")]
+    /// Test hook: silently discards the oldest retained frame *without*
+    /// accounting for its transactions, deliberately violating flit
+    /// conservation so tests can prove the debug-build checker catches
+    /// leaks.
+    #[cfg(all(test, debug_assertions))]
     pub(crate) fn leak_one(&mut self) -> Option<Frame<T>> {
         self.frames.pop_front()
     }

@@ -8,7 +8,7 @@
 //! ```text
 //! header flit (32 B):
 //!   0..2   magic  "TF"            12..26  reserved (zero)
-//!   2..3   kind   (0 data, 1..=3 control)
+//!   2..3   kind   (0 data, 1 ack, 2 replay request)
 //!   3..4   entry count            26..28  payload flit count
 //!   4..12  frame id / ctrl arg    28..32  CRC32 over everything else
 //! entry flits: per entry, 1 descriptor flit
@@ -102,7 +102,6 @@ pub fn encode<T: WireCodec>(frame: &Frame<T>) -> Vec<u8> {
             let (kind, arg) = match c {
                 Control::Ack(id) => (1u8, id.0),
                 Control::ReplayRequest(id) => (2, id.0),
-                Control::CreditReturn(n) => (3, u64::from(*n)),
             };
             flit[2] = kind;
             put_u64(&mut flit, 4, arg);
@@ -180,10 +179,6 @@ pub fn decode<T: WireCodec>(bytes: &[u8]) -> Result<Frame<T>, WireError> {
         2 => Ok(Frame::Control(Control::ReplayRequest(FrameId(get_u64(
             bytes, 4,
         ))))),
-        3 => Ok(Frame::Control(Control::CreditReturn(
-            // Encode packs a u32, so the masked narrowing is lossless.
-            u32::try_from(get_u64(bytes, 4) & u64::from(u32::MAX)).unwrap_or(0),
-        ))),
         0 => {
             let count = usize::from(bytes[3]);
             if bytes.len() < FLIT_BYTES * (1 + count) {
@@ -233,7 +228,6 @@ mod tests {
         for c in [
             Control::Ack(FrameId(42)),
             Control::ReplayRequest(FrameId(7)),
-            Control::CreditReturn(12),
         ] {
             let f: Frame<Msg> = Frame::Control(c);
             let bytes = encode(&f);
@@ -308,5 +302,23 @@ mod tests {
         let mut flit = vec![0u8; 32];
         flit[0] = b'X';
         assert_eq!(decode::<Msg>(&flit), Err(WireError::BadMagic));
+    }
+
+    #[test]
+    fn unknown_control_kinds_are_malformed() {
+        // The control kinds are 1 (ack) and 2 (replay request): an
+        // intact header carrying any other decodes as malformed, not
+        // as a control frame.
+        for kind in [3u8, 4, 255] {
+            let mut flit = encode::<Msg>(&Frame::Control(Control::Ack(FrameId(12))));
+            flit[2] = kind;
+            let crc = crc32(&flit[..28]);
+            flit[28..32].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                decode::<Msg>(&flit),
+                Err(WireError::Malformed),
+                "kind {kind}"
+            );
+        }
     }
 }

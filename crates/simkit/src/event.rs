@@ -412,16 +412,15 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing the clock to its
     /// delivery time. Returns `None` when the queue is exhausted.
     ///
-    /// With the `sanitize` feature on, asserts that simulated time never
-    /// regresses — the ordering invariant every simulation depends on.
+    /// Debug builds assert that simulated time never regresses — the
+    /// ordering invariant every simulation depends on.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.ensure_drain();
         let from_heap = self.front_in_heap()?;
         let (at, event) = self.take_front(from_heap);
-        #[cfg(feature = "sanitize")]
-        assert!(
+        debug_assert!(
             at >= self.now,
-            "sanitize: event queue clock regressed: {} -> {}",
+            "event queue clock regressed: {} -> {}",
             self.now,
             at
         );

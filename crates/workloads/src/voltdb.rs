@@ -162,10 +162,9 @@ impl VoltDb {
     /// configuration.
     fn stall_cycles(&self, lines: f64) -> f64 {
         let p = &VoltDbParams::PAPER;
-        let lat = self.model.avg_load_latency_ns();
-        let local = self.model.params().local_load_latency().as_ns_f64();
-        let eff_overlap = p.overlap * (lat / local).max(1.0).powf(0.45);
-        let mut cycles = lines * p.miss_ratio * lat * p.ghz / eff_overlap;
+        let mut cycles = self
+            .model
+            .stall_cycles(lines, p.miss_ratio, p.ghz, p.overlap);
         if self.model.config() == SystemConfig::BondingDisaggregated {
             cycles *= 1.0 + p.bonding_penalty;
         }

@@ -60,10 +60,9 @@ impl VoltDbSim {
         };
         let p = &VoltDbParams::PAPER;
         let compute = (cost.instructions / p.ipc0) as u64;
-        let lat = self.model.avg_load_latency_ns();
-        let local = self.model.params().local_load_latency().as_ns_f64();
-        let eff_overlap = p.overlap * (lat / local).max(1.0).powf(0.45);
-        let stall = (cost.lines * p.miss_ratio * lat * p.ghz / eff_overlap) as u64;
+        let stall = self
+            .model
+            .stall_cycles(cost.lines, p.miss_ratio, p.ghz, p.overlap) as u64;
         SimTime::from_ns_f64((compute + stall) as f64 / p.ghz)
     }
 
