@@ -43,7 +43,7 @@ echo "==> figure harnesses (paper tables + shape assertions, release)"
 # `cargo test` skips the harness = false benches and the check step
 # above only compiles them, so their shape assertions run here: a change
 # that moves a figure past the paper's shape fails the pipeline.
-for harness in proto_datapath fig5_stream fig6_voltdb_profile fig7_ycsb_throughput fig8_memcached_cdf fig9_elasticsearch ablation_numa ablation_llc; do
+for harness in proto_datapath fig1_motivation fig5_stream fig6_voltdb_profile fig7_ycsb_throughput fig8_memcached_cdf fig9_elasticsearch ablation_numa ablation_llc; do
     echo "--> bench: ${harness}"
     cargo bench -q -p bench --bench "${harness}" > /dev/null
 done

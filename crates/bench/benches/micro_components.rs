@@ -3,7 +3,6 @@
 
 use bench::{banner, header, row_str};
 use criterion::{criterion_group, criterion_main, Criterion};
-use hostsim::cache::CacheHierarchy;
 use llc::frame::{assemble, crc32, FrameId};
 use opencapi::m1::DeviceAddress;
 use rmmu::flow::NetworkId;
@@ -82,15 +81,6 @@ fn criterion_benches(c: &mut Criterion) {
     c.bench_function("micro/crc32_256B", |b| {
         let data = [0xA5u8; 256];
         b.iter(|| std::hint::black_box(crc32(&data)))
-    });
-
-    c.bench_function("micro/cache_hierarchy_access", |b| {
-        let mut h = CacheHierarchy::power9();
-        let mut addr = 0u64;
-        b.iter(|| {
-            addr = addr.wrapping_add(128) % (64 << 20);
-            std::hint::black_box(h.access(addr))
-        })
     });
 
     c.bench_function("micro/zipf_sample", |b| {

@@ -2,7 +2,9 @@
 //!
 //! The paper's Fig. 2 pipeline decomposed into its stages ([`stage`]),
 //! an engine that runs them over one shared `simkit` event queue
-//! ([`engine`]), and a builder that wires them over a declared topology
+//! ([`engine`], one module per layer: endpoints, links, multi-hop
+//! forwarding, recovery, wiring and observation, each keeping its state
+//! private), and a builder that wires them over a declared topology
 //! ([`builder`]): point-to-point (the reference shape, event-for-event
 //! equivalent to the pre-fabric monolithic datapath), one compute × N
 //! donors with per-network-id fan-out, a circuit-switched rack, and any

@@ -12,7 +12,7 @@
 //!   side, two for the network and two at the memory stealing endpoint
 //!   side)".
 
-use llc::flit::FlitSized;
+use llc::flit::{FlitSized, FLIT_BYTES};
 use llc::LlcConfig;
 use opencapi::transaction::MemRequest;
 use serde::{Deserialize, Serialize};
@@ -111,14 +111,16 @@ impl DatapathParams {
     }
 
     /// Analytic hardware-datapath flit RTT: 6 serDES crossings, 4 FPGA
-    /// stack crossings, the cable both ways, plus one 256 B frame
-    /// serialization per direction. ≈ 950 ns on the prototype
+    /// stack crossings, the cable both ways, plus the serialization of
+    /// one frame of the links' LLC calibration per direction (`llc`'s
+    /// 9 flits, 288 B, on the prototype). ≈ 950 ns on the prototype
     /// calibration.
     pub fn flit_rtt(&self) -> SimTime {
         let serdes = SimTime::from_ns(self.serdes_crossing_ns) * 6;
         let stack = SimTime::from_ns(self.stack_crossing_ns) * 4;
         let cable = self.cable.propagation_delay() * 2;
-        let frame = self.channel_payload_rate().transfer_time(256) * 2;
+        let frame_bytes = (self.llc.frame_flits * FLIT_BYTES) as u64;
+        let frame = self.channel_payload_rate().transfer_time(frame_bytes) * 2;
         serdes + stack + cable + frame
     }
 
@@ -162,6 +164,23 @@ mod tests {
         let p = DatapathParams::prototype();
         let rtt = p.flit_rtt().as_ns();
         assert!((930..=970).contains(&rtt), "RTT {rtt} ns, paper: ~950 ns");
+    }
+
+    #[test]
+    fn flit_rtt_serializes_the_frames_the_links_run() {
+        let p = DatapathParams::prototype();
+        let rate = p.channel_payload_rate();
+        for extra_flits in [1, 4, 16] {
+            let mut longer = p.clone();
+            longer.llc.frame_flits += extra_flits;
+            let grown = (longer.flit_rtt() - p.flit_rtt()).as_ps();
+            let want = (rate.transfer_time((extra_flits * FLIT_BYTES) as u64) * 2).as_ps();
+            // Each direction's serialization rounds to the picosecond.
+            assert!(
+                grown.abs_diff(want) <= 2,
+                "{extra_flits} more flits: +{grown} ps, want +{want} ps"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! borrower's [`Fabric`], torn back down on [`Rack::detach`]. Leased
 //! memory is thereby exercised end to end at flit granularity: a
 //! lease's probes run on the fabric and path [`Rack::lease_fabric`]
-//! hands out, and [`Rack::run_lease_streams`] streams leases together.
+//! hands out, and [`Rack::run_fleet_streams`] streams leases together.
 //!
 //! The control plane is the one route authority: it routes every lease
 //! on the rack's cable mesh, around cabled pairs without free channels
@@ -866,59 +866,7 @@ impl Rack {
     }
 
     /// Runs concurrent closed-loop streams — `(lease, threads, window)`
-    /// each — over one borrower's fabric, returning per-lease rates in
-    /// the order given.
-    ///
-    /// The window drains after its deadline, as
-    /// [`Rack::run_fleet_streams`] does, so back-to-back calls each
-    /// start from an idle fabric: latency measures contention, not the
-    /// last window's backlog.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown leases, on an empty load list, or if the leases
-    /// borrow on different hosts (their fabrics share no clock).
-    pub fn run_lease_streams(
-        &mut self,
-        loads: &[(LeaseId, u32, u32)],
-        duration: SimTime,
-    ) -> Result<Vec<Rate>, RackError> {
-        let mut host: Option<String> = None;
-        let mut streams = Vec::with_capacity(loads.len());
-        for &(id, threads, window) in loads {
-            let (h, path) = self
-                .lease_paths
-                .get(&id)
-                .cloned()
-                .ok_or(RackError::UnknownLease(id))?;
-            match &host {
-                None => host = Some(h),
-                Some(prev) if *prev == h => {}
-                Some(prev) => {
-                    return Err(RackError::BadTopology(format!(
-                        "streams span fabrics: {prev} vs {h}"
-                    )))
-                }
-            }
-            streams.push(StreamLoad {
-                path,
-                threads,
-                window,
-            });
-        }
-        let host = host.ok_or_else(|| RackError::BadTopology("no streams given".into()))?;
-        let fabric = self
-            .fabrics
-            .get_mut(&host)
-            .expect("lease paths point at live fabrics");
-        let rates = fabric.run_closed_loop(&streams, duration)?;
-        fabric.drain()?;
-        Ok(rates)
-    }
-
-    /// Runs concurrent closed-loop streams across *every* borrower
-    /// fabric at once — the fleet-scale sibling of
-    /// [`Rack::run_lease_streams`], which insists on a single host.
+    /// each — across *every* borrower fabric the leases use at once.
     ///
     /// Loads are grouped by borrower host and each group runs on its
     /// own fabric. A borrower fabric is an independent event queue with
@@ -939,8 +887,9 @@ impl Rack {
     ///
     /// # Errors
     ///
-    /// Fails on unknown leases, on an empty load list, or on a fabric
-    /// protocol violation in any group (the first failing host in
+    /// Fails on unknown leases, on an empty load list, or on any
+    /// group's [`Fabric::run_closed_loop`] error, a window that ends
+    /// past [`SimTime::MAX`] included (the first failing host in
     /// `BTreeMap` order wins; all fabrics are restored regardless).
     pub fn run_fleet_streams(
         &mut self,
@@ -1420,14 +1369,12 @@ mod tests {
         let mut solo = build();
         let a2 = solo.attach(AttachRequest::new("n1", "n2", 4 * GIB)).unwrap();
         let b2 = solo.attach(AttachRequest::new("n3", "n4", 4 * GIB)).unwrap();
-        let ra = solo.run_lease_streams(&[(a2.id(), 4, 8)], duration).unwrap();
-        let rb = solo.run_lease_streams(&[(b2.id(), 2, 4)], duration).unwrap();
+        let ra = solo.run_fleet_streams(&[(a2.id(), 4, 8)], duration, 1).unwrap();
+        let rb = solo.run_fleet_streams(&[(b2.id(), 2, 4)], duration, 1).unwrap();
         // Independent event queues: the fleet run is the per-host runs,
-        // in caller order, except the fleet path also drains (so its
-        // byte counts can only be higher).
-        assert_eq!(fleet_rates.len(), 2);
-        assert!(fleet_rates[0].bytes_per_sec() >= ra[0].bytes_per_sec());
-        assert!(fleet_rates[1].bytes_per_sec() >= rb[0].bytes_per_sec());
+        // in caller order. Both take their rates at the deadline,
+        // before the window drains.
+        assert_eq!(fleet_rates, [ra[0], rb[0]]);
         // And the fleet-wide congestion view covers both fabrics.
         assert_eq!(fleet.fleet_congestion().len(), 2);
         assert!(fleet.hottest_link().is_some());
@@ -1465,12 +1412,12 @@ mod tests {
             .attach(AttachRequest::new("borrower", "donor", 4 * GIB))
             .unwrap();
         let path = r.lease_path(lease.id()).unwrap();
-        let short = r.run_lease_streams(&[(lease.id(), 1, 1)], SimTime::from_ns(100));
+        let short = r.run_fleet_streams(&[(lease.id(), 1, 1)], SimTime::from_ns(100), 1);
         assert!(
             matches!(short, Err(RackError::Fabric(FabricError::NoCompletions(p))) if p == path),
             "{short:?}"
         );
-        let empty = r.run_lease_streams(&[(lease.id(), 1, 1)], SimTime::ZERO);
+        let empty = r.run_fleet_streams(&[(lease.id(), 1, 1)], SimTime::ZERO, 1);
         assert!(
             matches!(empty, Err(RackError::Fabric(FabricError::Config(_)))),
             "{empty:?}"
@@ -1500,7 +1447,7 @@ mod tests {
         let mut p50s = Vec::new();
         for _ in 0..2 {
             let before = r.fabric("borrower").unwrap().completions(path).unwrap().clone();
-            r.run_lease_streams(&[(lease.id(), 8, 32)], SimTime::from_us(20))
+            r.run_fleet_streams(&[(lease.id(), 8, 32)], SimTime::from_us(20), 1)
                 .unwrap();
             p50s.push(window_since(&r, path, &before).quantile(0.5));
         }
@@ -1523,7 +1470,7 @@ mod tests {
         // A slow history: a deep closed loop queues loads behind each
         // other, under a contract with no latency budget.
         let slow = [(lease.id(), 16, 32)];
-        r.run_lease_streams(&slow, SimTime::from_us(20)).unwrap();
+        r.run_fleet_streams(&slow, SimTime::from_us(20), 1).unwrap();
         assert!(r.evaluate_slos().unwrap().is_empty());
         let history_p99 = window_since(&r, path, &Histogram::new()).quantile(0.99);
         assert!(history_p99 > budget.as_ns(), "history p99 {history_p99} ns");
@@ -1534,11 +1481,11 @@ mod tests {
             "the slow history ran under the old contract"
         );
         // A light window under the new contract stays inside it...
-        r.run_lease_streams(&[(lease.id(), 1, 1)], SimTime::from_us(20))
+        r.run_fleet_streams(&[(lease.id(), 1, 1)], SimTime::from_us(20), 1)
             .unwrap();
         assert_eq!(r.evaluate_slos().unwrap(), vec![]);
         // ...and the first slow one breaches it.
-        r.run_lease_streams(&slow, SimTime::from_us(20)).unwrap();
+        r.run_fleet_streams(&slow, SimTime::from_us(20), 1).unwrap();
         let breaches = r.evaluate_slos().unwrap();
         assert_eq!(breaches.len(), 1, "{breaches:?}");
         assert_eq!(breaches[0].lease, lease.id().0);

@@ -3,6 +3,12 @@
 //! placement and LLC calibration yields a fabric or a typed
 //! `FabricError`, never a panic.
 //!
+//! The run entry points take any window and any chaos instant: a
+//! closed-loop window that ends past `SimTime::MAX`, on a fabric or a
+//! rack that has already simulated some time, is refused with a typed
+//! error, and a flap that outlasts simulated time or chaos landing just
+//! before its end schedules nothing past it.
+//!
 //! Windows are drawn up to 2^63 bytes. The RMMU section table holds one
 //! root pointer per 256 sections of 256 MiB, so `Fabric::assemble`
 //! refuses a window over `rmmu::section::MAX_SECTIONS` sections before
@@ -13,9 +19,15 @@ use llc::LlcConfig;
 use proptest::prelude::*;
 use rmmu::section::MAX_SECTIONS;
 use routing::topology::{Line, NodeId};
-use thymesisflow_core::fabric::{FabricBuilder, FabricError, PathSpec, WindowSpec};
+use simkit::time::SimTime;
+use simkit::units::GIB;
+use thymesisflow_core::attach::AttachRequest;
+use thymesisflow_core::fabric::{
+    ChaosEvent, ChaosPlan, Fabric, FabricBuilder, FabricError, FaultKind, LinkRef, PathId,
+    PathSpec, StreamLoad, WindowSpec,
+};
 use thymesisflow_core::params::DatapathParams;
-use thymesisflow_core::rack::{RackBuilder, RackError};
+use thymesisflow_core::rack::{NodeConfig, RackBuilder, RackError};
 
 const SECTION: u64 = 256 << 20;
 
@@ -44,6 +56,43 @@ fn size() -> impl Strategy<Value = u64> {
         (1u64..=1024).prop_map(|k| k * 128),
         (1u64..=256).prop_map(|k| k * SECTION),
     ]
+}
+
+/// A run window from `now` that ends `past` picoseconds after
+/// `SimTime::MAX` (saturating: from a nonzero `now`, a `SimTime::MAX`
+/// window still ends past it).
+fn past_the_end(now: SimTime, past: u64) -> SimTime {
+    SimTime::from_ps(
+        (u64::MAX - now.as_ps())
+            .saturating_add(1)
+            .saturating_add(past),
+    )
+}
+
+/// A point-to-point fabric that has served `warm` loads and drained,
+/// so simulated time has passed.
+fn warmed(warm: u32) -> (Fabric, PathId) {
+    let (mut fabric, path) =
+        FabricBuilder::point_to_point(DatapathParams::prototype(), 1, SECTION).expect("builds");
+    for _ in 0..warm {
+        fabric.issue_read(path).expect("issues");
+    }
+    fabric.drain().expect("drains");
+    (fabric, path)
+}
+
+/// Chaos on link slot 0 at the end of simulated time: a cut, a lane
+/// failure, or a flap that never ends.
+fn end_of_time_chaos(kind: usize) -> ChaosEvent {
+    let link = LinkRef::Slot(0);
+    match kind {
+        0 => ChaosEvent::LinkDown { link },
+        1 => ChaosEvent::LaneFail { link },
+        _ => ChaosEvent::LinkFlap {
+            link,
+            down_for: SimTime::MAX,
+        },
+    }
 }
 
 /// A build refusal is one of the typed configuration errors.
@@ -184,5 +233,92 @@ proptest! {
                 "{llc:?}: {e:?}"
             ),
         }
+    }
+
+    /// A closed-loop window that ends past the end of simulated time is
+    /// refused before any load issues; a flap as long as simulated time
+    /// stays down, so its stranded loads fault as under a cut; and
+    /// chaos landing within a few watchdog periods of the end schedules
+    /// no sample past it. Only windows that end past `SimTime::MAX` are
+    /// drawn: one that fits runs for days of simulated time.
+    #[test]
+    fn run_windows_and_chaos_at_the_end_of_time_are_typed(
+        warm in 1u32..=8,
+        past in prop_oneof![Just(0u64), Just(u64::MAX), 0u64..=u64::MAX],
+        short in 0u64..=1_000_000,
+        back in 0u64..=20_000_000,
+        kind in 0usize..3,
+    ) {
+        let (mut fabric, path) = warmed(warm);
+        let events = fabric.events_processed();
+        let window = past_the_end(fabric.now(), past);
+        let load = StreamLoad { path, threads: 1, window: 1 };
+        let got = fabric.run_closed_loop(&[load], window);
+        prop_assert!(matches!(got, Err(FabricError::Config(_))), "{got:?}");
+        let got = fabric.measure_stream_bandwidth(path, 1, 1, window);
+        prop_assert!(matches!(got, Err(FabricError::Config(_))), "{got:?}");
+        prop_assert_eq!(fabric.events_processed(), events, "a refused window ran");
+
+        // A flap as long as simulated time (less up to a microsecond,
+        // which the warm-up already spent), with loads in flight.
+        let tags: Vec<u64> = (0..4).map(|_| fabric.issue_read(path).expect("issues")).collect();
+        let down_for = SimTime::from_ps(u64::MAX - short);
+        let flap = ChaosEvent::LinkFlap { link: LinkRef::Slot(0), down_for };
+        fabric.schedule_chaos(&ChaosPlan::new().at(fabric.now(), flap));
+        fabric.drain().expect("drains");
+        let faulted: Vec<u64> = fabric.faults().iter().map(|f| f.tag).collect();
+        prop_assert_eq!(faulted, tags, "the flap never ends, so every load faults");
+        prop_assert_eq!(
+            fabric.path_fault(path).expect("known path"),
+            Some(FaultKind::LinkDead { link: 0 })
+        );
+
+        // Chaos just before the end of simulated time, on a link that
+        // has served loads.
+        // Fewer than the five silent samples that declare a link dead
+        // fit before the end, so the path survives.
+        let (mut fabric, path) = warmed(warm);
+        let at = SimTime::from_ps(u64::MAX - back);
+        fabric.schedule_chaos(&ChaosPlan::new().at(at, end_of_time_chaos(kind)));
+        fabric.drain().expect("drains");
+        prop_assert!(fabric.faults().is_empty());
+        prop_assert_eq!(fabric.path_fault(path).expect("known path"), None);
+    }
+
+    /// The same windows and chaos through a rack's entry points.
+    #[test]
+    fn rack_windows_and_chaos_at_the_end_of_time_are_typed(
+        past in prop_oneof![Just(0u64), Just(u64::MAX), 0u64..=u64::MAX],
+        back in 0u64..=20_000_000,
+        kind in 0usize..3,
+    ) {
+        let mut rack = RackBuilder::new()
+            .node(NodeConfig::ac922("a"))
+            .node(NodeConfig::ac922("b"))
+            .cable("a", "b")
+            .build()
+            .expect("builds");
+        let lease = rack.attach(AttachRequest::new("a", "b", 4 * GIB)).expect("attaches");
+        let loads = [(lease.id(), 1, 1)];
+        rack.run_fleet_streams(&loads, SimTime::from_us(2), 1).expect("streams");
+        let now = rack.fabric("a").expect("live fabric").now();
+        let window = past_the_end(now, past);
+        for drained in [true, false] {
+            let got = if drained {
+                rack.run_fleet_streams(&loads, window, 1)
+            } else {
+                rack.run_fleet_streams_undrained(&loads, window, 1)
+            };
+            prop_assert!(
+                matches!(got, Err(RackError::Fabric(FabricError::Config(_)))),
+                "{got:?}"
+            );
+        }
+        let (fabric, path) = rack.lease_fabric(lease.id()).expect("live lease");
+        let at = SimTime::from_ps(u64::MAX - back);
+        fabric.schedule_chaos(&ChaosPlan::new().at(at, end_of_time_chaos(kind)));
+        fabric.drain().expect("drains");
+        prop_assert!(fabric.faults().is_empty());
+        prop_assert_eq!(fabric.path_fault(path).expect("known path"), None);
     }
 }

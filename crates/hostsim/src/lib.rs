@@ -7,7 +7,6 @@
 //! crate models the pieces the paper's OS integration depends on:
 //!
 //! * [`cpu`] — sockets, cores and SMT threads.
-//! * [`cache`] — a set-associative cache hierarchy (POWER9 geometry).
 //! * [`mmu`] — the kernel's page size.
 //! * [`physmap`] — the real-address map, including the window firmware
 //!   assigns to the ThymesisFlow compute endpoint.
@@ -33,7 +32,6 @@
 //! assert!(host.numa().node(node).unwrap().is_cpuless());
 //! ```
 
-pub mod cache;
 pub mod cpu;
 pub mod hotplug;
 pub mod migration;

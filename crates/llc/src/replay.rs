@@ -113,7 +113,7 @@ impl<T: Clone> ReplayBuffer<T> {
     }
 
     /// Oldest retained frame id, if any.
-    pub fn oldest(&self) -> Option<FrameId> {
+    pub(crate) fn oldest(&self) -> Option<FrameId> {
         self.frames.front().and_then(Frame::id)
     }
 

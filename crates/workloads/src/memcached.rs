@@ -258,11 +258,6 @@ impl MemcachedService {
         &self.cache
     }
 
-    /// SETs served.
-    pub fn sets(&self) -> u64 {
-        self.sets
-    }
-
     fn memory_us(&mut self, value_lines: f64) -> f64 {
         let lines = self.cost.lines_touched + value_lines;
         let to_memory = lines * self.cost.llc_miss_ratio;
@@ -434,7 +429,7 @@ mod tests {
         let (_, svc) = quick().run(model(SystemConfig::Local), 31);
         // Every GET is one cache lookup.
         let gets = svc.cache.hits + svc.cache.misses;
-        let ratio = gets as f64 / svc.sets().max(1) as f64;
+        let ratio = gets as f64 / svc.sets.max(1) as f64;
         assert!((24.0..=37.0).contains(&ratio), "GET:SET {ratio}");
     }
 

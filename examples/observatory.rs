@@ -38,7 +38,7 @@ fn node(r: usize, c: usize) -> String {
     format!("n{r}{c}")
 }
 
-/// One closed-loop window; `Rack::run_lease_streams` drains it before
+/// One closed-loop window; `Rack::run_fleet_streams` drains it before
 /// returning, so its latencies measure contention and disruption, not
 /// backlog carried into the next window.
 const WINDOW: SimTime = SimTime::from_us(20);
@@ -51,7 +51,7 @@ fn window_p99(
     path: PathId,
 ) -> Result<u64, Box<dyn Error>> {
     let before = rack.fabric("n00").ok_or("fabric is live")?.completions(path)?.clone();
-    rack.run_lease_streams(loads, WINDOW)?;
+    rack.run_fleet_streams(loads, WINDOW, 1)?;
     let fabric = rack.fabric("n00").ok_or("fabric is live")?;
     Ok(fabric.completions(path)?.subtract(&before).quantile(0.99))
 }
@@ -131,7 +131,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         (control.id(), 1, 2),
     ];
     for _segment in 0..5 {
-        rack.run_lease_streams(&loads, WINDOW)?;
+        rack.run_fleet_streams(&loads, WINDOW, 1)?;
         let fabric = rack.fabric_mut("n00").expect("fabric is live");
         let now = fabric.now();
         if recorder.due(now) {

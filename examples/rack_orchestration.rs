@@ -54,9 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (fabric, path) = rack.lease_fabric(l1.id())?;
     let rtt = fabric.measure_load_latency(path)?;
     println!("lease 1 uncontended load-to-use: {rtt}");
-    let rates = rack.run_lease_streams(
+    let rates = rack.run_fleet_streams(
         &[(l1.id(), 8, 32), (l2.id(), 8, 32)],
         SimTime::from_us(100),
+        1,
     )?;
     for (l, rate) in [&l1, &l2].iter().zip(&rates) {
         println!(

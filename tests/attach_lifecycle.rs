@@ -162,9 +162,10 @@ fn multi_donor_leases_run_and_detach_at_flit_level() {
 
     // Both donors stream concurrently over one shared event queue.
     let rates = rack
-        .run_lease_streams(
+        .run_fleet_streams(
             &[(l1.id(), 8, 32), (l2.id(), 8, 32)],
             SimTime::from_us(100),
+            1,
         )
         .unwrap();
     for (i, r) in rates.iter().enumerate() {
