@@ -92,9 +92,14 @@ impl LinkSlot {
         intact_frames(&self.fwd) + intact_frames(&self.rev) + chain
     }
 
-    /// Whether both directions' Tx owe nothing.
+    /// Whether the link owes its wire nothing: in both directions no
+    /// frame is staged, framed or replaying, the far Rx has delivered
+    /// every frame its Tx sent, and the Tx heard the Rx's last coalesced
+    /// ack ([`llc::endpoint::LlcTx::is_quiet`]). Acks coalesce, so a
+    /// drained link keeps the frames behind that ack unacknowledged;
+    /// judging delivery lets it go idle all the same.
     pub(super) fn is_idle(&self) -> bool {
-        self.up.tx.is_idle() && self.down.tx.is_idle()
+        self.up.tx.is_quiet(&self.up.rx) && self.down.tx.is_quiet(&self.down.rx)
     }
 
     /// Takes both endpoint channels hard-down, or back up.
@@ -177,6 +182,12 @@ impl Fabric {
     /// on a switched fabric, riding `topo_links` and forwarding over
     /// `chain_links` past them. Returns the links' channel ids and the
     /// instant the last circuit is ready.
+    ///
+    /// # Errors
+    ///
+    /// [`FabricError::Config`] if the LLC refuses the fabric's
+    /// calibration (before any slot or circuit of the channel is
+    /// taken), and a switch error if no circuit is free.
     pub(super) fn add_links(
         &mut self,
         spec: &PathSpec,
@@ -189,6 +200,8 @@ impl Fabric {
         let mut chan_ids = Vec::with_capacity(spec.channels);
         let mut ready_at = now;
         for c in 0..spec.channels {
+            let up = LlcPair::new(self.params.llc)?;
+            let down = LlcPair::new(self.params.llc)?;
             let (circuit, extra, ready) = match self.switch.as_mut() {
                 Some(sw) => {
                     let traversal = sw.traversal_latency();
@@ -203,8 +216,8 @@ impl Fabric {
                 .then(|| HopChain::build(&self.params, spec.faults, seeds, chain_links, 0));
             let link = self.links.len();
             self.links.push(Some(Box::new(LinkSlot {
-                up: LlcPair::new(self.params.llc),
-                down: LlcPair::new(self.params.llc),
+                up,
+                down,
                 fwd: wire_channel(&self.params, extra, spec.faults, seeds.0),
                 rev: wire_channel(&self.params, extra, spec.faults, seeds.1),
                 flush_pending: [false; 2],

@@ -385,12 +385,14 @@ impl Fabric {
         self.queue.schedule(at, Ev::Watchdog { link });
     }
 
-    /// One watchdog sample. A link that owes nothing goes quiet (no
-    /// re-arm), so a drained queue stays drained. One whose wire carried
+    /// One watchdog sample. A link whose every sent frame was delivered,
+    /// and whose Tx heard the far Rx's last coalesced ack, goes quiet
+    /// (no re-arm), so a drained queue stays drained, though the frames
+    /// behind that ack stay unacknowledged. One whose wire carried
     /// an intact frame since the watchdog armed is busy, not dead: its
     /// strikes clear and the watch goes on. A silent one takes a strike
-    /// and a keepalive kick, and the [`DEAD_AFTER`]th strike in a row
-    /// declares it dead.
+    /// and a keepalive kick, which also retries a lost replay request,
+    /// and the [`DEAD_AFTER`]th strike in a row declares it dead.
     pub(super) fn watchdog_fire(&mut self, link: usize) -> Result<(), FabricError> {
         let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
             return Ok(());

@@ -75,16 +75,6 @@ impl WorkloadSpec {
             hop: SimTime::from_ns(150),
         }
     }
-
-    /// A heavier workload for throughput benchmarking.
-    pub fn bench() -> Self {
-        WorkloadSpec {
-            seeds_per_path: 64,
-            seed_spacing: SimTime::from_ns(50),
-            forward_budget: 4096,
-            hop: SimTime::from_ns(150),
-        }
-    }
 }
 
 /// Scheduling-independent summary of one shard's run, the unit of the

@@ -16,12 +16,14 @@
 
 use llc::endpoint::{LlcRx, LlcTx};
 use llc::flit::FlitSized;
-use llc::LlcConfig;
+use llc::{LlcConfig, LlcError};
 use opencapi::c1::{C1Error, C1Port};
 use opencapi::pasid::{Pasid, Region};
 use opencapi::transaction::MemResponse;
 use rmmu::RoutedRequest;
 use simkit::time::SimTime;
+
+use crate::fabric::FabricError;
 
 /// What kind of pipeline stage a component models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,11 +102,14 @@ pub struct LlcPair {
 }
 
 impl LlcPair {
-    pub(crate) fn new(config: LlcConfig) -> Self {
-        LlcPair {
-            tx: LlcTx::new(config),
-            rx: LlcRx::new(config),
-        }
+    /// A pair on the calibration `config`; one the LLC refuses is a
+    /// [`FabricError::Config`].
+    pub(crate) fn new(config: LlcConfig) -> Result<Self, FabricError> {
+        let refused = |e: LlcError| FabricError::Config(format!("llc {config:?}: {e}"));
+        Ok(LlcPair {
+            tx: LlcTx::new(config).map_err(refused)?,
+            rx: LlcRx::new(config).map_err(refused)?,
+        })
     }
 }
 

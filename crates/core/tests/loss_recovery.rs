@@ -14,6 +14,11 @@
 //! loss, and under flaps before and between bursts while frame ids wrap
 //! past `u64::MAX`. Debug builds check flit and credit conservation in
 //! every LLC state machine along the way.
+//!
+//! Recovery is one path: the receiver asks once per gap and the watchdog
+//! retries a silent link, so replays do not stack on a lossy link, and a
+//! drained link owes its wire nothing even though acks coalesce and its
+//! last frames stay unacknowledged.
 
 use llc::LlcConfig;
 use netsim::fault::FaultSpec;
@@ -101,6 +106,55 @@ fn drain_into(fabric: &mut Fabric, retired: &mut Vec<u64>) {
     while let Some(done) = fabric.step().expect("no protocol violation") {
         retired.extend(done.iter().map(|c| c.tag));
     }
+}
+
+/// Asserts that every live link of `paths` owes its wire nothing once
+/// drained: the watchdog lets an idle link sit dark, so a flap longer
+/// than the detection window on every link at once faults no load, and
+/// each path serves one more.
+fn assert_links_idle(fabric: &mut Fabric, paths: &[PathId], what: &str) {
+    let now = fabric.now();
+    let mut plan = ChaosPlan::new();
+    for &path in paths {
+        for link in fabric.path_link_stats(path).expect("live path") {
+            plan = plan.at(
+                now,
+                ChaosEvent::LinkFlap {
+                    link: LinkRef::Slot(link.link),
+                    down_for: SimTime::from_us(60),
+                },
+            );
+        }
+    }
+    fabric.schedule_chaos(&plan);
+    let (mut issued, mut retired) = (Vec::new(), Vec::new());
+    drain_into(fabric, &mut retired);
+    assert!(fabric.faults().is_empty(), "{what}: {:?}", fabric.faults());
+    for &path in paths {
+        issue(fabric, path, 1, &mut issued);
+    }
+    drain_into(fabric, &mut retired);
+    retired.sort_unstable();
+    assert_eq!(retired, issued, "{what}: every path serves on");
+}
+
+/// Issues E9's 500 loads at once on a point-to-point link with
+/// `faults` and drains it; checks that every load retired exactly once,
+/// in issue order, with no fault, and returns the frames both channels
+/// carried.
+fn e9_frames(faults: FaultSpec, seed: u64) -> u64 {
+    let (mut fabric, path) = point_to_point(LlcConfig::default(), faults, seed);
+    let (mut issued, mut retired) = (Vec::new(), Vec::new());
+    issue(&mut fabric, path, 500, &mut issued);
+    drain_into(&mut fabric, &mut retired);
+    assert!(
+        fabric.faults().is_empty(),
+        "seed {seed}: {:?}",
+        fabric.faults()
+    );
+    assert_eq!(retired, issued, "seed {seed}: exactly once, in issue order");
+    let link = fabric.path_link_stats(path).expect("live path")[0];
+    link.fwd_frames + link.rev_frames
 }
 
 /// Darkens the point-to-point link for `down_for`, starting now.
@@ -270,5 +324,126 @@ proptest! {
             .map(|l| l.up_replays + l.down_replays)
             .sum();
         prop_assert!(replays > 0, "a swallowed burst must replay");
+    }
+}
+
+#[test]
+fn replays_do_not_stack_on_a_lossy_link() {
+    // E9's 1% row: 500 loads at once on one channel, drops and CRC
+    // errors at 0.5% each. One request per gap and one replay per
+    // request keep the mean over 16 seeds under twice the lossless
+    // frame count.
+    let lossless = e9_frames(FaultSpec::LOSSLESS, 0);
+    let lossy: u64 = (0..16)
+        .map(|seed| e9_frames(FaultSpec::new(0.005, 0.005), seed))
+        .sum();
+    let mean = lossy as f64 / 16.0;
+    assert!(
+        mean < 2.0 * lossless as f64,
+        "replays stack: {mean} frames per run against {lossless} lossless"
+    );
+}
+
+#[test]
+fn a_flap_on_a_drained_link_that_served_loads_faults_nothing() {
+    // The link's last frames stay unacknowledged after the drain (acks
+    // coalesce every 8th frame), yet it owes its wire nothing, so a
+    // flap longer than the detection window kills it no more than it
+    // kills a link that never carried a frame.
+    for served in [0, 1, 9] {
+        let (mut fabric, path) = point_to_point(LlcConfig::default(), FaultSpec::LOSSLESS, 3);
+        let (mut issued, mut retired) = (Vec::new(), Vec::new());
+        issue(&mut fabric, path, served, &mut issued);
+        drain_into(&mut fabric, &mut retired);
+        let back = flap(&mut fabric, SimTime::from_us(60));
+        drain_into(&mut fabric, &mut retired);
+        assert!(fabric.now() >= back, "served {served}: the flap ran");
+        assert!(
+            fabric.faults().is_empty(),
+            "served {served}: {:?}",
+            fabric.faults()
+        );
+        assert_eq!(fabric.path_fault(path).expect("known path"), None);
+        issue(&mut fabric, path, 1, &mut issued);
+        drain_into(&mut fabric, &mut retired);
+        assert_eq!(retired, issued, "served {served}: the path serves on");
+    }
+}
+
+#[test]
+fn drained_lossy_links_owe_their_wires_nothing() {
+    // Every credit does not come back: acks coalesce, so the frames
+    // behind each direction's last ack stay unacknowledged. But every
+    // frame sent was delivered and no ack was missed, or the watchdog
+    // would still be watching and the drain would not have ended.
+    for (name, faults) in [
+        ("drop 3e-3", FaultSpec::new(3e-3, 0.0)),
+        ("crc 1e-2", FaultSpec::new(0.0, 1e-2)),
+    ] {
+        let (mut fabric, paths) = torus(faults, 1);
+        let loads: Vec<StreamLoad> = paths
+            .iter()
+            .map(|&path| StreamLoad {
+                path,
+                threads: 8,
+                window: 32,
+            })
+            .collect();
+        fabric
+            .run_closed_loop(&loads, SimTime::from_us(50))
+            .expect("the loop runs");
+        fabric.drain().expect("the fabric drains");
+        assert!(fabric.faults().is_empty(), "torus {name}");
+        assert_links_idle(&mut fabric, &paths, &format!("torus {name}"));
+    }
+    for (name, faults) in [
+        ("crc 0.05", FaultSpec::new(0.0, 0.05)),
+        ("drop+crc 0.005", FaultSpec::new(0.005, 0.005)),
+        ("drop 0.1", FaultSpec::new(0.1, 0.0)),
+    ] {
+        for seed in 0..4u64 {
+            let (mut fabric, path) = point_to_point(LlcConfig::default(), faults, seed);
+            let (mut issued, mut retired) = (Vec::new(), Vec::new());
+            issue(&mut fabric, path, 256, &mut issued);
+            drain_into(&mut fabric, &mut retired);
+            // A flap between bursts, then a second burst.
+            flap(&mut fabric, SimTime::from_us(10));
+            issue(&mut fabric, path, 64, &mut issued);
+            drain_into(&mut fabric, &mut retired);
+            assert_eq!(retired, issued, "{name} seed {seed}");
+            assert_links_idle(&mut fabric, &[path], &format!("{name} seed {seed}"));
+        }
+    }
+}
+
+#[test]
+fn a_lost_ack_on_a_shallow_link_stalls_no_later_burst() {
+    // Eight credits and an ack every 7th frame: a drained Tx that missed
+    // one ack may hold too few credits to reach the receiver's next ack,
+    // so the watchdog keeps watching it until a kick's duplicates are
+    // re-acked. Bursts separated by a drain must each retire in full.
+    let llc = LlcConfig {
+        rx_queue_frames: 8,
+        ack_every: 7,
+        ..LlcConfig::default()
+    };
+    for drop in [0.02, 0.05] {
+        for seed in 0..48 {
+            let (mut fabric, path) = point_to_point(llc, FaultSpec::new(drop, 0.0), seed);
+            let (mut issued, mut retired) = (Vec::new(), Vec::new());
+            for burst in [24, 5, 24, 11] {
+                issue(&mut fabric, path, burst, &mut issued);
+                drain_into(&mut fabric, &mut retired);
+                assert_eq!(
+                    retired, issued,
+                    "drop {drop} seed {seed}: every load retires"
+                );
+            }
+            assert!(
+                fabric.faults().is_empty(),
+                "drop {drop} seed {seed}: {:?}",
+                fabric.faults()
+            );
+        }
     }
 }

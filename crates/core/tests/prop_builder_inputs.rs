@@ -6,8 +6,10 @@
 //! The run entry points take any window and any chaos instant: a
 //! closed-loop window that ends past `SimTime::MAX`, on a fabric or a
 //! rack that has already simulated some time, is refused with a typed
-//! error, and a flap that outlasts simulated time or chaos landing just
-//! before its end schedules nothing past it.
+//! error, a flap that outlasts simulated time or chaos landing just
+//! before its end schedules nothing past it, and a link brought back up
+//! within a frame time of the end sends its replays into a wire whose
+//! frames would land past it, so they never arrive.
 //!
 //! Windows are drawn up to 2^63 bytes. The RMMU section table holds one
 //! root pointer per 256 sections of 256 MiB, so `Fabric::assemble`
@@ -81,17 +83,38 @@ fn warmed(warm: u32) -> (Fabric, PathId) {
     (fabric, path)
 }
 
-/// Chaos on link slot 0 at the end of simulated time: a cut, a lane
-/// failure, or a flap that never ends.
-fn end_of_time_chaos(kind: usize) -> ChaosEvent {
+/// About one frame time on the prototype's links: a 9-flit, 288 B
+/// frame serializes in 23.76 ns on four bonded 25 Gbit/s lanes.
+const FRAME_PS: u64 = 23_760;
+
+/// Chaos on link slot 0 `back` picoseconds before the end of simulated
+/// time: a cut, a lane failure, or a flap that never ends. Kinds 3 and
+/// 4 bring the link back up within one frame time of the end instead
+/// (`back` folded into the last frame time): a `LinkUp`, or a flap of
+/// `back` that ends there. Both kick the link's unacknowledged tail
+/// onto the wire, so its frames would land past the end.
+fn end_of_time_chaos(kind: usize, back: u64) -> (SimTime, ChaosEvent) {
     let link = LinkRef::Slot(0);
+    let before_end = |ps: u64| SimTime::from_ps(u64::MAX - ps);
+    let last_frame = back % FRAME_PS;
     match kind {
-        0 => ChaosEvent::LinkDown { link },
-        1 => ChaosEvent::LaneFail { link },
-        _ => ChaosEvent::LinkFlap {
-            link,
-            down_for: SimTime::MAX,
-        },
+        0 => (before_end(back), ChaosEvent::LinkDown { link }),
+        1 => (before_end(back), ChaosEvent::LaneFail { link }),
+        2 => (
+            before_end(back),
+            ChaosEvent::LinkFlap {
+                link,
+                down_for: SimTime::MAX,
+            },
+        ),
+        3 => (before_end(last_frame), ChaosEvent::LinkUp { link }),
+        _ => (
+            before_end(last_frame + back),
+            ChaosEvent::LinkFlap {
+                link,
+                down_for: SimTime::from_ps(back),
+            },
+        ),
     }
 }
 
@@ -185,30 +208,27 @@ proptest! {
 
     /// LLC calibrations across every validity bound: frames from zero
     /// flits to past the wire header's `u8` (and through the 5 flits a
-    /// cacheline read response needs), credit pools from empty up,
-    /// replay windows either side of the pool, acks from never to past
-    /// the pool, and any initial frame id. A runnable one builds a
-    /// fabric that serves loads in issue order; any other is refused
-    /// with a typed error by the fabric builder and, up front, by the
-    /// rack builder.
+    /// cacheline read response needs), credit pools from empty up, acks
+    /// from never to past the pool, and any initial frame id. A runnable
+    /// one builds a fabric that serves loads in issue order; any other
+    /// is refused with a typed error by the fabric builder and, up
+    /// front, by the rack builder.
     #[test]
     fn llc_calibrations_serve_or_refuse(
-        sizes in (0usize..=260, 0usize..=300, 0usize..=300),
+        sizes in (0usize..=260, 0usize..=300),
         ack_every in 0u64..=300,
         initial_frame_id in 0u64..=u64::MAX,
     ) {
-        let (frame_flits, rx_queue_frames, replay_window) = sizes;
+        let (frame_flits, rx_queue_frames) = sizes;
         let llc = LlcConfig {
             frame_flits,
             rx_queue_frames,
-            replay_window,
             initial_frame_id,
             ack_every,
         };
         let runnable = (5..=256).contains(&frame_flits)
             && 0 < ack_every
-            && ack_every < rx_queue_frames as u64
-            && rx_queue_frames <= replay_window;
+            && ack_every < rx_queue_frames as u64;
         let params = DatapathParams { llc, ..DatapathParams::prototype() };
         match FabricBuilder::point_to_point(params.clone(), 1, SECTION) {
             Ok((mut fabric, path)) => {
@@ -237,17 +257,19 @@ proptest! {
 
     /// A closed-loop window that ends past the end of simulated time is
     /// refused before any load issues; a flap as long as simulated time
-    /// stays down, so its stranded loads fault as under a cut; and
-    /// chaos landing within a few watchdog periods of the end schedules
-    /// no sample past it. Only windows that end past `SimTime::MAX` are
-    /// drawn: one that fits runs for days of simulated time.
+    /// stays down, so its stranded loads fault as under a cut; chaos
+    /// landing within a few watchdog periods of the end schedules no
+    /// sample past it; and a link that comes back up within a frame time
+    /// of the end replays into a wire that never delivers. Only windows
+    /// that end past `SimTime::MAX` are drawn: one that fits runs for
+    /// days of simulated time.
     #[test]
     fn run_windows_and_chaos_at_the_end_of_time_are_typed(
         warm in 1u32..=8,
         past in prop_oneof![Just(0u64), Just(u64::MAX), 0u64..=u64::MAX],
         short in 0u64..=1_000_000,
         back in 0u64..=20_000_000,
-        kind in 0usize..3,
+        kind in 0usize..5,
     ) {
         let (mut fabric, path) = warmed(warm);
         let events = fabric.events_processed();
@@ -278,8 +300,8 @@ proptest! {
         // Fewer than the five silent samples that declare a link dead
         // fit before the end, so the path survives.
         let (mut fabric, path) = warmed(warm);
-        let at = SimTime::from_ps(u64::MAX - back);
-        fabric.schedule_chaos(&ChaosPlan::new().at(at, end_of_time_chaos(kind)));
+        let (at, chaos) = end_of_time_chaos(kind, back);
+        fabric.schedule_chaos(&ChaosPlan::new().at(at, chaos));
         fabric.drain().expect("drains");
         prop_assert!(fabric.faults().is_empty());
         prop_assert_eq!(fabric.path_fault(path).expect("known path"), None);
@@ -290,7 +312,7 @@ proptest! {
     fn rack_windows_and_chaos_at_the_end_of_time_are_typed(
         past in prop_oneof![Just(0u64), Just(u64::MAX), 0u64..=u64::MAX],
         back in 0u64..=20_000_000,
-        kind in 0usize..3,
+        kind in 0usize..5,
     ) {
         let mut rack = RackBuilder::new()
             .node(NodeConfig::ac922("a"))
@@ -315,8 +337,8 @@ proptest! {
             );
         }
         let (fabric, path) = rack.lease_fabric(lease.id()).expect("live lease");
-        let at = SimTime::from_ps(u64::MAX - back);
-        fabric.schedule_chaos(&ChaosPlan::new().at(at, end_of_time_chaos(kind)));
+        let (at, chaos) = end_of_time_chaos(kind, back);
+        fabric.schedule_chaos(&ChaosPlan::new().at(at, chaos));
         fabric.drain().expect("drains");
         prop_assert!(fabric.faults().is_empty());
         prop_assert_eq!(fabric.path_fault(path).expect("known path"), None);

@@ -15,11 +15,12 @@ use crate::error::LlcError;
 /// ```
 /// use llc::credit::CreditCounter;
 ///
-/// let mut c = CreditCounter::new(4);
+/// let mut c = CreditCounter::new(4)?;
 /// assert!(c.try_consume());
 /// assert_eq!(c.available(), 3);
-/// c.replenish(1).unwrap();
+/// c.replenish(1)?;
 /// assert_eq!(c.available(), 4);
+/// # Ok::<(), llc::LlcError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CreditCounter {
@@ -33,18 +34,22 @@ pub struct CreditCounter {
 impl CreditCounter {
     /// Creates a counter with `max` initial credits (the Rx queue depth).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `max == 0`.
-    pub fn new(max: u32) -> Self {
-        assert!(max > 0, "credit pool cannot be empty");
-        CreditCounter {
+    /// [`LlcError::InvalidConfig`] if `max == 0`.
+    pub fn new(max: u32) -> Result<Self, LlcError> {
+        if max == 0 {
+            return Err(LlcError::InvalidConfig {
+                reason: "credit pool cannot be empty",
+            });
+        }
+        Ok(CreditCounter {
             available: max,
             max,
             consumed_total: 0,
             replenished_total: 0,
             starved_total: 0,
-        }
+        })
     }
 
     /// Credits currently available.
@@ -134,7 +139,7 @@ mod tests {
 
     #[test]
     fn consume_until_starved() {
-        let mut c = CreditCounter::new(2);
+        let mut c = CreditCounter::new(2).unwrap();
         assert!(c.try_consume());
         assert!(c.try_consume());
         assert!(!c.try_consume());
@@ -144,7 +149,7 @@ mod tests {
 
     #[test]
     fn replenish_restores() {
-        let mut c = CreditCounter::new(3);
+        let mut c = CreditCounter::new(3).unwrap();
         c.try_consume();
         c.try_consume();
         c.replenish(2).unwrap();
@@ -153,7 +158,7 @@ mod tests {
 
     #[test]
     fn over_replenish_is_an_error() {
-        let mut c = CreditCounter::new(2);
+        let mut c = CreditCounter::new(2).unwrap();
         assert_eq!(
             c.replenish(1),
             Err(LlcError::CreditOverflow {
@@ -171,7 +176,7 @@ mod tests {
         // A duplicated return (a replayed ack applied twice) would let
         // the transmitter overrun the peer's ingress queue; replenish
         // refuses it and the conservation identity still holds.
-        let mut c = CreditCounter::new(4);
+        let mut c = CreditCounter::new(4).unwrap();
         assert!(c.try_consume());
         c.replenish(1).expect("first return balances");
         c.replenish(1).expect_err("second return must be rejected");
@@ -180,8 +185,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "credit pool cannot be empty")]
-    fn zero_pool_panics() {
-        CreditCounter::new(0);
+    fn zero_pool_is_refused() {
+        assert_eq!(
+            CreditCounter::new(0),
+            Err(LlcError::InvalidConfig {
+                reason: "credit pool cannot be empty"
+            })
+        );
     }
 }

@@ -11,7 +11,12 @@
 //! leaving the replay buffer. The paper's piggy-backing of credits on
 //! transaction headers is not modelled. Replayed frames reuse the credit
 //! consumed by their original transmission, so recovery can never
-//! deadlock on an empty credit pool.
+//! deadlock on an empty credit pool, and the pool bounds the replay
+//! buffer.
+//!
+//! Replay discipline: the receiver asks once per gap and the transmitter
+//! serves every request. A lost request or first replayed frame is
+//! retried by the driver's keepalive ([`LlcTx::kick_tail_replay`]).
 
 use std::collections::VecDeque;
 
@@ -23,10 +28,6 @@ use crate::flit::FlitSized;
 use crate::frame::{assemble_into, Control, Entry, Frame, FrameId};
 use crate::replay::ReplayBuffer;
 use crate::LlcConfig;
-
-/// How many consecutive discards the Rx tolerates before re-arming a
-/// replay request (guards against the request itself being lost).
-const REQUEST_REARM_DISCARDS: u32 = 8;
 
 /// The transmit side of one LLC link direction.
 #[derive(Debug)]
@@ -41,7 +42,6 @@ pub struct LlcTx<T> {
     retransmit: VecDeque<Frame<T>>,
     credits: CreditCounter,
     replay: ReplayBuffer<T>,
-    last_replay_request: Option<FrameId>,
     frames_replayed: u64,
     txns_offered: usize,
     txns_acked: usize,
@@ -50,28 +50,27 @@ pub struct LlcTx<T> {
 impl<T: FlitSized + Clone> LlcTx<T> {
     /// Creates a transmitter.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the configuration is inconsistent (see
-    /// [`LlcConfig::validate`]); the fabric refuses such a calibration
-    /// with a typed error before it builds a link.
-    pub fn new(config: LlcConfig) -> Self {
-        let checked = config.validate();
-        assert!(checked.is_ok(), "inconsistent LLC config: {checked:?}");
-        LlcTx {
+    /// [`LlcError::InvalidConfig`] if [`LlcConfig::validate`] refuses
+    /// the configuration.
+    pub fn new(config: LlcConfig) -> Result<Self, LlcError> {
+        config
+            .validate()
+            .map_err(|reason| LlcError::InvalidConfig { reason })?;
+        Ok(LlcTx {
             next_id: FrameId(config.initial_frame_id),
             staging: Vec::new(),
             entries: Vec::new(),
             ready: VecDeque::new(),
             retransmit: VecDeque::new(),
-            credits: CreditCounter::new(config.rx_queue_credits()),
-            replay: ReplayBuffer::new(config.replay_window),
-            last_replay_request: None,
+            credits: CreditCounter::new(config.rx_queue_credits())?,
+            replay: ReplayBuffer::default(),
             frames_replayed: 0,
             txns_offered: 0,
             txns_acked: 0,
             config,
-        }
+        })
     }
 
     /// Stages a transaction for framing.
@@ -113,21 +112,18 @@ impl<T: FlitSized + Clone> LlcTx<T> {
 
     /// The next frame to put on the wire, if the protocol allows one:
     /// retransmissions first (no new credit), then fresh frames (one
-    /// credit each, and room in the replay buffer).
+    /// credit each, held until the frame is acknowledged).
     ///
     /// # Errors
     ///
-    /// Propagates retention failures — unreachable while the room check
-    /// above holds, but surfaced rather than swallowed.
+    /// Propagates retention failures — unreachable while frames leave
+    /// the ready queue in id order, but surfaced rather than swallowed.
     pub fn next_transmittable(&mut self) -> Result<Option<Frame<T>>, LlcError> {
         if let Some(f) = self.retransmit.pop_front() {
             self.frames_replayed += 1;
             return Ok(Some(f));
         }
-        if self.ready.is_empty() {
-            return Ok(None);
-        }
-        if !self.replay.has_room() || !self.credits.try_consume() {
+        if self.ready.is_empty() || !self.credits.try_consume() {
             return Ok(None);
         }
         let Some(frame) = self.ready.pop_front() else {
@@ -156,24 +152,11 @@ impl<T: FlitSized + Clone> LlcTx<T> {
                 if freed > 0 {
                     self.credits.replenish(freed)?;
                 }
-                // A new ack re-arms replay-request deduplication.
-                if self
-                    .last_replay_request
-                    .is_some_and(|req| req.seq_le(through))
-                {
-                    self.last_replay_request = None;
-                }
             }
             Control::ReplayRequest(from) => {
-                // Duplicate requests for the same point are served once;
-                // the receiver re-arms by requesting again after more
-                // discards, which shows up as a *different* request only
-                // after an intervening ack, so serve repeats too when the
-                // retransmit queue already drained.
-                if self.last_replay_request == Some(from) && !self.retransmit.is_empty() {
-                    return Ok(());
-                }
-                self.last_replay_request = Some(from);
+                // The receiver asks once per gap, so every request is
+                // served: the retained frames from `from` on replace
+                // whatever replay was still queued.
                 self.retransmit = self.replay.frames_from(from).into();
             }
         }
@@ -182,11 +165,13 @@ impl<T: FlitSized + Clone> LlcTx<T> {
     }
 
     /// Retransmits everything unacknowledged (tail-loss recovery). A
-    /// lost tail leaves no later frame to expose the gap, so a caller
-    /// that sees the link quiet with frames outstanding (an idle timer,
-    /// a link watchdog) re-queues the whole retained window. It only
-    /// retransmits: judging a silent link dead is the caller's job. A
-    /// no-op while nothing is retained or a replay is still queued.
+    /// lost tail leaves no later frame to expose the gap, and a lost
+    /// replay request leaves the receiver waiting without asking again,
+    /// so a caller that sees the link silent while it still owes
+    /// delivery (the fabric's link watchdog) re-queues the whole
+    /// retained window. It only retransmits: judging a silent link dead
+    /// is the caller's job. A no-op while nothing is retained or a
+    /// replay is still queued.
     pub fn kick_tail_replay(&mut self) {
         if let Some(oldest) = self.replay.oldest() {
             if self.retransmit.is_empty() {
@@ -195,12 +180,31 @@ impl<T: FlitSized + Clone> LlcTx<T> {
         }
     }
 
-    /// Whether any frame is staged, framed, retained or replaying.
-    pub fn is_idle(&self) -> bool {
-        self.staging.is_empty()
-            && self.ready.is_empty()
-            && self.retransmit.is_empty()
-            && self.replay.is_empty()
+    /// Whether no frame is staged, framed, retained or replaying: every
+    /// frame sent was acknowledged.
+    #[cfg(test)]
+    fn is_idle(&self) -> bool {
+        self.is_drained() && self.replay.is_empty()
+    }
+
+    /// Whether no frame is staged, framed or replaying.
+    fn is_drained(&self) -> bool {
+        self.staging.is_empty() && self.ready.is_empty() && self.retransmit.is_empty()
+    }
+
+    /// Whether this link direction owes its wire nothing: no frame is
+    /// staged, framed or replaying, `far` (the receiver this Tx sends
+    /// to) has delivered every frame sent, and this Tx heard `far`'s
+    /// last coalesced ack, so it retains only the frames `far` delivered
+    /// since. Those stay unacknowledged, but the credits they leave
+    /// (more than `ack_every` less them) carry the next burst to `far`'s
+    /// next ack. A Tx that retains more missed an ack and could stall
+    /// short of that one: it owes a kick, whose duplicates `far` re-acks.
+    pub fn is_quiet(&self, far: &LlcRx<T>) -> bool {
+        let since_ack = far.frames_delivered % far.ack_every;
+        self.is_drained()
+            && far.expected == self.next_id
+            && u64::try_from(self.replay.len()).is_ok_and(|held| held <= since_ack)
     }
 
     /// The transmitter's credit view.
@@ -213,7 +217,7 @@ impl<T: FlitSized + Clone> LlcTx<T> {
         self.frames_replayed
     }
 
-    /// Frames framed but blocked (no credit / replay window full).
+    /// Frames framed but blocked on credit, plus queued replays.
     pub fn backlog(&self) -> usize {
         self.ready.len() + self.retransmit.len()
     }
@@ -278,7 +282,8 @@ impl<T> RxAction<T> {
 pub struct LlcRx<T> {
     expected: FrameId,
     ack_every: u64,
-    discards_since_request: u32,
+    /// A replay request for the current gap went out; the gap gets no
+    /// other until an in-order frame fills it.
     awaiting_replay: bool,
     frames_delivered: u64,
     /// Arriving frames queue here (with their CRC verdict) before the
@@ -290,27 +295,27 @@ pub struct LlcRx<T> {
 impl<T: FlitSized + Clone> LlcRx<T> {
     /// Creates a receiver expecting the agreed initial frame id.
     ///
-    /// # Panics
+    /// # Errors
     ///
     /// As [`LlcTx::new`].
-    pub fn new(config: LlcConfig) -> Self {
-        let checked = config.validate();
-        assert!(checked.is_ok(), "inconsistent LLC config: {checked:?}");
-        LlcRx {
+    pub fn new(config: LlcConfig) -> Result<Self, LlcError> {
+        config
+            .validate()
+            .map_err(|reason| LlcError::InvalidConfig { reason })?;
+        Ok(LlcRx {
             expected: FrameId(config.initial_frame_id),
             ack_every: config.ack_every,
-            discards_since_request: 0,
             awaiting_replay: false,
             frames_delivered: 0,
             ingress: BoundedFifo::new(config.rx_queue_frames),
-        }
+        })
     }
 
+    /// Asks for an in-order replay from the expected frame, once per gap.
     fn request_replay(&mut self, replies: &mut Vec<Control>) {
-        if !self.awaiting_replay || self.discards_since_request >= REQUEST_REARM_DISCARDS {
+        if !self.awaiting_replay {
             replies.push(Control::ReplayRequest(self.expected));
             self.awaiting_replay = true;
-            self.discards_since_request = 0;
         }
     }
 
@@ -339,7 +344,6 @@ impl<T: FlitSized + Clone> LlcRx<T> {
         };
         if !intact {
             // Header cannot be trusted; ask for in-order replay.
-            self.discards_since_request += 1;
             self.request_replay(&mut out.replies);
             return Ok(());
         }
@@ -352,14 +356,12 @@ impl<T: FlitSized + Clone> LlcRx<T> {
         if id.seq_gt(self.expected) {
             // Gap: an earlier frame was lost. The design replays strictly
             // in order, so this frame is discarded and replay requested.
-            self.discards_since_request += 1;
             self.request_replay(&mut out.replies);
             return Ok(());
         }
         // In-order delivery.
         self.expected = self.expected.next();
         self.awaiting_replay = false;
-        self.discards_since_request = 0;
         self.frames_delivered += 1;
         out.delivered.extend(entries.txns().cloned());
         // Cumulative acks coalesce: every Nth frame carries the ack for
@@ -454,8 +456,8 @@ mod tests {
 
     #[test]
     fn lossless_exchange_delivers_in_order() {
-        let mut tx = LlcTx::new(cfg());
-        let mut rx: LlcRx<Msg> = LlcRx::new(cfg());
+        let mut tx = LlcTx::new(cfg()).unwrap();
+        let mut rx: LlcRx<Msg> = LlcRx::new(cfg()).unwrap();
         for i in 0..40 {
             tx.offer((i, 3));
         }
@@ -478,8 +480,7 @@ mod tests {
     fn credits_bound_inflight_frames() {
         let mut config = cfg();
         config.rx_queue_frames = 4;
-        config.replay_window = 8;
-        let mut tx = LlcTx::new(config);
+        let mut tx = LlcTx::new(config).unwrap();
         for i in 0..100 {
             tx.offer((i, 7)); // one txn per frame
         }
@@ -492,8 +493,8 @@ mod tests {
 
     #[test]
     fn dropped_frame_recovers_via_replay_request() {
-        let mut tx = LlcTx::new(cfg());
-        let mut rx: LlcRx<Msg> = LlcRx::new(cfg());
+        let mut tx = LlcTx::new(cfg()).unwrap();
+        let mut rx: LlcRx<Msg> = LlcRx::new(cfg()).unwrap();
         for i in 0..3 {
             tx.offer((i, 7));
         }
@@ -530,8 +531,8 @@ mod tests {
 
     #[test]
     fn corrupt_frame_triggers_replay() {
-        let mut tx = LlcTx::new(cfg());
-        let mut rx: LlcRx<Msg> = LlcRx::new(cfg());
+        let mut tx = LlcTx::new(cfg()).unwrap();
+        let mut rx: LlcRx<Msg> = LlcRx::new(cfg()).unwrap();
         tx.offer((9, 7));
         tx.seal();
         let f = tx.next_transmittable().unwrap().unwrap();
@@ -546,8 +547,8 @@ mod tests {
 
     #[test]
     fn duplicates_are_discarded_and_reacked() {
-        let mut tx = LlcTx::new(cfg());
-        let mut rx: LlcRx<Msg> = LlcRx::new(cfg());
+        let mut tx = LlcTx::new(cfg()).unwrap();
+        let mut rx: LlcRx<Msg> = LlcRx::new(cfg()).unwrap();
         tx.offer((1, 7));
         tx.seal();
         let f = tx.next_transmittable().unwrap().unwrap();
@@ -559,8 +560,120 @@ mod tests {
     }
 
     #[test]
+    fn the_receiver_asks_once_per_gap() {
+        let mut tx = LlcTx::new(cfg()).unwrap();
+        let mut rx: LlcRx<Msg> = LlcRx::new(cfg()).unwrap();
+        for i in 0..40 {
+            tx.offer((i, 7)); // one txn per frame
+        }
+        tx.seal();
+        let frames = drain_tx(&mut tx);
+        // Frame 0 is lost: the 39 behind it, intact or corrupt, are all
+        // discarded, and only the first discard asks for a replay.
+        let mut replies = Vec::new();
+        for (i, f) in frames.iter().enumerate().skip(1) {
+            let act = deliver(&mut rx, f.clone(), i % 3 != 0).unwrap();
+            assert!(act.delivered.is_empty());
+            replies.extend(act.replies);
+        }
+        assert_eq!(replies, vec![Control::ReplayRequest(FrameId(0))]);
+        // The replayed frame 0 fills the gap; a new gap behind frame 1
+        // asks again, once.
+        let act = deliver(&mut rx, frames[0].clone(), true).unwrap();
+        assert_eq!(act.delivered, vec![(0, 7)]);
+        let mut replies = Vec::new();
+        for f in &frames[2..] {
+            replies.extend(deliver(&mut rx, f.clone(), true).unwrap().replies);
+        }
+        assert_eq!(replies, vec![Control::ReplayRequest(FrameId(1))]);
+    }
+
+    #[test]
+    fn quiet_means_delivered_not_acknowledged() {
+        // The datapath calibration acks every 8th frame: three frames
+        // delivered stay unacknowledged, yet the direction owes nothing.
+        let mut tx = LlcTx::new(LlcConfig::default()).unwrap();
+        let mut rx: LlcRx<Msg> = LlcRx::new(LlcConfig::default()).unwrap();
+        for i in 0..3 {
+            tx.offer((i, 7));
+        }
+        assert!(!tx.is_quiet(&rx), "staged frames are owed");
+        tx.seal();
+        let frames = drain_tx(&mut tx);
+        assert!(!tx.is_quiet(&rx), "frames in flight are owed");
+        for f in frames {
+            assert!(deliver(&mut rx, f, true).unwrap().replies.is_empty());
+        }
+        assert!(tx.is_quiet(&rx));
+        assert!(!tx.is_idle(), "nothing was acknowledged");
+        // A kick re-queues the unacknowledged frames: owed until sent.
+        tx.kick_tail_replay();
+        assert!(!tx.is_quiet(&rx));
+        assert_eq!(drain_tx(&mut tx).len(), 3);
+        assert!(tx.is_quiet(&rx));
+    }
+
+    #[test]
+    fn a_missed_ack_keeps_the_direction_owed() {
+        // Eight credits and an ack every 7th frame, one frame per txn.
+        let config = LlcConfig {
+            rx_queue_frames: 8,
+            ack_every: 7,
+            ..LlcConfig::default()
+        };
+        let mut tx = LlcTx::new(config).unwrap();
+        let mut rx: LlcRx<Msg> = LlcRx::new(config).unwrap();
+        // Delivers `frames` intact; the Tx hears the replies if `heard`.
+        fn exchange(tx: &mut LlcTx<Msg>, rx: &mut LlcRx<Msg>, frames: &[Frame<Msg>], heard: bool) {
+            for f in frames {
+                for reply in deliver(rx, f.clone(), true).unwrap().replies {
+                    if heard {
+                        tx.on_control(reply).unwrap();
+                    }
+                }
+            }
+        }
+        let burst = |tx: &mut LlcTx<Msg>, n: u32| {
+            (0..n).for_each(|i| tx.offer((i, 7)));
+            tx.seal();
+            drain_tx(tx)
+        };
+        // Frames 0-7; the 7th delivery acks 0-6, and a duplicate of
+        // frame 7 (a kick's replay) is re-acked off the every-7th beat.
+        let first = burst(&mut tx, 8);
+        exchange(&mut tx, &mut rx, &first, true);
+        exchange(&mut tx, &mut rx, &first[7..], true);
+        assert_eq!(tx.credits().available(), 8);
+        // Frames 8-13: the 14th delivery's ack is lost. Every frame was
+        // delivered, but the two credits left cannot reach the next ack
+        // seven deliveries on, so the direction still owes its wire.
+        let second = burst(&mut tx, 6);
+        exchange(&mut tx, &mut rx, &second, false);
+        assert_eq!(tx.credits().available(), 2);
+        assert!(!tx.is_quiet(&rx), "a missed ack is owed");
+        // The kick's duplicates are re-acked, and the direction is quiet
+        // with nothing held.
+        tx.kick_tail_replay();
+        let replayed = drain_tx(&mut tx);
+        assert_eq!(replayed.len(), 6);
+        exchange(&mut tx, &mut rx, &replayed, true);
+        assert_eq!(tx.credits().available(), 8);
+        assert!(tx.is_quiet(&rx));
+        // Lossless from here: the frames behind the last ack stay
+        // unacknowledged, and the credits they leave reach the next one.
+        let third = burst(&mut tx, 3);
+        exchange(&mut tx, &mut rx, &third, true);
+        assert!(tx.is_quiet(&rx), "three behind the last ack");
+        let fourth = burst(&mut tx, 5);
+        assert_eq!(fourth.len(), 5, "five credits carry the burst");
+        exchange(&mut tx, &mut rx, &fourth, true);
+        assert_eq!(tx.credits().available(), 7, "the 21st delivery acked");
+        assert!(tx.is_quiet(&rx));
+    }
+
+    #[test]
     fn replay_requests_are_deduplicated_while_replaying() {
-        let mut tx = LlcTx::new(cfg());
+        let mut tx = LlcTx::new(cfg()).unwrap();
         for i in 0..4 {
             tx.offer((i, 7));
         }
@@ -576,7 +689,7 @@ mod tests {
 
     #[test]
     fn tail_replay_retransmits_unacked() {
-        let mut tx = LlcTx::new(cfg());
+        let mut tx = LlcTx::new(cfg()).unwrap();
         tx.offer((3, 7));
         tx.seal();
         let _lost = tx.next_transmittable().unwrap().unwrap();
@@ -591,7 +704,7 @@ mod tests {
     fn retransmission_shares_payload_with_retained_copy() {
         // The replay buffer and the wire copy must share one payload
         // allocation: retransmit is a refcount bump, not a deep copy.
-        let mut tx = LlcTx::new(cfg());
+        let mut tx = LlcTx::new(cfg()).unwrap();
         for i in 0..8 {
             tx.offer((i, 1));
         }
@@ -610,8 +723,8 @@ mod tests {
 
     #[test]
     fn batched_ingress_delivers_in_order() {
-        let mut tx = LlcTx::new(cfg());
-        let mut rx: LlcRx<Msg> = LlcRx::new(cfg());
+        let mut tx = LlcTx::new(cfg()).unwrap();
+        let mut rx: LlcRx<Msg> = LlcRx::new(cfg()).unwrap();
         for i in 0..24 {
             tx.offer((i, 2));
         }
@@ -636,7 +749,7 @@ mod tests {
         let mut config = cfg();
         config.rx_queue_frames = 2;
         config.ack_every = 1;
-        let mut rx: LlcRx<Msg> = LlcRx::new(config);
+        let mut rx: LlcRx<Msg> = LlcRx::new(config).unwrap();
         let mut burst: Vec<(Frame<Msg>, bool)> = (0..3)
             .map(|i| {
                 (
@@ -665,8 +778,8 @@ mod tests {
         // exchange rolls straight through u64::MAX → 0.
         let mut config = cfg();
         config.initial_frame_id = u64::MAX - 1;
-        let mut tx = LlcTx::new(config);
-        let mut rx: LlcRx<Msg> = LlcRx::new(config);
+        let mut tx = LlcTx::new(config).unwrap();
+        let mut rx: LlcRx<Msg> = LlcRx::new(config).unwrap();
         for i in 0..6 {
             tx.offer((i, 7));
         }
@@ -701,7 +814,7 @@ mod tests {
 
     #[test]
     fn control_to_rx_is_a_wiring_error() {
-        let mut rx: LlcRx<Msg> = LlcRx::new(cfg());
+        let mut rx: LlcRx<Msg> = LlcRx::new(cfg()).unwrap();
         let got = deliver(&mut rx, Frame::Control(Control::Ack(FrameId(0))), true);
         assert_eq!(got, Err(LlcError::ControlFrameInDataPath));
     }
@@ -710,7 +823,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "flit conservation violated")]
     fn leaked_replay_frame_is_caught() {
-        let mut tx = LlcTx::new(cfg());
+        let mut tx = LlcTx::new(cfg()).unwrap();
         for i in 0..4 {
             tx.offer((i, 8));
         }

@@ -2,20 +2,23 @@
 //!
 //! The datapath crates ban `panic!`/`unwrap`/`expect` (tflint TF004), so
 //! the LLC state machines surface violated invariants as [`LlcError`]
-//! values instead. Every variant indicates a *protocol* bug — broken
-//! agreement between the Tx and Rx machines or their driver — not a
-//! recoverable wire fault (lost or corrupt frames are handled by replay).
+//! values instead. [`LlcError::InvalidConfig`] refuses a calibration
+//! before any state machine exists; every other variant indicates a
+//! *protocol* bug — broken agreement between the Tx and Rx machines or
+//! their driver — not a recoverable wire fault (lost or corrupt frames
+//! are handled by replay).
 
 use crate::frame::FrameId;
 
 /// A violated LLC protocol invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LlcError {
-    /// A frame was retained while the replay buffer was already full;
-    /// the Tx must check `has_room` before transmitting.
-    ReplayOverflow {
-        /// Configured retention capacity in frames.
-        capacity: usize,
+    /// A calibration the state machines cannot run: one
+    /// [`LlcConfig::validate`](crate::LlcConfig::validate) refuses, or
+    /// an empty credit pool.
+    InvalidConfig {
+        /// The violated constraint.
+        reason: &'static str,
     },
     /// Retention skipped a frame identifier; replay would replay a gap.
     NonSequentialRetention {
@@ -47,9 +50,7 @@ pub enum LlcError {
 impl std::fmt::Display for LlcError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            LlcError::ReplayOverflow { capacity } => {
-                write!(f, "replay buffer overflow (capacity {capacity})")
-            }
+            LlcError::InvalidConfig { reason } => write!(f, "invalid LLC config: {reason}"),
             LlcError::NonSequentialRetention { expected, got } => {
                 write!(f, "non-sequential retention: expected {expected}, got {got}")
             }

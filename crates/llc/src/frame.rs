@@ -91,7 +91,8 @@ pub enum Control {
     /// Cumulative acknowledgement: every frame up to and including the
     /// identifier has been received intact.
     Ack(FrameId),
-    /// Request in-order replay starting from the identifier.
+    /// Request in-order replay starting from the identifier: one per
+    /// gap, and a lost one is retried by the driver's tail-replay kick.
     ReplayRequest(FrameId),
 }
 

@@ -14,6 +14,11 @@
 //!    a missing or corrupted frame triggers an in-order replay from the
 //!    requested identifier, negotiated through in-band messages.
 //!
+//! Each retained frame holds its credit until acknowledged, so the credit
+//! pool is the replay buffer's only bound. The receiver asks for a replay
+//! once per gap; a lost request or a lost tail is retried by the link's
+//! driver (the fabric's watchdog) through [`LlcTx::kick_tail_replay`].
+//!
 //! The datapath is 32 B wide; the LLC is MAC-agnostic (the prototype uses
 //! Xilinx Aurora, but "both a packet network or circuit-based bit-for-bit
 //! network MAC can be used") — here it runs over [`netsim`] channels.
@@ -37,27 +42,30 @@
 //! // One link direction: frames leave the Tx, queue in the Rx ingress
 //! // (one credit per slot) and deliver in order.
 //! let config = LlcConfig::default();
-//! let mut tx = LlcTx::new(config);
-//! let mut rx = LlcRx::new(config);
+//! let mut tx = LlcTx::new(config)?;
+//! let mut rx = LlcRx::new(config)?;
 //! let msgs: Vec<(u32, usize)> = (0..20).map(|i| (i, 4)).collect();
 //! for &m in &msgs {
 //!     tx.offer(m);
 //! }
 //! tx.seal();
 //! let mut arrivals = Vec::new();
-//! while let Some(frame) = tx.next_transmittable().unwrap() {
+//! while let Some(frame) = tx.next_transmittable()? {
 //!     arrivals.push((frame, true)); // (frame, CRC intact)
 //! }
-//! rx.enqueue_arrivals(&mut arrivals).unwrap();
+//! rx.enqueue_arrivals(&mut arrivals)?;
 //! let mut action = RxAction::default();
-//! rx.drain_ingress(&mut action).unwrap();
+//! rx.drain_ingress(&mut action)?;
 //! assert_eq!(action.delivered, msgs);
 //! // Acks coalesce: the 8th of the 10 frames carries the cumulative
 //! // ack, which retires 8 frames and returns their 8 credits.
 //! for reply in action.replies {
-//!     tx.on_control(reply).unwrap();
+//!     tx.on_control(reply)?;
 //! }
 //! assert_eq!(tx.credits().available(), tx.credits().max() - 2);
+//! // The last two stay unacknowledged, yet the link owes nothing.
+//! assert!(tx.is_quiet(&rx));
+//! # Ok::<(), llc::LlcError>(())
 //! ```
 
 pub mod credit;
@@ -80,13 +88,12 @@ use serde::{Deserialize, Serialize};
 pub struct LlcConfig {
     /// Flits per frame; incomplete frames are nop-padded.
     pub frame_flits: usize,
-    /// Rx ingress queue depth in frames (= initial credit pool).
+    /// Rx ingress queue depth in frames (= initial credit pool, and so
+    /// the bound on unacknowledged frames).
     ///
     /// "The depth of the Rx ingress queues has been carefully calculated
     /// to avoid credit starvation at the Tx side."
     pub rx_queue_frames: usize,
-    /// Replay buffer depth in frames (unacknowledged window).
-    pub replay_window: usize,
     /// Initial frame identifier agreed at link bring-up.
     pub initial_frame_id: u64,
     /// Acknowledge every Nth delivered frame (cumulative acks make
@@ -97,7 +104,7 @@ pub struct LlcConfig {
 impl Default for LlcConfig {
     /// The calibration the flit-level datapath instantiates per link
     /// direction: 9-flit frames (8 payload = two cacheline responses,
-    /// ~89% wire efficiency), deep Rx/replay queues sized for a
+    /// ~89% wire efficiency), a deep Rx queue sized for a
     /// bandwidth-delay product of ~950 ns at 100 Gbit/s, and cumulative
     /// acks every 8th frame so the credit pool stays fed without burning
     /// reverse-channel bandwidth.
@@ -105,7 +112,6 @@ impl Default for LlcConfig {
         LlcConfig {
             frame_flits: 9,
             rx_queue_frames: 128,
-            replay_window: 256,
             initial_frame_id: 0,
             ack_every: 8,
         }
@@ -124,9 +130,8 @@ impl LlcConfig {
     /// # Errors
     ///
     /// Names the first violated constraint: a zero dimension, a frame
-    /// longer than the wire header's `u8` entry count, a replay window
-    /// smaller than the credit pool (which could deadlock recovery), or
-    /// ack coalescing that could starve the credit pool.
+    /// longer than the wire header's `u8` entry count, or ack coalescing
+    /// that could starve the credit pool.
     pub fn validate(&self) -> Result<(), &'static str> {
         let checks = [
             (self.frame_flits > 0, "frames need at least one flit"),
@@ -135,10 +140,6 @@ impl LlcConfig {
                 "frame entry count must fit the wire header's u8",
             ),
             (self.rx_queue_frames > 0, "rx queue cannot be empty"),
-            (
-                self.replay_window >= self.rx_queue_frames,
-                "replay window must cover in-flight frames",
-            ),
             (self.ack_every > 0, "ack_every cannot be zero"),
             (
                 self.ack_every < self.rx_queue_frames as u64,
@@ -161,7 +162,6 @@ mod config_tests {
         let c = LlcConfig::default();
         assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.frame_flits, 9);
-        assert!(c.replay_window >= c.rx_queue_frames);
         assert!(c.ack_every < c.rx_queue_frames as u64);
     }
 
@@ -170,14 +170,20 @@ mod config_tests {
         let breaks: [fn(&mut LlcConfig); 5] = [
             |c| c.frame_flits = 0,
             |c| c.frame_flits = 257,
-            |c| c.replay_window = 127,
+            |c| c.rx_queue_frames = 0,
             |c| c.ack_every = 0,
             |c| c.ack_every = 128,
         ];
         for break_it in breaks {
             let mut c = LlcConfig::default();
             break_it(&mut c);
-            assert!(c.validate().is_err(), "{c:?}");
+            let Err(reason) = c.validate() else {
+                panic!("{c:?} validated");
+            };
+            // The constructors refuse it with the same reason, typed.
+            let refused = Some(LlcError::InvalidConfig { reason });
+            assert_eq!(LlcTx::<(u32, usize)>::new(c).err(), refused, "{c:?}");
+            assert_eq!(LlcRx::<(u32, usize)>::new(c).err(), refused, "{c:?}");
         }
     }
 }

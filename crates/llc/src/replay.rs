@@ -2,7 +2,9 @@
 //!
 //! Transmitted frames are retained until cumulatively acknowledged; on a
 //! replay request the Tx re-emits, **in order**, every retained frame
-//! starting from the requested identifier.
+//! starting from the requested identifier. The buffer has no capacity of
+//! its own: each retained frame holds one of the Tx's credits until it
+//! is acknowledged, so the credit pool bounds it.
 
 use std::collections::VecDeque;
 
@@ -11,9 +13,8 @@ use crate::frame::{Frame, FrameId};
 
 /// Retention buffer for unacknowledged frames.
 ///
-/// The capacity bounds how many frames the buffer retains; storage
-/// grows on demand up to the deepest window the link actually used, so
-/// an idle or lightly loaded link holds no frame storage.
+/// Storage grows on demand up to the deepest window the link actually
+/// used, so an idle or lightly loaded link holds no frame storage.
 ///
 /// # Example
 ///
@@ -21,7 +22,7 @@ use crate::frame::{Frame, FrameId};
 /// use llc::frame::{Frame, FrameId};
 /// use llc::replay::ReplayBuffer;
 ///
-/// let mut rb: ReplayBuffer<(u32, usize)> = ReplayBuffer::new(8);
+/// let mut rb: ReplayBuffer<(u32, usize)> = ReplayBuffer::default();
 /// rb.retain(Frame::Data { id: FrameId(0), entries: vec![].into() }).unwrap();
 /// rb.retain(Frame::Data { id: FrameId(1), entries: vec![].into() }).unwrap();
 /// let replayed = rb.frames_from(FrameId(0));
@@ -32,43 +33,25 @@ use crate::frame::{Frame, FrameId};
 #[derive(Debug, Clone)]
 pub struct ReplayBuffer<T> {
     frames: VecDeque<Frame<T>>,
-    capacity: usize,
+}
+
+impl<T> Default for ReplayBuffer<T> {
+    fn default() -> Self {
+        ReplayBuffer {
+            frames: VecDeque::new(),
+        }
+    }
 }
 
 impl<T: Clone> ReplayBuffer<T> {
-    /// Creates a buffer retaining up to `capacity` frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "replay buffer cannot be empty");
-        ReplayBuffer {
-            frames: VecDeque::new(),
-            capacity,
-        }
-    }
-
-    /// Whether another frame can be retained.
-    pub(crate) fn has_room(&self) -> bool {
-        self.frames.len() < self.capacity
-    }
-
     /// Retains a transmitted data frame.
     ///
     /// # Errors
     ///
-    /// [`LlcError::ReplayOverflow`] if the buffer is full (the Tx must
-    /// check for room before transmitting),
     /// [`LlcError::ControlFrameInDataPath`] if the frame is not a data
     /// frame, and [`LlcError::NonSequentialRetention`] if the frame id is
     /// not the successor of the last retained frame.
     pub fn retain(&mut self, frame: Frame<T>) -> Result<(), LlcError> {
-        if !self.has_room() {
-            return Err(LlcError::ReplayOverflow {
-                capacity: self.capacity,
-            });
-        }
         let Some(id) = frame.id() else {
             return Err(LlcError::ControlFrameInDataPath);
         };
@@ -155,7 +138,7 @@ mod tests {
 
     #[test]
     fn ack_is_cumulative() {
-        let mut rb = ReplayBuffer::new(10);
+        let mut rb = ReplayBuffer::default();
         for i in 0..5 {
             rb.retain(data(i)).unwrap();
         }
@@ -166,7 +149,7 @@ mod tests {
 
     #[test]
     fn replay_from_midpoint() {
-        let mut rb = ReplayBuffer::new(10);
+        let mut rb = ReplayBuffer::default();
         for i in 0..5 {
             rb.retain(data(i)).unwrap();
         }
@@ -177,7 +160,7 @@ mod tests {
 
     #[test]
     fn ack_of_unknown_id_is_noop() {
-        let mut rb = ReplayBuffer::new(4);
+        let mut rb = ReplayBuffer::default();
         rb.retain(data(7)).unwrap();
         assert_eq!(rb.ack_through(FrameId(3)), 0);
         assert_eq!(rb.len(), 1);
@@ -185,7 +168,7 @@ mod tests {
 
     #[test]
     fn ack_and_replay_survive_id_wraparound() {
-        let mut rb = ReplayBuffer::new(8);
+        let mut rb = ReplayBuffer::default();
         // Retain u64::MAX-1, u64::MAX, 0, 1 — a run across the wrap.
         rb.retain(data(u64::MAX - 1)).unwrap();
         rb.retain(data(u64::MAX)).unwrap();
@@ -207,7 +190,7 @@ mod tests {
 
     #[test]
     fn ack_reports_transactions_freed() {
-        let mut rb = ReplayBuffer::new(4);
+        let mut rb = ReplayBuffer::default();
         rb.retain(Frame::Data {
             id: FrameId(0),
             entries: vec![
@@ -222,18 +205,8 @@ mod tests {
     }
 
     #[test]
-    fn overflow_is_an_error() {
-        let mut rb = ReplayBuffer::new(1);
-        rb.retain(data(0)).unwrap();
-        assert_eq!(
-            rb.retain(data(1)),
-            Err(LlcError::ReplayOverflow { capacity: 1 })
-        );
-    }
-
-    #[test]
     fn gap_in_retention_is_an_error() {
-        let mut rb = ReplayBuffer::new(4);
+        let mut rb = ReplayBuffer::default();
         rb.retain(data(0)).unwrap();
         assert_eq!(
             rb.retain(data(2)),
@@ -246,7 +219,7 @@ mod tests {
 
     #[test]
     fn control_frame_retention_is_an_error() {
-        let mut rb: ReplayBuffer<(u32, usize)> = ReplayBuffer::new(4);
+        let mut rb: ReplayBuffer<(u32, usize)> = ReplayBuffer::default();
         let ctrl = Frame::Control(crate::frame::Control::Ack(FrameId(0)));
         assert_eq!(rb.retain(ctrl), Err(LlcError::ControlFrameInDataPath));
     }

@@ -41,7 +41,9 @@ pub struct Channel {
     faults: FaultInjector,
     frames_sent: u64,
     down: bool,
-    down_drops: u64,
+    /// Frames swallowed while hard-down or that would have landed past
+    /// the end of simulated time.
+    swallowed: u64,
     lanes_failed: usize,
 }
 
@@ -116,15 +118,23 @@ impl Channel {
     }
 
     /// Transmits one frame of `bytes`, returning its fate and arrival
-    /// instant. Frames serialize in FIFO order behind earlier traffic.
+    /// instant. Frames serialize in FIFO order behind earlier traffic. A
+    /// frame whose serialization or flight would end past
+    /// [`SimTime::MAX`] never arrives.
     pub fn transmit(&mut self, now: SimTime, bytes: u64) -> Delivery {
         self.frames_sent += 1;
         if self.down {
-            self.down_drops += 1;
+            self.swallowed += 1;
             return Delivery::Dropped;
         }
         let serialized = self.line.enqueue(now, bytes);
-        let at = serialized + self.flight_latency;
+        let Some(at) = serialized
+            .checked_add(self.flight_latency)
+            .filter(|_| serialized < SimTime::MAX)
+        else {
+            self.swallowed += 1;
+            return Delivery::Dropped;
+        };
         match self.faults.roll() {
             Fate::Intact => Delivery::Delivered { at },
             Fate::Corrupt => Delivery::Corrupted { at },
@@ -158,9 +168,10 @@ impl Channel {
     }
 
     /// Frames lost by injected faults so far, plus frames swallowed
-    /// while the channel was hard-down.
+    /// while the channel was hard-down or that would have landed past
+    /// the end of simulated time.
     pub fn frames_dropped(&self) -> u64 {
-        self.faults.drops() + self.down_drops
+        self.faults.drops() + self.swallowed
     }
 
     /// Frames corrupted by injected faults so far.
@@ -246,7 +257,7 @@ impl ChannelBuilder {
             faults: FaultInjector::new(self.faults, self.seed),
             frames_sent: 0,
             down: false,
-            down_drops: 0,
+            swallowed: 0,
             lanes_failed: 0,
         }
     }
@@ -328,6 +339,27 @@ mod tests {
             ch.transmit(SimTime::ZERO, 64),
             Delivery::Delivered { .. }
         ));
+    }
+
+    #[test]
+    fn a_frame_landing_past_the_end_of_time_is_dropped() {
+        let mut ch = ChannelBuilder::thymesisflow_default().build();
+        let flight = ch.flight_latency();
+        let serialize = ch.payload_rate().transfer_time(288);
+        // The last instant from which a 288 B frame still lands.
+        let last = SimTime::MAX - flight - serialize;
+        assert_eq!(
+            ch.transmit(last, 288),
+            Delivery::Delivered { at: SimTime::MAX }
+        );
+        // Anything queued behind it would land past the end of time.
+        assert_eq!(ch.transmit(SimTime::ZERO, 32), Delivery::Dropped);
+        let mut ch = ChannelBuilder::thymesisflow_default().build();
+        for back in [SimTime::ZERO, serialize, flight] {
+            assert_eq!(ch.transmit(SimTime::MAX - back, 288), Delivery::Dropped);
+        }
+        assert_eq!(ch.free_at(), SimTime::MAX);
+        assert_eq!((ch.frames_sent(), ch.frames_dropped()), (3, 3));
     }
 
     #[test]

@@ -126,6 +126,10 @@ impl SerializedLine {
     /// handshake) before the bytes stream. Back-to-back transfers of
     /// size `b` therefore sustain `b / (overhead + b/rate)` — the model
     /// behind transaction-size-dependent port bandwidth.
+    ///
+    /// A transfer that would complete past [`SimTime::MAX`] occupies the
+    /// line until then: it returns `SimTime::MAX`, and so does
+    /// [`SerializedLine::free_at`] from then on.
     pub fn enqueue_with_overhead(
         &mut self,
         now: SimTime,
@@ -133,10 +137,10 @@ impl SerializedLine {
         overhead: SimTime,
     ) -> SimTime {
         let start = self.free_at.max(now);
-        let xfer = overhead + self.rate.transfer_time(bytes);
-        self.free_at = start + xfer;
+        let xfer = overhead.saturating_add(self.rate.transfer_time(bytes));
+        self.free_at = start.saturating_add(xfer);
         self.bytes_sent += bytes;
-        self.busy += xfer;
+        self.busy = self.busy.saturating_add(xfer);
         self.free_at
     }
 
@@ -197,6 +201,17 @@ mod tests {
         // An arrival after the line went idle starts immediately.
         let done3 = line.enqueue(SimTime::from_ns(500), 100);
         assert_eq!(done3.as_ns(), 600);
+    }
+
+    #[test]
+    fn a_transfer_past_the_end_of_time_ends_there() {
+        let mut line = SerializedLine::new(Rate::from_bytes_per_sec(1e9)); // 1 B/ns
+        let late = SimTime::MAX - SimTime::from_ns(50);
+        assert_eq!(line.enqueue(late, 10), late + SimTime::from_ns(10));
+        assert_eq!(line.enqueue(late, 100), SimTime::MAX);
+        assert_eq!(line.free_at(), SimTime::MAX);
+        assert_eq!(line.enqueue(SimTime::ZERO, 1), SimTime::MAX);
+        assert_eq!(line.bytes_sent(), 111);
     }
 
     #[test]
